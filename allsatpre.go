@@ -417,12 +417,7 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 	// repeat it.
 	var sstats simplify.Stats
 	if o.Simplify.Enabled(true) {
-		isProj := make([]bool, f.NumVars)
-		for _, v := range proj {
-			isProj[v] = true
-		}
-		sres := simplify.Run(f, func(v lit.Var) bool { return isProj[v] }, simplify.Options{})
-		sstats = sres.Stats
+		sstats = simplify.RunFrozen(f, proj).Stats
 	}
 	bud := o.Budget.Materialize()
 	asOpts := allsat.Options{

@@ -70,10 +70,13 @@ type Stats struct {
 	// activity; a clear is a wholesale memo reset at the memo bound.
 	CacheLookups, CacheHits, CacheClears uint64
 	// BDDNodes is the node count of the solution BDD (success-driven) or
-	// of the counting BDD (blocking engines).
+	// of the counting BDD (blocking and lifting engines). It is 0 for the
+	// disjoint engine, which counts its pairwise-disjoint cubes by
+	// summation and builds no BDD.
 	BDDNodes int
 	// Kernel snapshots the BDD manager's unique-table and apply-cache
-	// gauges for the run (merged across managers when several are used).
+	// gauges for the run (merged across managers when several are used;
+	// zero for the disjoint engine).
 	Kernel bdd.KernelStats
 	// Simplify reports the preprocessing pass (Simplify.Applied is false
 	// when simplification was disabled for the run).
@@ -153,33 +156,29 @@ func maybeSimplify(f *cnf.Formula, space *cube.Space, opts *Options) (*cnf.Formu
 		return f, simplify.Stats{}
 	}
 	opts.Simplify = simplify.Off
-	frozen := make([]bool, f.NumVars)
-	for _, v := range space.Vars() {
-		if int(v) < len(frozen) {
-			frozen[v] = true
-		}
-	}
-	for _, v := range opts.Frozen {
-		if int(v) < len(frozen) {
-			frozen[v] = true
-		}
-	}
 	sf := f.Clone()
-	res := simplify.Run(sf, func(v lit.Var) bool { return frozen[v] }, simplify.Options{})
-	return sf, res.Stats
+	return sf, simplify.RunFrozen(sf, space.Vars(), opts.Frozen).Stats
 }
 
-// countCover computes the exact minterm count of a cover by building its
-// BDD over the projection space, reporting the manager's kernel gauges.
-// The counting manager comes from (and returns to) the warm pool when
-// one is attached; node counts and the count itself are identical either
-// way — canonicity does not depend on table capacity.
-func countCover(cv *cube.Cover, p *rt.Pool) (*big.Int, int, bdd.KernelStats) {
-	m := p.AcquireManager(cv.Space().Vars(), 0)
-	f := m.FromCover(cv)
-	count, nodes, kernel := m.SatCount(f), m.NumNodes(), m.Kernel()
+// countCover sets res.Count to the exact minterm count of res.Cover.
+// The disjoint engine's cubes are pairwise disjoint — across guiding-path
+// subcubes too, and on aborted runs, whose cover is a subset — so its
+// count is a plain sum of cube sizes and no BDD is built (BDDNodes and
+// Kernel stay zero). The blocking and lifting covers (lifted cubes
+// overlap) are counted through a BDD over the projection space, whose
+// manager comes from (and returns to) the warm pool when one is
+// attached; node counts and the count itself are identical either way —
+// canonicity does not depend on table capacity.
+func countCover(res *Result, eng engineKind, p *rt.Pool) {
+	if eng == engDisjoint {
+		res.Count = res.Cover.DisjointCount()
+		return
+	}
+	m := p.AcquireManager(res.Space.Vars(), 0)
+	res.Count = m.SatCount(m.FromCover(res.Cover))
+	res.Stats.BDDNodes = m.NumNodes()
+	res.Stats.Kernel.Merge(m.Kernel())
 	p.ReleaseManager(m)
-	return count, nodes, kernel
 }
 
 // acquireLoaded obtains an iterator's solver — warm from the runtime
@@ -255,7 +254,7 @@ func enumerateSimplified(f *cnf.Formula, space *cube.Space, opts Options, eng en
 	// between calls. An explicit solver budget wins (inside the iterator).
 	bud := opts.Budget.Materialize()
 	opts.Budget = bud
-	res := &Result{Space: space, Cover: cube.NewCover(space), Count: new(big.Int)}
+	res := &Result{Space: space, Cover: cube.NewCover(space)}
 	it := newKindIterator(f, space, opts, eng)
 
 	maxCubes := bud.MergeCubes(opts.MaxCubes)
@@ -282,9 +281,7 @@ func enumerateSimplified(f *cnf.Formula, space *cube.Space, opts Options, eng en
 
 	res.Stats = it.Stats()
 	it.Close()
-	var kernel bdd.KernelStats
-	res.Count, res.Stats.BDDNodes, kernel = countCover(res.Cover, opts.Runtime.P())
-	res.Stats.Kernel.Merge(kernel)
+	countCover(res, eng, opts.Runtime.P())
 	return res
 }
 

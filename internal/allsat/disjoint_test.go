@@ -1,11 +1,17 @@
 package allsat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
+	"allsatpre/internal/cube"
+	"allsatpre/internal/lit"
+	rt "allsatpre/internal/runtime"
+	"allsatpre/internal/stats"
 )
 
 // TestDisjointAgainstBruteForce checks the blocking-clause-free engine on
@@ -115,5 +121,92 @@ func TestDisjointStatsPopulated(t *testing.T) {
 	}
 	if r.Stats.Cubes == 0 || r.Stats.Solutions == 0 {
 		t.Fatalf("enumeration counters missing: %+v", r.Stats)
+	}
+}
+
+// TestDisjointCountMatchesBDD: the disjoint engine's summed Count equals
+// a BDD count of the same cover for every worker count, on complete runs
+// and on runs cut short by the cube cap or an expired deadline — and on
+// a 70-variable space whose cubes have more than 62 free positions.
+func TestDisjointCountMatchesBDD(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	narrow := randomFormula(rng, 14, 25, 3)
+	wide := cnf.New(70)
+	wide.AddClause(cnf.Clause{lit.Pos(0), lit.Pos(1)})
+	wide.AddClause(cnf.Clause{lit.Neg(2), lit.Pos(3), lit.Neg(4)})
+	wideVars := make([]int, 70)
+	for i := range wideVars {
+		wideVars[i] = i
+	}
+	instances := []struct {
+		name  string
+		f     *cnf.Formula
+		space *cube.Space
+	}{
+		{"narrow", narrow, projSpace(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)},
+		{"wide", wide, projSpace(wideVars...)},
+	}
+	budgets := []struct {
+		name    string
+		opts    Options
+		aborted bool
+	}{
+		{"complete", Options{}, false},
+		{"max-cubes", Options{MaxCubes: 3}, true},
+		{"expired", Options{Budget: budget.Budget{Deadline: time.Now().Add(-time.Second)}}, true},
+	}
+	for _, in := range instances {
+		for _, b := range budgets {
+			for _, workers := range []int{1, 2, 4} {
+				opts := b.opts
+				opts.Workers = workers
+				r := EnumerateDisjoint(in.f.Clone(), in.space, opts)
+				tag := fmt.Sprintf("%s/%s/workers=%d", in.name, b.name, workers)
+				if r.Aborted != b.aborted {
+					t.Fatalf("%s: aborted=%v (%v), want %v", tag, r.Aborted, r.Reason, b.aborted)
+				}
+				if want := countCoverMinterms(r.Cover); r.Count.Cmp(want) != 0 {
+					t.Fatalf("%s: Count %v, BDD count of the cover %v", tag, r.Count, want)
+				}
+				if in.name == "wide" && b.name == "complete" && r.Count.IsUint64() {
+					t.Fatalf("%s: Count %v fits 64 bits; the instance no longer exercises wide counts", tag, r.Count)
+				}
+			}
+		}
+	}
+}
+
+// TestDisjointBuildsNoBDD: with a runtime attached, the disjoint engine
+// counts without acquiring a BDD manager from the pool, sequentially and
+// on the scheduler, and reports no BDD nodes. The blocking engine on the
+// same runtime is the control: it does borrow a counting manager.
+func TestDisjointBuildsNoBDD(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	f := randomFormula(rng, 12, 30, 3)
+	space := projSpace(0, 1, 2, 3, 4, 5, 6, 7)
+	reg := stats.NewRegistry("guard")
+	run := &rt.Runtime{Pool: rt.NewPool(rt.PoolOptions{Stats: reg}), Sched: rt.NewScheduler(2, reg)}
+	defer run.Sched.Close()
+	managers := func() uint64 {
+		return reg.Counter("runtime.manager-hits").Load() + reg.Counter("runtime.manager-misses").Load()
+	}
+	for _, workers := range []int{1, 2, 4} {
+		r := EnumerateDisjoint(f.Clone(), space, Options{Workers: workers, Runtime: run})
+		if r.Count.Sign() == 0 {
+			t.Fatal("instance unsat; pick another seed")
+		}
+		if n := managers(); n != 0 {
+			t.Fatalf("workers=%d: disjoint run acquired %d BDD managers", workers, n)
+		}
+		if r.Stats.BDDNodes != 0 {
+			t.Fatalf("workers=%d: BDDNodes = %d, want 0", workers, r.Stats.BDDNodes)
+		}
+	}
+	if reg.Counter("runtime.solver-misses").Load()+reg.Counter("runtime.solver-hits").Load() == 0 {
+		t.Fatal("the runtime's pool was never used")
+	}
+	EnumerateBlocking(f.Clone(), space, Options{Runtime: run})
+	if managers() == 0 {
+		t.Fatal("blocking run acquired no counting manager; the guard counts nothing")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"allsatpre/internal/bdd"
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
@@ -50,9 +51,11 @@ func TestIteratorMatchesBatchEnumeration(t *testing.T) {
 	}
 }
 
+// countCoverMinterms counts a (possibly overlapping) cover exactly,
+// through its BDD over the cover's space.
 func countCoverMinterms(cv *cube.Cover) *big.Int {
-	c, _, _ := countCover(cv, nil)
-	return c
+	m := bdd.NewOrdered(cv.Space().Vars())
+	return m.SatCount(m.FromCover(cv))
 }
 
 func TestIteratorEarlyStop(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
@@ -182,9 +181,7 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 		res.Stats.Propagations += s.Propagations
 		res.Stats.Conflicts += s.Conflicts
 	}
-	var kernel bdd.KernelStats
-	res.Count, res.Stats.BDDNodes, kernel = countCover(res.Cover, opts.Runtime.P())
-	res.Stats.Kernel.Merge(kernel)
+	countCover(res, eng, opts.Runtime.P())
 	if r := budget.Reason(abortReason.Load()); r != budget.None {
 		res.Aborted = true
 		res.Reason = r

@@ -109,15 +109,7 @@ func NewOpts(c *circuit.Circuit, init, bad *cube.Cover, opts Options) (*Checker,
 		// EncodeCached returns a shared, memoized encoding — simplify a
 		// private copy, never the cache entry other checkers see.
 		f := enc.F.Clone()
-		frozen := make([]bool, f.NumVars)
-		for _, vs := range [][]lit.Var{enc.StateVars, enc.InputVars, enc.NextStateVars} {
-			for _, v := range vs {
-				if int(v) < len(frozen) {
-					frozen[v] = true
-				}
-			}
-		}
-		simplify.Run(f, func(v lit.Var) bool { return frozen[v] }, simplify.Options{})
+		simplify.RunFrozen(f, enc.StateVars, enc.InputVars, enc.NextStateVars)
 		e2 := *enc
 		e2.F = f
 		enc = &e2

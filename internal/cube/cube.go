@@ -7,6 +7,8 @@ package cube
 
 import (
 	"fmt"
+	"math/big"
+	"slices"
 	"sort"
 	"strings"
 
@@ -269,29 +271,69 @@ func (cv *Cover) Contains(m []bool) bool {
 }
 
 // Reduce removes duplicate cubes and cubes contained in another cube
-// (single-cube containment only, not multi-cube coverage).
+// (single-cube containment only, not multi-cube coverage). Cubes are
+// visited bigger-first in pattern order, so duplicates are adjacent and
+// dropped without a scan, and a strictly containing cube can only be a
+// kept cube with more free positions: the containment scan stops at the
+// first kept cube no bigger than the candidate. On covers whose cubes
+// share one width (projections of fully specified models) the pass is
+// linear after the sort.
 func (cv *Cover) Reduce() {
-	sort.Slice(cv.cubes, func(i, j int) bool {
-		fi, fj := cv.cubes[i].FreeVars(), cv.cubes[j].FreeVars()
-		if fi != fj {
-			return fi > fj // bigger cubes first
+	type entry struct {
+		c    Cube
+		free int
+	}
+	es := make([]entry, len(cv.cubes))
+	for i, c := range cv.cubes {
+		es[i] = entry{c, c.FreeVars()}
+	}
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].free != es[j].free {
+			return es[i].free > es[j].free // bigger cubes first
 		}
-		return cv.cubes[i].less(cv.cubes[j])
+		return es[i].c.less(es[j].c)
 	})
 	kept := cv.cubes[:0]
-	for _, c := range cv.cubes {
+	// bigger is the number of kept cubes with more free positions than
+	// the current candidate (kept is ordered by descending width).
+	bigger, keptFree := 0, -1
+	for i, e := range es {
+		if i > 0 && slices.Equal(e.c, es[i-1].c) {
+			continue // the predecessor was kept or contained already
+		}
+		if e.free != keptFree {
+			bigger, keptFree = len(kept), e.free
+		}
 		contained := false
-		for _, k := range kept {
-			if k.Contains(c) {
+		for _, k := range kept[:bigger] {
+			if k.Contains(e.c) {
 				contained = true
 				break
 			}
 		}
 		if !contained {
-			kept = append(kept, c)
+			kept = append(kept, e.c)
 		}
 	}
 	cv.cubes = kept
+}
+
+// DisjointCount returns the minterm count of a cover whose cubes are
+// pairwise disjoint: the plain sum of 2^free over its cubes, exact at
+// any width. On overlapping cubes it overcounts — use a BDD or
+// CountMinterms there.
+func (cv *Cover) DisjointCount() *big.Int {
+	byFree := make([]uint64, cv.space.Size()+1)
+	for _, c := range cv.cubes {
+		byFree[c.FreeVars()]++
+	}
+	total, term := new(big.Int), new(big.Int)
+	for free, n := range byFree {
+		if n > 0 {
+			total.Add(total, term.Lsh(term.SetUint64(n), uint(free)))
+		}
+	}
+	return total
 }
 
 // CountMinterms returns the exact number of minterms covered, computed by

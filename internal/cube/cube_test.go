@@ -1,7 +1,10 @@
 package cube
 
 import (
+	"math/big"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -138,6 +141,118 @@ func TestCoverReduce(t *testing.T) {
 	cv.Reduce()
 	if cv.Len() != 2 {
 		t.Fatalf("Reduce left %d cubes: %v", cv.Len(), cv.SortedKeys())
+	}
+}
+
+// reduceQuadratic is the reference Reduce: sort bigger-first in pattern
+// order, then keep each cube no kept cube contains, scanning every kept
+// cube.
+func reduceQuadratic(cubes []Cube) []Cube {
+	cubes = append([]Cube(nil), cubes...)
+	sort.Slice(cubes, func(i, j int) bool {
+		fi, fj := cubes[i].FreeVars(), cubes[j].FreeVars()
+		if fi != fj {
+			return fi > fj
+		}
+		return cubes[i].less(cubes[j])
+	})
+	var kept []Cube
+	for _, c := range cubes {
+		contained := false
+		for _, k := range kept {
+			if k.Contains(c) {
+				contained = true
+				break
+			}
+		}
+		if !contained {
+			kept = append(kept, c)
+		}
+	}
+	return kept
+}
+
+// TestReduceMatchesQuadratic: on random covers with heavy duplication —
+// mixed widths, and the single-width covers that projections of full
+// models produce — Reduce keeps exactly the reference's cubes, in the
+// reference's order.
+func TestReduceMatchesQuadratic(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for iter := 0; iter < 400; iter++ {
+		s := space(1 + rng.Intn(10))
+		distinct := randomCover(rng, s, 1+rng.Intn(12)).Cubes()
+		if iter%2 == 1 {
+			for _, c := range distinct {
+				for j := range c {
+					if c[j] == lit.Unknown {
+						c[j] = lit.TernOf(rng.Intn(2) == 0)
+					}
+				}
+			}
+		}
+		cv := NewCover(s)
+		for i := 0; i < 5*len(distinct); i++ {
+			cv.Add(distinct[rng.Intn(len(distinct))].Clone())
+		}
+		want := reduceQuadratic(cv.Cubes())
+		cv.Reduce()
+		if got := cv.Cubes(); !slices.EqualFunc(got, want, slices.Equal[Cube]) {
+			t.Fatalf("iter %d: Reduce = %v, reference %v", iter, got, want)
+		}
+	}
+}
+
+// TestDisjointCount: the summed count of a pairwise-disjoint cover
+// equals its exact minterm count, and stays exact past 62 free
+// positions.
+func TestDisjointCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for iter := 0; iter < 200; iter++ {
+		s := space(1 + rng.Intn(8))
+		cv := NewCover(s)
+		// Split the full space into disjoint cubes by random Shannon
+		// expansion, keeping a random subset of the leaves.
+		var split func(c Cube)
+		split = func(c Cube) {
+			free := -1
+			for j := range c {
+				if c[j] == lit.Unknown {
+					free = j
+					break
+				}
+			}
+			if free < 0 || rng.Intn(3) == 0 {
+				if rng.Intn(4) != 0 {
+					cv.Add(c)
+				}
+				return
+			}
+			for _, v := range []lit.Tern{lit.False, lit.True} {
+				d := c.Clone()
+				d[free] = v
+				split(d)
+			}
+		}
+		split(s.FullCube())
+		if got, want := cv.DisjointCount(), cv.CountMinterms(); got.Uint64() != want || !got.IsUint64() {
+			t.Fatalf("iter %d: DisjointCount = %v, want %d\n%s", iter, got, want, cv)
+		}
+	}
+	wide := space(70)
+	cv := NewCover(wide)
+	c := wide.FullCube()
+	c[0] = lit.True
+	cv.Add(c)
+	d := wide.FullCube()
+	d[0], d[1] = lit.False, lit.False
+	cv.Add(d)
+	want := new(big.Int).Lsh(big.NewInt(1), 69)
+	want.Add(want, new(big.Int).Lsh(big.NewInt(1), 68))
+	if got := cv.DisjointCount(); got.Cmp(want) != 0 {
+		t.Fatalf("70-var DisjointCount = %v, want %v", got, want)
+	}
+	if got := NewCover(wide).DisjointCount(); got.Sign() != 0 {
+		t.Fatalf("empty cover counts %v", got)
 	}
 }
 

@@ -167,15 +167,7 @@ func simplifyBase(inst *trans.Instance, opts Options) {
 	if !opts.Simplify {
 		return
 	}
-	frozen := make([]bool, inst.F.NumVars)
-	for _, vs := range [][]lit.Var{inst.StateVars, inst.InputVars, inst.NextVars} {
-		for _, v := range vs {
-			if int(v) < len(frozen) {
-				frozen[v] = true
-			}
-		}
-	}
-	res := simplify.Run(inst.F, func(v lit.Var) bool { return frozen[v] }, simplify.Options{})
+	res := simplify.RunFrozen(inst.F, inst.StateVars, inst.InputVars, inst.NextVars)
 	if reg := opts.Stats; reg != nil && res.Stats.Applied {
 		reg.Counter("incr.simplify-vars-eliminated").Add(uint64(res.Stats.VarsEliminated))
 		reg.Counter("incr.simplify-clauses-subsumed").Add(uint64(res.Stats.ClausesSubsumed))

@@ -270,14 +270,7 @@ func applySimplify(f *cnf.Formula, projSpace *cube.Space, opts *Options) simplif
 	if !enabled {
 		return simplify.Stats{}
 	}
-	frozen := make([]bool, f.NumVars)
-	for _, v := range projSpace.Vars() {
-		if int(v) < len(frozen) {
-			frozen[v] = true
-		}
-	}
-	res := simplify.Run(f, func(v lit.Var) bool { return frozen[v] }, simplify.Options{})
-	return res.Stats
+	return simplify.RunFrozen(f, projSpace.Vars()).Stats
 }
 
 // runSATEngine dispatches one all-SAT enumeration for the selected SAT

@@ -25,6 +25,7 @@ import (
 	"allsatpre/internal/lit"
 	"allsatpre/internal/pool"
 	"allsatpre/internal/preimage"
+	"allsatpre/internal/simplify"
 	"allsatpre/internal/trans"
 )
 
@@ -201,6 +202,14 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		// stream the resulting cover. The pool entry point handles every
 		// worker count (one short-circuits to the sequential enumerator)
 		// and returns its manager to the warm pool after the extraction.
+		// The pool does no preprocessing of its own, so the simplify mode
+		// is honored here, with the projection frozen, as the iterators
+		// do: the cover is an ISOP of the canonical BDD of the projected
+		// set, which the pass preserves, so the stream is unchanged.
+		if smode.Enabled(true) {
+			f = f.Clone()
+			simplify.RunFrozen(f, proj)
+		}
 		res := pool.EnumerateToResult(f, space, pool.Options{
 			Workers: workers, Core: core.DefaultOptions(), Budget: bud,
 			Stats: s.reg, Runtime: run,

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -211,7 +212,10 @@ func TestPprofGatedByConfig(t *testing.T) {
 // pooled server (warm free-list + shared scheduler, the defaults) and a
 // classic server (both disabled) must produce identical NDJSON cube
 // sequences — and the pooled server must actually hit its warm pool on
-// repeat requests.
+// repeat requests. Multi-worker iterator streams arrive in scheduling
+// order (see allsat.ParallelIterator), so for them the contract is the
+// same cube multiset without duplicates, pairwise disjoint for the
+// disjoint engine; single-worker and success streams must match exactly.
 func TestPooledServerEquivalentStreams(t *testing.T) {
 	regPooled := stats.NewRegistry("pooled")
 	pooled := New(Config{MaxConcurrent: 4, Stats: regPooled})
@@ -246,21 +250,68 @@ func TestPooledServerEquivalentStreams(t *testing.T) {
 		}
 	}
 
-	for _, query := range []string{
-		"engine=disjoint", "engine=disjoint&workers=4",
-		"engine=success", "engine=success&workers=4",
-		"engine=blocking&workers=2", "engine=lifting",
+	for _, tc := range []struct {
+		query     string
+		unordered bool // multi-worker iterator: arrival order is not pinned
+		disjoint  bool
+	}{
+		{"engine=disjoint", false, true},
+		{"engine=disjoint&workers=4", true, true},
+		{"engine=success", false, false},
+		{"engine=success&workers=4", false, false},
+		{"engine=blocking&workers=2", true, false},
+		{"engine=lifting", false, false},
 	} {
 		for rep := 0; rep < 2; rep++ { // second pass runs on warm state
-			got := stream(tsPooled.URL, query)
-			want := stream(tsClassic.URL, query)
+			got := stream(tsPooled.URL, tc.query)
+			want := stream(tsClassic.URL, tc.query)
+			if tc.unordered {
+				got, want = sortedUnique(t, tc.query, got), sortedUnique(t, tc.query, want)
+			}
 			if strings.Join(got, "|") != strings.Join(want, "|") {
 				t.Fatalf("%s rep %d: pooled stream differs from classic\npooled:  %v\nclassic: %v",
-					query, rep, got, want)
+					tc.query, rep, got, want)
+			}
+			if tc.disjoint {
+				requireDisjoint(t, tc.query, got)
 			}
 		}
 	}
 	if reg := regPooled; reg.Counter("runtime.solver-hits").Load() == 0 {
 		t.Fatal("pooled server never reused a warm solver")
+	}
+}
+
+// sortedUnique returns a sorted copy of a cube stream, failing the test
+// if any cube occurs twice.
+func sortedUnique(t *testing.T, tag string, cubes []string) []string {
+	t.Helper()
+	out := append([]string(nil), cubes...)
+	sort.Strings(out)
+	for i := 1; i < len(out); i++ {
+		if out[i] == out[i-1] {
+			t.Fatalf("%s: cube %s streamed twice", tag, out[i])
+		}
+	}
+	return out
+}
+
+// requireDisjoint fails the test unless the 01X cube patterns are
+// pairwise disjoint: every pair disagrees on some position both fix.
+func requireDisjoint(t *testing.T, tag string, cubes []string) {
+	t.Helper()
+	for i, a := range cubes {
+		for _, b := range cubes[i+1:] {
+			disjoint := false
+			for k := range a {
+				if a[k] != 'X' && b[k] != 'X' && a[k] != b[k] {
+					disjoint = true
+					break
+				}
+			}
+			if !disjoint {
+				t.Fatalf("%s: cubes %s and %s overlap", tag, a, b)
+			}
+		}
 	}
 }

@@ -25,10 +25,12 @@ import (
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
+	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/gen"
 	"allsatpre/internal/lit"
 	"allsatpre/internal/preimage"
+	"allsatpre/internal/simplify"
 	"allsatpre/internal/stats"
 	"allsatpre/internal/trans"
 )
@@ -470,5 +472,59 @@ func TestSessionLifecycleOverHTTP(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/v1/sessions/walk/step", "", nil); code != http.StatusNotFound {
 		t.Fatalf("step after delete: status %d, want 404", code)
+	}
+}
+
+// TestEnumerateSuccessSimplifyKeepsStream: engine=success preprocesses
+// the payload like the iterator engines (projection frozen), and the
+// streamed cover and count are the same with the pass on or off.
+func TestEnumerateSuccessSimplifyKeepsStream(t *testing.T) {
+	c := gen.SLike(gen.SLikeParams{Seed: 3, Inputs: 4, Latches: 6, Gates: 60})
+	ss := preimage.StateSpace(c)
+	target := cube.NewCover(ss)
+	target.Add(ss.CubeOf("XX1XX0"))
+	inst, err := trans.NewInstance(c, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj := append(append([]lit.Var(nil), inst.StateVars...), inst.InputVars...)
+	if st := simplify.RunFrozen(inst.F.Clone(), proj).Stats; st.VarsEliminated == 0 {
+		t.Fatal("the pass eliminates nothing on this instance; the test is vacuous")
+	}
+	dimacs := cnf.DimacsString(inst.F, proj)
+
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	stream := func(query string) (cubes []string, count string) {
+		resp, err := http.Post(ts.URL+"/v1/enumerate?engine=success&"+query, "text/plain",
+			strings.NewReader(dimacs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for {
+			ev := decodeLine(t, sc)
+			switch ev.Type {
+			case "cube":
+				cubes = append(cubes, ev.Cube)
+			case "summary":
+				if ev.Truncated {
+					t.Fatalf("%s: truncated (%s)", query, ev.Reason)
+				}
+				return cubes, ev.Count
+			}
+		}
+	}
+	for _, workers := range []string{"1", "2"} {
+		off, offCount := stream("simplify=off&workers=" + workers)
+		on, onCount := stream("simplify=on&workers=" + workers)
+		if len(off) == 0 {
+			t.Fatal("empty preimage; pick another target")
+		}
+		if strings.Join(on, "|") != strings.Join(off, "|") || onCount != offCount {
+			t.Fatalf("workers=%s: simplify changed the stream\non:  %v (%s)\noff: %v (%s)",
+				workers, on, onCount, off, offCount)
+		}
 	}
 }

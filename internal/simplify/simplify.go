@@ -206,6 +206,23 @@ func Run(f *cnf.Formula, frozen func(lit.Var) bool, opts Options) *Result {
 	}
 }
 
+// RunFrozen is Run with the frozen set given as variable lists: every
+// variable named in any list (ids at or beyond f.NumVars are ignored) is
+// preserved. It is the projection-safe entry point for callers that keep
+// a projection space — plus any variables they will constrain later —
+// intact.
+func RunFrozen(f *cnf.Formula, frozen ...[]lit.Var) *Result {
+	keep := make([]bool, f.NumVars)
+	for _, vs := range frozen {
+		for _, v := range vs {
+			if int(v) < len(keep) {
+				keep[v] = true
+			}
+		}
+	}
+	return Run(f, func(v lit.Var) bool { return keep[v] }, Options{})
+}
+
 // Extend reconstructs a total model of the original formula from a model
 // of the simplified one (indexed by variable; missing positions default
 // to false and are overwritten as needed). The elimination stack is

@@ -111,34 +111,47 @@ func TestExtendReconstruction(t *testing.T) {
 
 // TestFrozenVarsSurvive pins the frozen-set contract: frozen variables
 // are never eliminated and never carry reconstruction records, even when
-// they are the perfect BVE candidates (definitional equivalences).
+// they are the perfect BVE candidates (definitional equivalences). The
+// contract holds for a predicate (Run) and for variable lists
+// (RunFrozen, which ignores ids past f.NumVars).
 func TestFrozenVarsSurvive(t *testing.T) {
-	// Chain of equivalences x0 = x1 = x2 = x3; every var occurs twice per
-	// phase, so unfrozen BVE would collapse the chain entirely.
-	f := cnf.New(4)
-	for v := 0; v < 3; v++ {
-		f.Add(lit.Neg(lit.Var(v)), lit.Pos(lit.Var(v+1)))
-		f.Add(lit.Pos(lit.Var(v)), lit.Neg(lit.Var(v+1)))
-	}
-	frozen := func(v lit.Var) bool { return v == 0 || v == 3 }
-	res := Run(f, frozen, Options{})
-	for _, v := range []lit.Var{0, 3} {
-		if res.Eliminated(v) {
-			t.Fatalf("frozen var %v was eliminated", v)
+	for _, tc := range []struct {
+		name string
+		run  func(f *cnf.Formula) *Result
+	}{
+		{"Run", func(f *cnf.Formula) *Result {
+			return Run(f, func(v lit.Var) bool { return v == 0 || v == 3 }, Options{})
+		}},
+		{"RunFrozen", func(f *cnf.Formula) *Result {
+			return RunFrozen(f, []lit.Var{0}, []lit.Var{3, 99})
+		}},
+	} {
+		// Chain of equivalences x0 = x1 = x2 = x3; every var occurs twice
+		// per phase, so unfrozen BVE would collapse the chain entirely.
+		f := cnf.New(4)
+		for v := 0; v < 3; v++ {
+			f.Add(lit.Neg(lit.Var(v)), lit.Pos(lit.Var(v+1)))
+			f.Add(lit.Pos(lit.Var(v)), lit.Neg(lit.Var(v+1)))
 		}
-	}
-	if res.Stats.VarsEliminated == 0 {
-		t.Fatalf("expected the middle of the chain to be eliminated, stats: %+v", res.Stats)
-	}
-	// x0 and x3 must still be constrained to be equal.
-	want := map[string]bool{"00": true, "11": true}
-	got := f.ProjectedModels([]lit.Var{0, 3})
-	if len(got) != len(want) {
-		t.Fatalf("projection onto frozen vars changed: %v", got)
-	}
-	for m := range want {
-		if !got[m] {
-			t.Fatalf("frozen projection lost %s: %v", m, got)
+		res := tc.run(f)
+		for _, v := range []lit.Var{0, 3} {
+			if res.Eliminated(v) {
+				t.Fatalf("%s: frozen var %v was eliminated", tc.name, v)
+			}
+		}
+		if res.Stats.VarsEliminated == 0 {
+			t.Fatalf("%s: expected the middle of the chain to be eliminated, stats: %+v", tc.name, res.Stats)
+		}
+		// x0 and x3 must still be constrained to be equal.
+		want := map[string]bool{"00": true, "11": true}
+		got := f.ProjectedModels([]lit.Var{0, 3})
+		if len(got) != len(want) {
+			t.Fatalf("%s: projection onto frozen vars changed: %v", tc.name, got)
+		}
+		for m := range want {
+			if !got[m] {
+				t.Fatalf("%s: frozen projection lost %s: %v", tc.name, m, got)
+			}
 		}
 	}
 }

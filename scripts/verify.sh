@@ -20,6 +20,14 @@ GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness' ./interna
 # sweep above.
 GOMAXPROCS=1 go test -run 'TestSimplify' ./internal/preimage/
 GOMAXPROCS=4 go test -race -run 'TestSimplify' ./internal/preimage/
+# Multi-worker streams arrive in scheduling order; the server's
+# pooled-vs-classic stream equivalence and the allsat parallel suites
+# must hold on one thread and under real preemption alike, so a failure
+# that only shows on multi-core hosts fails here on any runner.
+GOMAXPROCS=1 go test -count=1 -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify' ./internal/server/
+GOMAXPROCS=4 go test -count=1 -race -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify' ./internal/server/
+GOMAXPROCS=1 go test -count=1 -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
+GOMAXPROCS=4 go test -count=1 -race -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
 go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -benchtime=1x -benchmem .
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
