@@ -5,7 +5,7 @@ package cnf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"allsatpre/internal/lit"
 )
@@ -21,16 +21,22 @@ func (c Clause) Clone() Clause {
 }
 
 // Normalize sorts the clause, removes duplicate literals, and reports
-// whether the clause is a tautology (contains l and ¬l).
+// whether the clause is a tautology (contains l and ¬l). c is not
+// modified.
 func (c Clause) Normalize() (Clause, bool) {
 	if len(c) == 0 {
 		return c, false
 	}
-	s := c.Clone()
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	out := s[:0]
+	return c.Clone().NormalizeInPlace()
+}
+
+// NormalizeInPlace is Normalize reusing c's storage: c is reordered and
+// the returned clause aliases it.
+func (c Clause) NormalizeInPlace() (Clause, bool) {
+	slices.Sort(c)
+	out := c[:0]
 	var prev lit.Lit = lit.UndefLit
-	for _, l := range s {
+	for _, l := range c {
 		if l == prev {
 			continue
 		}

@@ -25,7 +25,8 @@
 package simplify
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/lit"
@@ -67,8 +68,8 @@ func (m Mode) String() string {
 	}
 }
 
-// Options tunes the simplifier. The zero value is replaced by
-// DefaultOptions.
+// Options tunes the simplifier. Zero fields take their DefaultOptions
+// values, so the zero value is the standard tuning with probing on.
 type Options struct {
 	// MaxGrowth is the clause-count growth allowed when eliminating one
 	// variable: v is eliminated only when the number of non-tautological
@@ -78,10 +79,10 @@ type Options struct {
 	// MaxOccur skips elimination for variables occurring more often than
 	// this (the resolvent check is quadratic in the occurrence counts).
 	MaxOccur int
-	// Probing enables top-level failed-literal probing: assume each
-	// candidate literal, propagate, and add the negation as a unit when
-	// propagation hits a conflict.
-	Probing bool
+	// NoProbing disables top-level failed-literal probing, which otherwise
+	// assumes each candidate literal, propagates, and adds the negation as
+	// a unit when propagation hits a conflict.
+	NoProbing bool
 	// MaxProbes caps the number of probed literals per run.
 	MaxProbes int
 	// MaxRounds bounds the simplify–eliminate fixpoint iteration.
@@ -93,7 +94,6 @@ func DefaultOptions() Options {
 	return Options{
 		MaxGrowth: 0,
 		MaxOccur:  80,
-		Probing:   true,
 		MaxProbes: 4096,
 		MaxRounds: 8,
 	}
@@ -101,9 +101,6 @@ func DefaultOptions() Options {
 
 func (o Options) withDefaults() Options {
 	d := DefaultOptions()
-	if o == (Options{}) {
-		return d
-	}
 	if o.MaxOccur == 0 {
 		o.MaxOccur = d.MaxOccur
 	}
@@ -168,7 +165,8 @@ type Result struct {
 	stack   []record
 }
 
-// Run simplifies f in place. frozen(v) must report true for every
+// Run simplifies f in place: f.Clauses is replaced, and the clause slices
+// it held are left unmodified. frozen(v) must report true for every
 // variable whose solution projection matters to the caller; those are
 // never eliminated, and top-level units fixing them are re-emitted so
 // enumeration engines still see the constraint. f.NumVars is never
@@ -183,7 +181,7 @@ func Run(f *cnf.Formula, frozen func(lit.Var) bool, opts Options) *Result {
 	sp.propagate()
 	for round := 0; round < sp.opts.MaxRounds && !sp.unsat; round++ {
 		changed := sp.subsumePass()
-		if round == 0 && sp.opts.Probing && !sp.unsat {
+		if round == 0 && !sp.opts.NoProbing && !sp.unsat {
 			changed = sp.probePass() || changed
 		}
 		if !sp.unsat {
@@ -285,16 +283,22 @@ func clauseSatisfied(c cnf.Clause, model []bool, v lit.Var, vVal bool) bool {
 }
 
 // simplifier is the occurrence-indexed clause database the passes share.
+//
+// Occurrence lists are exact: occ[l] holds, in insertion order, every
+// clause that still contains l, plus dead clauses not yet swept out, so a
+// clause is live in occ[l] exactly when it is not dead.
 type simplifier struct {
 	opts   Options
 	f      *cnf.Formula
 	frozen []bool
 
-	cls  []cnf.Clause // normalized; entries are never mutated after death
-	dead []bool
-	sig  []uint64
+	lits  []lit.Lit    // arena chunk the clauses are carved from
+	cls   []cnf.Clause // normalized, capped arena slices; never mutated after death
+	dead  []bool
+	dirty []bool // strengthened since subsumeWith last visited the clause
+	sig   []uint64
 
-	occ    [][]int // literal -> clause indexes (may contain stale entries)
+	occ    [][]int // literal -> clause indexes containing it (dead ones swept lazily)
 	occCnt []int   // literal -> live occurrence count
 
 	val  []lit.Tern // top-level assignment, by var
@@ -302,9 +306,14 @@ type simplifier struct {
 
 	unitQ []lit.Lit
 
-	// probe scratch: trail of temporary assignments, bfs queue.
-	probeTrail []lit.Var
+	// probe scratch: literals made true by the current probe, dfs stack.
+	probeTrail []lit.Lit
 	probeQ     []lit.Lit
+
+	// elimination scratch: candidate resolvents, packed; resEnd[i] is the
+	// end offset of resolvent i in resLits.
+	resLits []lit.Lit
+	resEnd  []int
 
 	stack []record
 	stats Stats
@@ -357,23 +366,61 @@ func subsumes(c, d cnf.Clause) bool {
 	return i == len(c)
 }
 
-// load normalizes the input clauses into the database, queueing units.
+// load copies the input clauses into one literal arena, normalizing each
+// in place, and queues units. A counting pass sizes the arena and every
+// occurrence list up front.
 func (sp *simplifier) load() {
+	total := 0
 	for _, c := range sp.f.Clauses {
-		nc, taut := c.Normalize()
-		if taut {
-			continue
-		}
-		switch len(nc) {
-		case 0:
-			sp.unsat = true
-			return
-		case 1:
-			sp.unitQ = append(sp.unitQ, nc[0])
-		default:
-			sp.addClause(nc)
+		total += len(c)
+		for _, l := range c {
+			sp.occCnt[l]++
 		}
 	}
+	occBuf := make([]int, total)
+	off := 0
+	for l, k := range sp.occCnt {
+		sp.occ[l] = occBuf[off : off : off+k]
+		off += k
+	}
+	clear(sp.occCnt)
+	m := len(sp.f.Clauses)
+	sp.cls = make([]cnf.Clause, 0, m)
+	sp.dead = make([]bool, 0, m)
+	sp.dirty = make([]bool, 0, m)
+	sp.sig = make([]uint64, 0, m)
+
+	// The arena holds every input literal, so the appends below never
+	// reallocate: nc is normalized in the arena's spare capacity and only
+	// a kept clause extends the arena over it.
+	sp.lits = make([]lit.Lit, 0, total)
+	for _, c := range sp.f.Clauses {
+		start := len(sp.lits)
+		nc, taut := cnf.Clause(append(sp.lits, c...)[start:]).NormalizeInPlace()
+		switch {
+		case taut:
+		case len(nc) == 0:
+			sp.unsat = true
+			return
+		case len(nc) == 1:
+			sp.unitQ = append(sp.unitQ, nc[0])
+		default:
+			sp.lits = sp.lits[:start+len(nc)]
+			sp.addClause(nc[:len(nc):len(nc)])
+		}
+	}
+}
+
+// store copies a clause into the literal arena, opening a fresh chunk
+// when the current one is full (earlier chunks stay referenced by their
+// clauses), and returns the capped copy.
+func (sp *simplifier) store(c []lit.Lit) cnf.Clause {
+	if cap(sp.lits)-len(sp.lits) < len(c) {
+		sp.lits = make([]lit.Lit, 0, max(len(c), 512))
+	}
+	start := len(sp.lits)
+	sp.lits = append(sp.lits, c...)
+	return sp.lits[start:len(sp.lits):len(sp.lits)]
 }
 
 // addClause inserts a normalized clause (length ≥ 2) into the database.
@@ -381,6 +428,7 @@ func (sp *simplifier) addClause(c cnf.Clause) int {
 	ci := len(sp.cls)
 	sp.cls = append(sp.cls, c)
 	sp.dead = append(sp.dead, false)
+	sp.dirty = append(sp.dirty, false)
 	sp.sig = append(sp.sig, signature(c))
 	for _, l := range c {
 		sp.occ[l] = append(sp.occ[l], ci)
@@ -401,57 +449,36 @@ func (sp *simplifier) kill(ci int) {
 	}
 }
 
-// strengthen removes literal rem from clause ci, replacing the stored
-// clause with a fresh slice (the old value may be aliased by an
-// elimination record). A clause strengthened to a unit is killed and its
-// literal queued.
+// strengthen removes literal rem from live clause ci in place. The caller
+// removes ci from occ[rem]: both callers are ranging over that list. A
+// clause strengthened to a unit is killed and its literal queued.
 func (sp *simplifier) strengthen(ci int, rem lit.Lit) {
-	old := sp.cls[ci]
-	nc := make(cnf.Clause, 0, len(old)-1)
-	for _, l := range old {
-		if l != rem {
-			nc = append(nc, l)
-		}
-	}
+	c := sp.cls[ci]
+	i := slices.Index(c, rem)
+	copy(c[i:], c[i+1:])
+	nc := c[:len(c)-1]
 	sp.occCnt[rem]--
 	sp.stats.LitsStrengthened++
 	if len(nc) == 0 {
 		sp.unsat = true
 		return
 	}
-	if len(nc) == 1 {
-		// Kill first so the unit's occurrence counts stay consistent.
-		sp.cls[ci] = nc
-		sp.sig[ci] = signature(nc)
-		sp.killStrengthened(ci, nc)
-		return
-	}
 	sp.cls[ci] = nc
 	sp.sig[ci] = signature(nc)
-}
-
-// killStrengthened retires a clause that strengthened down to one
-// literal, queueing the unit.
-func (sp *simplifier) killStrengthened(ci int, nc cnf.Clause) {
-	sp.dead[ci] = true
-	for _, l := range nc {
-		sp.occCnt[l]--
+	sp.dirty[ci] = true
+	if len(nc) == 1 {
+		sp.dead[ci] = true
+		sp.occCnt[nc[0]]--
+		sp.unitQ = append(sp.unitQ, nc[0])
 	}
-	sp.unitQ = append(sp.unitQ, nc[0])
 }
 
-// liveWith reports whether ci is live and still contains l (occurrence
-// lists keep stale entries after strengthening).
-func (sp *simplifier) liveWith(ci int, l lit.Lit) bool {
-	return !sp.dead[ci] && sp.cls[ci].Has(l)
-}
-
-// occLive returns the live clause indexes containing l, compacting the
-// occurrence list in place.
+// occLive returns the live clause indexes containing l, sweeping dead
+// entries out of the occurrence list in place.
 func (sp *simplifier) occLive(l lit.Lit) []int {
 	list := sp.occ[l][:0]
 	for _, ci := range sp.occ[l] {
-		if sp.liveWith(ci, l) {
+		if !sp.dead[ci] {
 			list = append(list, ci)
 		}
 	}
@@ -481,7 +508,8 @@ func (sp *simplifier) assign(l lit.Lit) bool {
 }
 
 // propagate drains the unit queue: satisfied clauses die, falsified
-// literals are removed, new units are queued.
+// literals are removed, new units are queued. Afterwards no live clause
+// mentions an assigned variable, so both of its occurrence lists empty.
 func (sp *simplifier) propagate() {
 	for len(sp.unitQ) > 0 && !sp.unsat {
 		l := sp.unitQ[0]
@@ -496,28 +524,39 @@ func (sp *simplifier) propagate() {
 		if !sp.assign(l) {
 			return
 		}
-		for _, ci := range sp.occLive(l) {
+		for _, ci := range sp.occ[l] {
 			sp.kill(ci)
 		}
-		for _, ci := range sp.occLive(l.Not()) {
-			sp.strengthen(ci, l.Not())
+		sp.occ[l] = sp.occ[l][:0]
+		nl := l.Not()
+		for _, ci := range sp.occ[nl] {
+			if sp.dead[ci] {
+				continue
+			}
+			sp.strengthen(ci, nl)
 			if sp.unsat {
 				return
 			}
 		}
+		sp.occ[nl] = sp.occ[nl][:0]
 	}
 }
 
 // subsumePass runs backward subsumption and self-subsuming resolution to
-// a local fixpoint, returning whether anything changed.
+// a local fixpoint, returning whether anything changed. The first sweep
+// visits every live clause; later sweeps visit only clauses strengthened
+// since their last visit. That is exact because within a pass no clause
+// is added and clauses only shrink, so a clause unchanged since its last
+// visit has no subsumption or strengthening left to apply.
 func (sp *simplifier) subsumePass() bool {
 	changedAny := false
-	for {
+	for sweep := 0; ; sweep++ {
 		changed := false
 		for ci := 0; ci < len(sp.cls); ci++ {
-			if sp.dead[ci] {
+			if sp.dead[ci] || (sweep > 0 && !sp.dirty[ci]) {
 				continue
 			}
+			sp.dirty[ci] = false
 			if sp.subsumeWith(ci) {
 				changed = true
 			}
@@ -561,27 +600,34 @@ func (sp *simplifier) subsumeWith(ci int) bool {
 		}
 	}
 	// Self-subsuming resolution: for each literal l of c, find clauses d
-	// containing ¬l with (c \ l) ⊆ (d \ ¬l) and remove ¬l from d.
+	// containing ¬l with (c \ l) ⊆ (d \ ¬l) and remove ¬l from d. The
+	// occurrence list of ¬l is compacted as it is scanned, dropping dead
+	// clauses and the strengthened ones, which no longer contain ¬l.
 	for _, l := range c {
 		if sp.dead[ci] {
 			break
 		}
-		restSig := signature(c) &^ (1 << (uint(l) % 64))
-		for _, di := range sp.occLive(l.Not()) {
-			if sp.dead[ci] || sp.dead[di] || len(c) > len(sp.cls[di]) {
+		restSig := sp.sig[ci] &^ (1 << (uint(l) % 64))
+		nl := l.Not()
+		list := sp.occ[nl]
+		w := 0
+		for _, di := range list {
+			if sp.dead[di] {
 				continue
 			}
-			if restSig&^sp.sig[di] != 0 {
-				continue
-			}
-			if subsumesExcept(c, sp.cls[di], l, l.Not()) {
-				sp.strengthen(di, l.Not())
+			if !sp.dead[ci] && len(c) <= len(sp.cls[di]) && restSig&^sp.sig[di] == 0 &&
+				subsumesExcept(c, sp.cls[di], l, nl) {
+				sp.strengthen(di, nl)
 				changed = true
 				if sp.unsat {
 					return true
 				}
+				continue
 			}
+			list[w] = di
+			w++
 		}
+		sp.occ[nl] = list[:w]
 	}
 	return changed
 }
@@ -616,8 +662,15 @@ func subsumesExcept(c, d cnf.Clause, cSkip, dSkip lit.Lit) bool {
 // propagation yields a conflict is failed, and its negation is added as a
 // top-level unit. Probing adds entailed units only, so it is always
 // model-preserving (frozen or not).
+//
+// A literal implied by a non-failing probe since the last database change
+// is counted but not propagated: if probing x implied y, what probing y
+// propagates is a subset of what probing x propagated, which had no
+// conflict, so probing y cannot fail.
 func (sp *simplifier) probePass() bool {
 	changed := false
+	implied := make([]int, len(sp.occ)) // literal -> epoch it was implied in
+	epoch := 1
 	for v := 0; v < len(sp.val) && sp.stats.Probes < sp.opts.MaxProbes; v++ {
 		vv := lit.Var(v)
 		if sp.val[v] != lit.Unknown || sp.gone[v] {
@@ -639,13 +692,21 @@ func (sp *simplifier) probePass() bool {
 				continue
 			}
 			sp.stats.Probes++
-			if sp.probeLit(l) {
+			switch {
+			case implied[l] == epoch:
+				// Implied by an earlier probe in this epoch: cannot fail.
+			case sp.probeLit(l):
 				sp.stats.ProbeFailures++
 				sp.unitQ = append(sp.unitQ, l.Not())
 				sp.propagate()
 				changed = true
 				if sp.unsat {
 					return true
+				}
+				epoch++
+			default:
+				for _, p := range sp.probeTrail {
+					implied[p] = epoch
 				}
 			}
 			if sp.stats.Probes >= sp.opts.MaxProbes {
@@ -658,7 +719,7 @@ func (sp *simplifier) probePass() bool {
 
 // probeLit simulates top-level BCP of l over the live database using the
 // shared assignment array plus an undo trail; it reports whether a
-// conflict was reached.
+// conflict was reached. probeTrail keeps the literals the probe made true.
 func (sp *simplifier) probeLit(l lit.Lit) bool {
 	sp.probeTrail = sp.probeTrail[:0]
 	sp.probeQ = append(sp.probeQ[:0], l)
@@ -677,10 +738,10 @@ loop:
 			continue
 		}
 		sp.val[v] = want
-		sp.probeTrail = append(sp.probeTrail, v)
+		sp.probeTrail = append(sp.probeTrail, p)
 		// Clauses containing ¬p lose a literal: find new units/conflicts.
 		for _, ci := range sp.occ[p.Not()] {
-			if !sp.liveWith(ci, p.Not()) {
+			if sp.dead[ci] {
 				continue
 			}
 			unknowns := 0
@@ -707,8 +768,8 @@ loop:
 			}
 		}
 	}
-	for _, v := range sp.probeTrail {
-		sp.val[v] = lit.Unknown
+	for _, p := range sp.probeTrail {
+		sp.val[p.Var()] = lit.Unknown
 	}
 	return conflict
 }
@@ -733,11 +794,8 @@ func (sp *simplifier) bvePass() bool {
 		}
 		cands = append(cands, cand{v: vv, cost: cost})
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].v < cands[j].v
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.cost, b.cost), cmp.Compare(a.v, b.v))
 	})
 	changed := false
 	for _, cd := range cands {
@@ -755,8 +813,9 @@ func (sp *simplifier) bvePass() bool {
 }
 
 // tryEliminate resolves v away when the resolvent count stays within the
-// growth budget. The saved positive/negative occurrence lists go onto the
-// elimination stack for witness reconstruction.
+// growth budget. Resolvents are built in reused scratch and copied into
+// the database only on commit. The saved positive/negative occurrence
+// lists go onto the elimination stack for witness reconstruction.
 func (sp *simplifier) tryEliminate(v lit.Var) bool {
 	pos := sp.occLive(lit.Pos(v))
 	neg := sp.occLive(lit.Neg(v))
@@ -765,15 +824,14 @@ func (sp *simplifier) tryEliminate(v lit.Var) bool {
 		// Even counting the resolvents would be quadratic blowup; skip.
 		return false
 	}
-	var resolvents []cnf.Clause
+	sp.resLits = sp.resLits[:0]
+	sp.resEnd = sp.resEnd[:0]
 	for _, pi := range pos {
 		for _, ni := range neg {
-			r, taut := resolve(sp.cls[pi], sp.cls[ni], v)
-			if taut {
+			if !sp.resolve(sp.cls[pi], sp.cls[ni], v) {
 				continue
 			}
-			resolvents = append(resolvents, r)
-			if len(resolvents) > budget {
+			if len(sp.resEnd) > budget {
 				return false
 			}
 		}
@@ -793,21 +851,25 @@ func (sp *simplifier) tryEliminate(v lit.Var) bool {
 	sp.stack = append(sp.stack, record{v: v, clauses: saved})
 	sp.stats.VarsEliminated++
 
-	for _, r := range resolvents {
-		sp.addResolvent(r)
+	start := 0
+	for _, end := range sp.resEnd {
+		sp.addResolvent(sp.resLits[start:end])
 		if sp.unsat {
 			return true
 		}
+		start = end
 	}
 	sp.propagate()
 	return true
 }
 
-// resolve computes the resolvent of p (containing v) and n (containing
-// ¬v) on v; ok=false marks a tautology. Inputs are normalized, so a
-// sorted merge both builds the resolvent and detects clashes.
-func resolve(p, n cnf.Clause, v lit.Var) (cnf.Clause, bool) {
-	out := make(cnf.Clause, 0, len(p)+len(n)-2)
+// resolve appends the resolvent of p (containing v) and n (containing ¬v)
+// on v to the resolvent scratch, reporting false (and appending nothing)
+// for a tautology. Inputs are normalized, so a sorted merge both builds
+// the resolvent and detects clashes.
+func (sp *simplifier) resolve(p, n cnf.Clause, v lit.Var) bool {
+	start := len(sp.resLits)
+	out := sp.resLits
 	i, j := 0, 0
 	for i < len(p) || j < len(n) {
 		var l lit.Lit
@@ -828,21 +890,23 @@ func resolve(p, n cnf.Clause, v lit.Var) (cnf.Clause, bool) {
 		if l.Var() == v {
 			continue
 		}
-		if k := len(out); k > 0 {
+		if k := len(out); k > start {
 			if out[k-1] == l {
 				continue
 			}
 			if out[k-1] == l.Not() {
-				return nil, true
+				return false
 			}
 		}
 		out = append(out, l)
 	}
-	return out, false
+	sp.resLits = out
+	sp.resEnd = append(sp.resEnd, len(out))
+	return true
 }
 
-// addResolvent inserts a resolvent, dropping it when an existing clause
-// subsumes it.
+// addResolvent inserts a resolvent (held in scratch), dropping it when an
+// existing clause subsumes it.
 func (sp *simplifier) addResolvent(r cnf.Clause) {
 	switch len(r) {
 	case 0:
@@ -866,7 +930,7 @@ func (sp *simplifier) addResolvent(r cnf.Clause) {
 			return
 		}
 	}
-	sp.addClause(r)
+	sp.addClause(sp.store(r))
 	sp.stats.ResolventsAdded++
 }
 
@@ -886,7 +950,7 @@ func (sp *simplifier) rebuild(f *cnf.Formula) {
 	}
 	for ci, c := range sp.cls {
 		if !sp.dead[ci] {
-			out = append(out, c)
+			out = append(out, c[:len(c):len(c)])
 		}
 	}
 	f.Clauses = out

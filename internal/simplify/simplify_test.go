@@ -204,7 +204,7 @@ func TestSubsumptionAndStrengthening(t *testing.T) {
 	f.Add(lit.Pos(0), lit.Pos(1), lit.Pos(2))    // subsumed by c0
 	f.Add(lit.Neg(0), lit.Pos(1), lit.Pos(3))    // self-subsumed by c0 on x0 -> (x1 x3)
 	frozen := func(lit.Var) bool { return true } // isolate subsumption from BVE
-	res := Run(f, frozen, Options{Probing: false, MaxRounds: 2, MaxOccur: 1})
+	res := Run(f, frozen, Options{NoProbing: true, MaxRounds: 2, MaxOccur: 1})
 	if res.Stats.ClausesSubsumed == 0 {
 		t.Fatalf("expected subsumption, stats: %+v", res.Stats)
 	}
@@ -227,20 +227,28 @@ func TestSubsumptionAndStrengthening(t *testing.T) {
 // TestProbing: x2 is entailed through the chain (¬x0 ∨ x2) ∧ (x0 ∨ x1) ∧
 // (¬x1 ∨ x2) — no clause pair admits self-subsuming resolution, so only
 // failed-literal probing of ¬x2 (whose BCP derives ¬x0, x1, conflict)
-// exposes the unit.
+// exposes the unit. NoProbing must turn probing off even when every other
+// option is left at its default.
 func TestProbing(t *testing.T) {
-	f := cnf.New(3)
-	f.Add(lit.Neg(0), lit.Pos(2))
-	f.Add(lit.Pos(0), lit.Pos(1))
-	f.Add(lit.Neg(1), lit.Pos(2))
+	build := func() *cnf.Formula {
+		f := cnf.New(3)
+		f.Add(lit.Neg(0), lit.Pos(2))
+		f.Add(lit.Pos(0), lit.Pos(1))
+		f.Add(lit.Neg(1), lit.Pos(2))
+		return f
+	}
 	frozen := func(lit.Var) bool { return true }
-	res := Run(f, frozen, Options{Probing: true, MaxOccur: 1})
+	f := build()
+	res := Run(f, frozen, Options{MaxOccur: 1})
 	if res.Stats.ProbeFailures == 0 {
 		t.Fatalf("expected a failed literal, stats: %+v", res.Stats)
 	}
 	got := f.ProjectedModels([]lit.Var{2})
 	if len(got) != 1 || !got["1"] {
 		t.Fatalf("probing failed to fix x2: %v", got)
+	}
+	if res := Run(build(), frozen, Options{NoProbing: true}); res.Stats.Probes != 0 {
+		t.Fatalf("NoProbing still probed, stats: %+v", res.Stats)
 	}
 }
 
@@ -251,7 +259,7 @@ func TestPureLiteralElimination(t *testing.T) {
 	f.Add(lit.Pos(0), lit.Pos(2))
 	f.Add(lit.Pos(1), lit.Pos(2))
 	frozen := func(v lit.Var) bool { return v != 2 }
-	res := Run(f, frozen, Options{Probing: false})
+	res := Run(f, frozen, Options{NoProbing: true})
 	if res.Stats.VarsEliminated != 1 {
 		t.Fatalf("expected pure-literal elimination of x2, stats: %+v", res.Stats)
 	}
