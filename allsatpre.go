@@ -360,7 +360,7 @@ type DimacsOptions struct {
 	// rather than cubes and is bounded by the Budget instead.
 	MaxCubes int
 	// Workers > 1 enumerates in parallel over guiding-path subcubes: the
-	// success-driven engine uses the work-stealing pool (internal/pool),
+	// success-driven engine uses the parallel pool (internal/pool),
 	// the blocking/lifting engines per-subcube solvers. The result
 	// denotes the same solution set as the sequential run.
 	Workers int

@@ -73,10 +73,15 @@ func main() {
 	poolBytes := flag.Int64("pool-bytes", 0,
 		"byte ceiling of the warm solver/manager pool; 0 = default (256 MiB), negative disables pooling")
 	schedWorkers := flag.Int("sched-workers", 0,
-		"shared scheduler executor count; 0 = max-concurrent, negative disables the shared scheduler")
+		"executor count of the shared scheduler every parallel request runs on; 0 = max-concurrent")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 	flag.Parse()
 
+	if *schedWorkers < 0 {
+		fmt.Fprintln(os.Stderr, "serve: -sched-workers must be >= 0 (0 = max-concurrent)")
+		flag.PrintDefaults()
+		os.Exit(2)
+	}
 	fences, err := server.ParseFenceSpec(*tenantFences)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)

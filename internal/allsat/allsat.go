@@ -141,8 +141,9 @@ type Options struct {
 	// solvers and BDD managers come warm from Runtime.Pool (Reset instead
 	// of reconstructed — bit-identical results, pinned by the reuse
 	// equivalence suite), and parallel subcube jobs run on Runtime.Sched's
-	// shared fair-share executors instead of per-request goroutines. Nil
-	// keeps the classic behavior.
+	// shared fair-share executors. Nil (or a nil Sched) means a private
+	// scheduler with Workers executors for the call; nil Pool means fresh
+	// construction.
 	Runtime *rt.Runtime
 }
 

@@ -16,6 +16,7 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
+	rt "allsatpre/internal/runtime"
 )
 
 // pairsFormula builds (x0 v x1)(x2 v x3)...(x_{2n-2} v x_{2n-1}) over
@@ -138,4 +139,70 @@ func TestParallelIteratorCancelReleasesWorkers(t *testing.T) {
 		t.Fatalf("reason = %v, want %v", it.Reason(), budget.Cancelled)
 	}
 	waitGoroutines(t, baseline)
+}
+
+// TestParallelCancelledBeforeCall: a parallel run whose context is
+// cancelled before the call does no work, and must say so — Aborted with
+// budget.Cancelled, exactly like the sequential engines — rather than
+// return an empty cover that looks complete. Checked on a private
+// scheduler (nil runtime) and on a shared one.
+func TestParallelCancelledBeforeCall(t *testing.T) {
+	f, space := pairsFormula(8)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	type outcome struct {
+		aborted bool
+		reason  budget.Reason
+	}
+	drain := func(it *ParallelIterator) outcome {
+		for {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+		}
+		it.Stop()
+		return outcome{it.Aborted(), it.Reason()}
+	}
+	cases := []struct {
+		name string
+		run  func(Options) outcome
+	}{
+		{"blocking", func(o Options) outcome {
+			r := EnumerateBlocking(f.Clone(), space, o)
+			return outcome{r.Aborted, r.Reason}
+		}},
+		{"lifting", func(o Options) outcome {
+			r := EnumerateLifting(f.Clone(), space, o)
+			return outcome{r.Aborted, r.Reason}
+		}},
+		{"disjoint", func(o Options) outcome {
+			r := EnumerateDisjoint(f.Clone(), space, o)
+			return outcome{r.Aborted, r.Reason}
+		}},
+		{"iterator", func(o Options) outcome {
+			return drain(NewParallelIterator(f.Clone(), space, o, false))
+		}},
+		{"disjoint-iterator", func(o Options) outcome {
+			return drain(NewParallelDisjointIterator(f.Clone(), space, o))
+		}},
+	}
+	sched := rt.NewScheduler(2, nil)
+	defer sched.Close()
+	for _, run := range []struct {
+		name string
+		rt   *rt.Runtime
+	}{
+		{"private", nil},
+		{"shared", &rt.Runtime{Sched: sched, Tenant: "t"}},
+	} {
+		for _, tc := range cases {
+			baseline := runtime.NumGoroutine()
+			got := tc.run(Options{Workers: 4, Budget: budget.Budget{Ctx: ctx}, Runtime: run.rt})
+			if !got.aborted || got.reason != budget.Cancelled {
+				t.Errorf("%s/%s: aborted=%v reason=%v, want a cancelled abort",
+					run.name, tc.name, got.aborted, got.reason)
+			}
+			waitGoroutines(t, baseline)
+		}
+	}
 }

@@ -9,16 +9,9 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/partition"
+	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/simplify"
 )
-
-// Parallel returns a copy of the options with the worker count set —
-// the fluent spelling of Options.Workers for call sites that start from
-// a literal or a default.
-func (o Options) Parallel(workers int) Options {
-	o.Workers = workers
-	return o
-}
 
 // restrictFormula clones the formula and pins a guiding-path subcube
 // with unit clauses. Each parallel worker enumerates such a restricted
@@ -35,9 +28,9 @@ func restrictFormula(f *cnf.Formula, space *cube.Space, s partition.Subcube) *cn
 }
 
 // enumerateParallel fans an engine's enumeration loop out over
-// guiding-path subcubes: the projection space is split into disjoint prefix subcubes,
-// workers drain them from a shared feed (each subcube enumerated by a
-// fresh solver on a restricted clone), and the per-subcube covers are
+// guiding-path subcubes: the projection space is split into disjoint
+// prefix subcubes, each enumerated by one runtime.Group job with a fresh
+// solver on a restricted clone, and the per-subcube covers are
 // concatenated in subcube order — so the merged cover is deterministic
 // for a fixed split depth, and as a solution set it equals the
 // sequential enumeration for every worker count.
@@ -57,30 +50,21 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 		workers = len(subs)
 	}
 
-	// The cube cap is global: workers claim slots from a shared counter.
-	// The first abort records its reason and cancels the siblings via a
-	// shared context threaded into every worker's solver budget.
+	// The cube cap is global: jobs claim slots from a shared counter.
+	// The first abort records its reason in the group, which cancels the
+	// siblings via the group context threaded into every job's budget.
 	maxCubes := bud.MergeCubes(opts.MaxCubes)
 	var cubeCount atomic.Uint64
-	base := context.Background()
-	if bud.Ctx != nil {
-		base = bud.Ctx
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
-	var abortReason atomic.Int32
-	record := func(r budget.Reason) {
-		if r != budget.None && abortReason.CompareAndSwap(0, int32(r)) {
-			cancel()
-		}
-	}
+	g := rt.NewGroup(opts.Runtime, bud.Ctx, workers)
 	wopts := opts
 	wopts.Workers = 0
 	wopts.MaxCubes = 0
 	wopts.Budget = bud
-	wopts.Budget.Ctx = ctx
+	wopts.Budget.Ctx = g.Ctx()
 	wopts.Budget.MaxCubes = 0
 
+	// outs is indexed by subcube, so the merged cover is the same for
+	// every dispatch order.
 	type subOut struct {
 		cubes []cube.Cube
 		stats Stats
@@ -91,23 +75,23 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 		var cubes []cube.Cube
 		for {
 			if maxCubes > 0 && cubeCount.Load() >= maxCubes {
-				record(budget.Cubes)
+				g.Abort(budget.Cubes)
 				break
 			}
 			c, ok := it.Next()
 			if !ok {
-				record(it.Reason())
+				g.Abort(it.Reason())
 				break
 			}
 			// Claim the slot before keeping the cube: the shared
 			// counter only ever holds kept cubes plus transient
 			// over-claims that are immediately returned, so the
 			// merged cover respects the cap exactly — checking
-			// Load() before Add() would let two workers pass at
+			// Load() before Add() would let two jobs pass at
 			// maxCubes-1 and overshoot by up to workers-1.
 			if maxCubes > 0 && cubeCount.Add(1) > maxCubes {
 				cubeCount.Add(^uint64(0)) // unclaim
-				record(budget.Cubes)
+				g.Abort(budget.Cubes)
 				break
 			}
 			cubes = append(cubes, c)
@@ -115,111 +99,61 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 		outs[i] = subOut{cubes: cubes, stats: it.Stats()}
 		it.Close()
 	}
-
-	if sched := opts.Runtime.S(); sched != nil {
-		// Scheduler mode: one job per subcube on the server-wide executor
-		// pool, fair-shared against every other in-flight request. outs is
-		// indexed by subcube, so the merged cover is byte-identical to the
-		// goroutine mode regardless of dispatch order.
-		var wg sync.WaitGroup
-		wg.Add(len(subs))
-		for i := range subs {
-			sched.Submit(opts.Runtime.Tenant, func() {
-				defer wg.Done()
-				if ctx.Err() == nil {
-					runSub(i)
-				}
-			})
-		}
-		wg.Wait()
-	} else {
-		feed := make(chan int)
-		go func() {
-			defer close(feed)
-			for i := range subs {
-				select {
-				case feed <- i:
-				case <-ctx.Done():
-					return
-				}
+	jobs := make([]func(), len(subs))
+	for i := range subs {
+		jobs[i] = func() {
+			if g.Ctx().Err() == nil {
+				runSub(i)
 			}
-		}()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range feed {
-					runSub(i)
-					if ctx.Err() != nil {
-						return
-					}
-				}
-			}()
 		}
-		wg.Wait()
 	}
+	g.Go(jobs...)
+	reason := g.Wait()
 
 	res := &Result{Space: space, Cover: cube.NewCover(space)}
 	for _, o := range outs {
 		for _, c := range o.cubes {
 			res.Cover.Add(c)
 		}
-		s := o.stats
-		res.Stats.Solutions += s.Solutions
-		res.Stats.Cubes += s.Cubes
-		res.Stats.BlockingClauses += s.BlockingClauses
-		res.Stats.BlockingLits += s.BlockingLits
-		res.Stats.LiftedFree += s.LiftedFree
-		res.Stats.PeakLearnts += s.PeakLearnts
-		res.Stats.PeakLearntBytes += s.PeakLearntBytes
-		res.Stats.ArenaBytes += s.ArenaBytes
-		res.Stats.LearntsCore += s.LearntsCore
-		res.Stats.LearntsTier2 += s.LearntsTier2
-		res.Stats.LearntsLocal += s.LearntsLocal
-		res.Stats.Decisions += s.Decisions
-		res.Stats.Propagations += s.Propagations
-		res.Stats.Conflicts += s.Conflicts
+		addStats(&res.Stats, o.stats)
 	}
 	countCover(res, eng, opts.Runtime.P())
-	if r := budget.Reason(abortReason.Load()); r != budget.None {
+	if reason != budget.None {
 		res.Aborted = true
-		res.Reason = r
+		res.Reason = reason
 	}
 	return res
 }
 
-// ParallelIterator streams solution cubes from a pool of workers, each
-// enumerating one guiding-path subcube at a time on its own solver. The
-// arrival order is scheduling-dependent (unlike the sequential Iterator),
-// but the multiset of cubes drains the same disjoint subcube covers.
+// ParallelIterator streams solution cubes from runtime.Group jobs, each
+// enumerating one guiding-path subcube on its own solver. The arrival
+// order is scheduling-dependent (unlike the sequential Iterator), but
+// the multiset of cubes drains the same disjoint subcube covers.
+//
+// Jobs may run on shared executors, which must never block on a slow
+// consumer: cubes accumulate in buf under mu and Next waits on cond. The
+// lost backpressure is bounded by the request's cube/budget fences (the
+// collect-then-merge paths buffer the whole cover anyway). Once the
+// consumer's context is cancelled, Next returns no more cubes, so a
+// cancelled stream ends promptly however much was buffered.
 type ParallelIterator struct {
-	ch     chan cube.Cube
-	cancel context.CancelFunc
-	reason atomic.Int32
+	g      *rt.Group
+	parent context.Context // the budget's context; nil when it has none
 	done   atomic.Bool
 
-	mu    sync.Mutex
-	stats Stats
-
-	// Scheduler mode (runtime-backed): subcube jobs run on the shared
-	// executors, which must never block on a slow consumer — cubes
-	// accumulate in buf under mu and Next waits on cond instead of a
-	// bounded channel. The lost backpressure is bounded by the request's
-	// cube/budget fences (the collect-then-merge paths buffer the whole
-	// cover anyway).
-	sched   bool
+	mu      sync.Mutex
 	cond    *sync.Cond
+	stats   Stats
 	buf     []cube.Cube
 	bufHead int
-	closed  bool // every subcube job finished
+	running int  // subcube jobs not yet finished
 	stopped bool // consumer called Stop
 }
 
-// NewParallelIterator starts opts.Workers workers (minimum 1) and
-// returns the streaming iterator over the blocking (or, with lift, the
-// lifting) engine. Callers must either drain it or call Stop to release
-// the workers.
+// NewParallelIterator runs the blocking (or, with lift, the lifting)
+// engine on opts.Workers workers (minimum 1) and returns the streaming
+// iterator over its cubes. Callers must either drain it or call Stop to
+// release the workers.
 func NewParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *ParallelIterator {
 	eng := engBlocking
 	if lift {
@@ -243,140 +177,69 @@ func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng en
 		workers = 1
 	}
 	bud := opts.Budget.Materialize()
-	base := context.Background()
-	if bud.Ctx != nil {
-		base = bud.Ctx
-	}
-	ctx, cancel := context.WithCancel(base)
-	p := &ParallelIterator{
-		ch:     make(chan cube.Cube, 4*workers),
-		cancel: cancel,
-	}
-	p.stats.Simplify = sstats
 	k := partition.PrefixDepth(space, workers, 2)
 	subs := partition.Split(space, k)
 	if workers > len(subs) {
 		workers = len(subs)
 	}
+	g := rt.NewGroup(opts.Runtime, bud.Ctx, workers)
+	p := &ParallelIterator{g: g, parent: bud.Ctx, running: len(subs)}
+	p.cond = sync.NewCond(&p.mu)
+	p.stats.Simplify = sstats
 	wopts := opts
 	wopts.Workers = 0
 	wopts.Budget = bud
-	wopts.Budget.Ctx = ctx
-
-	if sched := opts.Runtime.S(); sched != nil {
-		p.sched = true
-		p.cond = sync.NewCond(&p.mu)
-		var pending atomic.Int64
-		pending.Store(int64(len(subs)))
-		for i := range subs {
-			sched.Submit(opts.Runtime.Tenant, func() {
-				if ctx.Err() == nil {
-					it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
-					for {
-						c, ok := it.Next()
-						if !ok {
-							p.record(it.Reason())
-							break
-						}
-						p.push(c)
-					}
-					p.fold(it.Stats())
-					it.Close()
-				}
-				if pending.Add(-1) == 0 {
-					p.mu.Lock()
-					p.closed = true
-					p.mu.Unlock()
-					p.cond.Broadcast()
-				}
-			})
-		}
-		return p
-	}
-
-	feed := make(chan int)
-	go func() {
-		defer close(feed)
-		for i := range subs {
-			select {
-			case feed <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range feed {
+	wopts.Budget.Ctx = g.Ctx()
+	jobs := make([]func(), len(subs))
+	for i := range subs {
+		jobs[i] = func() {
+			var st Stats
+			if g.Ctx().Err() == nil {
 				it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
 				for {
 					c, ok := it.Next()
 					if !ok {
-						p.record(it.Reason())
+						// The first abort cancels the siblings: one tripped
+						// budget stops the whole stream promptly.
+						g.Abort(it.Reason())
 						break
 					}
-					select {
-					case p.ch <- c:
-					case <-ctx.Done():
-						// Cancelled while blocked on a full stream: record it, or
-						// a consumer that drains the buffered cubes would read the
-						// truncated enumeration as complete (Reason stays None when
-						// a sibling's budget abort cancelled us first — the CAS in
-						// record keeps the first reason).
-						p.record(budget.Cancelled)
-						p.fold(it.Stats())
-						it.Close()
-						return
-					}
+					p.push(c)
 				}
-				p.fold(it.Stats())
+				st = it.Stats()
 				it.Close()
-				if ctx.Err() != nil {
-					return
-				}
 			}
-		}()
+			p.mu.Lock()
+			addStats(&p.stats, st)
+			p.running--
+			p.mu.Unlock()
+			p.cond.Broadcast()
+		}
 	}
-	go func() {
-		wg.Wait()
-		close(p.ch)
-	}()
+	// One batch: subcubes are dispatched in split order.
+	g.Go(jobs...)
 	return p
 }
 
-// record stores the first abort reason and cancels the siblings: one
-// tripped budget stops the whole pool promptly (matching
-// enumerateParallel's first-abort-cancels-all semantics) instead of
-// letting the remaining workers keep burning their own budgets.
-func (p *ParallelIterator) record(r budget.Reason) {
-	if r != budget.None && p.reason.CompareAndSwap(0, int32(r)) {
-		p.cancel()
-	}
+// addStats sums one subcube's search counters into dst.
+func addStats(dst *Stats, s Stats) {
+	dst.Solutions += s.Solutions
+	dst.Cubes += s.Cubes
+	dst.BlockingClauses += s.BlockingClauses
+	dst.BlockingLits += s.BlockingLits
+	dst.LiftedFree += s.LiftedFree
+	dst.PeakLearnts += s.PeakLearnts
+	dst.PeakLearntBytes += s.PeakLearntBytes
+	dst.ArenaBytes += s.ArenaBytes
+	dst.LearntsCore += s.LearntsCore
+	dst.LearntsTier2 += s.LearntsTier2
+	dst.LearntsLocal += s.LearntsLocal
+	dst.Decisions += s.Decisions
+	dst.Propagations += s.Propagations
+	dst.Conflicts += s.Conflicts
 }
 
-func (p *ParallelIterator) fold(s Stats) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Solutions += s.Solutions
-	p.stats.Cubes += s.Cubes
-	p.stats.BlockingClauses += s.BlockingClauses
-	p.stats.BlockingLits += s.BlockingLits
-	p.stats.LiftedFree += s.LiftedFree
-	p.stats.PeakLearnts += s.PeakLearnts
-	p.stats.PeakLearntBytes += s.PeakLearntBytes
-	p.stats.ArenaBytes += s.ArenaBytes
-	p.stats.LearntsCore += s.LearntsCore
-	p.stats.LearntsTier2 += s.LearntsTier2
-	p.stats.LearntsLocal += s.LearntsLocal
-	p.stats.Decisions += s.Decisions
-	p.stats.Propagations += s.Propagations
-	p.stats.Conflicts += s.Conflicts
-}
-
-// push appends a cube to the scheduler-mode buffer and wakes a consumer.
+// push appends a cube to the buffer and wakes a consumer.
 func (p *ParallelIterator) push(c cube.Cube) {
 	p.mu.Lock()
 	p.buf = append(p.buf, c)
@@ -384,21 +247,15 @@ func (p *ParallelIterator) push(c cube.Cube) {
 	p.cond.Signal()
 }
 
-// Next returns the next solution cube, or ok=false once every worker has
-// drained its subcubes (or Stop/a budget cut them short).
+// Next returns the next solution cube, or ok=false once every job has
+// drained its subcube (or Stop, a budget, or the consumer's context cut
+// them short).
 func (p *ParallelIterator) Next() (cube.Cube, bool) {
-	if !p.sched {
-		c, ok := <-p.ch
-		if !ok {
-			p.done.Store(true)
-		}
-		return c, ok
-	}
 	p.mu.Lock()
-	for p.bufHead >= len(p.buf) && !p.closed && !p.stopped {
+	for p.bufHead >= len(p.buf) && p.running > 0 && !p.stopped {
 		p.cond.Wait()
 	}
-	if p.bufHead < len(p.buf) && !p.stopped {
+	if p.bufHead < len(p.buf) && !p.stopped && (p.parent == nil || p.parent.Err() == nil) {
 		c := p.buf[p.bufHead]
 		p.buf[p.bufHead] = nil
 		p.bufHead++
@@ -406,31 +263,30 @@ func (p *ParallelIterator) Next() (cube.Cube, bool) {
 		return c, true
 	}
 	p.mu.Unlock()
+	p.g.Wait()
 	p.done.Store(true)
 	return nil, false
 }
 
-// Stop cancels the workers and drains the stream. Safe to call more than
-// once and after exhaustion.
+// Stop cancels the remaining jobs and waits for them to wind down. An
+// unfinished stream then reports budget.Cancelled, so a stopped run never
+// looks complete. Safe to call more than once and after exhaustion.
 func (p *ParallelIterator) Stop() {
-	p.cancel()
-	if p.sched {
-		p.mu.Lock()
-		p.stopped = true
-		p.mu.Unlock()
-		p.cond.Broadcast()
-		p.done.Store(true)
-		return
+	p.mu.Lock()
+	if p.running > 0 || p.bufHead < len(p.buf) {
+		p.g.Abort(budget.Cancelled)
 	}
-	for range p.ch {
-	}
+	p.stopped = true
+	p.mu.Unlock()
+	p.cond.Broadcast()
+	p.g.Wait()
 	p.done.Store(true)
 }
 
-// Close ends the iteration; the workers (or scheduler jobs) release
-// their per-subcube iterators — and pooled solvers — as they wind down.
-// It makes ParallelIterator satisfy the same closeable-iterator surface
-// as the sequential iterators.
+// Close ends the iteration; the jobs release their per-subcube
+// iterators — and pooled solvers — before it returns. It makes
+// ParallelIterator satisfy the same closeable-iterator surface as the
+// sequential iterators.
 func (p *ParallelIterator) Close() { p.Stop() }
 
 // Exhausted reports whether the stream has ended. Safe to call
@@ -439,9 +295,7 @@ func (p *ParallelIterator) Exhausted() bool { return p.done.Load() }
 
 // Reason reports why the iteration stopped early (budget.None when it
 // ran to completion or is still running).
-func (p *ParallelIterator) Reason() budget.Reason {
-	return budget.Reason(p.reason.Load())
-}
+func (p *ParallelIterator) Reason() budget.Reason { return p.g.Reason() }
 
 // Aborted reports whether a resource limit cut the iteration short.
 func (p *ParallelIterator) Aborted() bool { return p.Reason() != budget.None }

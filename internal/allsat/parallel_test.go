@@ -30,7 +30,7 @@ func TestParallelBlockingEqualsSequential(t *testing.T) {
 		m := bdd.NewOrdered(space.Vars())
 		wantSet := coverSet(m, want.Cover)
 		for _, workers := range []int{2, 4, 8} {
-			got := EnumerateBlocking(f.Clone(), space, Options{}.Parallel(workers))
+			got := EnumerateBlocking(f.Clone(), space, Options{Workers: workers})
 			if got.Count.Cmp(want.Count) != 0 {
 				t.Fatalf("iter %d workers %d: count %v, want %v",
 					iter, workers, got.Count, want.Count)

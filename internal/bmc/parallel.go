@@ -1,7 +1,6 @@
 package bmc
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 
@@ -9,6 +8,7 @@ import (
 	"allsatpre/internal/circuit"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/preimage"
+	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/sat"
 )
 
@@ -53,8 +53,9 @@ type depthOutcome struct {
 // worker rather than carried across every bound.
 //
 // The budget applies per worker solver except for cancellation and
-// deadline, which are shared: the first worker to trip cancels the
-// siblings, and the result reports the first reason.
+// deadline, which are shared: each checker's depth loop is one
+// runtime.Group job, the first to trip cancels the siblings, and the
+// result reports the first reason.
 func CheckParallel(c *circuit.Circuit, init, bad *cube.Cover, bound int, opts Options) (*Result, error) {
 	workers := opts.Workers
 	if workers > bound+1 {
@@ -65,24 +66,14 @@ func CheckParallel(c *circuit.Circuit, init, bad *cube.Cover, bound int, opts Op
 		seq.Workers = 0
 		return CheckOpts(c, init, bad, bound, seq)
 	}
+	// One job per checker on a private scheduler; the group context is
+	// the shared cancellation, and the group keeps the first abort reason.
 	bud := opts.Budget.Materialize()
-	base := context.Background()
-	if bud.Ctx != nil {
-		base = bud.Ctx
-	}
-	ctx, cancel := context.WithCancel(base)
-	defer cancel()
+	g := rt.NewGroup(nil, bud.Ctx, workers)
 	wopts := opts
 	wopts.Workers = 0
 	wopts.Budget = bud
-	wopts.Budget.Ctx = ctx
-
-	var abortReason atomic.Int32
-	recordAbort := func(r budget.Reason) {
-		if r != budget.None && abortReason.CompareAndSwap(0, int32(r)) {
-			cancel()
-		}
-	}
+	wopts.Budget.Ctx = g.Ctx()
 
 	outcomes := make([]depthOutcome, bound+1)
 	var nextDepth atomic.Int64
@@ -95,55 +86,55 @@ func CheckParallel(c *circuit.Circuit, init, bad *cube.Cover, bound int, opts Op
 		stats   sat.Stats
 		initErr error
 	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ck, err := NewOpts(c, init, bad, wopts)
-			if err != nil {
-				mu.Lock()
-				if initErr == nil {
-					initErr = err
-				}
-				mu.Unlock()
-				cancel()
-				return
-			}
-			nSolves := 0
-			for {
-				d := int(nextDepth.Add(1) - 1)
-				if d > bound || int64(d) >= bestSAT.Load() || ctx.Err() != nil {
-					break
-				}
-				nSolves++
-				found, trace, aborted, reason := ck.CheckAt(d)
-				switch {
-				case aborted:
-					outcomes[d] = depthOutcome{status: depthAborted, reason: reason}
-					recordAbort(reason)
-				case found:
-					outcomes[d] = depthOutcome{status: depthSat, trace: trace}
-					for {
-						cur := bestSAT.Load()
-						if int64(d) >= cur || bestSAT.CompareAndSwap(cur, int64(d)) {
-							break
-						}
-					}
-				default:
-					outcomes[d] = depthOutcome{status: depthUnsat}
-				}
-				if aborted {
-					break
-				}
-			}
+	depthLoop := func() {
+		ck, err := NewOpts(c, init, bad, wopts)
+		if err != nil {
 			mu.Lock()
-			solves += nSolves
-			addSatStats(&stats, ck.s.Stats())
+			if initErr == nil {
+				initErr = err
+			}
 			mu.Unlock()
-		}()
+			g.Abort(budget.Cancelled) // stop the siblings; the error is returned below
+			return
+		}
+		nSolves := 0
+		for {
+			d := int(nextDepth.Add(1) - 1)
+			if d > bound || int64(d) >= bestSAT.Load() || g.Ctx().Err() != nil {
+				break
+			}
+			nSolves++
+			found, trace, aborted, reason := ck.CheckAt(d)
+			switch {
+			case aborted:
+				outcomes[d] = depthOutcome{status: depthAborted, reason: reason}
+				g.Abort(reason)
+			case found:
+				outcomes[d] = depthOutcome{status: depthSat, trace: trace}
+				for {
+					cur := bestSAT.Load()
+					if int64(d) >= cur || bestSAT.CompareAndSwap(cur, int64(d)) {
+						break
+					}
+				}
+			default:
+				outcomes[d] = depthOutcome{status: depthUnsat}
+			}
+			if aborted {
+				break
+			}
+		}
+		mu.Lock()
+		solves += nSolves
+		addSatStats(&stats, ck.s.Stats())
+		mu.Unlock()
 	}
-	wg.Wait()
+	jobs := make([]func(), workers)
+	for w := range jobs {
+		jobs[w] = depthLoop
+	}
+	g.Go(jobs...)
+	groupReason := g.Wait()
 	if initErr != nil {
 		return nil, initErr
 	}
@@ -166,10 +157,7 @@ func CheckParallel(c *circuit.Circuit, init, bad *cube.Cover, bound int, opts Op
 			res.Aborted = true
 			res.AbortReason = outcomes[d].reason
 			if res.AbortReason == budget.None {
-				res.AbortReason = budget.Reason(abortReason.Load())
-			}
-			if res.AbortReason == budget.None {
-				res.AbortReason = budget.Cancelled
+				res.AbortReason = groupReason
 			}
 			return res, nil
 		}

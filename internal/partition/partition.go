@@ -19,10 +19,8 @@ import (
 
 // MaxDepth bounds how many leading projection variables a subcube can
 // fix. Paths are packed into a uint64 (bit i = value of order position
-// i), and the pool also encodes (Path, Depth) into a single word for its
-// lock-free deque, so the bound is well under 64. Splitting beyond 48
-// positions would mean 2^48 outstanding subcubes — re-splitting simply
-// stops there.
+// i), so the bound is under 64. Splitting beyond 48 positions would
+// mean 2^48 outstanding subcubes — re-splitting simply stops there.
 const MaxDepth = 48
 
 // Subcube is one guiding-path work unit: the assignment Path to the
@@ -91,7 +89,7 @@ func (s Subcube) Cube(space *cube.Space) cube.Cube {
 
 // PrefixDepth picks the static split depth for a worker count: the
 // smallest k with 2^k >= workers*oversub subcubes, clamped to the space.
-// Oversubscription (oversub <= 0 selects 4) gives the stealing pool
+// Oversubscription (oversub <= 0 selects 4) gives the pool's scheduler
 // enough independent units to balance uneven subcube costs before
 // dynamic re-splitting has to kick in.
 func PrefixDepth(space *cube.Space, workers, oversub int) int {

@@ -12,10 +12,8 @@ package pool
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
-	"allsatpre/internal/allsat"
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
@@ -23,6 +21,7 @@ import (
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
 	"allsatpre/internal/partition"
+	rt "allsatpre/internal/runtime"
 )
 
 // Session owns a set of persistent enumerators and their merge manager.
@@ -36,6 +35,7 @@ type Session struct {
 	prefix  int
 	budget  budget.Budget // materialized; Ctx is the session context
 	cancel  context.CancelFunc
+	rt      *rt.Runtime
 	// decisions enforces a session-global decision cap across workers
 	// and steps (the incremental analogue of the fresh path's per-step
 	// cap: a budget is a resource allowance for the whole run).
@@ -60,7 +60,9 @@ type SessionRetireStats struct {
 // enumerator's own manager (no snapshot round-trips at all); with more,
 // per-run snapshots merge into one persistent parent manager whose
 // variable order is the projection order. Core.Budget is ignored; pass
-// the session budget (covering all runs) in Budget.
+// the session budget (covering all runs) in Budget. A multi-worker Run
+// submits its subcube jobs through Runtime like Enumerate does; the
+// runtime's pool is not used, since the session's managers persist.
 func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -82,6 +84,7 @@ func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 		workers: workers,
 		budget:  b,
 		cancel:  cancel,
+		rt:      opts.Runtime,
 	}
 	s.thresh = opts.SplitThreshold
 	if s.thresh == 0 {
@@ -245,141 +248,19 @@ func (s *Session) runSequential(base []lit.Lit) *Result {
 	}
 }
 
+// runParallel runs the subcube jobs on the session's persistent
+// enumerators, all pre-stashed, through the same run as Enumerate.
+// Failed-assumption patterns are valid only under the current target,
+// so they are scoped to this run.
 func (s *Session) runParallel(base []lit.Lit) *Result {
-	tasks := partition.Split(s.space, s.prefix)
-	deques := make([]*deque, s.workers)
-	for i := range deques {
-		deques[i] = newDeque()
+	r := newSchedRun(s.space, rt.NewGroup(s.rt, s.budget.Ctx, s.workers), s.workers, s.thresh)
+	r.base = base
+	r.stopSession = s.cancel
+	r.decBase = make(map[*core.Enumerator]uint64, len(s.es))
+	for _, e := range s.es {
+		r.decBase[e] = e.Stats().Decisions
+		r.stash <- e
 	}
-	for i, t := range tasks {
-		deques[i%s.workers].push(encodeTask(t))
-	}
-	var pending atomic.Int64
-	pending.Store(int64(len(tasks)))
-
-	// Every abort reason here is a session-global budget condition
-	// (deadline, cancellation, decision/conflict/node caps), so the
-	// first abort ends not just this run but the session: cancelling the
-	// session context stops the siblings promptly, and the enumerators'
-	// own abort state is sticky anyway.
-	var abortReason atomic.Int32
-	recordAbort := func(r budget.Reason) {
-		if r != budget.None && abortReason.CompareAndSwap(0, int32(r)) {
-			s.cancel()
-		}
-	}
-	aborted := func() bool { return abortReason.Load() != 0 }
-
-	// Failed-assumption patterns are valid only under the current target:
-	// scoped to this run. Base literals (activation vars, outside the
-	// projection space) are stripped before pattern extraction — the base
-	// holds for the entire run, so a conflict "base + prefix" prunes
-	// every subcube containing the prefix.
-	isBase := make(map[lit.Var]bool, len(base))
-	for _, l := range base {
-		isBase[l.Var()] = true
-	}
-	var failMu sync.Mutex
-	var fails []partition.FailedPattern
-	addFail := func(failed []lit.Lit) {
-		kept := failed[:0]
-		for _, l := range failed {
-			if !isBase[l.Var()] {
-				kept = append(kept, l)
-			}
-		}
-		if p, ok := partition.PatternOf(s.space, kept); ok {
-			failMu.Lock()
-			fails = append(fails, p)
-			failMu.Unlock()
-		}
-	}
-	prunedBy := func(sc partition.Subcube) bool {
-		failMu.Lock()
-		defer failMu.Unlock()
-		for _, p := range fails {
-			if p.Prunes(sc) {
-				return true
-			}
-		}
-		return false
-	}
-
-	msgs := make(chan mergeMsg, s.workers*4)
-	var wg sync.WaitGroup
-	for id := 0; id < s.workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			w := &worker{
-				id:          id,
-				e:           s.es[id],
-				base:        base,
-				space:       s.space,
-				thresh:      s.thresh,
-				deques:      deques,
-				pending:     &pending,
-				msgs:        msgs,
-				recordAbort: recordAbort,
-				aborted:     aborted,
-				prunedBy:    prunedBy,
-				addFail:     addFail,
-			}
-			w.run()
-		}(id)
-	}
-	go func() {
-		wg.Wait()
-		close(msgs)
-	}()
-
-	set := bdd.False
-	var total allsat.Stats
-	var kernel bdd.KernelStats
-	nodesSum := 0
-	pst := PoolStats{Workers: s.workers, MinWorkerDecisions: ^uint64(0)}
-	for m := range msgs {
-		if m.exit != nil {
-			kernel.Merge(m.exit.kernel)
-			nodesSum += m.exit.nodes
-			pst.Steals += m.exit.steals
-			pst.Splits += m.exit.splits
-			pst.UnsatSubcubes += m.exit.unsat
-			pst.Pruned += m.exit.pruned
-			pst.Subcubes += m.exit.done
-			pst.Idle += m.exit.idle
-			if m.exit.decisions > pst.MaxWorkerDecisions {
-				pst.MaxWorkerDecisions = m.exit.decisions
-			}
-			if m.exit.decisions < pst.MinWorkerDecisions {
-				pst.MinWorkerDecisions = m.exit.decisions
-			}
-			continue
-		}
-		addCounters(&total, m.stats)
-		if m.snap != nil && !s.mergeDead {
-			set = s.man.Or(set, s.man.Import(m.snap))
-			if cap := s.budget.MaxBDDNodes; cap > 0 && s.man.NumNodes() >= cap {
-				recordAbort(budget.Nodes)
-				// The parent manager is over its cap for good: no later
-				// run can merge either.
-				s.mergeDead = true
-			}
-		}
-	}
-	if pst.MinWorkerDecisions == ^uint64(0) {
-		pst.MinWorkerDecisions = 0
-	}
-
-	kernel.Merge(s.man.Kernel())
-	total.Kernel = kernel
-	total.BDDNodes = nodesSum + s.man.NumNodes()
-	return &Result{
-		Manager: s.man,
-		Set:     set,
-		Stats:   total,
-		Pool:    pst,
-		Aborted: abortReason.Load() != 0,
-		Reason:  budget.Reason(abortReason.Load()),
-	}
+	r.created.Store(int32(len(s.es)))
+	return r.run(partition.Split(s.space, s.prefix), s.man, s.budget.MaxBDDNodes, &s.mergeDead)
 }

@@ -23,10 +23,8 @@
 package preimage
 
 import (
-	"context"
 	"fmt"
 	"math/big"
-	"sync"
 	"time"
 
 	"allsatpre/internal/allsat"
@@ -118,9 +116,9 @@ type Options struct {
 	Restrict cube.Cube
 	// Parallel, when > 1, computes the preimage with that many workers.
 	// The success-driven engine partitions the projection space into
-	// guiding-path subcubes drained by a work-stealing pool
-	// (internal/pool) whose merged BDD — and therefore ISOP cover — is
-	// bit-identical to the sequential run; the blocking/lifting engines
+	// guiding-path subcubes run as scheduler jobs by internal/pool,
+	// whose merged BDD — and therefore ISOP cover — is bit-identical to
+	// the sequential run; the blocking/lifting engines
 	// fan guiding-path subcubes over per-subcube solvers
 	// (allsat.Options.Workers); the BDD engine computes disjoint
 	// Restrict slices of the present-state space concurrently. All
@@ -170,11 +168,12 @@ type Options struct {
 	// Runtime, when non-nil, executes the computation on the shared
 	// pooled runtime: solvers and BDD managers come warm from its
 	// free-list instead of being rebuilt per request, and — when it also
-	// carries a scheduler — the parallel engines run their subcube jobs
-	// on the server-wide executor pool under the runtime's tenant label.
-	// Results are bit-identical either way; nil keeps the classic
-	// build-per-request behavior. Incremental sessions ignore it (their
-	// solvers persist across steps by design).
+	// carries a scheduler — the parallel engines (and the parallel BDD
+	// engine's slices) run their jobs on the server-wide executor pool
+	// under the runtime's tenant label. Results are bit-identical either
+	// way; nil means fresh construction and a private scheduler for each
+	// parallel call. Incremental sessions ignore it (their solvers
+	// persist across steps by design).
 	Runtime *rt.Runtime
 }
 
@@ -426,12 +425,13 @@ func recordStats(reg *stats.Registry, r *Result, elapsed time.Duration) {
 }
 
 // computeBDDParallel splits the present-state space into disjoint slices
-// on the leading latches and runs computeBDD per slice concurrently,
-// each slice on its own (single-threaded) manager via Restrict. The
-// slices share one budget context: the first slice to fail or abort
-// cancels the rest, so an error does not leave sibling goroutines
-// burning CPU to completion. Per-slice Aborted flags are merged into the
-// result. The SAT engines do not come through here — they parallelize
+// on the leading latches and runs computeBDD per slice as runtime.Group
+// jobs on opts.Runtime (a private scheduler with opts.Parallel executors
+// without one), each slice on its own (single-threaded) manager via
+// Restrict. The slices share the group context: the first slice to fail
+// or abort cancels the rest, so an error does not leave sibling slices
+// burning CPU to completion, and the result reports the first abort
+// reason. The SAT engines do not come through here — they parallelize
 // inside their enumerators (internal/pool, allsat.Options.Workers).
 func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, error) {
 	bits := 1
@@ -443,22 +443,14 @@ func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 	results := make([]*Result, n)
 	errs := make([]error, n)
 
-	parent := opts.Budget.Ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	var wg sync.WaitGroup
-	for slice := 0; slice < n; slice++ {
-		wg.Add(1)
-		go func(slice int) {
-			defer wg.Done()
+	g := rt.NewGroup(opts.Runtime, opts.Budget.Ctx, opts.Parallel)
+	jobs := make([]func(), n)
+	for slice := range jobs {
+		jobs[slice] = func() {
 			sub := opts
 			sub.Parallel = 0
 			sub.Stats = nil // the caller records the merged totals once
-			sub.Budget.Ctx = ctx
+			sub.Budget.Ctx = g.Ctx()
 			restrict := stateSpace.FullCube()
 			if opts.Restrict != nil {
 				copy(restrict, opts.Restrict)
@@ -479,12 +471,16 @@ func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 			}
 			sub.Restrict = restrict
 			results[slice], errs[slice] = computeBDD(c, target, sub)
-			if errs[slice] != nil || (results[slice] != nil && results[slice].Aborted) {
-				cancel() // stop the sibling slices
+			switch {
+			case errs[slice] != nil:
+				g.Abort(budget.Cancelled) // stop the siblings; the error is returned below
+			case results[slice].Aborted:
+				g.Abort(results[slice].AbortReason)
 			}
-		}(slice)
+		}
 	}
-	wg.Wait()
+	g.Go(jobs...)
+	reason := g.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -509,13 +505,9 @@ func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 		if r.BDDNodes > out.BDDNodes {
 			out.BDDNodes = r.BDDNodes
 		}
-		if r.Aborted {
-			out.Aborted = true
-			if out.AbortReason == budget.None {
-				out.AbortReason = r.AbortReason
-			}
-		}
 	}
+	out.Aborted = reason != budget.None
+	out.AbortReason = reason
 	out.States.Reduce()
 	return out, nil
 }

@@ -1,13 +1,15 @@
-// Package runtime provides the pooled execution substrate beneath the
-// enumeration service: a free-list of warm sat.Solver / bdd.Manager
-// instances whose backing arrays survive across requests (Reset instead
-// of reconstruction), and a server-wide fair-share scheduler that runs
-// subcube jobs from all in-flight requests on one fixed executor pool
-// instead of spawning per-request worker goroutines.
+// Package runtime provides the execution substrate beneath the engines
+// and the enumeration service: a free-list of warm sat.Solver /
+// bdd.Manager instances whose backing arrays survive across requests
+// (Reset instead of reconstruction); a fair-share Scheduler that runs
+// jobs from all in-flight requests on one fixed executor pool; and
+// Group, through which every parallel fan-out runs its jobs — on the
+// caller's shared scheduler, or on a private one that lives for the
+// call when the caller has none (a nil Runtime).
 //
 // The package sits below internal/allsat, internal/core, internal/pool,
 // and internal/preimage (all of which accept an optional *Runtime) and
-// above only the leaf packages (sat, bdd, budget, stats) — it must never
+// internal/bmc, and above only the leaf packages (sat, bdd, budget, stats) — it must never
 // import an engine package, or the dependency cycle with internal/pool
 // returns.
 package runtime

@@ -3,9 +3,10 @@ package runtime
 // Runtime bundles the pooled execution substrate handed to the engine
 // entry points (allsat.Options.Runtime, pool.Options.Runtime,
 // preimage.Options.Runtime). A nil *Runtime — and a Runtime with nil
-// fields — degrades to the classic behavior: fresh construction and
-// per-request goroutines. Tenant labels the scheduler queue the
-// request's jobs join; empty means the shared anonymous queue.
+// fields — means fresh construction (nil Pool) and a private scheduler
+// per parallel call (nil Sched, see Group). Tenant labels the scheduler
+// queue the request's jobs join; empty means the shared anonymous
+// queue.
 type Runtime struct {
 	Pool   *Pool
 	Sched  *Scheduler

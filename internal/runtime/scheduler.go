@@ -17,11 +17,10 @@ import (
 //
 // Within one tenant, jobs run LIFO (newest first). Subcube splits push
 // their children back immediately, so LIFO dispatch is depth-first over
-// the guiding-path tree — the same memory-bounding discipline as the
-// per-request Chase-Lev deques. Jobs must be finite: the engine
-// integrations bound each job by the split threshold, which is what
-// makes the fair-share guarantee a latency bound and not just an
-// eventual-progress claim (see DESIGN.md §15).
+// the guiding-path tree, which bounds the queued work. Jobs must be
+// finite: the engine integrations bound each job by the split
+// threshold, which is what makes the fair-share guarantee a latency
+// bound and not just an eventual-progress claim (see DESIGN.md §15).
 type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -70,16 +69,24 @@ func NewScheduler(workers int, reg *stats.Registry) *Scheduler {
 // Workers returns the executor count.
 func (s *Scheduler) Workers() int { return s.workers }
 
-// Submit queues a job under the given tenant. After Close, the job runs
-// inline on the caller (shutdown drain path) — it is never dropped.
-func (s *Scheduler) Submit(tenant string, job func()) {
+// Submit queues jobs under the given tenant in one step. Executors pop
+// a tenant's jobs newest first, so the batch is queued in reverse:
+// jobs[0] runs first, and no executor can start a later job of the
+// batch before the whole batch is queued. After Close, the jobs run
+// inline on the caller (shutdown drain path) — they are never dropped.
+func (s *Scheduler) Submit(tenant string, jobs ...func()) {
+	if len(jobs) == 0 {
+		return
+	}
 	if s.cJobs != nil {
-		s.cJobs.Inc()
+		s.cJobs.Add(uint64(len(jobs)))
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		job()
+		for _, job := range jobs {
+			job()
+		}
 		return
 	}
 	tq := s.tenants[tenant]
@@ -87,17 +94,23 @@ func (s *Scheduler) Submit(tenant string, job func()) {
 		tq = &tenantQueue{name: tenant}
 		s.tenants[tenant] = tq
 	}
-	tq.jobs = append(tq.jobs, job)
+	for i := len(jobs) - 1; i >= 0; i-- {
+		tq.jobs = append(tq.jobs, jobs[i])
+	}
 	if !tq.inRing {
 		tq.inRing = true
 		s.ring = append(s.ring, tq)
 	}
-	s.queued++
+	s.queued += len(jobs)
 	if s.reg != nil {
 		s.reg.MaxGauge("runtime.sched-queue-peak", int64(s.queued))
 	}
 	s.mu.Unlock()
-	s.cond.Signal()
+	if len(jobs) == 1 {
+		s.cond.Signal()
+	} else {
+		s.cond.Broadcast()
+	}
 }
 
 // Close stops the executors after the queues drain. Concurrent and

@@ -1,8 +1,8 @@
 package server
 
 // BenchmarkServerLoad measures request throughput and per-request
-// allocation under concurrent load, pooled runtime vs classic
-// build-from-scratch execution. scripts/loadbench.sh records it as
+// allocation under concurrent load, warm pooled solvers vs fresh
+// build-from-scratch execution (both on the shared scheduler). scripts/loadbench.sh records it as
 // BENCH_7.json; one op is one complete HTTP enumeration (request,
 // streamed cubes, summary trailer), fired from loadClients concurrent
 // client goroutines so pooled solvers are contended the way a real
@@ -53,8 +53,8 @@ func BenchmarkServerLoad(b *testing.B) {
 		// AdmissionWait keeps saturated requests queued instead of 429ing,
 		// so every op measures a completed enumeration in both modes.
 		{"pooled", Config{MaxConcurrent: 8, AdmissionWait: 30 * time.Second}},
-		{"classic", Config{MaxConcurrent: 8, AdmissionWait: 30 * time.Second,
-			PoolBytes: -1, SchedWorkers: -1}},
+		{"fresh", Config{MaxConcurrent: 8, AdmissionWait: 30 * time.Second,
+			PoolBytes: -1}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			srv := New(mode.cfg)

@@ -2,7 +2,8 @@ package server
 
 // Tests for the pooled-runtime serving features: the admission wait
 // queue, per-tenant fences, the fence-spec parser, pprof gating, and
-// end-to-end equivalence of pooled vs classic request execution.
+// end-to-end equivalence of pooled vs fresh-construction request
+// execution.
 
 import (
 	"bufio"
@@ -13,7 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
+	"allsatpre/internal/circuit"
+	"allsatpre/internal/cube"
+	"allsatpre/internal/gen"
+	"allsatpre/internal/preimage"
 	"allsatpre/internal/stats"
 )
 
@@ -209,8 +215,8 @@ func TestPprofGatedByConfig(t *testing.T) {
 }
 
 // TestPooledServerEquivalentStreams: the same request sequence against a
-// pooled server (warm free-list + shared scheduler, the defaults) and a
-// classic server (both disabled) must produce identical NDJSON cube
+// pooled server (warm free-list, the default) and a fresh-construction
+// server (free-list disabled) must produce identical NDJSON cube
 // sequences — and the pooled server must actually hit its warm pool on
 // repeat requests. Multi-worker iterator streams arrive in scheduling
 // order (see allsat.ParallelIterator), so for them the contract is the
@@ -219,12 +225,13 @@ func TestPprofGatedByConfig(t *testing.T) {
 func TestPooledServerEquivalentStreams(t *testing.T) {
 	regPooled := stats.NewRegistry("pooled")
 	pooled := New(Config{MaxConcurrent: 4, Stats: regPooled})
-	classic := New(Config{MaxConcurrent: 4, PoolBytes: -1, SchedWorkers: -1})
+	fresh := New(Config{MaxConcurrent: 4, PoolBytes: -1})
 	tsPooled := httptest.NewServer(pooled.Handler())
 	defer tsPooled.Close()
 	defer pooled.Close()
-	tsClassic := httptest.NewServer(classic.Handler())
-	defer tsClassic.Close()
+	tsFresh := httptest.NewServer(fresh.Handler())
+	defer tsFresh.Close()
+	defer fresh.Close()
 
 	dimacs := "p cnf 6 3\n1 2 3 0\n-1 4 0\n2 -5 6 0\n"
 	stream := func(base, query string) []string {
@@ -264,12 +271,12 @@ func TestPooledServerEquivalentStreams(t *testing.T) {
 	} {
 		for rep := 0; rep < 2; rep++ { // second pass runs on warm state
 			got := stream(tsPooled.URL, tc.query)
-			want := stream(tsClassic.URL, tc.query)
+			want := stream(tsFresh.URL, tc.query)
 			if tc.unordered {
 				got, want = sortedUnique(t, tc.query, got), sortedUnique(t, tc.query, want)
 			}
 			if strings.Join(got, "|") != strings.Join(want, "|") {
-				t.Fatalf("%s rep %d: pooled stream differs from classic\npooled:  %v\nclassic: %v",
+				t.Fatalf("%s rep %d: pooled stream differs from fresh\npooled: %v\nfresh:  %v",
 					tc.query, rep, got, want)
 			}
 			if tc.disjoint {
@@ -313,5 +320,63 @@ func requireDisjoint(t *testing.T, tag string, cubes []string) {
 				t.Fatalf("%s: cubes %s and %s overlap", tag, a, b)
 			}
 		}
+	}
+}
+
+// TestPreimageBDDWorkersJoinScheduler: the parallel BDD preimage submits
+// its slices to the server's shared scheduler (visible as growth of the
+// runtime.sched-jobs counter), and its cover denotes the same state set,
+// with the same count, as the one-worker response. (The slice covers are
+// unioned and reduced, not re-extracted as one ISOP, so the cube lists
+// differ.)
+func TestPreimageBDDWorkersJoinScheduler(t *testing.T) {
+	reg := stats.NewRegistry("bdd-sched")
+	srv := New(Config{MaxConcurrent: 2, MaxWorkers: 4, Stats: reg})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	c := gen.SLike(gen.SLikeParams{Seed: 3, Inputs: 4, Latches: 6, Gates: 60})
+	ss := preimage.StateSpace(c)
+	m := bdd.NewOrdered(ss.Vars())
+	bench := circuit.BenchString(c)
+	stream := func(workers string) (bdd.Ref, string) {
+		resp, err := http.Post(ts.URL+"/v1/preimage?engine=bdd&target=XX1XX0&workers="+workers,
+			"text/plain", strings.NewReader(bench))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("workers=%s: status %d", workers, resp.StatusCode)
+		}
+		cover := cube.NewCover(ss)
+		sc := bufio.NewScanner(resp.Body)
+		for {
+			ev := decodeLine(t, sc)
+			switch ev.Type {
+			case "cube":
+				cover.Add(ss.CubeOf(ev.Cube))
+			case "summary":
+				if ev.Truncated {
+					t.Fatalf("workers=%s: truncated (%s)", workers, ev.Reason)
+				}
+				return m.FromCover(cover), ev.Count
+			}
+		}
+	}
+
+	want, wantCount := stream("1")
+	if want == bdd.False {
+		t.Fatal("empty preimage; pick another target")
+	}
+	before := reg.Counter("runtime.sched-jobs").Load()
+	got, gotCount := stream("4")
+	if after := reg.Counter("runtime.sched-jobs").Load(); after <= before {
+		t.Fatalf("runtime.sched-jobs did not grow (%d -> %d): the slices bypassed the shared scheduler",
+			before, after)
+	}
+	if got != want || gotCount != wantCount {
+		t.Fatalf("workers=4 state set (count %s) differs from workers=1 (count %s)", gotCount, wantCount)
 	}
 }

@@ -3,12 +3,13 @@
 #
 # Runs BenchmarkServerLoad (internal/server): >=64 complete HTTP
 # enumerations per mode, fired from >=8 concurrent client goroutines,
-# pooled runtime vs classic build-from-scratch execution. Converts the
-# output into a BENCH_*.json document via cmd/benchjson and prints the
-# pooled/classic throughput and allocation ratios.
+# warm pooled solvers vs fresh build-from-scratch execution (both modes
+# run their jobs on the shared scheduler). Converts the output into a
+# BENCH_*.json document via cmd/benchjson and prints the pooled/fresh
+# throughput and allocation ratios.
 #
 # The PR gate for the pooled runtime is: pooled >=1.3x requests/sec OR
-# <=0.7x bytes allocated per request vs classic. The script computes both
+# <=0.7x bytes allocated per request vs fresh. The script computes both
 # and exits 3 if neither holds (the recording is still written, so a
 # failed gate leaves evidence).
 #
@@ -66,15 +67,15 @@ fi
 go run ./cmd/benchjson "$@" < "$TMP"
 echo "wrote $OUT"
 
-# Gate: mean pooled vs mean classic, from the raw bench lines.
+# Gate: mean pooled vs mean fresh, from the raw bench lines.
 awk '
 /^BenchmarkServerLoad\/pooled/  { pn += $3; pb += $5; pc++ }
-/^BenchmarkServerLoad\/classic/ { cn += $3; cb += $5; cc++ }
+/^BenchmarkServerLoad\/fresh/   { fn += $3; fb += $5; fc++ }
 END {
-    if (pc == 0 || cc == 0) { print "loadbench.sh: missing bench lines"; exit 3 }
-    tput = (cn / cc) / (pn / pc)      # classic ns / pooled ns = pooled speedup
-    alloc = (pb / pc) / (cb / cc)     # pooled bytes / classic bytes
-    printf "loadbench.sh: pooled throughput %.2fx classic, %.2fx bytes/request\n", tput, alloc
+    if (pc == 0 || fc == 0) { print "loadbench.sh: missing bench lines"; exit 3 }
+    tput = (fn / fc) / (pn / pc)      # fresh ns / pooled ns = pooled speedup
+    alloc = (pb / pc) / (fb / fc)     # pooled bytes / fresh bytes
+    printf "loadbench.sh: pooled throughput %.2fx fresh, %.2fx bytes/request\n", tput, alloc
     if (tput >= 1.3 || alloc <= 0.7) { print "loadbench.sh: gate PASS (>=1.3x throughput or <=0.7x bytes/request)" }
     else { print "loadbench.sh: gate FAIL (need >=1.3x throughput or <=0.7x bytes/request)"; exit 3 }
 }' "$TMP"

@@ -14,6 +14,11 @@ go test -race -short ./...
 # thread and with real preemption under the race detector.
 GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness' ./internal/preimage/
 GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness' ./internal/preimage/
+# Every fan-out runs as runtime.Group jobs on a scheduler: the pool, the
+# incremental sessions and the parallel BMC sweep must hold pinned and
+# preempted alike.
+GOMAXPROCS=1 go test -count=1 ./internal/pool/ ./internal/incr/ ./internal/bmc/
+GOMAXPROCS=4 go test -count=1 -race ./internal/pool/ ./internal/incr/ ./internal/bmc/
 # The simplify equivalence suite is the CI gate for the preprocessor: if
 # -simplify changes any engine's enumerated state set on the determinism
 # circuits, this fails the build. Run it pinned and preempted like the
@@ -21,7 +26,7 @@ GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness' ./interna
 GOMAXPROCS=1 go test -run 'TestSimplify' ./internal/preimage/
 GOMAXPROCS=4 go test -race -run 'TestSimplify' ./internal/preimage/
 # Multi-worker streams arrive in scheduling order; the server's
-# pooled-vs-classic stream equivalence and the allsat parallel suites
+# pooled-vs-fresh stream equivalence and the allsat parallel suites
 # must hold on one thread and under real preemption alike, so a failure
 # that only shows on multi-core hosts fails here on any runner.
 GOMAXPROCS=1 go test -count=1 -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify' ./internal/server/
@@ -32,7 +37,7 @@ go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -be
 go test -run '^$' -bench '^BenchmarkRun$' -benchtime=1x -benchmem ./internal/simplify/
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
-# in the pooled-vs-classic server benchmark without paying for 64x2 runs.
+# in the pooled-vs-fresh server benchmark without paying for 64x2 runs.
 go test -run '^$' -bench ServerLoad -benchtime=1x -benchmem ./internal/server/
 
 # Service smoke test: boot cmd/serve on a random port, stream a small
