@@ -16,6 +16,7 @@ import (
 
 	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
+	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
 	"allsatpre/internal/preimage"
@@ -74,7 +75,10 @@ type Result struct {
 type Checker struct {
 	c   *circuit.Circuit
 	enc *tseitin.Encoding
-	s   *sat.Solver
+	// frame is the transition logic each unrolled frame instantiates,
+	// over enc's variables.
+	frame *cnf.Formula
+	s     *sat.Solver
 
 	// frameState[k] holds the state variables of frame k; frameInput[k]
 	// the input variables of frame k (frames 0..unrolled-1 exist).
@@ -105,20 +109,20 @@ func NewOpts(c *circuit.Circuit, init, bad *cube.Cover, opts Options) (*Checker,
 	if err != nil {
 		return nil, err
 	}
+	// Each frame instantiates the next-state cone: the rest of the netlist
+	// never constrains a state or an input.
+	frame := &cnf.Formula{NumVars: enc.F.NumVars, Clauses: enc.NextStateCone()}
 	if opts.Simplify.Enabled(true) {
 		// EncodeCached returns a shared, memoized encoding — simplify a
 		// private copy, never the cache entry other checkers see.
-		f := enc.F.Clone()
-		simplify.RunFrozen(f, enc.StateVars, enc.InputVars, enc.NextStateVars)
-		e2 := *enc
-		e2.F = f
-		enc = &e2
+		frame = frame.Clone()
+		simplify.RunFrozen(frame, enc.StateVars, enc.InputVars, enc.NextStateVars)
 	}
 	satOpts := opts.SAT
 	if satOpts.Budget.IsZero() {
 		satOpts.Budget = opts.Budget.Materialize()
 	}
-	ck := &Checker{c: c, enc: enc, s: sat.New(satOpts), init: init, bad: bad}
+	ck := &Checker{c: c, enc: enc, frame: frame, s: sat.New(satOpts), init: init, bad: bad}
 
 	// Frame 0 state variables are fresh solver variables constrained to
 	// the initial cover.
@@ -165,18 +169,18 @@ func (ck *Checker) ensureFrames(frames int) {
 		// v of the encoding maps to base+v in the solver, except the
 		// state variables, which alias frame k's state vector.
 		base := ck.s.NumVars()
-		mapVar := make([]lit.Var, ck.enc.F.NumVars)
-		for v := 0; v < ck.enc.F.NumVars; v++ {
+		mapVar := make([]lit.Var, ck.frame.NumVars)
+		for v := 0; v < ck.frame.NumVars; v++ {
 			mapVar[v] = lit.Var(base + v)
 		}
 		for i, sv := range ck.enc.StateVars {
 			mapVar[sv] = ck.frameState[k][i]
 		}
-		ck.s.EnsureVars(base + ck.enc.F.NumVars)
+		ck.s.EnsureVars(base + ck.frame.NumVars)
 		remap := func(l lit.Lit) lit.Lit {
 			return lit.New(mapVar[l.Var()], l.Sign())
 		}
-		for _, cl := range ck.enc.F.Clauses {
+		for _, cl := range ck.frame.Clauses {
 			lits := make([]lit.Lit, len(cl))
 			for i, l := range cl {
 				lits[i] = remap(l)

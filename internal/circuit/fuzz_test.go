@@ -5,21 +5,23 @@ import (
 	"testing"
 )
 
+// BenchFuzzSeeds is the seed corpus of the BENCH parser fuzz targets.
+var BenchFuzzSeeds = []string{
+	"INPUT(a)\nOUTPUT(f)\nf = NOT(a)\n",
+	"# comment\nINPUT(x)\nq = DFF(d)\nd = AND(x, q)\nOUTPUT(q)\n",
+	"INPUT(a)\nINPUT(b)\nz = XOR(a, b)\nOUTPUT(z)\n",
+	"g = CONST1()\nOUTPUT(g)\n",
+	"INPUT(a)\nf = NAND(a, a, a)\nOUTPUT(f)\n",
+	"INPUT(a)\nf = AND(a\n", // malformed
+	"OUTPUT(zz)\n",          // undefined
+	"f == AND(a)\n",         // junk
+	strings.Repeat("INPUT(a)\n", 3),
+}
+
 // FuzzParseBench checks the BENCH parser never panics and that anything
 // it accepts survives a write/re-parse round trip.
 func FuzzParseBench(f *testing.F) {
-	seeds := []string{
-		"INPUT(a)\nOUTPUT(f)\nf = NOT(a)\n",
-		"# comment\nINPUT(x)\nq = DFF(d)\nd = AND(x, q)\nOUTPUT(q)\n",
-		"INPUT(a)\nINPUT(b)\nz = XOR(a, b)\nOUTPUT(z)\n",
-		"g = CONST1()\nOUTPUT(g)\n",
-		"INPUT(a)\nf = NAND(a, a, a)\nOUTPUT(f)\n",
-		"INPUT(a)\nf = AND(a\n", // malformed
-		"OUTPUT(zz)\n",          // undefined
-		"f == AND(a)\n",         // junk
-		strings.Repeat("INPUT(a)\n", 3),
-	}
-	for _, s := range seeds {
+	for _, s := range BenchFuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

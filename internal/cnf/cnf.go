@@ -129,11 +129,21 @@ func (f *Formula) AddClause(c Clause) {
 	f.Clauses = append(f.Clauses, c)
 }
 
-// Clone returns a deep copy of the formula.
+// Clone returns a deep copy of the formula. The copy's clauses share one
+// literal arena and are capped, so appending to one never writes into
+// another.
 func (f *Formula) Clone() *Formula {
+	n := 0
+	for _, c := range f.Clauses {
+		n += len(c)
+	}
+	lits := make([]lit.Lit, n)
 	g := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, len(f.Clauses))}
+	off := 0
 	for i, c := range f.Clauses {
-		g.Clauses[i] = c.Clone()
+		end := off + copy(lits[off:], c)
+		g.Clauses[i] = lits[off:end:end]
+		off = end
 	}
 	return g
 }

@@ -49,7 +49,8 @@ func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) 
 		state0[i] = f.NewVar()
 	}
 
-	// Unroll k frames of the transition logic.
+	// Unroll k frames of the transition logic: the next-state cone, the
+	// only part of the netlist that constrains a state.
 	frameState := [][]lit.Var{state0}
 	cur := state0
 	for frame := 0; frame < k; frame++ {
@@ -62,7 +63,7 @@ func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) 
 			mapVar[sv] = cur[i]
 		}
 		f.NumVars = base + enc.F.NumVars
-		for _, cl := range enc.F.Clauses {
+		for _, cl := range enc.NextStateCone() {
 			lits := make([]lit.Lit, len(cl))
 			for i, l := range cl {
 				lits[i] = lit.New(mapVar[l.Var()], l.Sign())

@@ -257,11 +257,11 @@ func Compute(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, err
 // applySimplify preprocesses f in place when opts.Simplify resolves to
 // enabled, freezing the projection variables so the projected solution
 // set — and therefore every engine's cover — is unchanged. Every caller
-// passes an instance-local formula (trans.NewInstance clones the cached
-// encoding; KStepPreimage builds a private unrolling), so mutating in
-// place is safe. The decision is made once at this layer: both the local
-// mode and the nested allsat mode are flipped to Off so inner layers
-// never re-run (or independently enable) the pass.
+// passes an instance-local formula (trans.NewInstance copies the cached
+// encoding's cone clauses; KStepPreimage builds a private unrolling), so
+// mutating in place is safe. The decision is made once at this layer:
+// both the local mode and the nested allsat mode are flipped to Off so
+// inner layers never re-run (or independently enable) the pass.
 func applySimplify(f *cnf.Formula, projSpace *cube.Space, opts *Options) simplify.Stats {
 	enabled := opts.Simplify.Enabled(true)
 	opts.Simplify = simplify.Off

@@ -12,6 +12,7 @@ import (
 	"allsatpre/internal/gen"
 	"allsatpre/internal/lit"
 	"allsatpre/internal/trans"
+	"allsatpre/internal/tseitin"
 )
 
 // The golden digests pin Run's exact output — the rebuilt clause list,
@@ -33,7 +34,10 @@ type goldenCase struct {
 
 // goldenSLike builds the preimage CNFs of 64 seeded SLike circuits (8
 // inputs, 10 latches, 200 gates), each with a seeded two-pattern target,
-// frozen on the instance's full (state and input) projection space.
+// frozen on the instance's full (state and input) projection space. The
+// CNF is the full-netlist Tseitin encoding plus the selector encoding of
+// the target, as preimage instances were built before they carried only
+// the next-state cone, so the population stays byte-identical.
 func goldenSLike(tb testing.TB) []goldenCase {
 	var out []goldenCase
 	for k := 0; k < 64; k++ {
@@ -47,15 +51,28 @@ func goldenSLike(tb testing.TB) []goldenCase {
 			}
 			pats = append(pats, string(b))
 		}
-		inst, err := trans.NewInstance(c, trans.TargetFromPatterns(10, pats...))
+		enc, err := tseitin.Encode(c)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		frozen := make([]bool, inst.F.NumVars)
-		for _, v := range inst.FullSpace.Vars() {
+		f := enc.F.Clone()
+		// sel_i → (next-state literals of cube i), sel_1 ∨ … ∨ sel_k.
+		var any []lit.Lit
+		for _, cb := range trans.TargetFromPatterns(10, pats...).Cubes() {
+			sel := f.NewVar()
+			any = append(any, lit.Pos(sel))
+			for pos, t := range cb {
+				if t != lit.Unknown {
+					f.Add(lit.Neg(sel), lit.New(enc.NextStateVars[pos], t == lit.False))
+				}
+			}
+		}
+		f.Add(any...)
+		frozen := make([]bool, f.NumVars)
+		for _, v := range append(append([]lit.Var(nil), enc.StateVars...), enc.InputVars...) {
 			frozen[v] = true
 		}
-		out = append(out, goldenCase{f: inst.F, frozen: frozen})
+		out = append(out, goldenCase{f: f, frozen: frozen})
 	}
 	return out
 }

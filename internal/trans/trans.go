@@ -17,10 +17,14 @@ import (
 
 // Instance is a ready-to-enumerate preimage problem.
 //
-// The CNF F is satisfiable exactly by the consistent circuit valuations
-// (s, x, internals) whose next state lies in the target set. The preimage
-// is the projection of F's models onto StateVars (or onto StateVars ∪
-// InputVars when the input word is wanted too).
+// The CNF F encodes T = ∏_i (s'_i ≡ δ_i(s, x)) conjoined with the target:
+// it carries the Tseitin clauses of the next-state cone only (see
+// tseitin.Encoding.NextStateCone), so its models projected onto (s, x)
+// are exactly the (state, input) pairs whose next state lies in the
+// target set. The preimage is the projection of F's models onto
+// StateVars (or onto StateVars ∪ InputVars when the input word is wanted
+// too). Variable ids are the encoding's; the variables of gates outside
+// the cone occur in no clause.
 type Instance struct {
 	// F is the constraint CNF.
 	F *cnf.Formula
@@ -38,9 +42,10 @@ type Instance struct {
 	SelectorVars []lit.Var
 }
 
-// NewBaseInstance builds an instance carrying the circuit's Tseitin CNF
-// with no target constraint: F is a private clone of the (cached)
-// encoding, every consistent circuit valuation satisfies it. Callers add
+// NewBaseInstance builds an instance carrying the Tseitin CNF of the
+// circuit's next-state cone with no target constraint: F is a private
+// copy of the (cached) encoding's cone clauses in one literal arena, and
+// every consistent valuation of the cone satisfies it. Callers add
 // the target themselves — either as plain clauses or, for incremental
 // sessions, as activation-gated clause groups built with Retarget /
 // RetargetInit.
@@ -50,7 +55,7 @@ func NewBaseInstance(c *circuit.Circuit) (*Instance, error) {
 		return nil, err
 	}
 	inst := &Instance{
-		F:         enc.F.Clone(),
+		F:         (&cnf.Formula{NumVars: enc.F.NumVars, Clauses: enc.NextStateCone()}).Clone(),
 		Enc:       enc,
 		StateVars: enc.StateVars,
 		InputVars: enc.InputVars,

@@ -31,8 +31,9 @@ type encodeCacheEntry struct {
 // so callers must not mutate a circuit after encoding it (the rest of
 // the pipeline already assumes frozen circuits).
 //
-// The returned Encoding is shared: treat it — including Enc.F — as
-// immutable. Clone F before adding clauses (NewInstance does).
+// The returned Encoding is shared: treat it — including Enc.F and the
+// NextStateCone clauses — as immutable. Copy the clauses before adding
+// to them (trans.NewInstance does).
 func EncodeCached(c *circuit.Circuit) (*Encoding, error) {
 	encodeCacheMu.Lock()
 	for i := range encodeCache {

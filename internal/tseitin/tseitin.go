@@ -33,7 +33,11 @@ type Encoding struct {
 	// OutputVars are the variables of the primary outputs.
 	OutputVars []lit.Var
 
-	c *circuit.Circuit
+	// clauseStart[i] is the index in F.Clauses of gate i's first clause;
+	// the last entry is len(F.Clauses).
+	clauseStart []int
+	cone        []cnf.Clause // see NextStateCone
+	c           *circuit.Circuit
 }
 
 // Circuit returns the encoded circuit.
@@ -42,22 +46,35 @@ func (e *Encoding) Circuit() *circuit.Circuit { return e.c }
 // Encode builds the Tseitin CNF of the circuit's combinational logic.
 // Primary inputs and latch outputs (present-state variables) are
 // unconstrained; DFF gates themselves contribute no clauses — their D
-// fanin's variable is reported in NextStateVars.
+// fanin's variable is reported in NextStateVars. Clauses come in gate
+// order and share one literal arena.
 func Encode(c *circuit.Circuit) (*Encoding, error) {
 	if _, err := c.TopoOrder(); err != nil {
 		return nil, err
 	}
+	n := c.NumGates()
 	e := &Encoding{
-		F:      cnf.New(c.NumGates()),
-		VarOf:  make([]lit.Var, c.NumGates()),
-		GateOf: make([]int, c.NumGates()),
-		c:      c,
+		VarOf:       make([]lit.Var, n),
+		GateOf:      make([]int, n),
+		clauseStart: make([]int, n+1),
+		c:           c,
 	}
 	for i := range c.Gates {
 		e.VarOf[i] = lit.Var(i)
 		e.GateOf[i] = i
 	}
+	// Every gate with k fanins yields at most 2k+1 clauses of 6k+1
+	// literals in all (XOR: 4 clauses, 12 literals).
+	fanins := 0
+	for _, g := range c.Gates {
+		fanins += len(g.Fanins)
+	}
+	buf := clauseBuf{
+		lits: make([]lit.Lit, 0, 6*fanins+n),
+		ends: make([]int, 0, 2*fanins+n),
+	}
 	for i, g := range c.Gates {
+		e.clauseStart[i] = len(buf.ends)
 		z := lit.Pos(e.VarOf[i])
 		nz := z.Not()
 		fan := func(k int) lit.Lit { return lit.Pos(e.VarOf[g.Fanins[k]]) }
@@ -65,41 +82,43 @@ func Encode(c *circuit.Circuit) (*Encoding, error) {
 		case circuit.Input, circuit.DFF:
 			// free variables
 		case circuit.Const0:
-			e.F.Add(nz)
+			buf.add(nz)
 		case circuit.Const1:
-			e.F.Add(z)
+			buf.add(z)
 		case circuit.Buf:
 			a := fan(0)
-			e.F.Add(nz, a)
-			e.F.Add(z, a.Not())
+			buf.add(nz, a)
+			buf.add(z, a.Not())
 		case circuit.Not:
 			a := fan(0)
-			e.F.Add(nz, a.Not())
-			e.F.Add(z, a)
+			buf.add(nz, a.Not())
+			buf.add(z, a)
 		case circuit.And, circuit.Nand:
 			out, nout := z, nz
 			if g.Type == circuit.Nand {
 				out, nout = nz, z
 			}
-			big := make([]lit.Lit, 0, len(g.Fanins)+1)
-			big = append(big, out)
 			for k := range g.Fanins {
-				e.F.Add(nout, fan(k))
-				big = append(big, fan(k).Not())
+				buf.add(nout, fan(k))
 			}
-			e.F.Add(big...)
+			buf.lits = append(buf.lits, out)
+			for k := range g.Fanins {
+				buf.lits = append(buf.lits, fan(k).Not())
+			}
+			buf.end()
 		case circuit.Or, circuit.Nor:
 			out, nout := z, nz
 			if g.Type == circuit.Nor {
 				out, nout = nz, z
 			}
-			big := make([]lit.Lit, 0, len(g.Fanins)+1)
-			big = append(big, nout)
 			for k := range g.Fanins {
-				e.F.Add(out, fan(k).Not())
-				big = append(big, fan(k))
+				buf.add(out, fan(k).Not())
 			}
-			e.F.Add(big...)
+			buf.lits = append(buf.lits, nout)
+			for k := range g.Fanins {
+				buf.lits = append(buf.lits, fan(k))
+			}
+			buf.end()
 		case circuit.Xor, circuit.Xnor:
 			a, b := fan(0), fan(1)
 			out := z
@@ -108,14 +127,16 @@ func Encode(c *circuit.Circuit) (*Encoding, error) {
 			}
 			nout := out.Not()
 			// out ≡ a ⊕ b
-			e.F.Add(nout, a, b)
-			e.F.Add(nout, a.Not(), b.Not())
-			e.F.Add(out, a.Not(), b)
-			e.F.Add(out, a, b.Not())
+			buf.add(nout, a, b)
+			buf.add(nout, a.Not(), b.Not())
+			buf.add(out, a.Not(), b)
+			buf.add(out, a, b.Not())
 		default:
 			return nil, fmt.Errorf("tseitin: unsupported gate type %v", g.Type)
 		}
 	}
+	e.clauseStart[n] = len(buf.ends)
+	e.F = &cnf.Formula{NumVars: n, Clauses: buf.clauses()}
 	for _, i := range c.Inputs {
 		e.InputVars = append(e.InputVars, e.VarOf[i])
 	}
@@ -126,5 +147,87 @@ func Encode(c *circuit.Circuit) (*Encoding, error) {
 	for _, i := range c.Outputs {
 		e.OutputVars = append(e.OutputVars, e.VarOf[i])
 	}
+	e.cone = e.nextStateCone()
 	return e, nil
+}
+
+// clauseBuf collects clauses into one literal arena: ends[j] is the end
+// offset of clause j in lits.
+type clauseBuf struct {
+	lits []lit.Lit
+	ends []int
+}
+
+// add appends the clause ls.
+func (b *clauseBuf) add(ls ...lit.Lit) {
+	b.lits = append(b.lits, ls...)
+	b.end()
+}
+
+// end closes the clause made of the literals appended since the last one.
+func (b *clauseBuf) end() { b.ends = append(b.ends, len(b.lits)) }
+
+// clauses slices the arena into capped clauses.
+func (b *clauseBuf) clauses() []cnf.Clause {
+	if len(b.ends) == 0 {
+		return nil
+	}
+	out := make([]cnf.Clause, len(b.ends))
+	lo := 0
+	for j, hi := range b.ends {
+		out[j] = cnf.Clause(b.lits[lo:hi:hi])
+		lo = hi
+	}
+	return out
+}
+
+// GateClauses returns gate i's clauses, a sub-slice of F.Clauses.
+func (e *Encoding) GateClauses(i int) []cnf.Clause {
+	return e.F.Clauses[e.clauseStart[i]:e.clauseStart[i+1]]
+}
+
+// NextStateCone returns the clauses of the next-state cone in gate
+// order: the gates in the combinational fanin of the latch D signals,
+// stopping at inputs and latches. The clauses are F's own; treat them as
+// immutable.
+//
+// Every other gate is functionally defined by its fanins, so for every
+// assignment of the cone's variables its clauses have a model. Dropping
+// them is therefore exactly existential quantification of their
+// variables: the cone's models projected on (s, x, s') are F's. Variable
+// ids stay those of F.
+func (e *Encoding) NextStateCone() []cnf.Clause { return e.cone }
+
+// nextStateCone collects the next-state cone's clauses.
+func (e *Encoding) nextStateCone() []cnf.Clause {
+	gates := e.c.Gates
+	in := make([]bool, len(gates))
+	var stack []int
+	for _, l := range e.c.Latches {
+		stack = append(stack, gates[l].Fanins[0])
+	}
+	for len(stack) > 0 {
+		g := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if in[g] {
+			continue
+		}
+		in[g] = true
+		if t := gates[g].Type; t != circuit.Input && t != circuit.DFF {
+			stack = append(stack, gates[g].Fanins...)
+		}
+	}
+	size := 0
+	for g := range gates {
+		if in[g] {
+			size += e.clauseStart[g+1] - e.clauseStart[g]
+		}
+	}
+	cone := make([]cnf.Clause, 0, size)
+	for g := range gates {
+		if in[g] {
+			cone = append(cone, e.GateClauses(g)...)
+		}
+	}
+	return cone
 }

@@ -35,6 +35,11 @@ GOMAXPROCS=1 go test -count=1 -run 'Parallel|TestDisjointCountMatchesBDD|TestDis
 GOMAXPROCS=4 go test -count=1 -race -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
 go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -benchtime=1x -benchmem .
 go test -run '^$' -bench '^BenchmarkRun$' -benchtime=1x -benchmem ./internal/simplify/
+go test -run '^$' -bench '^BenchmarkParseBench$' -benchtime=1x -benchmem ./internal/circuit/
+go test -run '^$' -bench '^BenchmarkNewInstance$' -benchtime=1x -benchmem ./internal/trans/
+# The one-pass BENCH parser must match the reference parser on every
+# input: a short fuzzing run past the seed corpus that go test covers.
+go test -run '^$' -fuzz '^FuzzParseBenchDifferential$' -fuzztime=5000x ./internal/circuit/
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
 # in the pooled-vs-fresh server benchmark without paying for 64x2 runs.
