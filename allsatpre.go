@@ -340,11 +340,6 @@ type DimacsOptions struct {
 	// Proj lists 1-based DIMACS projection variables; nil uses the file's
 	// "c proj" line, or all variables.
 	Proj []int
-	// Preprocess applies model-preserving CNF reductions (subsumption,
-	// self-subsuming resolution, unit propagation) before enumeration.
-	// Unlike Simplify it never eliminates variables, so total models are
-	// preserved, not just the projection.
-	Preprocess bool
 	// Simplify controls the projection-safe preprocessing pass
 	// (internal/simplify): non-projection variables may be resolved away
 	// entirely — the enumerated projected cover is unchanged, but models
@@ -353,12 +348,10 @@ type DimacsOptions struct {
 	Simplify SimplifyMode
 	// Budget bounds the enumeration; a tripped limit yields a partial
 	// cover with Aborted set on the result (sound under-approximation).
+	// Budget.MaxCubes caps the cubes of the blocking, lifting and
+	// disjoint engines; the success-driven engine builds a BDD rather
+	// than cubes and is bounded by the Budget's other limits.
 	Budget Budget
-	// MaxCubes caps the number of cubes enumerated by the blocking and
-	// lifting engines (0 = unlimited); the tighter of this and
-	// Budget.MaxCubes wins. The success-driven engine builds a BDD
-	// rather than cubes and is bounded by the Budget instead.
-	MaxCubes int
 	// Workers > 1 enumerates in parallel over guiding-path subcubes: the
 	// success-driven engine uses the parallel pool (internal/pool),
 	// the blocking/lifting engines per-subcube solvers. The result
@@ -382,16 +375,6 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 	f, fileProj, err := cnf.ParseDimacs(r)
 	if err != nil {
 		return nil, err
-	}
-	if o.Preprocess {
-		nVars := f.NumVars
-		if pres := cnf.Preprocess(f); pres.Unsat {
-			// Leave the contradiction for the enumerators to report as an
-			// empty result uniformly.
-			f = cnf.New(nVars)
-			f.AddClause(cnf.Clause{})
-		}
-		f.NumVars = nVars // reductions never add variables
 	}
 	var proj []lit.Var
 	switch {
@@ -422,7 +405,6 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 	bud := o.Budget.Materialize()
 	asOpts := allsat.Options{
 		Budget:   bud,
-		MaxCubes: uint64(o.MaxCubes),
 		Workers:  o.Workers,
 		Simplify: simplify.Off,
 	}

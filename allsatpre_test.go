@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"allsatpre/internal/allsat"
 )
 
 func TestLoadBenchAndPreimage(t *testing.T) {
@@ -151,36 +153,29 @@ func TestEnumerateDimacs(t *testing.T) {
 	}
 }
 
+// TestEnumerateDimacsPreprocess runs every DIMACS engine, with and
+// without the projection-safe simplifier, over a subsumed clause plus an
+// implied unit and over a contradiction: simplifying must not change the
+// projected set, and the contradiction must give an empty, un-aborted
+// result.
 func TestEnumerateDimacsPreprocess(t *testing.T) {
-	// Subsumed clause plus implied unit: preprocessing must not change
-	// the projected solution set.
-	src := "c proj 1 2 3\np cnf 4 4\n1 2 0\n1 2 3 0\n4 0\n-4 1 0\n"
-	plain, err := EnumerateDimacs(strings.NewReader(src), EngineSuccessDriven, nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, src string
+		count     int64
+	}{
+		// x1 is implied through x4; (1 2 3) is subsumed by (1 2).
+		{"subsumed", "c proj 1 2 3\np cnf 4 4\n1 2 0\n1 2 3 0\n4 0\n-4 1 0\n", 4},
+		{"unsat", "p cnf 1 2\n1 0\n-1 0\n", 0},
 	}
-	pre, err := EnumerateDimacsOpts(strings.NewReader(src), DimacsOptions{
-		Engine: EngineSuccessDriven, Preprocess: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Count.Cmp(pre.Count) != 0 {
-		t.Fatalf("preprocessing changed the count: %v vs %v", plain.Count, pre.Count)
-	}
-	// A contradictory formula preprocesses to an empty result.
-	unsat := "p cnf 1 2\n1 0\n-1 0\n"
-	r, err := EnumerateDimacsOpts(strings.NewReader(unsat), DimacsOptions{
-		Engine: EngineBlocking, Preprocess: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Count.Sign() != 0 {
-		t.Fatal("UNSAT after preprocessing should have empty projection")
+	for _, tc := range cases {
+		checkDimacsAllEngines(t, tc.name, tc.src, tc.count)
 	}
 }
 
+// TestDimacsFixturesGolden runs every DIMACS engine, with and without
+// the projection-safe simplifier, over the fixture files. Every run must
+// report the known count and the same projected set; a one-cube cap must
+// truncate the cube engines loudly.
 func TestDimacsFixturesGolden(t *testing.T) {
 	cases := []struct {
 		file  string
@@ -194,13 +189,43 @@ func TestDimacsFixturesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range []Engine{EngineSuccessDriven, EngineBlocking, EngineLifting} {
-			r, err := EnumerateDimacs(strings.NewReader(string(data)), eng, nil)
+		src := string(data)
+		checkDimacsAllEngines(t, tc.file, src, tc.count)
+		for _, eng := range []Engine{EngineBlocking, EngineLifting, EngineDisjoint} {
+			r, err := EnumerateDimacsOpts(strings.NewReader(src), DimacsOptions{
+				Engine: eng, Budget: Budget{MaxCubes: 1},
+			})
 			if err != nil {
-				t.Fatalf("%s/%v: %v", tc.file, eng, err)
+				t.Fatal(err)
 			}
-			if r.Count.Cmp(big.NewInt(tc.count)) != 0 {
-				t.Fatalf("%s/%v: count %v, want %d", tc.file, eng, r.Count, tc.count)
+			if !r.Aborted || r.Reason != AbortCubes || r.Cover.Len() != 1 {
+				t.Fatalf("%s/%v: MaxCubes 1 gave aborted=%v reason=%v cubes=%d, want a 1-cube cube-limit abort",
+					tc.file, eng, r.Aborted, r.Reason, r.Cover.Len())
+			}
+		}
+	}
+}
+
+// checkDimacsAllEngines enumerates src with every DIMACS engine, with the
+// simplifier off and on, and fails unless each run is complete, counts
+// want and projects to the same set as the first.
+func checkDimacsAllEngines(t *testing.T, name, src string, want int64) {
+	t.Helper()
+	var ref *allsat.Result
+	for _, eng := range []Engine{EngineSuccessDriven, EngineBlocking, EngineLifting, EngineDisjoint} {
+		for _, smode := range []SimplifyMode{SimplifyOff, SimplifyOn} {
+			r, err := EnumerateDimacsOpts(strings.NewReader(src), DimacsOptions{Engine: eng, Simplify: smode})
+			if err != nil {
+				t.Fatalf("%s/%v/%v: %v", name, eng, smode, err)
+			}
+			if r.Aborted || r.Count.Cmp(big.NewInt(want)) != 0 {
+				t.Fatalf("%s/%v/%v: count %v (aborted %v), want %d",
+					name, eng, smode, r.Count, r.Aborted, want)
+			}
+			if ref == nil {
+				ref = r
+			} else if !r.Cover.Equal(ref.Cover) {
+				t.Fatalf("%s/%v/%v: projected set differs from %v", name, eng, smode, EngineSuccessDriven)
 			}
 		}
 	}

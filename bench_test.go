@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"testing"
 
-	"allsatpre/internal/allsat"
 	"allsatpre/internal/circuit"
 	"allsatpre/internal/core"
 	"allsatpre/internal/cube"
@@ -30,7 +29,7 @@ import (
 func cappedOpts(eng preimage.Engine) preimage.Options {
 	opts := preimage.Options{Engine: eng}
 	if eng == preimage.EngineBlocking || eng == preimage.EngineLifting {
-		opts.AllSAT = allsat.Options{MaxCubes: experiments.BlockingCubeCap}
+		opts.Budget.MaxCubes = experiments.BlockingCubeCap
 	}
 	return opts
 }

@@ -28,7 +28,6 @@ func main() {
 	projFlag := flag.String("proj", "", "comma-separated 1-based projection variables")
 	forgetFlag := flag.String("forget", "", "comma-separated 1-based variables to quantify out (projection = all others); the result is ∃forget.F as a cube cover")
 	showCubes := flag.Bool("cubes", false, "print the solution cubes")
-	pre := flag.Bool("pre", false, "preprocess (subsumption, strengthening) before enumerating")
 	simplifyFlag := genspec.AddSimplifyFlag(flag.CommandLine)
 	bf := genspec.AddBudgetFlags(flag.CommandLine)
 	flag.Parse()
@@ -111,8 +110,8 @@ func main() {
 
 	reg := bf.StatsRegistry("allsat")
 	res, err := allsatpre.EnumerateDimacsOpts(bytes.NewReader(data), allsatpre.DimacsOptions{
-		Engine: eng, Proj: proj, Preprocess: *pre, Simplify: smode,
-		Budget: bf.Budget(), MaxCubes: int(bf.MaxCubes), Workers: bf.Workers, Stats: reg,
+		Engine: eng, Proj: proj, Simplify: smode,
+		Budget: bf.Budget(), Workers: bf.Workers, Stats: reg,
 	})
 	if err != nil {
 		fatal(err)

@@ -93,8 +93,8 @@ type Result struct {
 	Cover *cube.Cover
 	// Count is the exact number of projected minterms.
 	Count *big.Int
-	// Aborted is true when a resource limit (MaxCubes, the solver's
-	// conflict cap, or the Budget) stopped enumeration early; Cover is
+	// Aborted is true when a Budget limit (the cube cap, the solver's
+	// conflict cap, a deadline) stopped enumeration early; Cover is
 	// then a subset of the projection — a sound under-approximation, never
 	// garbage. Reason says which limit tripped.
 	Aborted bool
@@ -105,19 +105,14 @@ type Result struct {
 
 // Options tunes the enumeration engines.
 type Options struct {
-	// MaxCubes bounds the number of enumerated cubes (0 = unlimited).
-	// The cap is exact for every worker count: a parallel run's merged
-	// cover contains exactly min(MaxCubes, |full cover|) cubes — workers
-	// claim cap slots atomically, so the cap is never overshot.
-	MaxCubes uint64
 	// SAT configures the underlying CDCL solver (zero value = defaults).
 	SAT sat.Options
-	// LiftOrder optionally overrides the greedy lifting order: it is the
-	// list of projection-space positions to try to free, first to last.
-	LiftOrder []int
 	// Budget imposes wall-clock/cancellation/cube limits across the whole
 	// enumeration loop (the SAT sub-budget in SAT.Budget applies per
-	// solver). The zero Budget is unbounded.
+	// solver). The zero Budget is unbounded. Budget.MaxCubes is exact for
+	// every worker count: a parallel run's merged cover contains exactly
+	// min(MaxCubes, |full cover|) cubes — workers claim cap slots
+	// atomically, so the cap is never overshot.
 	Budget budget.Budget
 	// Workers > 1 fans the enumeration out over guiding-path subcubes of
 	// the projection space, one fresh solver per subcube (see parallel.go).
@@ -127,16 +122,12 @@ type Options struct {
 	// Simplify controls projection-safe CNF preprocessing ahead of
 	// enumeration (internal/simplify): bounded elimination of auxiliary
 	// variables, subsumption, self-subsuming resolution, and top-level
-	// failed-literal probing, with the projection variables (plus Frozen)
-	// never eliminated — so the enumerated cover is identical with or
+	// failed-literal probing, with the projection variables never
+	// eliminated — so the enumerated cover is identical with or
 	// without it. Auto resolves to on for the Enumerate* entry points and
 	// the public iterators; pass Off when the input clause indices must
 	// stay stable (e.g. proof logging).
 	Simplify simplify.Mode
-	// Frozen names extra variables beyond the projection space that the
-	// simplifier must preserve: activation/selector literals, next-state
-	// variables a caller will constrain incrementally.
-	Frozen []lit.Var
 	// Runtime, when non-nil, attaches the pooled execution substrate:
 	// solvers and BDD managers come warm from Runtime.Pool (Reset instead
 	// of reconstructed — bit-identical results, pinned by the reuse
@@ -149,16 +140,16 @@ type Options struct {
 
 // maybeSimplify preprocesses f (on a clone — the caller's formula is
 // never mutated) when opts.Simplify resolves to enabled, freezing the
-// projection variables plus opts.Frozen. It flips opts.Simplify to Off so
-// inner layers (parallel fallback, per-worker iterators) never re-run the
-// pass on the already-simplified formula.
+// projection variables. It flips opts.Simplify to Off so inner layers
+// (parallel fallback, per-worker iterators) never re-run the pass on the
+// already-simplified formula.
 func maybeSimplify(f *cnf.Formula, space *cube.Space, opts *Options) (*cnf.Formula, simplify.Stats) {
 	if !opts.Simplify.Enabled(true) {
 		return f, simplify.Stats{}
 	}
 	opts.Simplify = simplify.Off
 	sf := f.Clone()
-	return sf, simplify.RunFrozen(sf, space.Vars(), opts.Frozen).Stats
+	return sf, simplify.RunFrozen(sf, space.Vars()).Stats
 }
 
 // countCover sets res.Count to the exact minterm count of res.Cover.
@@ -211,6 +202,19 @@ type cubeIterator interface {
 	Close()
 }
 
+// capReached reports whether an iterator that has emitted n cubes is at
+// its cube cap (0 = none). It records budget.Cubes as the stop reason
+// unless an earlier limit already ended the iteration.
+func capReached(maxCubes, n uint64, reason *budget.Reason) bool {
+	if maxCubes == 0 || n < maxCubes {
+		return false
+	}
+	if *reason == budget.None {
+		*reason = budget.Cubes
+	}
+	return true
+}
+
 func newKindIterator(f *cnf.Formula, space *cube.Space, opts Options, eng engineKind) cubeIterator {
 	if eng == engDisjoint {
 		return NewDisjointIterator(f, space, opts)
@@ -250,22 +254,12 @@ func enumerateSimplified(f *cnf.Formula, space *cube.Space, opts Options, eng en
 	if opts.Workers > 1 && space.Size() > 0 {
 		return enumerateParallel(f, space, opts, eng)
 	}
-	// Share the enumeration budget with the solver so a deadline or
-	// cancellation interrupts a long solver call, not just the loop
-	// between calls. An explicit solver budget wins (inside the iterator).
-	bud := opts.Budget.Materialize()
-	opts.Budget = bud
+	// The iterator enforces the whole budget: it shares it with the
+	// solver, so a deadline or cancellation interrupts a long solver
+	// call, and it stops at the cube cap.
 	res := &Result{Space: space, Cover: cube.NewCover(space)}
 	it := newKindIterator(f, space, opts, eng)
-
-	maxCubes := bud.MergeCubes(opts.MaxCubes)
-	var n uint64
 	for {
-		if maxCubes > 0 && n >= maxCubes {
-			res.Aborted = true
-			res.Reason = budget.Cubes
-			break
-		}
 		c, ok := it.Next()
 		if !ok {
 			if r := it.Reason(); r != budget.None {
@@ -277,7 +271,6 @@ func enumerateSimplified(f *cnf.Formula, space *cube.Space, opts Options, eng en
 			break
 		}
 		res.Cover.Add(c)
-		n++
 	}
 
 	res.Stats = it.Stats()
@@ -292,7 +285,6 @@ func enumerateSimplified(f *cnf.Formula, space *cube.Space, opts Options, eng en
 type modelLifter struct {
 	f     *cnf.Formula
 	space *cube.Space
-	order []int
 	// occ[l] lists clause indexes containing literal l.
 	occ [][]int
 	// satCnt[i] is the number of true literals of clause i under the
@@ -300,7 +292,7 @@ type modelLifter struct {
 	satCnt []int
 }
 
-func newModelLifter(f *cnf.Formula, space *cube.Space, order []int) *modelLifter {
+func newModelLifter(f *cnf.Formula, space *cube.Space) *modelLifter {
 	ml := &modelLifter{
 		f:      f,
 		space:  space,
@@ -312,15 +304,6 @@ func newModelLifter(f *cnf.Formula, space *cube.Space, order []int) *modelLifter
 			ml.occ[l] = append(ml.occ[l], ci)
 		}
 	}
-	if order == nil {
-		// Default: free positions from the last to the first, which for
-		// preimage instances frees primary inputs before state bits.
-		order = make([]int, space.Size())
-		for i := range order {
-			order[i] = space.Size() - 1 - i
-		}
-	}
-	ml.order = append([]int(nil), order...)
 	return ml
 }
 
@@ -338,7 +321,9 @@ func (ml *modelLifter) lift(model []bool) cube.Cube {
 		ml.satCnt[i] = n
 	}
 	out := ml.space.FromModel(model)
-	for _, pos := range ml.order {
+	// Free positions from the last to the first, which for preimage
+	// instances frees primary inputs before state bits.
+	for pos := ml.space.Size() - 1; pos >= 0; pos-- {
 		v := ml.space.Vars()[pos]
 		if int(v) >= len(model) {
 			out[pos] = lit.Unknown

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
@@ -197,7 +198,7 @@ func TestTautologyFullSpace(t *testing.T) {
 
 func TestMaxCubesAborts(t *testing.T) {
 	f := cnf.New(4) // tautology over 4 vars: 16 projections
-	r := EnumerateBlocking(f.Clone(), projSpace(0, 1, 2, 3), Options{MaxCubes: 3})
+	r := EnumerateBlocking(f.Clone(), projSpace(0, 1, 2, 3), Options{Budget: budget.Budget{MaxCubes: 3}})
 	if !r.Aborted {
 		t.Fatal("expected abort")
 	}
@@ -206,23 +207,15 @@ func TestMaxCubesAborts(t *testing.T) {
 	}
 }
 
-func TestLiftOrderOverride(t *testing.T) {
-	// f = (x0): projection over {x0, x1}. Lifting must free x1 whichever
-	// order is used; with explicit order listing only position 0 it must
-	// NOT free position 1... order lists positions to *try*, so listing
-	// only position 1 frees x1 but never x0.
+func TestLiftOrderLastToFirst(t *testing.T) {
+	// f = (x0 ∨ x1) under the model x0 = x1 = 1: either variable alone
+	// can be freed, not both. Lifting tries positions from the last to
+	// the first, so it frees x1 and keeps x0.
 	f := cnf.New(2)
-	f.Add(lit.Pos(0))
-	space := projSpace(0, 1)
-	r := EnumerateLifting(f.Clone(), space, Options{LiftOrder: []int{1}})
-	if r.Count.Cmp(big.NewInt(2)) != 0 {
-		t.Fatalf("count %v, want 2", r.Count)
-	}
-	if r.Stats.Cubes != 1 {
-		t.Fatalf("cubes = %d, want 1 (x1 freed immediately)", r.Stats.Cubes)
-	}
-	if r.Cover.Cubes()[0].String() != "1X" {
-		t.Fatalf("cube = %s, want 1X", r.Cover.Cubes()[0])
+	f.Add(lit.Pos(0), lit.Pos(1))
+	ml := newModelLifter(f, projSpace(0, 1))
+	if got := ml.lift([]bool{true, true}).String(); got != "1X" {
+		t.Fatalf("lifted cube = %s, want 1X", got)
 	}
 }
 

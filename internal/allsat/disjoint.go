@@ -18,22 +18,24 @@ import (
 // the Iterator surface, so the same drivers (sequential loop, parallel
 // workers) run either engine.
 type DisjointIterator struct {
-	s      *sat.Solver
-	rt     *rt.Runtime // pool the solver returns to on Close (may be nil)
-	ch     *sat.ChronoEnum
-	space  *cube.Space
-	done   bool
-	reason budget.Reason
-	stats  Stats
+	s        *sat.Solver
+	rt       *rt.Runtime // pool the solver returns to on Close (may be nil)
+	ch       *sat.ChronoEnum
+	space    *cube.Space
+	maxCubes uint64 // Budget.MaxCubes: Next stops after this many cubes
+	done     bool
+	reason   budget.Reason
+	stats    Stats
 }
 
 // NewDisjointIterator prepares a disjoint enumeration of the solutions of
 // f projected onto space. An Options.Budget bounds the whole iteration;
-// when it trips, Next returns false and Reason reports the limit. Unless
-// opts.Simplify is Off, f is preprocessed first (on a clone); cubes stay
-// pairwise disjoint and their union is unchanged — simplification
-// preserves the projected solution set, and unit clauses pinning subcube
-// prefixes are frozen (projection vars), so they survive the pass.
+// when it trips — its MaxCubes included — Next returns false and Reason
+// reports the limit. Unless opts.Simplify is Off, f is preprocessed
+// first (on a clone); cubes stay pairwise disjoint and their union is
+// unchanged — simplification preserves the projected solution set, and
+// unit clauses pinning subcube prefixes are frozen (projection vars), so
+// they survive the pass.
 func NewDisjointIterator(f *cnf.Formula, space *cube.Space, opts Options) *DisjointIterator {
 	var sstats simplify.Stats
 	f, sstats = maybeSimplify(f, space, &opts)
@@ -43,10 +45,11 @@ func NewDisjointIterator(f *cnf.Formula, space *cube.Space, opts Options) *Disjo
 	}
 	s := acquireLoaded(f, satOpts, opts.Runtime)
 	it := &DisjointIterator{
-		s:     s,
-		rt:    opts.Runtime,
-		ch:    sat.NewChronoEnum(s, space.Vars()),
-		space: space,
+		s:        s,
+		rt:       opts.Runtime,
+		ch:       sat.NewChronoEnum(s, space.Vars()),
+		space:    space,
+		maxCubes: opts.Budget.MaxCubes,
 	}
 	it.stats.Simplify = sstats
 	return it
@@ -56,6 +59,9 @@ func NewDisjointIterator(f *cnf.Formula, space *cube.Space, opts Options) *Disjo
 // is exhausted or a budget tripped. Returned cubes are pairwise disjoint;
 // their union converges to the exact projection.
 func (it *DisjointIterator) Next() (cube.Cube, bool) {
+	if capReached(it.maxCubes, it.stats.Cubes, &it.reason) {
+		it.done = true
+	}
 	if it.done {
 		return nil, false
 	}

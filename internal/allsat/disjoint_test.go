@@ -80,7 +80,7 @@ func TestDisjointParallelWorkerSweep(t *testing.T) {
 // the cap respected exactly, like the other engines.
 func TestDisjointMaxCubes(t *testing.T) {
 	f := cnf.New(5) // tautology: 32 minterms, many cubes
-	r := EnumerateDisjoint(f.Clone(), projSpace(0, 1, 2, 3, 4), Options{MaxCubes: 1})
+	r := EnumerateDisjoint(f.Clone(), projSpace(0, 1, 2, 3, 4), Options{Budget: budget.Budget{MaxCubes: 1}})
 	if !r.Aborted || r.Reason != budget.Cubes {
 		t.Fatalf("aborted=%v reason=%v, want cube-cap abort", r.Aborted, r.Reason)
 	}
@@ -152,7 +152,7 @@ func TestDisjointCountMatchesBDD(t *testing.T) {
 		aborted bool
 	}{
 		{"complete", Options{}, false},
-		{"max-cubes", Options{MaxCubes: 3}, true},
+		{"max-cubes", Options{Budget: budget.Budget{MaxCubes: 3}}, true},
 		{"expired", Options{Budget: budget.Budget{Deadline: time.Now().Add(-time.Second)}}, true},
 	}
 	for _, in := range instances {

@@ -20,6 +20,7 @@ type Iterator struct {
 	space    *cube.Space
 	lifter   *modelLifter
 	modelBuf []bool // reused across Next calls via ModelBuf
+	maxCubes uint64 // Budget.MaxCubes: Next stops after this many cubes
 	done     bool
 	reason   budget.Reason // why enumeration stopped early, None if exhausted
 	stats    Stats
@@ -27,10 +28,11 @@ type Iterator struct {
 
 // NewIterator prepares an iterator over the solutions of f projected onto
 // space. With lift, each returned cube is greedily enlarged first. An
-// Options.Budget bounds the whole iteration; when it trips, Next returns
-// false and Reason reports the limit. Unless opts.Simplify is Off, f is
-// preprocessed first (on a clone; the caller's formula is untouched) —
-// the stream denotes the same solution set either way.
+// Options.Budget bounds the whole iteration; when it trips — its
+// MaxCubes included — Next returns false and Reason reports the limit.
+// Unless opts.Simplify is Off, f is preprocessed first (on a clone; the
+// caller's formula is untouched) — the stream denotes the same solution
+// set either way.
 func NewIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *Iterator {
 	var sstats simplify.Stats
 	f, sstats = maybeSimplify(f, space, &opts)
@@ -39,16 +41,17 @@ func NewIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *It
 		satOpts.Budget = opts.Budget.Materialize()
 	}
 	it := &Iterator{
-		s:     acquireLoaded(f, satOpts, opts.Runtime),
-		rt:    opts.Runtime,
-		space: space,
+		s:        acquireLoaded(f, satOpts, opts.Runtime),
+		rt:       opts.Runtime,
+		space:    space,
+		maxCubes: opts.Budget.MaxCubes,
 	}
 	it.stats.Simplify = sstats
 	if lift {
 		// Lift against the simplified formula: a cube all of whose
 		// completions satisfy the simplified formula denotes completions
 		// inside its projection, which equals the original's projection.
-		it.lifter = newModelLifter(f, space, opts.LiftOrder)
+		it.lifter = newModelLifter(f, space)
 	}
 	return it
 }
@@ -57,6 +60,9 @@ func NewIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *It
 // is exhausted. Cubes may overlap when lifting; their union converges to
 // the exact projection.
 func (it *Iterator) Next() (cube.Cube, bool) {
+	if capReached(it.maxCubes, it.stats.Cubes, &it.reason) {
+		it.done = true
+	}
 	if it.done {
 		return nil, false
 	}

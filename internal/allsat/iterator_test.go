@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"allsatpre/internal/bdd"
+	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
@@ -113,5 +114,73 @@ func TestIteratorLiftedCubesOverlapButConverge(t *testing.T) {
 	}
 	if st := it.Stats(); st.Cubes >= want.Stats.Cubes {
 		t.Fatalf("lifting should need fewer cubes: %d vs %d", st.Cubes, want.Stats.Cubes)
+	}
+}
+
+// TestIteratorsHonorCubeCap: Budget.MaxCubes bounds every streaming
+// iterator, not only the Enumerate* loops. Over a 4-variable parity
+// constraint (8 models, none of which lifting or implicant shrinking can
+// merge) a cap of 2 ends each stream after exactly 2 cubes with
+// budget.Cubes; a cap above the model count lets the stream finish.
+func TestIteratorsHonorCubeCap(t *testing.T) {
+	parity := func() *cnf.Formula {
+		f := cnf.New(4)
+		for m := 0; m < 16; m++ {
+			bits := 0
+			c := make(cnf.Clause, 4)
+			for v := 0; v < 4; v++ {
+				on := m>>v&1 == 1
+				if on {
+					bits++
+				}
+				c[v] = lit.New(lit.Var(v), on) // false under m
+			}
+			if bits%2 == 0 {
+				f.AddClause(c) // rule out the even-parity minterms
+			}
+		}
+		return f
+	}
+	space := projSpace(0, 1, 2, 3)
+	iterators := []struct {
+		name string
+		mk   func(Options) cubeIterator
+	}{
+		{"blocking", func(o Options) cubeIterator { return NewIterator(parity(), space, o, false) }},
+		{"lifting", func(o Options) cubeIterator { return NewIterator(parity(), space, o, true) }},
+		{"disjoint", func(o Options) cubeIterator { return NewDisjointIterator(parity(), space, o) }},
+		{"parallel-blocking", func(o Options) cubeIterator {
+			o.Workers = 2
+			return NewParallelIterator(parity(), space, o, false)
+		}},
+		{"parallel-lifting", func(o Options) cubeIterator {
+			o.Workers = 4
+			return NewParallelIterator(parity(), space, o, true)
+		}},
+		{"parallel-disjoint", func(o Options) cubeIterator {
+			o.Workers = 2
+			return NewParallelDisjointIterator(parity(), space, o)
+		}},
+	}
+	for _, tc := range iterators {
+		for _, lim := range []struct {
+			max    uint64
+			cubes  int
+			reason budget.Reason
+		}{{2, 2, budget.Cubes}, {100, 8, budget.None}} {
+			it := tc.mk(Options{Budget: budget.Budget{MaxCubes: lim.max}})
+			n := 0
+			for {
+				if _, ok := it.Next(); !ok {
+					break
+				}
+				n++
+			}
+			if n != lim.cubes || it.Reason() != lim.reason {
+				t.Errorf("%s, MaxCubes %d: %d cubes, reason %v; want %d, %v",
+					tc.name, lim.max, n, it.Reason(), lim.cubes, lim.reason)
+			}
+			it.Close()
+		}
 	}
 }

@@ -50,18 +50,9 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 		workers = len(subs)
 	}
 
-	// The cube cap is global: jobs claim slots from a shared counter.
-	// The first abort records its reason in the group, which cancels the
-	// siblings via the group context threaded into every job's budget.
-	maxCubes := bud.MergeCubes(opts.MaxCubes)
-	var cubeCount atomic.Uint64
 	g := rt.NewGroup(opts.Runtime, bud.Ctx, workers)
-	wopts := opts
-	wopts.Workers = 0
-	wopts.MaxCubes = 0
-	wopts.Budget = bud
-	wopts.Budget.Ctx = g.Ctx()
-	wopts.Budget.MaxCubes = 0
+	slots := &cubeSlots{max: bud.MaxCubes}
+	wopts := jobOptions(opts, bud, g)
 
 	// outs is indexed by subcube, so the merged cover is the same for
 	// every dispatch order.
@@ -73,29 +64,7 @@ func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engi
 	runSub := func(i int) {
 		it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
 		var cubes []cube.Cube
-		for {
-			if maxCubes > 0 && cubeCount.Load() >= maxCubes {
-				g.Abort(budget.Cubes)
-				break
-			}
-			c, ok := it.Next()
-			if !ok {
-				g.Abort(it.Reason())
-				break
-			}
-			// Claim the slot before keeping the cube: the shared
-			// counter only ever holds kept cubes plus transient
-			// over-claims that are immediately returned, so the
-			// merged cover respects the cap exactly — checking
-			// Load() before Add() would let two jobs pass at
-			// maxCubes-1 and overshoot by up to workers-1.
-			if maxCubes > 0 && cubeCount.Add(1) > maxCubes {
-				cubeCount.Add(^uint64(0)) // unclaim
-				g.Abort(budget.Cubes)
-				break
-			}
-			cubes = append(cubes, c)
-		}
+		slots.drain(it, g, func(c cube.Cube) { cubes = append(cubes, c) })
 		outs[i] = subOut{cubes: cubes, stats: it.Stats()}
 		it.Close()
 	}
@@ -152,8 +121,10 @@ type ParallelIterator struct {
 
 // NewParallelIterator runs the blocking (or, with lift, the lifting)
 // engine on opts.Workers workers (minimum 1) and returns the streaming
-// iterator over its cubes. Callers must either drain it or call Stop to
-// release the workers.
+// iterator over its cubes. An Options.Budget bounds the whole stream:
+// the jobs share its MaxCubes, and the first limit to trip ends the
+// stream with Reason reporting it. Callers must either drain it or call
+// Stop to release the workers.
 func NewParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *ParallelIterator {
 	eng := engBlocking
 	if lift {
@@ -186,26 +157,15 @@ func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng en
 	p := &ParallelIterator{g: g, parent: bud.Ctx, running: len(subs)}
 	p.cond = sync.NewCond(&p.mu)
 	p.stats.Simplify = sstats
-	wopts := opts
-	wopts.Workers = 0
-	wopts.Budget = bud
-	wopts.Budget.Ctx = g.Ctx()
+	slots := &cubeSlots{max: bud.MaxCubes}
+	wopts := jobOptions(opts, bud, g)
 	jobs := make([]func(), len(subs))
 	for i := range subs {
 		jobs[i] = func() {
 			var st Stats
 			if g.Ctx().Err() == nil {
 				it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
-				for {
-					c, ok := it.Next()
-					if !ok {
-						// The first abort cancels the siblings: one tripped
-						// budget stops the whole stream promptly.
-						g.Abort(it.Reason())
-						break
-					}
-					p.push(c)
-				}
+				slots.drain(it, g, p.push)
 				st = it.Stats()
 				it.Close()
 			}
@@ -219,6 +179,51 @@ func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng en
 	// One batch: subcubes are dispatched in split order.
 	g.Go(jobs...)
 	return p
+}
+
+// jobOptions derives the per-subcube iterator options of a parallel run:
+// sequential, under the group context — so the first abort, recorded in
+// the group, cancels the siblings — and without a cube cap of their own,
+// since the run's cap is shared through cubeSlots.
+func jobOptions(opts Options, bud budget.Budget, g *rt.Group) Options {
+	opts.Workers = 0
+	opts.Budget = bud
+	opts.Budget.Ctx = g.Ctx()
+	opts.Budget.MaxCubes = 0
+	return opts
+}
+
+// cubeSlots is the cube cap of one parallel run, shared by its jobs.
+type cubeSlots struct {
+	max uint64 // Budget.MaxCubes; 0 = unlimited
+	n   atomic.Uint64
+}
+
+// drain runs one job's subcube iterator to its end, handing each cube to
+// keep, and records the first stop reason in the group. A job claims a
+// cap slot before keeping its cube: the counter only ever holds kept
+// cubes plus transient over-claims that are immediately returned, so the
+// run keeps exactly min(max, |full cover|) cubes — checking before
+// claiming would let two jobs pass at max-1 and overshoot by up to
+// workers-1.
+func (cs *cubeSlots) drain(it cubeIterator, g *rt.Group, keep func(cube.Cube)) {
+	for {
+		if cs.max > 0 && cs.n.Load() >= cs.max {
+			g.Abort(budget.Cubes)
+			return
+		}
+		c, ok := it.Next()
+		if !ok {
+			g.Abort(it.Reason())
+			return
+		}
+		if cs.max > 0 && cs.n.Add(1) > cs.max {
+			cs.n.Add(^uint64(0)) // unclaim
+			g.Abort(budget.Cubes)
+			return
+		}
+		keep(c)
+	}
 }
 
 // addStats sums one subcube's search counters into dst.

@@ -96,7 +96,7 @@ func TestParallelMaxCubesExact(t *testing.T) {
 	space := projSpace(0, 1, 2, 3, 4, 5)
 	for _, workers := range []int{1, 2, 4, 8} {
 		for trial := 0; trial < 10; trial++ {
-			r := EnumerateBlocking(mk(), space, Options{MaxCubes: 7, Workers: workers})
+			r := EnumerateBlocking(mk(), space, Options{Budget: budget.Budget{MaxCubes: 7}, Workers: workers})
 			if !r.Aborted || r.Reason != budget.Cubes {
 				t.Fatalf("workers=%d: aborted=%v reason=%v, want cube abort",
 					workers, r.Aborted, r.Reason)
@@ -107,7 +107,7 @@ func TestParallelMaxCubesExact(t *testing.T) {
 			}
 		}
 		// A cap above the full cover must not abort or truncate.
-		r := EnumerateBlocking(mk(), space, Options{MaxCubes: 100, Workers: workers})
+		r := EnumerateBlocking(mk(), space, Options{Budget: budget.Budget{MaxCubes: 100}, Workers: workers})
 		if r.Aborted || r.Cover.Len() != 64 {
 			t.Fatalf("workers=%d: aborted=%v len=%d, want full 64-cube cover",
 				workers, r.Aborted, r.Cover.Len())

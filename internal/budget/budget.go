@@ -105,18 +105,8 @@ func (b Budget) Materialize() Budget {
 	return b
 }
 
-// MergeCubes returns the effective cube cap given an engine-local cap:
-// the smaller of the two non-zero values.
-func (b Budget) MergeCubes(local uint64) uint64 {
-	return mergeCap(b.MaxCubes, local)
-}
-
-// MergeConflicts returns the effective conflict cap given a local cap.
-func (b Budget) MergeConflicts(local uint64) uint64 {
-	return mergeCap(b.MaxConflicts, local)
-}
-
-// MergeDecisions returns the effective decision cap given a local cap.
+// MergeDecisions returns the effective decision cap given an
+// engine-local cap: the smaller of the two non-zero values.
 func (b Budget) MergeDecisions(local uint64) uint64 {
 	return mergeCap(b.MaxDecisions, local)
 }

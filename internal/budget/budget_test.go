@@ -80,18 +80,18 @@ func TestMaterializeTimeout(t *testing.T) {
 }
 
 func TestMergeCaps(t *testing.T) {
-	b := Budget{MaxCubes: 10, MaxConflicts: 0, MaxDecisions: 7}
-	if got := b.MergeCubes(0); got != 10 {
-		t.Fatalf("MergeCubes(0) = %d, want 10", got)
+	b := Budget{MaxDecisions: 7}
+	if got := b.MergeDecisions(0); got != 7 {
+		t.Fatalf("MergeDecisions(0) = %d, want 7", got)
 	}
-	if got := b.MergeCubes(3); got != 3 {
-		t.Fatalf("MergeCubes(3) = %d, want 3", got)
-	}
-	if got := b.MergeConflicts(5); got != 5 {
-		t.Fatalf("MergeConflicts(5) = %d, want 5", got)
+	if got := b.MergeDecisions(3); got != 3 {
+		t.Fatalf("MergeDecisions(3) = %d, want 3", got)
 	}
 	if got := b.MergeDecisions(100); got != 7 {
 		t.Fatalf("MergeDecisions(100) = %d, want 7", got)
+	}
+	if got := (Budget{}).MergeDecisions(5); got != 5 {
+		t.Fatalf("unset MergeDecisions(5) = %d, want 5", got)
 	}
 }
 

@@ -198,88 +198,6 @@ func TestParseDimacsHeaderGrowsVars(t *testing.T) {
 	}
 }
 
-func randomFormula(rng *rand.Rand, nVars, nClauses, maxLen int) *Formula {
-	f := New(nVars)
-	for i := 0; i < nClauses; i++ {
-		k := 1 + rng.Intn(maxLen)
-		c := make(Clause, 0, k)
-		for j := 0; j < k; j++ {
-			c = append(c, lit.New(lit.Var(rng.Intn(nVars)), rng.Intn(2) == 0))
-		}
-		f.AddClause(c)
-	}
-	return f
-}
-
-func TestSimplifyPreservesModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 200; iter++ {
-		f := randomFormula(rng, 2+rng.Intn(8), 1+rng.Intn(12), 3)
-		want := f.CountModels()
-		g := f.Clone()
-		res := Simplify(g, nil)
-		if res.Unsat {
-			if want != 0 {
-				t.Fatalf("iter %d: Simplify says UNSAT but %d models exist\n%s", iter, want, DimacsString(f, nil))
-			}
-			continue
-		}
-		got := g.CountModels()
-		if got != want {
-			t.Fatalf("iter %d: model count changed %d -> %d\nbefore:\n%safter:\n%s",
-				iter, want, got, DimacsString(f, nil), DimacsString(g, nil))
-		}
-	}
-}
-
-func TestSimplifyUnitChain(t *testing.T) {
-	// x0, (¬x0 ∨ x1), (¬x1 ∨ x2) should fix all three.
-	f := New(3)
-	f.Add(lit.Pos(0))
-	f.Add(lit.Neg(0), lit.Pos(1))
-	f.Add(lit.Neg(1), lit.Pos(2))
-	res := Simplify(f, nil)
-	if res.Unsat {
-		t.Fatal("unexpected UNSAT")
-	}
-	if len(res.Units) != 3 {
-		t.Fatalf("want 3 units, got %v", res.Units)
-	}
-	if f.CountModels() != 1 {
-		t.Fatalf("want exactly one model, got %d", f.CountModels())
-	}
-}
-
-func TestSimplifyDetectsUnsat(t *testing.T) {
-	f := New(1)
-	f.Add(lit.Pos(0))
-	f.Add(lit.Neg(0))
-	if res := Simplify(f, nil); !res.Unsat {
-		t.Fatal("expected UNSAT")
-	}
-	// Conflicting implied units.
-	g := New(2)
-	g.Add(lit.Pos(0))
-	g.Add(lit.Neg(0), lit.Pos(1))
-	g.Add(lit.Neg(0), lit.Neg(1))
-	if res := Simplify(g, nil); !res.Unsat {
-		t.Fatal("expected UNSAT via propagation")
-	}
-}
-
-func TestSimplifyRemovesTautologies(t *testing.T) {
-	f := New(2)
-	f.Add(lit.Pos(0), lit.Neg(0))
-	f.Add(lit.Pos(1))
-	res := Simplify(f, nil)
-	if res.RemovedTautologies != 1 {
-		t.Errorf("RemovedTautologies = %d, want 1", res.RemovedTautologies)
-	}
-	if len(f.Clauses) != 1 {
-		t.Errorf("want 1 clause left, got %d", len(f.Clauses))
-	}
-}
-
 func TestNormalizeQuick(t *testing.T) {
 	// Normalized clause evaluates identically to the original under any
 	// total assignment.

@@ -210,10 +210,32 @@ func TestFig4EnginesAgree(t *testing.T) {
 
 func TestTable6EliminationAgrees(t *testing.T) {
 	_, rows := Table6()
-	// Rows come in off/on pairs; both must agree on the state count.
-	for i := 0; i < len(rows); i += 2 {
-		if rows[i].Count.Cmp(rows[i+1].Count) != 0 {
-			t.Fatalf("%s/%v: elimination changed the answer", rows[i].Circuit, rows[i].Engine)
+	// Rows are grouped by (circuit, engine), each group led by its "none"
+	// row; every reduction must reproduce that row's state count.
+	type key struct {
+		circuit string
+		engine  preimage.Engine
+	}
+	none := map[key]Row{}
+	reduced := map[key]int{}
+	for _, r := range rows {
+		k := key{r.Circuit, r.Engine}
+		base, ok := none[k]
+		if !ok {
+			if r.SimplifyVars != 0 {
+				t.Fatalf("%s/%v: group does not start with the unreduced row", r.Circuit, r.Engine)
+			}
+			none[k] = r
+			continue
+		}
+		if base.Count.Cmp(r.Count) != 0 {
+			t.Fatalf("%s/%v: reduction changed the answer: %v vs %v", r.Circuit, r.Engine, r.Count, base.Count)
+		}
+		reduced[k]++
+	}
+	for k := range none {
+		if reduced[k] == 0 {
+			t.Fatalf("%s/%v: no reduced row to compare", k.circuit, k.engine)
 		}
 	}
 }

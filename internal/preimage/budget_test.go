@@ -108,7 +108,7 @@ func TestReachCubeCapNeverClaimsFixpoint(t *testing.T) {
 	c := gen.Counter(6, true, false)
 	target := trans.TargetFromPatterns(6, "XXXXX1")
 	opts := Options{Engine: EngineBlocking}
-	opts.AllSAT.MaxCubes = 1
+	opts.AllSAT.Budget.MaxCubes = 1
 	res, err := Reach(c, target, 0, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestReachCubeCapNeverClaimsFixpoint(t *testing.T) {
 }
 
 // TestReachBudgetCubeCap exercises the same regression through the
-// Budget.MaxCubes path instead of the engine-local option.
+// computation Budget instead of the engine budget.
 func TestReachBudgetCubeCap(t *testing.T) {
 	c := gen.Counter(6, true, false)
 	target := trans.TargetFromPatterns(6, "XXXXX1")

@@ -93,11 +93,6 @@ type Options struct {
 	// variables before all next-state variables instead of interleaving
 	// the (s_k, s'_k) pairs — the ordering ablation for Table 5.
 	BDDSegregatedOrder bool
-	// EliminateAux applies growth-free Davis–Putnam elimination to the
-	// auxiliary (non-projection) CNF variables before enumeration. The
-	// projection of the model set is preserved exactly, so all engines
-	// return identical covers with or without it.
-	EliminateAux bool
 	// Simplify controls the full projection-safe preprocessing pass
 	// (internal/simplify: bounded variable elimination, subsumption,
 	// self-subsuming resolution, failed-literal probing) over the
@@ -140,8 +135,8 @@ type Options struct {
 	// verdicts are bit-identical to the fresh-instance path; only the
 	// resource accounting differs (budgets are session-global instead of
 	// per-step, see DESIGN.md §10). It applies to the success-driven
-	// engine without EliminateAux/Restrict; other configurations fall
-	// back to the fresh path. Single-step Compute ignores it.
+	// engine without Restrict; other configurations fall back to the
+	// fresh path. Single-step Compute ignores it.
 	Incremental bool
 	// ShareManager, when non-nil, asks the success-driven engine to also
 	// export the state projection of its solution set into this manager
@@ -553,14 +548,6 @@ func computeSAT(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, 
 	}
 	projVars, projNames := projectionOrder(inst, opts)
 	projSpace := cube.NewNamedSpace(projVars, projNames)
-
-	if opts.EliminateAux {
-		isProj := make([]bool, inst.F.NumVars)
-		for _, v := range projVars {
-			isProj[v] = true
-		}
-		cnf.EliminateVars(inst.F, func(v lit.Var) bool { return !isProj[v] }, 0)
-	}
 
 	sstats := applySimplify(inst.F, projSpace, &opts)
 

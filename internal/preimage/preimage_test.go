@@ -269,40 +269,6 @@ func TestDecisionOrderAblationsAgree(t *testing.T) {
 	}
 }
 
-func TestEliminateAuxPreservesResults(t *testing.T) {
-	cases := []*circuit.Circuit{
-		gen.Counter(5, true, false),
-		gen.GrayCounter(4),
-		gen.TrafficLight(),
-		gen.SLike(gen.SLikeParams{Seed: 23, Inputs: 5, Latches: 5, Gates: 40}),
-	}
-	for _, c := range cases {
-		nL := len(c.Latches)
-		pat := make([]byte, nL)
-		for i := range pat {
-			pat[i] = "01X"[i%3]
-		}
-		target := trans.TargetFromPatterns(nL, string(pat))
-		for _, eng := range []Engine{EngineSuccessDriven, EngineBlocking, EngineLifting} {
-			plain, err := Compute(c, target, Options{Engine: eng})
-			if err != nil {
-				t.Fatal(err)
-			}
-			elim, err := Compute(c, target, Options{Engine: eng, EliminateAux: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plain.Count.Cmp(elim.Count) != 0 {
-				t.Fatalf("%s/%v: elimination changed the preimage: %v vs %v",
-					c.Name, eng, elim.Count, plain.Count)
-			}
-			if !plain.States.Equal(elim.States) {
-				t.Fatalf("%s/%v: covers differ after elimination", c.Name, eng)
-			}
-		}
-	}
-}
-
 func TestUnknownEngineError(t *testing.T) {
 	c := gen.Counter(2, true, false)
 	target := trans.TargetFromPatterns(2, "11")

@@ -248,9 +248,10 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamCubes drains an iterator into the stream, enforcing the
-// (already fenced) cube cap handler-side — the streaming iterators
-// deliberately have no cap of their own — and aborting the solve the
-// moment the client stops reading.
+// (already fenced) cube cap handler-side — it fires before the
+// iterator's own cap and cancels the request context, so parallel jobs
+// stop at once — and aborting the solve the moment the client stops
+// reading.
 func (s *Server) streamCubes(ctx context.Context, sw *streamWriter,
 	it streamIterator, maxCubes uint64, cancel func()) budget.Reason {
 	for {

@@ -40,10 +40,20 @@ go test -run '^$' -bench '^BenchmarkNewInstance$' -benchtime=1x -benchmem ./inte
 # The one-pass BENCH parser must match the reference parser on every
 # input: a short fuzzing run past the seed corpus that go test covers.
 go test -run '^$' -fuzz '^FuzzParseBenchDifferential$' -fuzztime=5000x ./internal/circuit/
+# The projection-safe preprocessor must keep the frozen projection, its
+# UNSAT claims and its witness reconstruction exact on random small CNFs.
+go test -run '^$' -fuzz '^FuzzRunFrozen$' -fuzztime=5000x ./internal/simplify/
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
 # in the pooled-vs-fresh server benchmark without paying for 64x2 runs.
 go test -run '^$' -bench ServerLoad -benchtime=1x -benchmem ./internal/server/
+
+# DIMACS CLI smoke: every engine counts the parity fixture, and the one
+# cube cap (-max-cubes, carried by the budget) truncates loudly.
+for engine in success blocking lifting disjoint; do
+    go run ./cmd/allsat -engine $engine testdata/parity5.cnf | grep -q '^solutions (projected minterms): 16$'
+done
+go run ./cmd/allsat -engine blocking -max-cubes 1 testdata/parity5.cnf | grep -q 'TRUNCATED (cube-limit)'
 
 # Service smoke test: boot cmd/serve on a random port, stream a small
 # enumeration, create/step/evict a session, and drain on SIGTERM. This
