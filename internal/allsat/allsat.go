@@ -70,13 +70,13 @@ type Stats struct {
 	// activity; a clear is a wholesale memo reset at the memo bound.
 	CacheLookups, CacheHits, CacheClears uint64
 	// BDDNodes is the node count of the solution BDD (success-driven) or
-	// of the counting BDD (blocking and lifting engines). It is 0 for the
-	// disjoint engine, which counts its pairwise-disjoint cubes by
-	// summation and builds no BDD.
+	// of the counting BDD (lifting engine). It is 0 for the blocking and
+	// disjoint engines, which count their pairwise-disjoint cubes by
+	// summation and build no BDD.
 	BDDNodes int
 	// Kernel snapshots the BDD manager's unique-table and apply-cache
 	// gauges for the run (merged across managers when several are used;
-	// zero for the disjoint engine).
+	// zero for the blocking and disjoint engines).
 	Kernel bdd.KernelStats
 	// Simplify reports the preprocessing pass (Simplify.Applied is false
 	// when simplification was disabled for the run).
@@ -153,16 +153,18 @@ func maybeSimplify(f *cnf.Formula, space *cube.Space, opts *Options) (*cnf.Formu
 }
 
 // countCover sets res.Count to the exact minterm count of res.Cover.
-// The disjoint engine's cubes are pairwise disjoint — across guiding-path
-// subcubes too, and on aborted runs, whose cover is a subset — so its
-// count is a plain sum of cube sizes and no BDD is built (BDDNodes and
-// Kernel stay zero). The blocking and lifting covers (lifted cubes
-// overlap) are counted through a BDD over the projection space, whose
-// manager comes from (and returns to) the warm pool when one is
-// attached; node counts and the count itself are identical either way —
-// canonicity does not depend on table capacity.
-func countCover(res *Result, eng engineKind, p *rt.Pool) {
-	if eng == engDisjoint {
+// The blocking and disjoint engines' cubes are pairwise disjoint — each
+// blocking clause negates exactly the cube just emitted, the disjoint
+// engine's regions never overlap, guiding-path subcubes pin disjoint
+// prefixes, and an aborted run's cover is a subset — so their count is
+// a plain sum of cube sizes and no BDD is built (BDDNodes and Kernel
+// stay zero). The lifting engine's cubes overlap and are counted
+// through a BDD over the projection space, whose manager comes from
+// (and returns to) the warm pool when one is attached; node counts and
+// the count itself are identical either way — canonicity does not
+// depend on table capacity.
+func countCover(res *Result, eng Engine, p *rt.Pool) {
+	if eng != Lifting {
 		res.Count = res.Cover.DisjointCount()
 		return
 	}
@@ -181,19 +183,20 @@ func acquireLoaded(f *cnf.Formula, satOpts sat.Options, r *rt.Runtime) *sat.Solv
 	return s
 }
 
-// engineKind selects which streaming iterator drives the shared
-// enumeration loop.
-type engineKind int
+// Engine selects one of the package's three cube-streaming engines.
+type Engine int
 
+// The engines, in the order the package doc lists them.
 const (
-	engBlocking engineKind = iota
-	engLifting
-	engDisjoint
+	Blocking Engine = iota
+	Lifting
+	Disjoint
 )
 
-// cubeIterator is the streaming surface shared by the per-engine
-// iterators; the sequential loop and the parallel workers drive it.
-type cubeIterator interface {
+// CubeIterator is the streaming surface shared by the per-engine
+// iterators: the sequential loop, the parallel jobs and the streaming
+// consumers (the server, preimage's state projection) drive it.
+type CubeIterator interface {
 	Next() (cube.Cube, bool)
 	Reason() budget.Reason
 	Stats() Stats
@@ -215,24 +218,33 @@ func capReached(maxCubes, n uint64, reason *budget.Reason) bool {
 	return true
 }
 
-func newKindIterator(f *cnf.Formula, space *cube.Space, opts Options, eng engineKind) cubeIterator {
-	if eng == engDisjoint {
+// NewEngineIterator returns the engine's cube stream over the solutions
+// of f projected onto space: the sequential iterator (NewIterator,
+// NewDisjointIterator) for opts.Workers <= 1, the parallel one
+// (NewParallelIterator, NewParallelDisjointIterator) otherwise. Callers
+// must drain or Close it.
+func NewEngineIterator(f *cnf.Formula, space *cube.Space, opts Options, eng Engine) CubeIterator {
+	switch {
+	case opts.Workers > 1:
+		return newParallelIterator(f, space, opts, eng)
+	case eng == Disjoint:
 		return NewDisjointIterator(f, space, opts)
+	default:
+		return NewIterator(f, space, opts, eng == Lifting)
 	}
-	return NewIterator(f, space, opts, eng == engLifting)
 }
 
 // EnumerateBlocking runs the classical blocking-clause all-SAT loop,
 // projecting onto the variables of space.
 func EnumerateBlocking(f *cnf.Formula, space *cube.Space, opts Options) *Result {
-	return enumerateEngine(f, space, opts, engBlocking)
+	return enumerate(f, space, opts, Blocking)
 }
 
 // EnumerateLifting runs the blocking-clause loop with greedy cube lifting:
 // each model is minimized into a cube over the projection variables before
 // being blocked.
 func EnumerateLifting(f *cnf.Formula, space *cube.Space, opts Options) *Result {
-	return enumerateEngine(f, space, opts, engLifting)
+	return enumerate(f, space, opts, Lifting)
 }
 
 // EnumerateDisjoint runs the blocking-clause-free engine: chronological
@@ -240,42 +252,40 @@ func EnumerateLifting(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 // whose union is the exact projection, while the clause database stays
 // O(1) in the number of solutions (Stats.BlockingClauses is always zero).
 func EnumerateDisjoint(f *cnf.Formula, space *cube.Space, opts Options) *Result {
-	return enumerateEngine(f, space, opts, engDisjoint)
+	return enumerate(f, space, opts, Disjoint)
 }
 
-func enumerateEngine(f *cnf.Formula, space *cube.Space, opts Options, eng engineKind) *Result {
+// enumerate drains the engine's iterator into a cover and counts it. The
+// iterator enforces the whole budget: it shares it with the solver, so a
+// deadline or cancellation interrupts a long solver call, and it stops
+// at the cube cap. A parallel stream is put back into subcube order, so
+// the cover is deterministic for a fixed worker count.
+func enumerate(f *cnf.Formula, space *cube.Space, opts Options, eng Engine) *Result {
 	f, sstats := maybeSimplify(f, space, &opts)
-	res := enumerateSimplified(f, space, opts, eng)
-	res.Stats.Simplify = sstats
-	return res
-}
-
-func enumerateSimplified(f *cnf.Formula, space *cube.Space, opts Options, eng engineKind) *Result {
-	if opts.Workers > 1 && space.Size() > 0 {
-		return enumerateParallel(f, space, opts, eng)
-	}
-	// The iterator enforces the whole budget: it shares it with the
-	// solver, so a deadline or cancellation interrupts a long solver
-	// call, and it stops at the cube cap.
-	res := &Result{Space: space, Cover: cube.NewCover(space)}
-	it := newKindIterator(f, space, opts, eng)
+	var cubes []cube.Cube
+	it := NewEngineIterator(f, space, opts, eng)
 	for {
 		c, ok := it.Next()
 		if !ok {
-			if r := it.Reason(); r != budget.None {
-				// Budget exhausted; the cover so far is a sound
-				// under-approximation.
-				res.Aborted = true
-				res.Reason = r
-			}
 			break
 		}
+		cubes = append(cubes, c)
+	}
+	SortBySubcube(cubes, space, opts.Workers)
+	res := &Result{Space: space, Cover: cube.NewCover(space)}
+	for _, c := range cubes {
 		res.Cover.Add(c)
 	}
-
+	if r := it.Reason(); r != budget.None {
+		// Budget exhausted; the cover so far is a sound
+		// under-approximation.
+		res.Aborted = true
+		res.Reason = r
+	}
 	res.Stats = it.Stats()
 	it.Close()
 	countCover(res, eng, opts.Runtime.P())
+	res.Stats.Simplify = sstats
 	return res
 }
 

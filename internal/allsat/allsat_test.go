@@ -250,8 +250,11 @@ func TestStatsPopulated(t *testing.T) {
 		// The last cube may cover the whole space and skip its clause.
 		t.Errorf("blocking clauses %d vs cubes %d", r.Stats.BlockingClauses, r.Stats.Cubes)
 	}
-	if r.Stats.BDDNodes == 0 {
-		t.Error("BDD node count missing")
+	if r.Stats.BDDNodes != 0 {
+		t.Errorf("blocking: BDDNodes = %d; its disjoint cubes are counted by summation", r.Stats.BDDNodes)
+	}
+	if l := EnumerateLifting(f.Clone(), space, Options{}); l.Stats.BDDNodes == 0 {
+		t.Error("lifting: BDD node count missing")
 	}
 }
 

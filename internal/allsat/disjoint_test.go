@@ -124,10 +124,12 @@ func TestDisjointStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestDisjointCountMatchesBDD: the disjoint engine's summed Count equals
-// a BDD count of the same cover for every worker count, on complete runs
-// and on runs cut short by the cube cap or an expired deadline — and on
-// a 70-variable space whose cubes have more than 62 free positions.
+// TestDisjointCountMatchesBDD: the disjoint and blocking engines'
+// summed Count equals a BDD count of the same cover for every worker
+// count, on complete runs and on runs cut short by the cube cap or an
+// expired deadline — and, for the disjoint engine, on a 70-variable
+// space whose cubes have more than 62 free positions (the blocking
+// engine would enumerate its 2^70 minterms one by one).
 func TestDisjointCountMatchesBDD(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	narrow := randomFormula(rng, 14, 25, 3)
@@ -155,31 +157,44 @@ func TestDisjointCountMatchesBDD(t *testing.T) {
 		{"max-cubes", Options{Budget: budget.Budget{MaxCubes: 3}}, true},
 		{"expired", Options{Budget: budget.Budget{Deadline: time.Now().Add(-time.Second)}}, true},
 	}
-	for _, in := range instances {
-		for _, b := range budgets {
-			for _, workers := range []int{1, 2, 4} {
-				opts := b.opts
-				opts.Workers = workers
-				r := EnumerateDisjoint(in.f.Clone(), in.space, opts)
-				tag := fmt.Sprintf("%s/%s/workers=%d", in.name, b.name, workers)
-				if r.Aborted != b.aborted {
-					t.Fatalf("%s: aborted=%v (%v), want %v", tag, r.Aborted, r.Reason, b.aborted)
+	engines := []struct {
+		name string
+		enum func(*cnf.Formula, *cube.Space, Options) *Result
+	}{
+		{"disjoint", EnumerateDisjoint},
+		{"blocking", EnumerateBlocking},
+	}
+	for _, eng := range engines {
+		for _, in := range instances {
+			for _, b := range budgets {
+				if eng.name == "blocking" && in.name == "wide" && b.name == "complete" {
+					continue
 				}
-				if want := countCoverMinterms(r.Cover); r.Count.Cmp(want) != 0 {
-					t.Fatalf("%s: Count %v, BDD count of the cover %v", tag, r.Count, want)
-				}
-				if in.name == "wide" && b.name == "complete" && r.Count.IsUint64() {
-					t.Fatalf("%s: Count %v fits 64 bits; the instance no longer exercises wide counts", tag, r.Count)
+				for _, workers := range []int{1, 2, 4} {
+					opts := b.opts
+					opts.Workers = workers
+					r := eng.enum(in.f.Clone(), in.space, opts)
+					tag := fmt.Sprintf("%s/%s/%s/workers=%d", eng.name, in.name, b.name, workers)
+					if r.Aborted != b.aborted {
+						t.Fatalf("%s: aborted=%v (%v), want %v", tag, r.Aborted, r.Reason, b.aborted)
+					}
+					if want := countCoverMinterms(r.Cover); r.Count.Cmp(want) != 0 {
+						t.Fatalf("%s: Count %v, BDD count of the cover %v", tag, r.Count, want)
+					}
+					if in.name == "wide" && b.name == "complete" && r.Count.IsUint64() {
+						t.Fatalf("%s: Count %v fits 64 bits; the instance no longer exercises wide counts", tag, r.Count)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestDisjointBuildsNoBDD: with a runtime attached, the disjoint engine
-// counts without acquiring a BDD manager from the pool, sequentially and
-// on the scheduler, and reports no BDD nodes. The blocking engine on the
-// same runtime is the control: it does borrow a counting manager.
+// TestDisjointBuildsNoBDD: with a runtime attached, the disjoint and
+// blocking engines count without acquiring a BDD manager from the pool,
+// sequentially and on the scheduler, and report no BDD nodes. The
+// lifting engine on the same runtime is the control: its cubes overlap,
+// so it does borrow a counting manager.
 func TestDisjointBuildsNoBDD(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	f := randomFormula(rng, 12, 30, 3)
@@ -190,23 +205,25 @@ func TestDisjointBuildsNoBDD(t *testing.T) {
 	managers := func() uint64 {
 		return reg.Counter("runtime.manager-hits").Load() + reg.Counter("runtime.manager-misses").Load()
 	}
-	for _, workers := range []int{1, 2, 4} {
-		r := EnumerateDisjoint(f.Clone(), space, Options{Workers: workers, Runtime: run})
-		if r.Count.Sign() == 0 {
-			t.Fatal("instance unsat; pick another seed")
-		}
-		if n := managers(); n != 0 {
-			t.Fatalf("workers=%d: disjoint run acquired %d BDD managers", workers, n)
-		}
-		if r.Stats.BDDNodes != 0 {
-			t.Fatalf("workers=%d: BDDNodes = %d, want 0", workers, r.Stats.BDDNodes)
+	for _, enum := range []func(*cnf.Formula, *cube.Space, Options) *Result{EnumerateDisjoint, EnumerateBlocking} {
+		for _, workers := range []int{1, 2, 4} {
+			r := enum(f.Clone(), space, Options{Workers: workers, Runtime: run})
+			if r.Count.Sign() == 0 {
+				t.Fatal("instance unsat; pick another seed")
+			}
+			if n := managers(); n != 0 {
+				t.Fatalf("workers=%d: run acquired %d BDD managers", workers, n)
+			}
+			if r.Stats.BDDNodes != 0 {
+				t.Fatalf("workers=%d: BDDNodes = %d, want 0", workers, r.Stats.BDDNodes)
+			}
 		}
 	}
 	if reg.Counter("runtime.solver-misses").Load()+reg.Counter("runtime.solver-hits").Load() == 0 {
 		t.Fatal("the runtime's pool was never used")
 	}
-	EnumerateBlocking(f.Clone(), space, Options{Runtime: run})
+	EnumerateLifting(f.Clone(), space, Options{Runtime: run})
 	if managers() == 0 {
-		t.Fatal("blocking run acquired no counting manager; the guard counts nothing")
+		t.Fatal("lifting run acquired no counting manager; the guard counts nothing")
 	}
 }

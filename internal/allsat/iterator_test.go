@@ -144,20 +144,20 @@ func TestIteratorsHonorCubeCap(t *testing.T) {
 	space := projSpace(0, 1, 2, 3)
 	iterators := []struct {
 		name string
-		mk   func(Options) cubeIterator
+		mk   func(Options) CubeIterator
 	}{
-		{"blocking", func(o Options) cubeIterator { return NewIterator(parity(), space, o, false) }},
-		{"lifting", func(o Options) cubeIterator { return NewIterator(parity(), space, o, true) }},
-		{"disjoint", func(o Options) cubeIterator { return NewDisjointIterator(parity(), space, o) }},
-		{"parallel-blocking", func(o Options) cubeIterator {
+		{"blocking", func(o Options) CubeIterator { return NewIterator(parity(), space, o, false) }},
+		{"lifting", func(o Options) CubeIterator { return NewIterator(parity(), space, o, true) }},
+		{"disjoint", func(o Options) CubeIterator { return NewDisjointIterator(parity(), space, o) }},
+		{"parallel-blocking", func(o Options) CubeIterator {
 			o.Workers = 2
 			return NewParallelIterator(parity(), space, o, false)
 		}},
-		{"parallel-lifting", func(o Options) cubeIterator {
+		{"parallel-lifting", func(o Options) CubeIterator {
 			o.Workers = 4
 			return NewParallelIterator(parity(), space, o, true)
 		}},
-		{"parallel-disjoint", func(o Options) cubeIterator {
+		{"parallel-disjoint", func(o Options) CubeIterator {
 			o.Workers = 2
 			return NewParallelDisjointIterator(parity(), space, o)
 		}},

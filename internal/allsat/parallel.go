@@ -1,13 +1,16 @@
 package allsat
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
+	"allsatpre/internal/lit"
 	"allsatpre/internal/partition"
 	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/simplify"
@@ -27,77 +30,41 @@ func restrictFormula(f *cnf.Formula, space *cube.Space, s partition.Subcube) *cn
 	return rf
 }
 
-// enumerateParallel fans an engine's enumeration loop out over
-// guiding-path subcubes: the projection space is split into disjoint
-// prefix subcubes, each enumerated by one runtime.Group job with a fresh
-// solver on a restricted clone, and the per-subcube covers are
-// concatenated in subcube order — so the merged cover is deterministic
-// for a fixed split depth, and as a solution set it equals the
-// sequential enumeration for every worker count.
-func enumerateParallel(f *cnf.Formula, space *cube.Space, opts Options, eng engineKind) *Result {
-	bud := opts.Budget.Materialize()
-	workers := opts.Workers
-	k := partition.PrefixDepth(space, workers, 2)
-	subs := partition.Split(space, k)
-	if len(subs) <= 1 {
-		// f is already simplified by the enumerateEngine entry point
-		// (opts.Simplify is Off here), so skip straight to the loop.
-		seq := opts
-		seq.Workers = 0
-		return enumerateSimplified(f, space, seq, eng)
-	}
-	if workers > len(subs) {
-		workers = len(subs)
-	}
+// splitDepth is the guiding-path prefix depth of a parallel run: two
+// subcubes per worker, so uneven subcube costs can balance.
+func splitDepth(space *cube.Space, workers int) int {
+	return partition.PrefixDepth(space, workers, 2)
+}
 
-	g := rt.NewGroup(opts.Runtime, bud.Ctx, workers)
-	slots := &cubeSlots{max: bud.MaxCubes}
-	wopts := jobOptions(opts, bud, g)
-
-	// outs is indexed by subcube, so the merged cover is the same for
-	// every dispatch order.
-	type subOut struct {
-		cubes []cube.Cube
-		stats Stats
+// SortBySubcube stably reorders cubes streamed by a parallel iterator
+// with the given worker count into subcube order: the order in which
+// concatenating the per-subcube covers in split order would list them.
+// Every cube pins its subcube's prefix positions (the restricting unit
+// clauses survive lifting and shrinking), and one job emits each
+// subcube's cubes in its own order, so the result is deterministic for a
+// fixed worker count. A no-op for workers <= 1.
+func SortBySubcube(cubes []cube.Cube, space *cube.Space, workers int) {
+	k := splitDepth(space, workers)
+	if k == 0 {
+		return
 	}
-	outs := make([]subOut, len(subs))
-	runSub := func(i int) {
-		it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
-		var cubes []cube.Cube
-		slots.drain(it, g, func(c cube.Cube) { cubes = append(cubes, c) })
-		outs[i] = subOut{cubes: cubes, stats: it.Stats()}
-		it.Close()
-	}
-	jobs := make([]func(), len(subs))
-	for i := range subs {
-		jobs[i] = func() {
-			if g.Ctx().Err() == nil {
-				runSub(i)
+	path := func(c cube.Cube) uint64 {
+		var p uint64
+		for i := 0; i < k; i++ {
+			if c[i] == lit.True {
+				p |= 1 << uint(i)
 			}
 		}
+		return p
 	}
-	g.Go(jobs...)
-	reason := g.Wait()
-
-	res := &Result{Space: space, Cover: cube.NewCover(space)}
-	for _, o := range outs {
-		for _, c := range o.cubes {
-			res.Cover.Add(c)
-		}
-		addStats(&res.Stats, o.stats)
-	}
-	countCover(res, eng, opts.Runtime.P())
-	if reason != budget.None {
-		res.Aborted = true
-		res.Reason = reason
-	}
-	return res
+	slices.SortStableFunc(cubes, func(a, b cube.Cube) int { return cmp.Compare(path(a), path(b)) })
 }
 
 // ParallelIterator streams solution cubes from runtime.Group jobs, each
 // enumerating one guiding-path subcube on its own solver. The arrival
 // order is scheduling-dependent (unlike the sequential Iterator), but
-// the multiset of cubes drains the same disjoint subcube covers.
+// the multiset of cubes drains the same disjoint subcube covers, and
+// SortBySubcube puts a collected stream back into split order.
 //
 // Jobs may run on shared executors, which must never block on a slow
 // consumer: cubes accumulate in buf under mu and Next waits on cond. The
@@ -126,9 +93,9 @@ type ParallelIterator struct {
 // stream with Reason reporting it. Callers must either drain it or call
 // Stop to release the workers.
 func NewParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *ParallelIterator {
-	eng := engBlocking
+	eng := Blocking
 	if lift {
-		eng = engLifting
+		eng = Lifting
 	}
 	return newParallelIterator(f, space, opts, eng)
 }
@@ -137,10 +104,10 @@ func NewParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, lift b
 // engine. The per-subcube covers stay pairwise disjoint: every cube pins
 // its subcube's unit prefix (level-0 literals are never shrunk away).
 func NewParallelDisjointIterator(f *cnf.Formula, space *cube.Space, opts Options) *ParallelIterator {
-	return newParallelIterator(f, space, opts, engDisjoint)
+	return newParallelIterator(f, space, opts, Disjoint)
 }
 
-func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng engineKind) *ParallelIterator {
+func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng Engine) *ParallelIterator {
 	var sstats simplify.Stats
 	f, sstats = maybeSimplify(f, space, &opts)
 	workers := opts.Workers
@@ -148,8 +115,7 @@ func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng en
 		workers = 1
 	}
 	bud := opts.Budget.Materialize()
-	k := partition.PrefixDepth(space, workers, 2)
-	subs := partition.Split(space, k)
+	subs := partition.Split(space, splitDepth(space, workers))
 	if workers > len(subs) {
 		workers = len(subs)
 	}
@@ -164,7 +130,7 @@ func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng en
 		jobs[i] = func() {
 			var st Stats
 			if g.Ctx().Err() == nil {
-				it := newKindIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
+				it := NewEngineIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
 				slots.drain(it, g, p.push)
 				st = it.Stats()
 				it.Close()
@@ -206,7 +172,7 @@ type cubeSlots struct {
 // run keeps exactly min(max, |full cover|) cubes — checking before
 // claiming would let two jobs pass at max-1 and overshoot by up to
 // workers-1.
-func (cs *cubeSlots) drain(it cubeIterator, g *rt.Group, keep func(cube.Cube)) {
+func (cs *cubeSlots) drain(it CubeIterator, g *rt.Group, keep func(cube.Cube)) {
 	for {
 		if cs.max > 0 && cs.n.Load() >= cs.max {
 			g.Abort(budget.Cubes)

@@ -9,6 +9,8 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
+	"allsatpre/internal/partition"
+	"allsatpre/internal/simplify"
 )
 
 // coverSet builds the canonical BDD of a cover so parallel and
@@ -267,5 +269,43 @@ func TestParallelIteratorStop(t *testing.T) {
 	}
 	if _, ok := it.Next(); ok {
 		t.Fatal("Next succeeded after Stop drained the stream")
+	}
+}
+
+// TestParallelCoverInSubcubeOrder: a parallel run's cover lists its
+// cubes in split order — the per-subcube covers, each enumerated
+// sequentially on its restricted formula, concatenated in subcube
+// order — whatever order the jobs' cubes arrived in. So the cover is
+// deterministic for a fixed worker count.
+func TestParallelCoverInSubcubeOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4404))
+	engines := []struct {
+		name string
+		enum func(*cnf.Formula, *cube.Space, Options) *Result
+	}{
+		{"blocking", EnumerateBlocking},
+		{"lifting", EnumerateLifting},
+		{"disjoint", EnumerateDisjoint},
+	}
+	for iter := 0; iter < 10; iter++ {
+		f := randomFormula(rng, 10, 18, 3)
+		space := projSpace(0, 1, 2, 3, 4, 5, 6, 7)
+		for _, eng := range engines {
+			for _, workers := range []int{2, 4} {
+				opts := Options{Simplify: simplify.Off}
+				want := cube.NewCover(space)
+				for _, sub := range partition.Split(space, splitDepth(space, workers)) {
+					for _, c := range eng.enum(restrictFormula(f, space, sub), space, opts).Cover.Cubes() {
+						want.Add(c)
+					}
+				}
+				opts.Workers = workers
+				got := eng.enum(f.Clone(), space, opts).Cover
+				if got.String() != want.String() {
+					t.Fatalf("iter %d %s workers %d: cover\n%v\nwant split order\n%v",
+						iter, eng.name, workers, got, want)
+				}
+			}
+		}
 	}
 }

@@ -68,16 +68,6 @@ func (c Clause) Eval(assign []lit.Tern) lit.Tern {
 	return res
 }
 
-// Has reports whether the clause contains the literal l.
-func (c Clause) Has(l lit.Lit) bool {
-	for _, x := range c {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the clause in DIMACS style without the trailing 0.
 func (c Clause) String() string {
 	s := "("
@@ -166,17 +156,6 @@ func (f *Formula) Eval(assign []lit.Tern) lit.Tern {
 // every clause.
 func (f *Formula) Satisfied(assign []lit.Tern) bool {
 	return f.Eval(assign) == lit.True
-}
-
-// MaxClauseLen returns the length of the longest clause.
-func (f *Formula) MaxClauseLen() int {
-	m := 0
-	for _, c := range f.Clauses {
-		if len(c) > m {
-			m = len(c)
-		}
-	}
-	return m
 }
 
 // NumLits returns the total number of literal occurrences.

@@ -62,11 +62,8 @@ func TestClauseEvalOutOfRangeVars(t *testing.T) {
 	}
 }
 
-func TestClauseHasAndString(t *testing.T) {
+func TestClauseString(t *testing.T) {
 	c := mk(1, -3)
-	if !c.Has(lit.Pos(0)) || !c.Has(lit.Neg(2)) || c.Has(lit.Pos(2)) {
-		t.Error("Has mismatch")
-	}
 	if c.String() != "(1 -3)" {
 		t.Errorf("String = %q", c.String())
 	}
@@ -111,8 +108,8 @@ func TestFormulaEvalAndCounting(t *testing.T) {
 	if len(proj) != 2 {
 		t.Errorf("projection onto a should have 2 entries, got %v", proj)
 	}
-	if f.MaxClauseLen() != 2 || f.NumLits() != 4 {
-		t.Error("MaxClauseLen/NumLits mismatch")
+	if f.NumLits() != 4 {
+		t.Error("NumLits mismatch")
 	}
 	if !strings.Contains(f.String(), "clauses=2") {
 		t.Errorf("String = %q", f.String())

@@ -21,6 +21,7 @@ import (
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
 	"allsatpre/internal/pool"
+	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/simplify"
 	"allsatpre/internal/stats"
 	"allsatpre/internal/trans"
@@ -54,6 +55,10 @@ type Options struct {
 	Simplify bool
 	// Stats, when non-nil, receives the incr.* counters.
 	Stats *stats.Registry
+	// Runtime, when it carries a scheduler, runs the steps' subcube jobs
+	// on it under the runtime's tenant (pool.Options.Runtime); nil gives
+	// each step a private scheduler.
+	Runtime *rt.Runtime
 }
 
 // StepResult is the outcome of one Step call.
@@ -187,6 +192,7 @@ func newPoolSession(inst *trans.Instance, space *cube.Space, opts Options) *pool
 		Core:    co,
 		Budget:  opts.Budget,
 		Stats:   opts.Stats,
+		Runtime: opts.Runtime,
 	})
 }
 

@@ -272,7 +272,8 @@ func applySimplify(f *cnf.Formula, projSpace *cube.Space, opts *Options) simplif
 // injection happens after the Core zero-value check so default tuning is
 // preserved; an explicitly set engine budget wins over opts.Budget. The
 // formula is simplified first (see applySimplify) unless the caller
-// already did or opted out.
+// already did or opted out. Image and KStepPreimage use it because they
+// read the result's Count; computeSAT streams the cubes instead.
 func runSATEngine(f *cnf.Formula, projSpace *cube.Space, opts Options) (*allsat.Result, error) {
 	if r := opts.Budget.Start().Now(); r != budget.None {
 		// Dead budget: abort before preprocessing (see computeSAT).
@@ -298,28 +299,32 @@ func runSATEngineSimplified(f *cnf.Formula, projSpace *cube.Space, opts Options)
 		pr, ar := runSuccessDriven(f, projSpace, opts)
 		pr.Release() // the cover/count are extracted; the manager can go back warm
 		return ar, nil
-	case EngineBlocking, EngineLifting, EngineDisjoint:
-		as := opts.AllSAT
-		if as.Budget.IsZero() {
-			as.Budget = opts.Budget
-		}
-		if as.Runtime == nil {
-			as.Runtime = opts.Runtime
-		}
-		if opts.Parallel > 1 && as.Workers == 0 {
-			as.Workers = opts.Parallel
-		}
-		switch opts.Engine {
-		case EngineBlocking:
-			return allsat.EnumerateBlocking(f, projSpace, as), nil
-		case EngineLifting:
-			return allsat.EnumerateLifting(f, projSpace, as), nil
-		default:
-			return allsat.EnumerateDisjoint(f, projSpace, as), nil
-		}
+	case EngineBlocking:
+		return allsat.EnumerateBlocking(f, projSpace, allsatOptions(opts)), nil
+	case EngineLifting:
+		return allsat.EnumerateLifting(f, projSpace, allsatOptions(opts)), nil
+	case EngineDisjoint:
+		return allsat.EnumerateDisjoint(f, projSpace, allsatOptions(opts)), nil
 	default:
 		return nil, fmt.Errorf("preimage: unknown engine %v", opts.Engine)
 	}
+}
+
+// allsatOptions derives the blocking/lifting/disjoint engine options:
+// the computation budget, runtime and worker count fill in whatever
+// opts.AllSAT leaves unset.
+func allsatOptions(opts Options) allsat.Options {
+	as := opts.AllSAT
+	if as.Budget.IsZero() {
+		as.Budget = opts.Budget
+	}
+	if as.Runtime == nil {
+		as.Runtime = opts.Runtime
+	}
+	if opts.Parallel > 1 && as.Workers == 0 {
+		as.Workers = opts.Parallel
+	}
+	return as
 }
 
 // runSuccessDriven runs the success-driven engine — pooled for any worker
@@ -551,44 +556,19 @@ func computeSAT(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, 
 
 	sstats := applySimplify(inst.F, projSpace, &opts)
 
-	var res *allsat.Result
-	var pr *pool.Result
-	if opts.Engine == EngineSuccessDriven {
-		pr, res = runSuccessDriven(inst.F, projSpace, opts)
-	} else {
-		res, err = runSATEngine(inst.F, projSpace, opts)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Stats.Simplify = sstats
-
 	stateSpace := StateSpace(c)
-	// Project the (ordered) projection cover onto the state positions.
-	posOfLatch := make([]int, len(inst.StateVars))
-	for i, v := range inst.StateVars {
-		posOfLatch[i] = projSpace.PosOf(v)
-	}
-	states := cube.NewCover(stateSpace)
-	for _, cb := range res.Cover.Cubes() {
-		sc := stateSpace.FullCube()
-		for i, pos := range posOfLatch {
-			sc[i] = cb[pos]
+	proj := newStateProjector(inst, projSpace, stateSpace)
+	out := &Result{StateSpace: stateSpace, Engine: opts.Engine}
+	// raw keeps the projection-space cubes only when Pairs needs them.
+	var raw []cube.Cube
+	if opts.Engine == EngineSuccessDriven {
+		pr, res := runSuccessDriven(inst.F, projSpace, opts)
+		for _, cb := range res.Cover.Cubes() {
+			proj.add(cb)
 		}
-		states.Add(sc)
-	}
-	states.Reduce()
-
-	out := &Result{
-		States:      states,
-		StateSpace:  stateSpace,
-		Stats:       res.Stats,
-		BDDNodes:    res.Stats.BDDNodes,
-		Engine:      opts.Engine,
-		Aborted:     res.Aborted,
-		AbortReason: res.Reason,
-	}
-	if pr != nil {
+		raw = res.Cover.Cubes()
+		out.Stats, out.BDDNodes = res.Stats, res.Stats.BDDNodes
+		out.Aborted, out.AbortReason = res.Aborted, res.Reason
 		// The engine handed back its merged BDD: the state count and (when
 		// requested) the state set come straight from it — no third
 		// manager, no cover round-trip. ∃x·set counted over the state
@@ -609,14 +589,49 @@ func computeSAT(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, 
 		}
 		pr.Release()
 	} else {
-		out.Count = countStates(states, opts.Runtime)
+		eng, ok := allsatEngine(opts.Engine)
+		if !ok {
+			return nil, fmt.Errorf("preimage: unknown engine %v", opts.Engine)
+		}
+		// The cubes stream straight into the state projection: the
+		// (state, input) cover is never counted, and it is kept only for
+		// Pairs.
+		if r := opts.Budget.Start().Now(); r != budget.None {
+			// The deadline passed during preprocessing (see above).
+			out.Aborted, out.AbortReason = true, r
+		} else {
+			as := allsatOptions(opts)
+			it := allsat.NewEngineIterator(inst.F, projSpace, as, eng)
+			for {
+				cb, ok := it.Next()
+				if !ok {
+					break
+				}
+				proj.add(cb)
+				if opts.WithInputs {
+					raw = append(raw, cb)
+				}
+			}
+			out.AbortReason = it.Reason()
+			out.Aborted = out.AbortReason != budget.None
+			out.Stats = it.Stats()
+			it.Close()
+			allsat.SortBySubcube(raw, projSpace, as.Workers)
+		}
 	}
+	proj.states.Reduce()
+	out.States = proj.states
+	if out.Count == nil {
+		// The allsat engines' count: the reduced state cover's minterms.
+		out.Count = countStates(out.States, opts.Runtime)
+	}
+	out.Stats.Simplify = sstats
 	if opts.WithInputs {
-		// Re-express the projection cover over (state ++ input) order.
+		// Re-express the projection cubes over (state ++ input) order.
 		pairSpace := pairSpace(inst)
 		pairs := cube.NewCover(pairSpace)
 		fullVars := inst.FullSpace.Vars()
-		for _, cb := range res.Cover.Cubes() {
+		for _, cb := range raw {
 			pc := pairSpace.FullCube()
 			for i, v := range fullVars {
 				pc[i] = cb[projSpace.PosOf(v)]
@@ -626,6 +641,62 @@ func computeSAT(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, 
 		out.Pairs = pairs
 	}
 	return out, nil
+}
+
+// allsatEngine maps a preimage engine onto its allsat cube stream.
+func allsatEngine(e Engine) (allsat.Engine, bool) {
+	switch e {
+	case EngineBlocking:
+		return allsat.Blocking, true
+	case EngineLifting:
+		return allsat.Lifting, true
+	case EngineDisjoint:
+		return allsat.Disjoint, true
+	}
+	return 0, false
+}
+
+// stateProjector folds projection-space cubes into a state cover as they
+// arrive: each cube is cut down to the latch positions, and a projection
+// equal to the previous one is skipped. The engines decide states
+// before inputs, so the many input-level cubes of one state cube arrive
+// back to back and the skip drops them before Reduce sees them; Reduce
+// drops whatever duplicates remain, so the reduced cover is the same
+// either way.
+type stateProjector struct {
+	pos    []int // projection-space position of each latch
+	states *cube.Cover
+	last   cube.Cube
+}
+
+func newStateProjector(inst *trans.Instance, projSpace, stateSpace *cube.Space) *stateProjector {
+	pos := make([]int, len(inst.StateVars))
+	for i, v := range inst.StateVars {
+		pos[i] = projSpace.PosOf(v)
+	}
+	return &stateProjector{pos: pos, states: cube.NewCover(stateSpace)}
+}
+
+func (p *stateProjector) add(cb cube.Cube) {
+	if p.last != nil && p.repeats(cb) {
+		return
+	}
+	sc := p.states.Space().FullCube()
+	for i, pos := range p.pos {
+		sc[i] = cb[pos]
+	}
+	p.states.Add(sc)
+	p.last = sc
+}
+
+// repeats reports whether cb projects onto the last added state cube.
+func (p *stateProjector) repeats(cb cube.Cube) bool {
+	for i, pos := range p.pos {
+		if p.last[i] != cb[pos] {
+			return false
+		}
+	}
+	return true
 }
 
 func pairSpace(inst *trans.Instance) *cube.Space {

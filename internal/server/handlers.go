@@ -110,17 +110,6 @@ func (s *Server) workersFor(q url.Values) (int, error) {
 	return n, nil
 }
 
-// streamIterator is the engine surface the streaming loop drives —
-// satisfied by allsat.Iterator, DisjointIterator, and ParallelIterator.
-type streamIterator interface {
-	Next() (cube.Cube, bool)
-	Reason() budget.Reason
-	Stats() allsat.Stats
-	// Close ends the iteration and returns pooled solvers to the warm
-	// runtime (captured stats stay valid afterwards).
-	Close()
-}
-
 // handleEnumerate streams the solutions of a DIMACS payload projected
 // onto a variable set, as NDJSON cube events.
 //
@@ -223,18 +212,14 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		summary = s.summarize(res.Stats, sw.sent, res.Reason, time.Since(start).Milliseconds())
 		summary.Count = res.Count.String()
 	} else {
-		var it streamIterator
-		if workers > 1 {
-			if engine == "disjoint" {
-				it = allsat.NewParallelDisjointIterator(f, space, opts)
-			} else {
-				it = allsat.NewParallelIterator(f, space, opts, engine == "lifting")
-			}
-		} else if engine == "disjoint" {
-			it = allsat.NewDisjointIterator(f, space, opts)
-		} else {
-			it = allsat.NewIterator(f, space, opts, engine == "lifting")
+		eng := allsat.Disjoint
+		switch engine {
+		case "blocking":
+			eng = allsat.Blocking
+		case "lifting":
+			eng = allsat.Lifting
 		}
+		it := allsat.NewEngineIterator(f, space, opts, eng)
 		reason := s.streamCubes(ctx, sw, it, bud.MaxCubes, cancel)
 		it.Close() // release workers; pooled solvers go back warm
 		summary = s.summarize(it.Stats(), sw.sent, reason, time.Since(start).Milliseconds())
@@ -253,7 +238,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 // stop at once — and aborting the solve the moment the client stops
 // reading.
 func (s *Server) streamCubes(ctx context.Context, sw *streamWriter,
-	it streamIterator, maxCubes uint64, cancel func()) budget.Reason {
+	it allsat.CubeIterator, maxCubes uint64, cancel func()) budget.Reason {
 	for {
 		if maxCubes > 0 && sw.sent >= maxCubes {
 			cancel() // parallel workers keep enumerating otherwise
@@ -422,7 +407,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	isess, err := incr.NewBackward(c, incr.Options{
-		Workers: workers, Budget: bud, Stats: s.reg,
+		Workers: workers, Budget: bud, Stats: s.reg, Runtime: s.runtimeFor(r),
 	})
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "encoding circuit: %v", err)

@@ -380,3 +380,42 @@ func TestPreimageBDDWorkersJoinScheduler(t *testing.T) {
 		t.Fatalf("workers=4 state set (count %s) differs from workers=1 (count %s)", gotCount, wantCount)
 	}
 }
+
+// TestSessionStepWorkersJoinScheduler: the steps of a multi-worker
+// session submit their subcube jobs to the server's shared scheduler
+// (visible as growth of the runtime.sched-jobs counter) instead of a
+// private scheduler per step, and walk the same frontiers as a
+// one-worker session.
+func TestSessionStepWorkersJoinScheduler(t *testing.T) {
+	reg := stats.NewRegistry("session-sched")
+	srv := New(Config{MaxConcurrent: 2, MaxWorkers: 4, Stats: reg})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	bench := circuit.BenchString(gen.SLike(gen.SLikeParams{Seed: 3, Inputs: 4, Latches: 6, Gates: 60}))
+	walk := func(name string, workers int) []stepReply {
+		req := map[string]any{"name": name, "bench": bench, "target": []string{"XX1XX0"}, "workers": workers}
+		if code := postJSON(t, ts.URL+"/v1/sessions", req, nil); code != http.StatusCreated {
+			t.Fatalf("%s: create status %d", name, code)
+		}
+		return walkToFixpoint(t, ts.URL, name)
+	}
+
+	want := walk("one", 1)
+	before := reg.Counter("runtime.sched-jobs").Load()
+	got := walk("four", 4)
+	if after := reg.Counter("runtime.sched-jobs").Load(); after <= before {
+		t.Fatalf("runtime.sched-jobs did not grow (%d -> %d): the steps bypassed the shared scheduler",
+			before, after)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("workers=4 walk took %d steps, workers=1 took %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].NewStates != want[i].NewStates {
+			t.Fatalf("step %d: workers=4 found %s new states, workers=1 %s",
+				i+1, got[i].NewStates, want[i].NewStates)
+		}
+	}
+}

@@ -5,15 +5,19 @@
 # does those). Run from the repository root.
 set -eux
 
+# Formatting gate: every tracked Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...
 go vet ./...
 go test ./...
 go test -race -short ./...
-# The parallel-enumeration determinism suite must hold regardless of how
-# the Go scheduler interleaves workers: exercise it both pinned to one OS
-# thread and with real preemption under the race detector.
-GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness' ./internal/preimage/
-GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness' ./internal/preimage/
+# The parallel-enumeration determinism suite, and the equivalence of the
+# streamed state projection with enumerate-then-project, must hold
+# regardless of how the Go scheduler interleaves workers: exercise them
+# both pinned to one OS thread and with real preemption under the race
+# detector.
+GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection' ./internal/preimage/
+GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection' ./internal/preimage/
 # Every fan-out runs as runtime.Group jobs on a scheduler: the pool, the
 # incremental sessions and the parallel BMC sweep must hold pinned and
 # preempted alike.
@@ -37,6 +41,7 @@ go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -be
 go test -run '^$' -bench '^BenchmarkRun$' -benchtime=1x -benchmem ./internal/simplify/
 go test -run '^$' -bench '^BenchmarkParseBench$' -benchtime=1x -benchmem ./internal/circuit/
 go test -run '^$' -bench '^BenchmarkNewInstance$' -benchtime=1x -benchmem ./internal/trans/
+go test -run '^$' -bench '^BenchmarkComputeAllSAT$' -benchtime=1x -benchmem ./internal/preimage/
 # The one-pass BENCH parser must match the reference parser on every
 # input: a short fuzzing run past the seed corpus that go test covers.
 go test -run '^$' -fuzz '^FuzzParseBenchDifferential$' -fuzztime=5000x ./internal/circuit/
