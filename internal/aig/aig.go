@@ -95,19 +95,11 @@ func (g *Graph) NumAnds() int {
 	return n
 }
 
-// NumInputs / NumLatches / NumOutputs report interface sizes.
-func (g *Graph) NumInputs() int  { return len(g.inputs) }
-func (g *Graph) NumLatches() int { return len(g.latches) }
-func (g *Graph) NumOutputs() int { return len(g.outputs) }
-
 // Inputs returns the input literals (shared slice).
 func (g *Graph) Inputs() []Lit { return g.inputs }
 
 // Latches returns the latch output literals (shared slice).
 func (g *Graph) Latches() []Lit { return g.latches }
-
-// NextFns returns the latch next-state literals (shared slice).
-func (g *Graph) NextFns() []Lit { return g.nextFn }
 
 // Outputs returns the output literals (shared slice).
 func (g *Graph) Outputs() []Lit { return g.outputs }
@@ -170,20 +162,6 @@ func (g *Graph) And(a, b Lit) Lit {
 // Or, Xor, Mux and Not are derived connectives.
 func (g *Graph) Or(a, b Lit) Lit  { return g.And(a.Not(), b.Not()).Not() }
 func (g *Graph) Xor(a, b Lit) Lit { return g.Or(g.And(a, b.Not()), g.And(a.Not(), b)) }
-
-// Mux returns s ? t : e.
-func (g *Graph) Mux(s, t, e Lit) Lit {
-	return g.Or(g.And(s, t), g.And(s.Not(), e))
-}
-
-// AndN folds And over a list (True for empty).
-func (g *Graph) AndN(ls ...Lit) Lit {
-	r := True
-	for _, l := range ls {
-		r = g.And(r, l)
-	}
-	return r
-}
 
 // Eval evaluates the graph: given input and latch-state values, it
 // returns output values and the next latch state.

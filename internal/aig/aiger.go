@@ -65,13 +65,6 @@ func WriteAiger(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// AigerString renders the graph as AIGER ASCII text.
-func AigerString(g *Graph) string {
-	var sb strings.Builder
-	_ = WriteAiger(&sb, g)
-	return sb.String()
-}
-
 // ParseAiger reads an AIGER ASCII ("aag") file. Latch reset values and
 // the binary "aig" format are not supported; the MILOA header must be
 // consistent. Symbol-table names are honoured when present.
@@ -243,9 +236,4 @@ func ParseAiger(name string, r io.Reader) (*Graph, error) {
 		}
 	}
 	return g, sc.Err()
-}
-
-// ParseAigerString parses AIGER ASCII text.
-func ParseAigerString(name, s string) (*Graph, error) {
-	return ParseAiger(name, strings.NewReader(s))
 }

@@ -20,22 +20,22 @@ func FuzzParseAiger(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		g, err := ParseAigerString("fuzz", src)
+		g, err := parseAigerText("fuzz", src)
 		if err != nil {
 			return
 		}
-		text := AigerString(g)
-		g2, err := ParseAigerString("fuzz2", text)
+		text := aigerText(g)
+		g2, err := parseAigerText("fuzz2", text)
 		if err != nil {
 			t.Fatalf("round trip rejected: %v\noriginal:\n%s\nwritten:\n%s", err, src, text)
 		}
-		if g2.NumInputs() != g.NumInputs() || g2.NumLatches() != g.NumLatches() ||
-			g2.NumOutputs() != g.NumOutputs() {
+		if len(g2.inputs) != len(g.inputs) || len(g2.latches) != len(g.latches) ||
+			len(g2.outputs) != len(g.outputs) {
 			t.Fatalf("interface changed in round trip")
 		}
 		// Behaviour preserved on the all-false vector.
-		st := make([]bool, g.NumLatches())
-		in := make([]bool, g.NumInputs())
+		st := make([]bool, len(g.latches))
+		in := make([]bool, len(g.inputs))
 		o1, n1 := g.Eval(st, in)
 		o2, n2 := g2.Eval(st, in)
 		for k := range o1 {

@@ -105,14 +105,12 @@ type Result struct {
 
 // Options tunes the enumeration engines.
 type Options struct {
-	// SAT configures the underlying CDCL solver (zero value = defaults).
-	SAT sat.Options
-	// Budget imposes wall-clock/cancellation/cube limits across the whole
-	// enumeration loop (the SAT sub-budget in SAT.Budget applies per
-	// solver). The zero Budget is unbounded. Budget.MaxCubes is exact for
-	// every worker count: a parallel run's merged cover contains exactly
-	// min(MaxCubes, |full cover|) cubes — workers claim cap slots
-	// atomically, so the cap is never overshot.
+	// Budget imposes wall-clock/cancellation/conflict/cube limits across
+	// the whole enumeration loop; the CDCL solvers run with
+	// sat.DefaultOptions under it. The zero Budget is unbounded.
+	// Budget.MaxCubes is exact for every worker count: a parallel run's
+	// merged cover contains exactly min(MaxCubes, |full cover|) cubes —
+	// workers claim cap slots atomically, so the cap is never overshot.
 	Budget budget.Budget
 	// Workers > 1 fans the enumeration out over guiding-path subcubes of
 	// the projection space, one fresh solver per subcube (see parallel.go).
@@ -177,8 +175,8 @@ func countCover(res *Result, eng Engine, p *rt.Pool) {
 
 // acquireLoaded obtains an iterator's solver — warm from the runtime
 // pool when one is attached, fresh otherwise — and bulk-loads f into it.
-func acquireLoaded(f *cnf.Formula, satOpts sat.Options, r *rt.Runtime) *sat.Solver {
-	s := r.P().AcquireSolver(satOpts, uint64(f.NumVars)*64)
+func acquireLoaded(f *cnf.Formula, bud budget.Budget, r *rt.Runtime) *sat.Solver {
+	s := r.P().AcquireSolver(sat.Options{Budget: bud.Materialize()}, uint64(f.NumVars)*64)
 	s.LoadFormula(f)
 	return s
 }
@@ -221,7 +219,7 @@ func capReached(maxCubes, n uint64, reason *budget.Reason) bool {
 // NewEngineIterator returns the engine's cube stream over the solutions
 // of f projected onto space: the sequential iterator (NewIterator,
 // NewDisjointIterator) for opts.Workers <= 1, the parallel one
-// (NewParallelIterator, NewParallelDisjointIterator) otherwise. Callers
+// (NewParallelIterator, or its disjoint counterpart) otherwise. Callers
 // must drain or Close it.
 func NewEngineIterator(f *cnf.Formula, space *cube.Space, opts Options, eng Engine) CubeIterator {
 	switch {

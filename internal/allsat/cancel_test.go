@@ -89,9 +89,9 @@ func TestParallelDisjointIteratorCancelMidStream(t *testing.T) {
 	f, space := pairsFormula(18)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	it := NewParallelDisjointIterator(f, space, Options{
+	it := NewEngineIterator(f, space, Options{
 		Workers: 4, Budget: budget.Budget{Ctx: ctx},
-	})
+	}, Disjoint).(*ParallelIterator)
 
 	for i := 0; i < 8; i++ {
 		if _, ok := it.Next(); !ok {
@@ -113,8 +113,8 @@ func TestParallelDisjointIteratorCancelMidStream(t *testing.T) {
 	if it.Reason() != budget.Cancelled {
 		t.Fatalf("reason = %v, want %v", it.Reason(), budget.Cancelled)
 	}
-	if !it.Exhausted() {
-		t.Fatal("iterator not exhausted after cancellation drain")
+	if _, ok := it.Next(); ok {
+		t.Fatal("Next succeeded after the cancellation drain")
 	}
 	it.Stop()
 	// All workers, the feed goroutine, and the closer must be gone.
@@ -183,7 +183,7 @@ func TestParallelCancelledBeforeCall(t *testing.T) {
 			return drain(NewParallelIterator(f.Clone(), space, o, false))
 		}},
 		{"disjoint-iterator", func(o Options) outcome {
-			return drain(NewParallelDisjointIterator(f.Clone(), space, o))
+			return drain(NewEngineIterator(f.Clone(), space, o, Disjoint).(*ParallelIterator))
 		}},
 	}
 	sched := rt.NewScheduler(2, nil)

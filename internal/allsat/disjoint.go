@@ -39,11 +39,7 @@ type DisjointIterator struct {
 func NewDisjointIterator(f *cnf.Formula, space *cube.Space, opts Options) *DisjointIterator {
 	var sstats simplify.Stats
 	f, sstats = maybeSimplify(f, space, &opts)
-	satOpts := opts.SAT
-	if satOpts.Budget.IsZero() {
-		satOpts.Budget = opts.Budget.Materialize()
-	}
-	s := acquireLoaded(f, satOpts, opts.Runtime)
+	s := acquireLoaded(f, opts.Budget, opts.Runtime)
 	it := &DisjointIterator{
 		s:        s,
 		rt:       opts.Runtime,
@@ -82,9 +78,6 @@ func (it *DisjointIterator) Next() (cube.Cube, bool) {
 	it.captureStats()
 	return nil, false
 }
-
-// Exhausted reports whether the enumeration has completed.
-func (it *DisjointIterator) Exhausted() bool { return it.done }
 
 // Reason reports why the iteration stopped before exhausting the solution
 // set (budget.None when it ran to completion or is still running).

@@ -36,12 +36,8 @@ type Iterator struct {
 func NewIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *Iterator {
 	var sstats simplify.Stats
 	f, sstats = maybeSimplify(f, space, &opts)
-	satOpts := opts.SAT
-	if satOpts.Budget.IsZero() {
-		satOpts.Budget = opts.Budget.Materialize()
-	}
 	it := &Iterator{
-		s:        acquireLoaded(f, satOpts, opts.Runtime),
+		s:        acquireLoaded(f, opts.Budget, opts.Runtime),
 		rt:       opts.Runtime,
 		space:    space,
 		maxCubes: opts.Budget.MaxCubes,
@@ -102,9 +98,6 @@ func (it *Iterator) Next() (cube.Cube, bool) {
 	}
 	return c, true
 }
-
-// Exhausted reports whether the enumeration has completed.
-func (it *Iterator) Exhausted() bool { return it.done }
 
 // Reason reports why the iteration stopped before exhausting the solution
 // set (budget.None when it ran to completion or is still running). A

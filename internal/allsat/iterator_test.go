@@ -42,7 +42,7 @@ func TestIteratorMatchesBatchEnumeration(t *testing.T) {
 			if m.Cmp(n) != 0 {
 				t.Fatalf("iter %d lift=%v: iterator %v vs batch %v", iter, lift, m, n)
 			}
-			if !it.Exhausted() {
+			if !it.done {
 				t.Fatal("drained iterator should be exhausted")
 			}
 			if _, ok := it.Next(); ok {
@@ -71,7 +71,7 @@ func TestIteratorEarlyStop(t *testing.T) {
 		}
 		seen++
 	}
-	if it.Exhausted() {
+	if it.done {
 		t.Fatal("iterator should still have work")
 	}
 	if st := it.Stats(); st.Cubes != 3 {
@@ -87,7 +87,7 @@ func TestIteratorUnsat(t *testing.T) {
 	if _, ok := it.Next(); ok {
 		t.Fatal("UNSAT formula should yield nothing")
 	}
-	if !it.Exhausted() {
+	if !it.done {
 		t.Fatal("should be exhausted")
 	}
 }
@@ -159,7 +159,7 @@ func TestIteratorsHonorCubeCap(t *testing.T) {
 		}},
 		{"parallel-disjoint", func(o Options) CubeIterator {
 			o.Workers = 2
-			return NewParallelDisjointIterator(parity(), space, o)
+			return NewEngineIterator(parity(), space, o, Disjoint)
 		}},
 	}
 	for _, tc := range iterators {

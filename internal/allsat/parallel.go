@@ -75,7 +75,6 @@ func SortBySubcube(cubes []cube.Cube, space *cube.Space, workers int) {
 type ParallelIterator struct {
 	g      *rt.Group
 	parent context.Context // the budget's context; nil when it has none
-	done   atomic.Bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -98,13 +97,6 @@ func NewParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, lift b
 		eng = Lifting
 	}
 	return newParallelIterator(f, space, opts, eng)
-}
-
-// NewParallelDisjointIterator is NewParallelIterator for the disjoint
-// engine. The per-subcube covers stay pairwise disjoint: every cube pins
-// its subcube's unit prefix (level-0 literals are never shrunk away).
-func NewParallelDisjointIterator(f *cnf.Formula, space *cube.Space, opts Options) *ParallelIterator {
-	return newParallelIterator(f, space, opts, Disjoint)
 }
 
 func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng Engine) *ParallelIterator {
@@ -235,7 +227,6 @@ func (p *ParallelIterator) Next() (cube.Cube, bool) {
 	}
 	p.mu.Unlock()
 	p.g.Wait()
-	p.done.Store(true)
 	return nil, false
 }
 
@@ -251,7 +242,6 @@ func (p *ParallelIterator) Stop() {
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.g.Wait()
-	p.done.Store(true)
 }
 
 // Close ends the iteration; the jobs release their per-subcube
@@ -259,10 +249,6 @@ func (p *ParallelIterator) Stop() {
 // ParallelIterator satisfy the same closeable-iterator surface as the
 // sequential iterators.
 func (p *ParallelIterator) Close() { p.Stop() }
-
-// Exhausted reports whether the stream has ended. Safe to call
-// concurrently with Next/Stop.
-func (p *ParallelIterator) Exhausted() bool { return p.done.Load() }
 
 // Reason reports why the iteration stopped early (budget.None when it
 // ran to completion or is still running).

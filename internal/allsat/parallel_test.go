@@ -151,37 +151,12 @@ func TestParallelIteratorAbortCancelsSiblings(t *testing.T) {
 			t.Fatalf("trial %d: aborted=%v reason=%v, want decision-budget abort",
 				trial, it.Aborted(), it.Reason())
 		}
-		if !it.Exhausted() {
-			t.Fatalf("trial %d: stream ended but Exhausted is false", trial)
+		if _, ok := it.Next(); ok {
+			t.Fatalf("trial %d: Next succeeded after the stream ended", trial)
 		}
 		if n == 0 {
 			t.Fatalf("trial %d: no cubes before the budget tripped", trial)
 		}
-	}
-}
-
-// TestParallelIteratorExhaustedRace drives Exhausted concurrently with
-// Next and Stop; run under -race it pins the atomic done flag (the field
-// used to be a plain bool written by Next and read by Exhausted).
-func TestParallelIteratorExhaustedRace(t *testing.T) {
-	f := cnf.New(8)
-	f.AddClause(cnf.Clause{lit.Pos(0), lit.Neg(0)})
-	space := projSpace(0, 1, 2, 3, 4, 5, 6, 7)
-	it := NewParallelIterator(f, space, Options{Workers: 4}, false)
-	stop := make(chan struct{})
-	go func() {
-		defer close(stop)
-		for !it.Exhausted() {
-		}
-	}()
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-	}
-	<-stop
-	if !it.Exhausted() {
-		t.Fatal("drained stream not exhausted")
 	}
 }
 
@@ -198,7 +173,7 @@ func TestParallelDisjointIteratorDrains(t *testing.T) {
 		m := bdd.NewOrdered(space.Vars())
 		wantSet := coverSet(m, want.Cover)
 
-		it := NewParallelDisjointIterator(f.Clone(), space, Options{Workers: 4})
+		it := NewEngineIterator(f.Clone(), space, Options{Workers: 4}, Disjoint).(*ParallelIterator)
 		got := cube.NewCover(space)
 		for {
 			c, ok := it.Next()
@@ -264,9 +239,6 @@ func TestParallelIteratorStop(t *testing.T) {
 		}
 	}
 	it.Stop()
-	if !it.Exhausted() {
-		t.Fatal("iterator not exhausted after Stop")
-	}
 	if _, ok := it.Next(); ok {
 		t.Fatal("Next succeeded after Stop drained the stream")
 	}

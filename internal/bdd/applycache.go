@@ -22,9 +22,11 @@ const (
 	// minCacheSlots/maxCacheSlots bound the cache array. The cache starts
 	// at the minimum and doubles alongside unique-table rehashes (so tiny
 	// managers — one per SatCount call site — stay allocation-lean) up to
-	// the limit set by SetCacheLimit, or this hard ceiling when unbounded.
+	// the maximum; colliding entries overwrite each other (lossy), so the
+	// ceiling bounds memory on long reachability runs at the price of
+	// recomputing evicted entries.
 	minCacheSlots = 1 << 8
-	maxCacheSlots = 1 << 22
+	maxCacheSlots = 1 << 21
 )
 
 // cacheEntry is one direct-mapped slot: the operand triple, the result,
@@ -107,18 +109,4 @@ func (c *applyCache) resize(n int) {
 	c.mask = uint64(n - 1)
 	c.gen = 1
 	c.size = 0
-}
-
-// cacheSlotsFor converts an entry cap (SetCacheLimit semantics: n <= 0 is
-// unbounded) into a power-of-two slot count within the hard bounds, never
-// exceeding the cap so that occupancy stays within the caller's limit.
-func cacheSlotsFor(limit int) int {
-	if limit <= 0 {
-		return maxCacheSlots
-	}
-	n := 1
-	for n*2 <= limit && n*2 <= maxCacheSlots {
-		n *= 2
-	}
-	return n
 }

@@ -1,8 +1,7 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
 // with a shared unique table and memoized operations: ITE-based Boolean
-// connectives, existential/universal quantification, the AndExists
-// relational product, restriction, composition, exact model counting, and
-// greedy sifting-based variable reordering.
+// connectives, existential quantification, the AndExists relational
+// product, exact model counting, and irredundant sum-of-products covers.
 //
 // It serves two roles in this repository: it is the baseline preimage
 // engine (relational-product image computation, as in classical symbolic
@@ -41,18 +40,8 @@ const (
 	opAnd
 	opOr
 	opExists
-	opForall
 	opAndExists
-	opCompose
 )
-
-// DefaultCacheLimit is the apply-cache entry cap installed on new
-// managers. The cache is a fixed-size direct-mapped array that starts
-// small and doubles alongside unique-table growth, never past this many
-// slots; colliding entries overwrite each other (lossy), so the cap
-// bounds memory on long reachability runs at the price of recomputing
-// evicted entries. Tune per manager with SetCacheLimit.
-const DefaultCacheLimit = 1 << 21
 
 // defaultUniqueBits sizes a fresh manager's unique table (2^bits slots).
 // Kept small so the many short-lived managers (one per counting call)
@@ -66,9 +55,6 @@ type Manager struct {
 	cache    applyCache  // direct-mapped memo for the apply recursions
 	order    []lit.Var   // level -> variable
 	varLevel []int32     // variable -> level, -1 if unknown
-
-	// cacheLimit caps the apply cache's slot count (see SetCacheLimit).
-	cacheLimit int
 
 	// Resource limits (see SetLimits): exceeding them aborts the current
 	// operation by panicking with *Abort, recovered by CatchAbort.
@@ -107,39 +93,12 @@ func CatchAbort(reason *budget.Reason) {
 	}
 }
 
-// SetCacheLimit caps the apply cache at n entries (n <= 0 removes the
-// cap, leaving the built-in hard ceiling). The cache is direct-mapped, so
-// the cap is realized as a power-of-two slot count not exceeding n; a
-// shrink reallocates immediately, while a raise takes effect as the cache
-// doubles alongside unique-table growth.
-func (m *Manager) SetCacheLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.cacheLimit = n
-	if cap := cacheSlotsFor(n); len(m.cache.entries) > cap {
-		m.cache.resize(cap)
-	}
-}
-
-// ClearCache invalidates every apply-cache entry in O(1) via a
-// generation bump. Kernel bookkeeping only — never needed for
-// correctness, since the cache is already lossy.
-func (m *Manager) ClearCache() { m.cache.invalidate() }
-
-// CacheStats reports apply-cache activity: lookups, hits, evictions
-// (live entries overwritten by a colliding key — the direct-mapped
-// analogue of the old wholesale clears), and the current occupancy.
-func (m *Manager) CacheStats() (lookups, hits, evictions uint64, size int) {
-	return m.cache.lookups, m.cache.hits, m.cache.evictions, m.cache.size
-}
-
 // growCache doubles the apply cache in step with unique-table rehashes,
 // keeping its reach proportional to the node population without paying
 // for a large array on managers that stay small.
 func (m *Manager) growCache() {
 	n := len(m.cache.entries)
-	if n*2 <= cacheSlotsFor(m.cacheLimit) && n < len(m.unique.slots) {
+	if n*2 <= maxCacheSlots && n < len(m.unique.slots) {
 		m.cache.resize(n * 2)
 	}
 }
@@ -163,16 +122,9 @@ func NewOrdered(order []lit.Var) *Manager {
 // newOrdered is NewOrdered with an explicit initial unique-table size
 // (2^uniqueBits slots); tests use tiny tables to force rehashes early.
 func newOrdered(order []lit.Var, uniqueBits int) *Manager {
-	m := &Manager{
-		order:      append([]lit.Var(nil), order...),
-		cacheLimit: DefaultCacheLimit,
-	}
+	m := &Manager{order: append([]lit.Var(nil), order...)}
 	m.unique.init(uniqueBits)
-	cacheSlots := minCacheSlots
-	if cap := cacheSlotsFor(m.cacheLimit); cap < cacheSlots {
-		cacheSlots = cap
-	}
-	m.cache.init(cacheSlots)
+	m.cache.init(minCacheSlots)
 	maxVar := lit.Var(-1)
 	for _, v := range order {
 		if v > maxVar {
@@ -203,9 +155,6 @@ func (m *Manager) NumVars() int { return len(m.order) }
 // two terminals — the memory-consumption proxy used by the benchmarks.
 func (m *Manager) NumNodes() int { return len(m.nodes) }
 
-// Order returns the variable order (level → variable); shared slice.
-func (m *Manager) Order() []lit.Var { return m.order }
-
 // Level returns the level of variable v, panicking if v is not in the
 // order.
 func (m *Manager) Level(v lit.Var) int32 {
@@ -214,9 +163,6 @@ func (m *Manager) Level(v lit.Var) int32 {
 	}
 	return m.varLevel[v]
 }
-
-// VarAtLevel returns the variable at the given level.
-func (m *Manager) VarAtLevel(l int32) lit.Var { return m.order[l] }
 
 func (m *Manager) level(r Ref) int32 { return m.nodes[r].level }
 
@@ -264,14 +210,6 @@ func (m *Manager) Lit(l lit.Lit) Ref {
 		return m.NVar(l.Var())
 	}
 	return m.Var(l.Var())
-}
-
-// Const returns the terminal for b.
-func Const(b bool) Ref {
-	if b {
-		return True
-	}
-	return False
 }
 
 // cofactors returns the low/high cofactors of r with respect to the given
@@ -381,35 +319,8 @@ func (m *Manager) Xor(f, g Ref) Ref { return m.ITE(f, m.Not(g), g) }
 // Xnor returns ¬(f ⊕ g), i.e. f ≡ g.
 func (m *Manager) Xnor(f, g Ref) Ref { return m.ITE(f, g, m.Not(g)) }
 
-// Implies returns f → g.
-func (m *Manager) Implies(f, g Ref) Ref { return m.ITE(f, g, True) }
-
 // Diff returns f ∧ ¬g.
 func (m *Manager) Diff(f, g Ref) Ref { return m.And(f, m.Not(g)) }
-
-// AndN folds And over the arguments (True for none).
-func (m *Manager) AndN(fs ...Ref) Ref {
-	r := True
-	for _, f := range fs {
-		r = m.And(r, f)
-		if r == False {
-			return False
-		}
-	}
-	return r
-}
-
-// OrN folds Or over the arguments (False for none).
-func (m *Manager) OrN(fs ...Ref) Ref {
-	r := False
-	for _, f := range fs {
-		r = m.Or(r, f)
-		if r == True {
-			return True
-		}
-	}
-	return r
-}
 
 // CubeVars returns the positive-literal cube over the given variables,
 // used to name quantification sets.

@@ -3,7 +3,6 @@ package bdd
 import (
 	"math/big"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"allsatpre/internal/cube"
@@ -38,9 +37,6 @@ func TestTerminalsAndVar(t *testing.T) {
 	}
 	if m.Lit(lit.Neg(2)) != m.NVar(2) || m.Lit(lit.Pos(0)) != m.Var(0) {
 		t.Fatal("Lit mismatch")
-	}
-	if Const(true) != True || Const(false) != False {
-		t.Fatal("Const")
 	}
 }
 
@@ -115,7 +111,6 @@ func TestOpsAgainstTruthTables(t *testing.T) {
 			{"or", m.Or(f, g), func(a, b bool) bool { return a || b }},
 			{"xor", m.Xor(f, g), func(a, b bool) bool { return a != b }},
 			{"xnor", m.Xnor(f, g), func(a, b bool) bool { return a == b }},
-			{"implies", m.Implies(f, g), func(a, b bool) bool { return !a || b }},
 			{"diff", m.Diff(f, g), func(a, b bool) bool { return a && !b }},
 			{"not", m.Not(f), func(a, b bool) bool { return !a }},
 		}
@@ -127,23 +122,6 @@ func TestOpsAgainstTruthTables(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestAndOrNFolds(t *testing.T) {
-	m := New(3)
-	if m.AndN() != True || m.OrN() != False {
-		t.Fatal("empty folds")
-	}
-	a, b, c := m.Var(0), m.Var(1), m.Var(2)
-	if m.AndN(a, b, c) != m.And(a, m.And(b, c)) {
-		t.Fatal("AndN mismatch")
-	}
-	if m.OrN(a, b, c) != m.Or(a, m.Or(b, c)) {
-		t.Fatal("OrN mismatch")
-	}
-	if m.AndN(a, False, b) != False || m.OrN(a, True, b) != True {
-		t.Fatal("short circuit")
 	}
 }
 
@@ -162,15 +140,14 @@ func TestQuantificationAgainstTruth(t *testing.T) {
 			}
 		}
 		ex := m.ExistsVars(f, qvars)
-		fa := m.ForallVars(f, qvars)
-		tex, tfa := truth(m, ex, n), truth(m, fa, n)
+		tex := truth(m, ex, n)
 		inQ := make([]bool, n)
 		for _, v := range qvars {
 			inQ[v] = true
 		}
 		// Enumerate assignments of the q-set for each row.
 		for x := 0; x < 1<<uint(n); x++ {
-			anySat, allSat := false, true
+			anySat := false
 			// vary quantified vars
 			var qIdx []int
 			for v := 0; v < n; v++ {
@@ -189,15 +166,10 @@ func TestQuantificationAgainstTruth(t *testing.T) {
 				}
 				if tf[row] {
 					anySat = true
-				} else {
-					allSat = false
 				}
 			}
 			if tex[x] != anySat {
 				t.Fatalf("iter %d: Exists wrong at row %d", iter, x)
-			}
-			if tfa[x] != allSat {
-				t.Fatalf("iter %d: Forall wrong at row %d", iter, x)
 			}
 		}
 	}
@@ -222,121 +194,6 @@ func TestAndExistsEqualsExistsOfAnd(t *testing.T) {
 		if got != want {
 			t.Fatalf("iter %d: AndExists ≠ Exists∘And", iter)
 		}
-	}
-}
-
-func TestRestrictAndCompose(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	for iter := 0; iter < 120; iter++ {
-		n := 2 + rng.Intn(5)
-		m := New(n)
-		f := randomRef(m, rng, n, 4)
-		g := randomRef(m, rng, n, 4)
-		v := lit.Var(rng.Intn(n))
-		tf, tg := truth(m, f, n), truth(m, g, n)
-		r1 := truth(m, m.Restrict(f, v, true), n)
-		r0 := truth(m, m.Restrict(f, v, false), n)
-		comp := truth(m, m.Compose(f, v, g), n)
-		for x := 0; x < 1<<uint(n); x++ {
-			x1 := x | 1<<uint(v)
-			x0 := x &^ (1 << uint(v))
-			if r1[x] != tf[x1] || r0[x] != tf[x0] {
-				t.Fatalf("iter %d: Restrict wrong at %d", iter, x)
-			}
-			want := tf[x0]
-			if tg[x] {
-				want = tf[x1]
-			}
-			if comp[x] != want {
-				t.Fatalf("iter %d: Compose wrong at %d", iter, x)
-			}
-		}
-	}
-}
-
-func TestConstrainDefiningProperty(t *testing.T) {
-	// Constrain(f, c) ∧ c == f ∧ c, on random functions.
-	rng := rand.New(rand.NewSource(121))
-	for iter := 0; iter < 200; iter++ {
-		n := 2 + rng.Intn(6)
-		m := New(n)
-		f := randomRef(m, rng, n, 4)
-		c := randomRef(m, rng, n, 4)
-		if c == False {
-			continue
-		}
-		g := m.Constrain(f, c)
-		if m.And(g, c) != m.And(f, c) {
-			t.Fatalf("iter %d: constrain property violated", iter)
-		}
-		// Idempotence on the care set.
-		if m.Constrain(g, c) != m.Constrain(f, c) && m.And(m.Constrain(g, c), c) != m.And(f, c) {
-			t.Fatalf("iter %d: constrain not stable", iter)
-		}
-	}
-}
-
-func TestConstrainTerminalCases(t *testing.T) {
-	m := New(2)
-	a := m.Var(0)
-	if m.Constrain(True, a) != True || m.Constrain(False, a) != False {
-		t.Fatal("terminal f")
-	}
-	if m.Constrain(a, True) != a {
-		t.Fatal("care-all")
-	}
-	if m.Constrain(a, a) != True {
-		t.Fatal("f == c should be True")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty care set")
-		}
-	}()
-	m.Constrain(a, False)
-}
-
-func TestSimplifyWithInterval(t *testing.T) {
-	// SimplifyWith(f, c) must lie between f∧c and f∨¬c pointwise.
-	rng := rand.New(rand.NewSource(131))
-	for iter := 0; iter < 150; iter++ {
-		n := 2 + rng.Intn(5)
-		m := New(n)
-		f := randomRef(m, rng, n, 4)
-		c := randomRef(m, rng, n, 4)
-		s := m.SimplifyWith(f, c)
-		if c == False {
-			if s != False {
-				t.Fatal("empty care set should give False")
-			}
-			continue
-		}
-		lower := m.And(f, c)
-		upper := m.Or(f, m.Not(c))
-		if m.And(lower, m.Not(s)) != False {
-			t.Fatalf("iter %d: result below f∧c", iter)
-		}
-		if m.And(s, m.Not(upper)) != False {
-			t.Fatalf("iter %d: result above f∨¬c", iter)
-		}
-	}
-}
-
-func TestSupport(t *testing.T) {
-	m := New(5)
-	f := m.And(m.Var(0), m.Or(m.Var(3), m.NVar(4)))
-	sup := m.Support(f)
-	if len(sup) != 3 || sup[0] != 0 || sup[1] != 3 || sup[2] != 4 {
-		t.Fatalf("Support = %v", sup)
-	}
-	if len(m.Support(True)) != 0 {
-		t.Fatal("terminal support should be empty")
-	}
-	// Redundant variable must not appear.
-	g := m.Or(m.And(m.Var(1), m.Var(2)), m.And(m.NVar(1), m.Var(2)))
-	sup = m.Support(g)
-	if len(sup) != 1 || sup[0] != 2 {
-		t.Fatalf("Support after reduction = %v", sup)
 	}
 }
 
@@ -399,49 +256,6 @@ func TestAnySat(t *testing.T) {
 	}
 }
 
-func TestToCoverFromCoverRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	for iter := 0; iter < 100; iter++ {
-		n := 1 + rng.Intn(6)
-		m := New(n)
-		s := spaceOver(n)
-		f := randomRef(m, rng, n, 4)
-		cv := m.ToCover(f, s)
-		back := m.FromCover(cv)
-		if back != f {
-			t.Fatalf("iter %d: ToCover/FromCover round trip failed", iter)
-		}
-		// Cover minterm count must equal SatCount.
-		if n <= 20 {
-			cnt := cv.CountMinterms()
-			if m.SatCount(f).Cmp(big.NewInt(int64(cnt))) != 0 {
-				t.Fatalf("iter %d: cover minterms %d ≠ satcount %v", iter, cnt, m.SatCount(f))
-			}
-		}
-	}
-}
-
-func TestToCoverPanicsOutsideSpace(t *testing.T) {
-	m := New(3)
-	s := cube.NewSpace([]lit.Var{0, 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.ToCover(m.Var(2), s)
-}
-
-func TestRestrictCube(t *testing.T) {
-	m := New(3)
-	s := spaceOver(3)
-	f := m.And(m.Var(0), m.Or(m.Var(1), m.Var(2)))
-	g := m.RestrictCube(f, s, s.CubeOf("1X0"))
-	if g != m.Var(1) {
-		t.Fatalf("RestrictCube: got %d, want Var(1)=%d", g, m.Var(1))
-	}
-}
-
 func TestCubeVarsOrderIndependence(t *testing.T) {
 	m := New(4)
 	a := m.CubeVars([]lit.Var{0, 2, 3})
@@ -451,89 +265,6 @@ func TestCubeVarsOrderIndependence(t *testing.T) {
 	}
 	if m.CubeVars(nil) != True {
 		t.Fatal("empty cube should be True")
-	}
-}
-
-func TestTransferPreservesSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	for iter := 0; iter < 60; iter++ {
-		n := 2 + rng.Intn(5)
-		m := New(n)
-		f := randomRef(m, rng, n, 4)
-		// Reverse order destination.
-		order := make([]lit.Var, n)
-		for i := range order {
-			order[i] = lit.Var(n - 1 - i)
-		}
-		d := NewOrdered(order)
-		g := m.Transfer(d, f)
-		tf, tg := truth(m, f, n), truth(d, g, n)
-		for x := range tf {
-			if tf[x] != tg[x] {
-				t.Fatalf("iter %d: transfer changed semantics at %d", iter, x)
-			}
-		}
-	}
-}
-
-func TestSiftImprovesKnownBadOrder(t *testing.T) {
-	// f = x0·x3 + x1·x4 + x2·x5 with interleaved order is exponential;
-	// sifting should find a pairing order that shrinks it.
-	order := []lit.Var{0, 1, 2, 3, 4, 5}
-	m := NewOrdered(order)
-	f := m.OrN(
-		m.And(m.Var(0), m.Var(3)),
-		m.And(m.Var(1), m.Var(4)),
-		m.And(m.Var(2), m.Var(5)))
-	before := m.Size(f)
-	d, roots := m.Sift([]Ref{f})
-	after := d.Size(roots[0])
-	if after > before {
-		t.Fatalf("sift made it worse: %d -> %d", before, after)
-	}
-	// Semantics preserved.
-	tf, tg := truth(m, f, 6), truth(d, roots[0], 6)
-	for x := range tf {
-		if tf[x] != tg[x] {
-			t.Fatalf("sift changed semantics at %d", x)
-		}
-	}
-	if after >= before {
-		t.Logf("warning: sift found no strict improvement (%d -> %d)", before, after)
-	}
-}
-
-func TestSiftNoOpStillDetaches(t *testing.T) {
-	m := New(2)
-	f := m.Var(0)
-	d, roots := m.Sift([]Ref{f})
-	if d == m {
-		t.Fatal("Sift should return a fresh manager")
-	}
-	if !d.Eval(roots[0], []bool{true, false}) {
-		t.Fatal("semantics lost")
-	}
-}
-
-func TestWriteDot(t *testing.T) {
-	m := New(2)
-	f := m.And(m.Var(0), m.NVar(1))
-	var sb strings.Builder
-	if err := m.WriteDot(&sb, f, nil); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"digraph bdd", `label="0"`, `label="1"`, "v0", "style=dashed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	var sb2 strings.Builder
-	if err := m.WriteDot(&sb2, f, func(v int) string { return "sig" }); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb2.String(), "sig") {
-		t.Error("custom name function ignored")
 	}
 }
 
@@ -568,9 +299,6 @@ func TestNumNodesMonotone(t *testing.T) {
 	}
 	if m.NumVars() != 8 {
 		t.Fatal("NumVars")
-	}
-	if m.VarAtLevel(m.Level(5)) != 5 {
-		t.Fatal("VarAtLevel/Level inverse")
 	}
 }
 

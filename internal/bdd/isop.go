@@ -7,8 +7,8 @@ import (
 
 // ISOP computes an irredundant sum-of-products cover of f over the space
 // s using the Minato–Morreale interval recursion. The result denotes
-// exactly f but typically needs far fewer cubes than ToCover's raw
-// 1-path enumeration, because each recursion step is free to enlarge
+// exactly f but typically needs far fewer cubes than a raw 1-path
+// enumeration, because each recursion step is free to enlarge
 // cubes anywhere inside the [onset, onset] interval left after removing
 // what earlier cubes already cover.
 //

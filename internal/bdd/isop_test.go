@@ -1,7 +1,6 @@
 package bdd
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -22,6 +21,19 @@ func TestISOPDenotesExactly(t *testing.T) {
 	}
 }
 
+// countPaths counts the 1-paths of f: the size of the path-enumeration
+// cover ISOP is compared against.
+func countPaths(m *Manager, f Ref) int {
+	switch f {
+	case False:
+		return 0
+	case True:
+		return 1
+	}
+	n := m.nodes[f]
+	return countPaths(m, n.low) + countPaths(m, n.high)
+}
+
 func TestISOPNeverWorseThanPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	worse := 0
@@ -31,7 +43,7 @@ func TestISOPNeverWorseThanPaths(t *testing.T) {
 		s := spaceOver(n)
 		f := randomRef(m, rng, n, 5)
 		isop := m.ISOP(f, s).Len()
-		paths := m.ToCover(f, s).Len()
+		paths := countPaths(m, f)
 		if isop > paths {
 			worse++
 		}
@@ -76,18 +88,18 @@ func TestISOPClassicWin(t *testing.T) {
 	// cubes; ISOP yields exactly the 4 single-literal primes.
 	m := New(4)
 	s := spaceOver(4)
-	f := m.OrN(m.Var(0), m.Var(1), m.Var(2), m.Var(3))
+	f := m.Or(m.Or(m.Var(0), m.Var(1)), m.Or(m.Var(2), m.Var(3)))
 	cv := m.ISOP(f, s)
 	if cv.Len() != 4 {
 		t.Fatalf("ISOP of a 4-way OR should have 4 cubes, got %d:\n%s", cv.Len(), cv)
 	}
 	for _, cb := range cv.Cubes() {
-		if cb.FixedVars() != 1 {
+		if len(cb)-cb.FreeVars() != 1 {
 			t.Fatalf("expected single-literal primes, got %s", cb)
 		}
 	}
-	if got := cv.CountMinterms(); got != 15 {
-		t.Fatalf("cover minterms %d, want 15", got)
+	if got := m.SatCount(m.FromCover(cv)); got.Int64() != 15 {
+		t.Fatalf("cover minterms %v, want 15", got)
 	}
 }
 
@@ -102,8 +114,8 @@ func TestISOPTerminals(t *testing.T) {
 		t.Fatal("ISOP(1) should be the universal cube")
 	}
 	// Count cross-check on a literal.
-	cnt := m.ISOP(m.Var(1), s).CountMinterms()
-	if big.NewInt(int64(cnt)).Cmp(m.SatCount(m.Var(1))) != 0 {
+	cv = m.ISOP(m.Var(1), s)
+	if cv.Len() != 1 || cv.Cubes()[0].Minterms() != m.SatCount(m.Var(1)).Uint64() {
 		t.Fatal("literal count mismatch")
 	}
 	_ = lit.Var(0)

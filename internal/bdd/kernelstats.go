@@ -57,14 +57,6 @@ func (k KernelStats) AvgProbes() float64 {
 	return float64(k.UniqueProbes) / float64(k.UniqueLookups)
 }
 
-// CacheHitRate is the apply-cache hit fraction.
-func (k KernelStats) CacheHitRate() float64 {
-	if k.CacheLookups == 0 {
-		return 0
-	}
-	return float64(k.CacheHits) / float64(k.CacheLookups)
-}
-
 // Merge folds another snapshot into k: counters add, sizes keep the
 // maximum — the shape wanted when combining per-slice or per-step
 // managers into one run total.

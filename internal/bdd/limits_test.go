@@ -20,32 +20,32 @@ func buildParity(m *Manager, n int) Ref {
 
 func TestCacheCapClearsAndCounts(t *testing.T) {
 	m := New(16)
-	m.SetCacheLimit(8) // tiny cap: force clears
+	m.cache.resize(8) // tiny cache: force evictions
 	f := buildParity(m, 16)
 	g := buildParity(m, 16)
 	if f != g {
 		t.Fatal("parity not canonical")
 	}
-	lookups, hits, clears, size := m.CacheStats()
-	if lookups == 0 {
+	k := m.Kernel()
+	if k.CacheLookups == 0 {
 		t.Fatal("no cache lookups recorded")
 	}
-	if clears == 0 {
-		t.Fatal("tiny cache cap never cleared")
+	if k.CacheEvictions == 0 {
+		t.Fatal("tiny cache never evicted")
 	}
-	if size > 8 {
-		t.Fatalf("cache size %d exceeds cap 8", size)
+	if k.CacheSize > k.CacheCap {
+		t.Fatalf("cache occupancy %d exceeds its %d slots", k.CacheSize, k.CacheCap)
 	}
-	if hits > lookups {
-		t.Fatalf("hits %d > lookups %d", hits, lookups)
+	if k.CacheHits > k.CacheLookups {
+		t.Fatalf("hits %d > lookups %d", k.CacheHits, k.CacheLookups)
 	}
 }
 
 func TestCacheCapPreservesCorrectness(t *testing.T) {
-	// Same computation with and without a punishing cache cap must agree.
+	// Same computation with and without a punishing cache size must agree.
 	free := New(12)
 	capped := New(12)
-	capped.SetCacheLimit(4)
+	capped.cache.resize(4)
 	ff := buildParity(free, 12)
 	cf := buildParity(capped, 12)
 	if free.SatCount(ff).Cmp(capped.SatCount(cf)) != 0 {

@@ -1,9 +1,7 @@
 package bdd
 
 import (
-	"fmt"
 	"math/big"
-	"sort"
 
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
@@ -11,26 +9,7 @@ import (
 
 // Exists existentially quantifies the variables of the positive cube
 // (as built by CubeVars) out of f.
-func (m *Manager) Exists(f, cubeRef Ref) Ref {
-	return m.quant(f, cubeRef, opExists)
-}
-
-// Forall universally quantifies the cube's variables out of f.
-func (m *Manager) Forall(f, cubeRef Ref) Ref {
-	return m.quant(f, cubeRef, opForall)
-}
-
-// ExistsVars is Exists over an explicit variable list.
-func (m *Manager) ExistsVars(f Ref, vars []lit.Var) Ref {
-	return m.Exists(f, m.CubeVars(vars))
-}
-
-// ForallVars is Forall over an explicit variable list.
-func (m *Manager) ForallVars(f Ref, vars []lit.Var) Ref {
-	return m.Forall(f, m.CubeVars(vars))
-}
-
-func (m *Manager) quant(f, c Ref, op uint8) Ref {
+func (m *Manager) Exists(f, c Ref) Ref {
 	if f == True || f == False {
 		return f
 	}
@@ -41,24 +20,25 @@ func (m *Manager) quant(f, c Ref, op uint8) Ref {
 	if c == True {
 		return f
 	}
-	if r, ok := m.cache.get(op, f, c, 0); ok {
+	if r, ok := m.cache.get(opExists, f, c, 0); ok {
 		return r
 	}
 	n := m.nodes[f]
 	var r Ref
-	lo := m.quant(n.low, c, op)
-	hi := m.quant(n.high, c, op)
+	lo := m.Exists(n.low, c)
+	hi := m.Exists(n.high, c)
 	if m.level(c) == n.level {
-		if op == opExists {
-			r = m.Or(lo, hi)
-		} else {
-			r = m.And(lo, hi)
-		}
+		r = m.Or(lo, hi)
 	} else {
 		r = m.mk(n.level, lo, hi)
 	}
-	m.cache.put(op, f, c, 0, r)
+	m.cache.put(opExists, f, c, 0, r)
 	return r
+}
+
+// ExistsVars is Exists over an explicit variable list.
+func (m *Manager) ExistsVars(f Ref, vars []lit.Var) Ref {
+	return m.Exists(f, m.CubeVars(vars))
 }
 
 // AndExists computes ∃cube. f ∧ g without building the full conjunction —
@@ -106,165 +86,6 @@ func (m *Manager) AndExists(f, g, cubeRef Ref) Ref {
 	}
 	m.cache.put(opAndExists, f, g, c, r)
 	return r
-}
-
-// Restrict returns the cofactor of f with variable v fixed to val.
-func (m *Manager) Restrict(f Ref, v lit.Var, val bool) Ref {
-	level := m.Level(v)
-	return m.restrictRec(f, level, val)
-}
-
-func (m *Manager) restrictRec(f Ref, level int32, val bool) Ref {
-	if m.level(f) > level {
-		return f // terminal or entirely below? level order: node levels grow downward
-	}
-	n := m.nodes[f]
-	if n.level == level {
-		if val {
-			return n.high
-		}
-		return n.low
-	}
-	// Reuse the opCompose slot; the (level, val) pair is packed into the b
-	// operand and c = -1 keeps it disjoint from real compose keys.
-	key := Ref(level)*2 + boolRef(val)
-	if r, ok := m.cache.get(opCompose, f, key, -1); ok {
-		return r
-	}
-	r := m.mk(n.level, m.restrictRec(n.low, level, val), m.restrictRec(n.high, level, val))
-	m.cache.put(opCompose, f, key, -1, r)
-	return r
-}
-
-func boolRef(b bool) Ref {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// RestrictCube cofactors f by every fixed position of the cube c, whose
-// positions map to variables through the space s.
-func (m *Manager) RestrictCube(f Ref, s *cube.Space, c cube.Cube) Ref {
-	for i, t := range c {
-		if t == lit.Unknown {
-			continue
-		}
-		f = m.Restrict(f, s.Vars()[i], t == lit.True)
-	}
-	return f
-}
-
-// Compose substitutes g for variable v in f: f[v := g].
-func (m *Manager) Compose(f Ref, v lit.Var, g Ref) Ref {
-	return m.ITE(g, m.Restrict(f, v, true), m.Restrict(f, v, false))
-}
-
-// Constrain computes the Coudert–Madre generalized cofactor f↓c: a
-// function that agrees with f everywhere c holds and is chosen for BDD
-// compactness elsewhere. The defining property is
-//
-//	Constrain(f, c) ∧ c  ==  f ∧ c
-//
-// so it implements "simplify f using ¬c as don't cares". c must not be
-// False.
-func (m *Manager) Constrain(f, c Ref) Ref {
-	if c == False {
-		panic("bdd: Constrain with an empty care set")
-	}
-	return m.constrainRec(f, c)
-}
-
-const opConstrain uint8 = 200
-
-func (m *Manager) constrainRec(f, c Ref) Ref {
-	switch {
-	case c == True, f == True, f == False:
-		return f
-	case f == c:
-		return True
-	}
-	if r, ok := m.cache.get(opConstrain, f, c, 0); ok {
-		return r
-	}
-	level := m.level(f)
-	if l := m.level(c); l < level {
-		level = l
-	}
-	c0, c1 := m.cofactors(c, level)
-	var r Ref
-	switch {
-	case c0 == False:
-		_, f1 := m.cofactors(f, level)
-		r = m.constrainRec(f1, c1)
-	case c1 == False:
-		f0, _ := m.cofactors(f, level)
-		r = m.constrainRec(f0, c0)
-	default:
-		f0, f1 := m.cofactors(f, level)
-		r = m.mk(level, m.constrainRec(f0, c0), m.constrainRec(f1, c1))
-	}
-	m.cache.put(opConstrain, f, c, 0, r)
-	return r
-}
-
-// SimplifyWith returns some function between f∧c and f∨¬c (i.e. f with
-// ¬c as a don't-care set), using Constrain; useful for shrinking frontier
-// sets in reachability fixpoints.
-func (m *Manager) SimplifyWith(f, c Ref) Ref {
-	if c == False {
-		return False
-	}
-	return m.Constrain(f, c)
-}
-
-// Support returns the variables f depends on, in order position.
-func (m *Manager) Support(f Ref) []lit.Var {
-	seen := map[Ref]bool{}
-	levels := map[int32]bool{}
-	var walk func(Ref)
-	walk = func(r Ref) {
-		if r == True || r == False || seen[r] {
-			return
-		}
-		seen[r] = true
-		n := m.nodes[r]
-		levels[n.level] = true
-		walk(n.low)
-		walk(n.high)
-	}
-	walk(f)
-	ls := make([]int32, 0, len(levels))
-	for l := range levels {
-		ls = append(ls, l)
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	out := make([]lit.Var, len(ls))
-	for i, l := range ls {
-		out[i] = m.order[l]
-	}
-	return out
-}
-
-// Size returns the number of distinct nodes reachable from f, including
-// terminals.
-func (m *Manager) Size(f Ref) int {
-	seen := map[Ref]bool{}
-	var walk func(Ref)
-	walk = func(r Ref) {
-		if seen[r] {
-			return
-		}
-		seen[r] = true
-		if r == True || r == False {
-			return
-		}
-		n := m.nodes[r]
-		walk(n.low)
-		walk(n.high)
-	}
-	walk(f)
-	return len(seen)
 }
 
 // SatCount returns the exact number of satisfying assignments of f over
@@ -386,36 +207,6 @@ func (m *Manager) AnySat(f Ref, s *cube.Space) cube.Cube {
 		}
 	}
 	return c
-}
-
-// ToCover enumerates the 1-paths of f as a cube cover over the space s.
-// Every support variable of f must be in s.
-func (m *Manager) ToCover(f Ref, s *cube.Space) *cube.Cover {
-	cv := cube.NewCover(s)
-	cur := s.FullCube()
-	var walk func(Ref)
-	walk = func(r Ref) {
-		if r == False {
-			return
-		}
-		if r == True {
-			cv.Add(cur.Clone())
-			return
-		}
-		n := m.nodes[r]
-		v := m.order[n.level]
-		pos := s.PosOf(v)
-		if pos < 0 {
-			panic(fmt.Sprintf("bdd: ToCover: support variable %v not in space", v))
-		}
-		cur[pos] = lit.False
-		walk(n.low)
-		cur[pos] = lit.True
-		walk(n.high)
-		cur[pos] = lit.Unknown
-	}
-	walk(f)
-	return cv
 }
 
 // FromCube builds the BDD of a cube over space s.

@@ -57,7 +57,6 @@ func (m *Manager) Reset(order []lit.Var) {
 	m.cache.invalidate()
 	m.cache.lookups, m.cache.hits, m.cache.evictions = 0, 0, 0
 
-	m.cacheLimit = DefaultCacheLimit
 	m.maxNodes = 0
 	m.check = nil
 }

@@ -27,10 +27,9 @@ import (
 
 // Options configures a BMC run.
 type Options struct {
-	// SAT tunes the underlying incremental solver (zero value = defaults).
-	SAT sat.Options
-	// Budget imposes resource limits across the whole bound sweep. When
-	// it trips, CheckTo returns a Result with Aborted set and Depth
+	// Budget imposes resource limits across the whole bound sweep, which
+	// runs on an incremental solver with sat.DefaultOptions. When it
+	// trips, CheckTo returns a Result with Aborted set and Depth
 	// reporting the last fully explored depth — never an error.
 	Budget budget.Budget
 	// Workers > 1 makes CheckOpts sweep the depths in parallel, one
@@ -118,11 +117,8 @@ func NewOpts(c *circuit.Circuit, init, bad *cube.Cover, opts Options) (*Checker,
 		frame = frame.Clone()
 		simplify.RunFrozen(frame, enc.StateVars, enc.InputVars, enc.NextStateVars)
 	}
-	satOpts := opts.SAT
-	if satOpts.Budget.IsZero() {
-		satOpts.Budget = opts.Budget.Materialize()
-	}
-	ck := &Checker{c: c, enc: enc, frame: frame, s: sat.New(satOpts), init: init, bad: bad}
+	ck := &Checker{c: c, enc: enc, frame: frame, s: sat.New(sat.Options{Budget: opts.Budget.Materialize()}),
+		init: init, bad: bad}
 
 	// Frame 0 state variables are fresh solver variables constrained to
 	// the initial cover.
@@ -261,10 +257,6 @@ func (ck *Checker) CheckTo(bound int) (*Result, error) {
 	res.Stats = ck.s.Stats()
 	return res, nil
 }
-
-// SetBudget replaces the checker's resource budget for subsequent
-// CheckTo calls (the clock of a relative Timeout starts now).
-func (ck *Checker) SetBudget(b budget.Budget) { ck.s.SetBudget(b) }
 
 // extractTrace reads the model back into a concrete trace of length k.
 func (ck *Checker) extractTrace(k int) *preimage.Trace {

@@ -105,12 +105,7 @@ func (b Budget) Materialize() Budget {
 	return b
 }
 
-// MergeDecisions returns the effective decision cap given an
-// engine-local cap: the smaller of the two non-zero values.
-func (b Budget) MergeDecisions(local uint64) uint64 {
-	return mergeCap(b.MaxDecisions, local)
-}
-
+// mergeCap returns the tighter of two caps, where 0 means unlimited.
 func mergeCap(a, b uint64) uint64 {
 	switch {
 	case a == 0:

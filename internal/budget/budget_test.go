@@ -80,18 +80,12 @@ func TestMaterializeTimeout(t *testing.T) {
 }
 
 func TestMergeCaps(t *testing.T) {
-	b := Budget{MaxDecisions: 7}
-	if got := b.MergeDecisions(0); got != 7 {
-		t.Fatalf("MergeDecisions(0) = %d, want 7", got)
-	}
-	if got := b.MergeDecisions(3); got != 3 {
-		t.Fatalf("MergeDecisions(3) = %d, want 3", got)
-	}
-	if got := b.MergeDecisions(100); got != 7 {
-		t.Fatalf("MergeDecisions(100) = %d, want 7", got)
-	}
-	if got := (Budget{}).MergeDecisions(5); got != 5 {
-		t.Fatalf("unset MergeDecisions(5) = %d, want 5", got)
+	for _, tc := range []struct{ a, b, want uint64 }{
+		{7, 0, 7}, {7, 3, 3}, {7, 100, 7}, {0, 5, 5}, {0, 0, 0},
+	} {
+		if got := mergeCap(tc.a, tc.b); got != tc.want {
+			t.Fatalf("mergeCap(%d, %d) = %d, want %d", tc.a, tc.b, got, tc.want)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -355,14 +354,4 @@ func BenchString(c *Circuit) string {
 	var sb strings.Builder
 	_ = WriteBench(&sb, c)
 	return sb.String()
-}
-
-// SortedOutputs returns output gate names sorted (for stable test output).
-func (c *Circuit) SortedOutputs() []string {
-	out := make([]string, len(c.Outputs))
-	for i, o := range c.Outputs {
-		out[i] = c.Gates[o].Name
-	}
-	sort.Strings(out)
-	return out
 }

@@ -11,9 +11,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
-
-	"allsatpre/internal/lit"
 )
 
 // GateType enumerates the supported gate functions.
@@ -109,9 +106,6 @@ func (c *Circuit) IndexOf(name string) int {
 	return -1
 }
 
-// GateName returns the name of gate i.
-func (c *Circuit) GateName(i int) string { return c.Gates[i].Name }
-
 // AddGate appends a gate, validating arity and name uniqueness.
 func (c *Circuit) AddGate(name string, t GateType, fanins ...int) int {
 	if _, dup := c.byName[name]; dup {
@@ -187,44 +181,6 @@ func EvalGate(t GateType, in []bool) bool {
 		return in[0] == in[1]
 	}
 	panic(fmt.Sprintf("circuit: EvalGate on %v", t))
-}
-
-// EvalGateTern is the ternary counterpart of EvalGate with controlling-
-// value short circuits (0 dominates AND, 1 dominates OR).
-func EvalGateTern(t GateType, in []lit.Tern) lit.Tern {
-	switch t {
-	case Const0:
-		return lit.False
-	case Const1:
-		return lit.True
-	case Buf, DFF:
-		return in[0]
-	case Not:
-		return in[0].Not()
-	case And, Nand:
-		r := lit.True
-		for _, b := range in {
-			r = r.And(b)
-		}
-		if t == Nand {
-			return r.Not()
-		}
-		return r
-	case Or, Nor:
-		r := lit.False
-		for _, b := range in {
-			r = r.Or(b)
-		}
-		if t == Nor {
-			return r.Not()
-		}
-		return r
-	case Xor:
-		return in[0].Xor(in[1])
-	case Xnor:
-		return in[0].Xor(in[1]).Not()
-	}
-	panic(fmt.Sprintf("circuit: EvalGateTern on %v", t))
 }
 
 // TopoOrder returns a topological order of all gates for combinational
@@ -315,76 +271,6 @@ func (c *Circuit) Depth() (int, error) {
 	return d, nil
 }
 
-// FanoutCounts returns, for every gate, how many gates list it as a fanin.
-func (c *Circuit) FanoutCounts() []int {
-	out := make([]int, len(c.Gates))
-	for _, g := range c.Gates {
-		for _, f := range g.Fanins {
-			out[f]++
-		}
-	}
-	return out
-}
-
-// ConeOfInfluence returns the set of gate indexes that the given roots
-// depend on, transitively, crossing latch boundaries (so it is the
-// sequential COI).
-func (c *Circuit) ConeOfInfluence(roots []int) map[int]bool {
-	seen := make(map[int]bool)
-	stack := append([]int(nil), roots...)
-	for len(stack) > 0 {
-		i := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		stack = append(stack, c.Gates[i].Fanins...)
-	}
-	return seen
-}
-
-// ExtractCOI builds a new circuit containing only the sequential cone of
-// influence of the given output gates (which become the outputs of the new
-// circuit). Input/latch declaration order is preserved.
-func (c *Circuit) ExtractCOI(roots []int) *Circuit {
-	keep := c.ConeOfInfluence(roots)
-	nc := New(c.Name + "_coi")
-	remap := make(map[int]int)
-	// Create gates in original index order so fanins exist before use;
-	// DFFs need a second pass because their D may come later.
-	var dffs []int
-	for i, g := range c.Gates {
-		if !keep[i] {
-			continue
-		}
-		switch g.Type {
-		case DFF:
-			// Placeholder: create as DFF with temporary self-fanin fixed below.
-			dffs = append(dffs, i)
-			idx := len(nc.Gates)
-			nc.Gates = append(nc.Gates, Gate{Name: g.Name, Type: DFF, Fanins: []int{0}})
-			nc.byName[g.Name] = idx
-			nc.Latches = append(nc.Latches, idx)
-			remap[i] = idx
-		default:
-			fan := make([]int, len(g.Fanins))
-			for k, f := range g.Fanins {
-				fan[k] = remap[f]
-			}
-			remap[i] = nc.AddGate(g.Name, g.Type, fan...)
-		}
-	}
-	for _, i := range dffs {
-		d := c.Gates[i].Fanins[0]
-		nc.Gates[remap[i]].Fanins[0] = remap[d]
-	}
-	for _, r := range roots {
-		nc.MarkOutput(remap[r])
-	}
-	return nc
-}
-
 // Stats summarizes the netlist for reporting.
 type NetStats struct {
 	Name      string
@@ -414,15 +300,4 @@ func (c *Circuit) Stats() NetStats {
 func (s NetStats) String() string {
 	return fmt.Sprintf("%s: PI=%d PO=%d FF=%d gates=%d depth=%d",
 		s.Name, s.Inputs, s.Outputs, s.Latches, s.CombGates, s.Depth)
-}
-
-// SortedSignalNames returns all signal names sorted, for deterministic
-// output in tools.
-func (c *Circuit) SortedSignalNames() []string {
-	names := make([]string, 0, len(c.Gates))
-	for _, g := range c.Gates {
-		names = append(names, g.Name)
-	}
-	sort.Strings(names)
-	return names
 }

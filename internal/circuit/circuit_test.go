@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"allsatpre/internal/lit"
 )
 
 // buildToy returns a small sequential circuit: a 2-bit counter with enable.
@@ -46,8 +44,8 @@ func TestAddGateValidation(t *testing.T) {
 	if c.IndexOf("a") != a || c.IndexOf("nope") != -1 {
 		t.Error("IndexOf")
 	}
-	if c.GateName(a) != "a" {
-		t.Error("GateName")
+	if c.Gates[a].Name != "a" {
+		t.Error("gate name")
 	}
 }
 
@@ -83,37 +81,6 @@ func TestEvalGateTruth(t *testing.T) {
 		}
 	}
 	mustPanic(t, func() { EvalGate(GateType(99), nil) })
-	mustPanic(t, func() { EvalGateTern(GateType(99), nil) })
-}
-
-func TestEvalGateTernRefinesBinary(t *testing.T) {
-	types := []GateType{Buf, Not, And, Nand, Or, Nor, Xor, Xnor}
-	for _, typ := range types {
-		mn, _ := typ.arity()
-		n := mn
-		for x := 0; x < 1<<uint(n); x++ {
-			in := make([]bool, n)
-			tin := make([]lit.Tern, n)
-			for i := 0; i < n; i++ {
-				in[i] = x&(1<<uint(i)) != 0
-				tin[i] = lit.TernOf(in[i])
-			}
-			want := lit.TernOf(EvalGate(typ, in))
-			if got := EvalGateTern(typ, tin); got != want {
-				t.Errorf("%v(%v): tern %v, binary %v", typ, in, got, want)
-			}
-		}
-	}
-	// Controlling values beat X.
-	if EvalGateTern(And, []lit.Tern{lit.False, lit.Unknown}) != lit.False {
-		t.Error("0 AND X should be 0")
-	}
-	if EvalGateTern(Or, []lit.Tern{lit.Unknown, lit.True}) != lit.True {
-		t.Error("X OR 1 should be 1")
-	}
-	if EvalGateTern(Xor, []lit.Tern{lit.Unknown, lit.True}) != lit.Unknown {
-		t.Error("X XOR 1 should be X")
-	}
 }
 
 func TestToyCounterSimulation(t *testing.T) {
@@ -142,7 +109,6 @@ func TestStepDimensionPanics(t *testing.T) {
 	c := buildToy(t)
 	sim, _ := NewSimulator(c)
 	mustPanic(t, func() { sim.Step([]bool{false}, []bool{true}) })
-	mustPanic(t, func() { sim.StepTern(nil, nil) })
 	mustPanic(t, func() { sim.Step64(nil, nil) })
 }
 
@@ -192,18 +158,6 @@ func TestLevels(t *testing.T) {
 	}
 	if lvl[c.IndexOf("carry")] != 1 || lvl[c.IndexOf("d1")] != 2 {
 		t.Errorf("levels: carry=%d d1=%d", lvl[c.IndexOf("carry")], lvl[c.IndexOf("d1")])
-	}
-}
-
-func TestFanoutCounts(t *testing.T) {
-	c := buildToy(t)
-	fo := c.FanoutCounts()
-	if fo[c.IndexOf("en")] != 3 { // d0, carry, plus initial? en feeds d0 XOR and carry AND only after patch
-		// en appears in d0 and carry fanins = 2; the initial latch fanins were patched away.
-		t.Logf("fanout(en) = %d", fo[c.IndexOf("en")])
-	}
-	if fo[c.IndexOf("d0")] != 1 {
-		t.Errorf("fanout(d0) = %d, want 1 (the latch)", fo[c.IndexOf("d0")])
 	}
 }
 
@@ -375,64 +329,6 @@ func TestStep64MatchesScalar(t *testing.T) {
 	}
 }
 
-func TestStepTernRefinesStep(t *testing.T) {
-	data, _ := os.ReadFile(filepath.Join("..", "..", "testdata", "s27.bench"))
-	c, _ := ParseBenchString("s27", string(data))
-	sim, _ := NewSimulator(c)
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 100; iter++ {
-		st := make([]lit.Tern, 3)
-		in := make([]lit.Tern, 4)
-		for i := range st {
-			st[i] = lit.Tern(rng.Intn(3))
-		}
-		for i := range in {
-			in[i] = lit.Tern(rng.Intn(3))
-		}
-		outT, nextT := sim.StepTern(st, in)
-		// Every completion of the X bits must agree with known outputs.
-		for comp := 0; comp < 8; comp++ {
-			stB := make([]bool, 3)
-			inB := make([]bool, 4)
-			k := 0
-			ok := true
-			for i := range st {
-				if v, known := st[i].Bool(); known {
-					stB[i] = v
-				} else {
-					stB[i] = comp&(1<<uint(k)) != 0
-					k++
-					if k > 3 {
-						ok = false
-						break
-					}
-				}
-			}
-			for i := range in {
-				if v, known := in[i].Bool(); known {
-					inB[i] = v
-				} else {
-					inB[i] = comp&(1<<uint(k%3)) != 0
-				}
-			}
-			if !ok {
-				continue
-			}
-			outB, nextB := sim.Step(stB, inB)
-			for j := range outT {
-				if v, known := outT[j].Bool(); known && v != outB[j] {
-					t.Fatalf("ternary output %d=%v contradicts completion", j, outT[j])
-				}
-			}
-			for j := range nextT {
-				if v, known := nextT[j].Bool(); known && v != nextB[j] {
-					t.Fatalf("ternary next %d=%v contradicts completion", j, nextT[j])
-				}
-			}
-		}
-	}
-}
-
 func TestRunTrace(t *testing.T) {
 	c := buildToy(t)
 	sim, _ := NewSimulator(c)
@@ -442,68 +338,6 @@ func TestRunTrace(t *testing.T) {
 	}
 	if final[0] != true || final[1] != true {
 		t.Fatalf("final state %v, want [true true]", final)
-	}
-}
-
-func TestConeOfInfluence(t *testing.T) {
-	c := New("coi")
-	a := c.AddInput("a")
-	b := c.AddInput("b")
-	x := c.AddGate("x", Not, a)
-	y := c.AddGate("y", Not, b) // not in COI of out
-	out := c.AddGate("out", And, x, a)
-	c.MarkOutput(out)
-	_ = y
-	coi := c.ConeOfInfluence([]int{out})
-	if !coi[a] || !coi[x] || !coi[out] {
-		t.Error("COI missing gates")
-	}
-	if coi[b] || coi[y] {
-		t.Error("COI includes unrelated gates")
-	}
-	ec := c.ExtractCOI([]int{out})
-	if ec.NumGates() != 3 || len(ec.Inputs) != 1 || len(ec.Outputs) != 1 {
-		t.Fatalf("ExtractCOI: %v", ec.Stats())
-	}
-}
-
-func TestExtractCOIWithLatches(t *testing.T) {
-	c := buildToy(t)
-	// COI of s1 includes everything.
-	ec := c.ExtractCOI([]int{c.IndexOf("s1")})
-	if len(ec.Latches) != 2 {
-		t.Fatalf("COI should keep both latches, got %d", len(ec.Latches))
-	}
-	// Behavioural equivalence.
-	sim1, _ := NewSimulator(c)
-	sim2, _ := NewSimulator(ec)
-	st1 := []bool{false, false}
-	st2 := []bool{false, false}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50; i++ {
-		in := []bool{rng.Intn(2) == 0}
-		var o1, o2 []bool
-		o1, st1 = sim1.Step(st1, in)
-		o2, st2 = sim2.Step(st2, in)
-		if o1[0] != o2[0] {
-			t.Fatalf("COI extraction changed behaviour at step %d", i)
-		}
-	}
-}
-
-func TestSortedNamesAndOutputs(t *testing.T) {
-	c := buildToy(t)
-	names := c.SortedSignalNames()
-	if len(names) != c.NumGates() {
-		t.Fatal("SortedSignalNames length")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("names not sorted")
-		}
-	}
-	if got := c.SortedOutputs(); len(got) != 1 || got[0] != "s1" {
-		t.Fatalf("SortedOutputs = %v", got)
 	}
 }
 

@@ -2,8 +2,6 @@ package circuit
 
 import (
 	"fmt"
-
-	"allsatpre/internal/lit"
 )
 
 // Simulator evaluates a circuit. It caches the topological order, so one
@@ -57,45 +55,6 @@ func (s *Simulator) Step(state, inputs []bool) (outputs, nextState []bool) {
 		outputs[k] = val[i]
 	}
 	nextState = make([]bool, len(c.Latches))
-	for k, i := range c.Latches {
-		nextState[k] = val[c.Gates[i].Fanins[0]]
-	}
-	return outputs, nextState
-}
-
-// StepTern is the ternary analogue of Step: Unknown inputs/state bits
-// propagate as X through the logic with controlling-value short circuits.
-func (s *Simulator) StepTern(state, inputs []lit.Tern) (outputs, nextState []lit.Tern) {
-	c := s.c
-	if len(state) != len(c.Latches) || len(inputs) != len(c.Inputs) {
-		panic("circuit: StepTern dimension mismatch")
-	}
-	val := make([]lit.Tern, len(c.Gates))
-	for k, i := range c.Latches {
-		val[i] = state[k]
-	}
-	for k, i := range c.Inputs {
-		val[i] = inputs[k]
-	}
-	var inBuf []lit.Tern
-	for _, i := range s.order {
-		g := &c.Gates[i]
-		switch g.Type {
-		case Input, DFF:
-			continue
-		default:
-			inBuf = inBuf[:0]
-			for _, f := range g.Fanins {
-				inBuf = append(inBuf, val[f])
-			}
-			val[i] = EvalGateTern(g.Type, inBuf)
-		}
-	}
-	outputs = make([]lit.Tern, len(c.Outputs))
-	for k, i := range c.Outputs {
-		outputs[k] = val[i]
-	}
-	nextState = make([]lit.Tern, len(c.Latches))
 	for k, i := range c.Latches {
 		nextState[k] = val[c.Gates[i].Fanins[0]]
 	}

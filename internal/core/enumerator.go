@@ -49,18 +49,6 @@ type Options struct {
 	EnableMemo bool
 	// EnableLearning turns conflict-clause learning on.
 	EnableLearning bool
-	// MaxLearnedLen drops learned clauses longer than this (0 = keep all).
-	MaxLearnedLen int
-	// MemoLimit bounds the success-driven memo table: when the entry count
-	// reaches the limit, the whole table is cleared (a clear-on-threshold
-	// policy, counted in Stats.CacheClears), bounding memory on deep
-	// enumerations at the price of re-deriving evicted subproblems. 0
-	// selects DefaultMemoLimit; a negative value removes the bound.
-	MemoLimit int
-	// MaxDecisions aborts the enumeration once this many decisions have
-	// been made (0 = unbounded). An aborted run returns an
-	// under-approximation of the solution set, flagged in the result.
-	MaxDecisions uint64
 	// Budget imposes wall-clock, cancellation, decision, and BDD-node
 	// limits on the enumeration. When it trips, the run aborts with the
 	// portion of the solution set assembled so far — always a sound
@@ -88,15 +76,17 @@ func DefaultOptions() Options {
 // callers substitute DefaultOptions. Field-wise because Options holds a
 // function value and is not comparable.
 func (o Options) IsZero() bool {
-	return !o.EnableMemo && !o.EnableLearning && o.MaxLearnedLen == 0 &&
-		o.MemoLimit == 0 && o.MaxDecisions == 0 && o.Budget.IsZero() &&
+	return !o.EnableMemo && !o.EnableLearning && o.Budget.IsZero() &&
 		o.OnDecision == nil && o.Manager == nil
 }
 
-// DefaultMemoLimit is the memo-table entry bound installed when
-// Options.MemoLimit is zero. At roughly 24 bytes per entry this caps the
-// table near 25 MB — far beyond what the benchmark circuits populate, so
-// it only engages on pathological instances.
+// DefaultMemoLimit bounds the success-driven memo table: when the entry
+// count reaches it, the whole table is cleared (a clear-on-threshold
+// policy, counted in Stats.CacheClears), bounding memory on deep
+// enumerations at the price of re-deriving evicted subproblems. At
+// roughly 24 bytes per entry this caps the table near 25 MB — far beyond
+// what the benchmark circuits populate, so it only engages on
+// pathological instances.
 const DefaultMemoLimit = 1 << 20
 
 type clause struct {
@@ -156,7 +146,7 @@ type Enumerator struct {
 
 	man       *bdd.Manager
 	memo      map[sig128]bdd.Ref
-	memoLimit int // resolved MemoLimit; 0 = unbounded
+	memoLimit int // DefaultMemoLimit; tests lower it to force clears
 
 	// learnFrom scratch, reused across conflicts.
 	learntBuf  []lit.Lit
@@ -231,12 +221,7 @@ func New(f *cnf.Formula, space *cube.Space, opts Options) *Enumerator {
 		man:      man,
 		memo:     make(map[sig128]bdd.Ref),
 	}
-	switch {
-	case opts.MemoLimit > 0:
-		e.memoLimit = opts.MemoLimit
-	case opts.MemoLimit == 0:
-		e.memoLimit = DefaultMemoLimit
-	}
+	e.memoLimit = DefaultMemoLimit
 	for _, v := range e.proj {
 		if int(v) >= n {
 			panic(fmt.Sprintf("core: projection variable %v outside formula", v))
@@ -588,7 +573,7 @@ func (e *Enumerator) enumerate() bdd.Ref {
 			// satisfied, so the signature could never be probed again).
 			e.stepSigs = append(e.stepSigs, sig)
 		}
-		if e.memoLimit > 0 && len(e.memo) >= e.memoLimit {
+		if len(e.memo) >= e.memoLimit {
 			clear(e.memo)
 			e.stepSigs = e.stepSigs[:0]
 			e.stats.CacheClears++
@@ -604,7 +589,7 @@ func (e *Enumerator) branch(dec lit.Lit) bdd.Ref {
 	if e.aborted || e.splitReq {
 		return bdd.False
 	}
-	if maxDec := e.opts.Budget.MergeDecisions(e.opts.MaxDecisions); maxDec > 0 &&
+	if maxDec := e.opts.Budget.MaxDecisions; maxDec > 0 &&
 		e.stats.Decisions >= maxDec {
 		e.abort(budget.Decisions)
 		return bdd.False
@@ -727,9 +712,6 @@ func (e *Enumerator) learnFrom(confl *clause) {
 		return
 	}
 	n := len(e.learntBuf) + 1
-	if e.opts.MaxLearnedLen > 0 && n > e.opts.MaxLearnedLen {
-		return
-	}
 	cl := e.allocLearnt(n)
 	learnt := cl.lits
 	learnt[0] = p.Not()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"allsatpre/internal/allsat"
+	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
@@ -239,21 +240,6 @@ func TestMemoSpeedsUpAndAgrees(t *testing.T) {
 	}
 }
 
-func TestLearnedClauseLengthCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(4004))
-	for iter := 0; iter < 40; iter++ {
-		nVars := 5 + rng.Intn(6)
-		f := randomFormula(rng, nVars, 3*nVars, 3)
-		vars := rng.Perm(nVars)[:3]
-		space := projSpace(vars...)
-		a := EnumerateToResult(f, space, Options{EnableLearning: true, MaxLearnedLen: 2})
-		b := EnumerateToResult(f, space, Options{EnableLearning: true})
-		if a.Count.Cmp(b.Count) != 0 {
-			t.Fatalf("iter %d: learned-length cap changed the answer", iter)
-		}
-	}
-}
-
 func TestMaxDecisionsAborts(t *testing.T) {
 	// A tautology over many variables needs many decisions without memo
 	// hits being enough... use memo-off to force work, and a tiny budget.
@@ -266,7 +252,7 @@ func TestMaxDecisionsAborts(t *testing.T) {
 		t.Fatal("unbounded run should not abort")
 	}
 	capped := EnumerateToResult(g, projSpace(0, 1, 2, 3, 4, 5),
-		Options{EnableLearning: true, MaxDecisions: 3})
+		Options{EnableLearning: true, Budget: budget.Budget{MaxDecisions: 3}})
 	if !capped.Aborted {
 		t.Skip("instance too easy to exercise the budget")
 	}
@@ -353,8 +339,8 @@ func TestMemoBoundClearsAndAgrees(t *testing.T) {
 		vars := rng.Perm(nVars)[:5]
 		space := projSpace(vars...)
 		free := EnumerateToResult(f, space, Options{EnableMemo: true, EnableLearning: true})
-		opts := Options{EnableMemo: true, EnableLearning: true, MemoLimit: 2}
-		e := New(f, space, opts)
+		e := New(f, space, Options{EnableMemo: true, EnableLearning: true})
+		e.memoLimit = 2
 		r := e.Enumerate()
 		if got := e.man.SatCount(r.Set); got.Cmp(free.Count) != 0 {
 			t.Fatalf("iter %d: memo bound changed the answer: %v vs %v", iter, got, free.Count)
@@ -371,17 +357,12 @@ func TestMemoBoundClearsAndAgrees(t *testing.T) {
 	}
 }
 
+// TestMemoLimitResolution pins the memo bound New installs: without it
+// the clear-on-threshold check would empty the table on every insert.
 func TestMemoLimitResolution(t *testing.T) {
 	f := cnf.New(2)
-	space := projSpace(0, 1)
-	if e := New(f, space, Options{EnableMemo: true}); e.memoLimit != DefaultMemoLimit {
-		t.Fatalf("zero MemoLimit resolved to %d, want DefaultMemoLimit", e.memoLimit)
-	}
-	if e := New(f, space, Options{EnableMemo: true, MemoLimit: 64}); e.memoLimit != 64 {
-		t.Fatalf("explicit MemoLimit resolved to %d, want 64", e.memoLimit)
-	}
-	if e := New(f, space, Options{EnableMemo: true, MemoLimit: -1}); e.memoLimit != 0 {
-		t.Fatalf("negative MemoLimit resolved to %d, want 0 (unbounded)", e.memoLimit)
+	if e := New(f, projSpace(0, 1), Options{EnableMemo: true}); e.memoLimit != DefaultMemoLimit {
+		t.Fatalf("memo limit resolved to %d, want DefaultMemoLimit", e.memoLimit)
 	}
 }
 

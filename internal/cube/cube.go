@@ -113,18 +113,6 @@ func (s *Space) FromModel(model []bool) Cube {
 	return c
 }
 
-// FromAssign projects a ternary assignment (indexed by variable) onto the
-// space, keeping Unknown entries free.
-func (s *Space) FromAssign(assign []lit.Tern) Cube {
-	c := s.FullCube()
-	for i, v := range s.vars {
-		if int(v) < len(assign) {
-			c[i] = assign[v]
-		}
-	}
-	return c
-}
-
 // Clone returns a copy of the cube.
 func (c Cube) Clone() Cube {
 	out := make(Cube, len(c))
@@ -159,9 +147,6 @@ func (c Cube) FreeVars() int {
 	return n
 }
 
-// FixedVars returns the number of assigned positions.
-func (c Cube) FixedVars() int { return len(c) - c.FreeVars() }
-
 // Minterms returns the number of minterms covered (2^free). Panics above
 // 62 free variables.
 func (c Cube) Minterms() uint64 {
@@ -192,23 +177,6 @@ func (c Cube) ContainsMinterm(m []bool) bool {
 		}
 	}
 	return true
-}
-
-// Intersect returns the conjunction of two cubes, or nil if they are
-// disjoint.
-func (c Cube) Intersect(d Cube) Cube {
-	out := make(Cube, len(c))
-	for i := range c {
-		switch {
-		case c[i] == lit.Unknown:
-			out[i] = d[i]
-		case d[i] == lit.Unknown || d[i] == c[i]:
-			out[i] = c[i]
-		default:
-			return nil
-		}
-	}
-	return out
 }
 
 // Disjoint reports whether the cubes share no minterm.
@@ -331,33 +299,6 @@ func (cv *Cover) DisjointCount() *big.Int {
 	for free, n := range byFree {
 		if n > 0 {
 			total.Add(total, term.Lsh(term.SetUint64(n), uint(free)))
-		}
-	}
-	return total
-}
-
-// CountMinterms returns the exact number of minterms covered, computed by
-// disjointing the cover (cube-by-cube sharp). Exponential in the worst
-// case but fast on the covers produced by the preimage engines. Panics
-// above 62 variables.
-func (cv *Cover) CountMinterms() uint64 {
-	if cv.space.Size() > 62 {
-		panic("cube: CountMinterms overflow risk above 62 variables")
-	}
-	var total uint64
-	for ci, c := range cv.cubes {
-		// Subtract every earlier cube from c, leaving disjoint fragments.
-		work := []Cube{c.Clone()}
-		for pi := 0; pi < ci && len(work) > 0; pi++ {
-			prev := cv.cubes[pi]
-			var next []Cube
-			for _, w := range work {
-				next = append(next, sharp(w, prev)...)
-			}
-			work = next
-		}
-		for _, w := range work {
-			total += w.Minterms()
 		}
 	}
 	return total

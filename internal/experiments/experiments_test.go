@@ -247,7 +247,7 @@ func TestTargetForDeterministicAndFixed(t *testing.T) {
 	if c1.Cubes()[0].String() != c2.Cubes()[0].String() {
 		t.Fatal("targetFor not deterministic")
 	}
-	if c1.Cubes()[0].FixedVars() == 0 {
+	if cb := c1.Cubes()[0]; cb.FreeVars() == len(cb) {
 		t.Fatal("targetFor should fix at least one position")
 	}
 }

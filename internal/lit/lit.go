@@ -158,39 +158,6 @@ func (t Tern) XorSign(neg bool) Tern {
 	return t
 }
 
-// And is ternary conjunction: False dominates, otherwise X propagates.
-func (t Tern) And(o Tern) Tern {
-	if t == False || o == False {
-		return False
-	}
-	if t == True && o == True {
-		return True
-	}
-	return Unknown
-}
-
-// Or is ternary disjunction: True dominates, otherwise X propagates.
-func (t Tern) Or(o Tern) Tern {
-	if t == True || o == True {
-		return True
-	}
-	if t == False && o == False {
-		return False
-	}
-	return Unknown
-}
-
-// Xor is ternary exclusive or; X in, X out.
-func (t Tern) Xor(o Tern) Tern {
-	if t == Unknown || o == Unknown {
-		return Unknown
-	}
-	return TernOf((t == True) != (o == True))
-}
-
-// IsKnown reports whether t is True or False.
-func (t Tern) IsKnown() bool { return t != Unknown }
-
 // Bool converts t to a bool; Unknown yields false with ok=false.
 func (t Tern) Bool() (val, ok bool) {
 	switch t {

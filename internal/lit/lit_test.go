@@ -116,48 +116,6 @@ func TestTernNot(t *testing.T) {
 	}
 }
 
-func TestTernAndOrTables(t *testing.T) {
-	vals := []Tern{True, False, Unknown}
-	for _, a := range vals {
-		for _, b := range vals {
-			and, or := a.And(b), a.Or(b)
-			// Commutativity.
-			if and != b.And(a) || or != b.Or(a) {
-				t.Fatalf("And/Or not commutative at %v,%v", a, b)
-			}
-			// Domination.
-			if (a == False || b == False) && and != False {
-				t.Errorf("%v AND %v should be 0", a, b)
-			}
-			if (a == True || b == True) && or != True {
-				t.Errorf("%v OR %v should be 1", a, b)
-			}
-			// Known-only results agree with bool logic.
-			av, aok := a.Bool()
-			bv, bok := b.Bool()
-			if aok && bok {
-				if got, _ := and.Bool(); got != (av && bv) {
-					t.Errorf("And(%v,%v) mismatch", a, b)
-				}
-				if got, _ := or.Bool(); got != (av || bv) {
-					t.Errorf("Or(%v,%v) mismatch", a, b)
-				}
-				if got, _ := a.Xor(b).Bool(); got != (av != bv) {
-					t.Errorf("Xor(%v,%v) mismatch", a, b)
-				}
-			}
-		}
-	}
-}
-
-func TestTernXorUnknown(t *testing.T) {
-	for _, v := range []Tern{True, False, Unknown} {
-		if v.Xor(Unknown) != Unknown || Unknown.Xor(v) != Unknown {
-			t.Errorf("Xor with Unknown should be Unknown (v=%v)", v)
-		}
-	}
-}
-
 func TestTernXorSign(t *testing.T) {
 	if True.XorSign(true) != False || True.XorSign(false) != True {
 		t.Error("Tern.XorSign broken on True")
@@ -170,9 +128,6 @@ func TestTernXorSign(t *testing.T) {
 func TestTernStringsAndBool(t *testing.T) {
 	if True.String() != "1" || False.String() != "0" || Unknown.String() != "X" {
 		t.Error("Tern.String mismatch")
-	}
-	if !True.IsKnown() || !False.IsKnown() || Unknown.IsKnown() {
-		t.Error("IsKnown mismatch")
 	}
 	if _, ok := Unknown.Bool(); ok {
 		t.Error("Unknown.Bool() should not be ok")

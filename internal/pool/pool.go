@@ -49,12 +49,6 @@ type Options struct {
 	// Workers is the worker count; <= 0 selects runtime.GOMAXPROCS(0).
 	// One worker short-circuits to the plain sequential enumerator.
 	Workers int
-	// PrefixDepth overrides the static split depth (0 = automatic: the
-	// smallest k with 2^k >= 4*Workers subcubes).
-	PrefixDepth int
-	// SplitThreshold overrides the dynamic re-split decision cap
-	// (0 = DefaultSplitThreshold).
-	SplitThreshold uint64
 	// Core configures each worker's enumerator. Core.Budget is ignored;
 	// pass the run budget in Budget.
 	Core core.Options
@@ -137,6 +131,14 @@ func (r *Result) Release() {
 // sequential enumerator — the reference the determinism tests compare
 // every other worker count against.
 func Enumerate(f *cnf.Formula, space *cube.Space, opts Options) *Result {
+	return enumerate(f, space, opts, 0, DefaultSplitThreshold)
+}
+
+// enumerate is Enumerate with the static split depth (0 = automatic: the
+// smallest k with 2^k >= 4*Workers subcubes) and the dynamic re-split
+// decision cap as parameters, so tests can force coarse splits and
+// frequent re-splitting.
+func enumerate(f *cnf.Formula, space *cube.Space, opts Options, k int, thresh uint64) *Result {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -150,12 +152,11 @@ func Enumerate(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 	// the global decision cap moves into a shared atomic polled through
 	// the enumerator's OnDecision hook.
 	g := rt.NewGroup(opts.Runtime, opts.Budget.Ctx, workers)
-	maxDec := opts.Budget.MergeDecisions(opts.Core.MaxDecisions)
+	maxDec := opts.Budget.MaxDecisions
 	co := opts.Core
 	co.Budget = opts.Budget
 	co.Budget.Ctx = g.Ctx()
 	co.Budget.MaxDecisions = 0
-	co.MaxDecisions = 0
 	var decisions atomic.Uint64
 	if maxDec > 0 {
 		co.OnDecision = func() budget.Reason {
@@ -166,13 +167,8 @@ func Enumerate(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 		}
 	}
 
-	k := opts.PrefixDepth
 	if k <= 0 {
 		k = partition.PrefixDepth(space, workers, 0)
-	}
-	thresh := opts.SplitThreshold
-	if thresh == 0 {
-		thresh = DefaultSplitThreshold
 	}
 	r := newSchedRun(space, g, workers, thresh)
 	r.f, r.core, r.rt = f, co, opts.Runtime

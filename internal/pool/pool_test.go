@@ -99,12 +99,8 @@ func TestPoolDynamicSplit(t *testing.T) {
 		space := projSpace(vars...)
 
 		want := core.EnumerateToResult(f.Clone(), space, core.DefaultOptions())
-		got := Enumerate(f.Clone(), space, Options{
-			Workers:        4,
-			PrefixDepth:    1, // start coarse so splitting has to happen
-			SplitThreshold: 2,
-			Core:           core.DefaultOptions(),
-		})
+		// Start coarse (depth 1) so splitting has to happen.
+		got := enumerate(f.Clone(), space, Options{Workers: 4, Core: core.DefaultOptions()}, 1, 2)
 		splits += got.Pool.Splits
 		cover := got.Manager.ISOP(got.Set, space)
 		if !coversIdentical(cover, want.Cover) {
@@ -148,11 +144,7 @@ func TestPoolUnsatSubcubePruning(t *testing.T) {
 	f.AddClause(cnf.Clause{lit.Pos(1), lit.Pos(2), lit.Pos(3), lit.Pos(4), lit.Pos(5)})
 	space := projSpace(0, 1, 2, 3, 4, 5)
 	want := core.EnumerateToResult(f.Clone(), space, core.DefaultOptions())
-	r := Enumerate(f.Clone(), space, Options{
-		Workers:     2,
-		PrefixDepth: 4,
-		Core:        core.DefaultOptions(),
-	})
+	r := enumerate(f.Clone(), space, Options{Workers: 2, Core: core.DefaultOptions()}, 4, DefaultSplitThreshold)
 	cover := r.Manager.ISOP(r.Set, space)
 	if !coversIdentical(cover, want.Cover) {
 		t.Fatalf("cover differs\n got: %v\nwant: %v", cover, want.Cover)

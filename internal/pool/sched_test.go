@@ -65,12 +65,11 @@ func TestSchedDynamicSplit(t *testing.T) {
 		space := projSpace(vars...)
 
 		want := core.EnumerateToResult(f.Clone(), space, core.DefaultOptions())
-		got := Enumerate(f.Clone(), space, Options{
-			Workers:        4,
-			SplitThreshold: 8,
-			Core:           core.DefaultOptions(),
-			Runtime:        run,
-		})
+		got := enumerate(f.Clone(), space, Options{
+			Workers: 4,
+			Core:    core.DefaultOptions(),
+			Runtime: run,
+		}, 0, 8)
 		if got.Manager.SatCount(got.Set).Cmp(want.Count) != 0 {
 			t.Fatalf("iter %d: count %v, want %v",
 				iter, got.Manager.SatCount(got.Set), want.Count)

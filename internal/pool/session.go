@@ -31,7 +31,6 @@ type Session struct {
 	es      []*core.Enumerator
 	man     *bdd.Manager
 	workers int
-	thresh  uint64
 	prefix  int
 	budget  budget.Budget // materialized; Ctx is the session context
 	cancel  context.CancelFunc
@@ -86,20 +85,12 @@ func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 		cancel:  cancel,
 		rt:      opts.Runtime,
 	}
-	s.thresh = opts.SplitThreshold
-	if s.thresh == 0 {
-		s.thresh = DefaultSplitThreshold
-	}
-	s.prefix = opts.PrefixDepth
-	if s.prefix <= 0 {
-		s.prefix = partition.PrefixDepth(space, workers, 0)
-	}
+	s.prefix = partition.PrefixDepth(space, workers, 0)
 
 	co := opts.Core
 	co.Budget = b
-	maxDec := b.MergeDecisions(co.MaxDecisions)
+	maxDec := b.MaxDecisions
 	co.Budget.MaxDecisions = 0
-	co.MaxDecisions = 0
 	if maxDec > 0 {
 		dec := &s.decisions
 		co.OnDecision = func() budget.Reason {
@@ -253,7 +244,7 @@ func (s *Session) runSequential(base []lit.Lit) *Result {
 // Failed-assumption patterns are valid only under the current target,
 // so they are scoped to this run.
 func (s *Session) runParallel(base []lit.Lit) *Result {
-	r := newSchedRun(s.space, rt.NewGroup(s.rt, s.budget.Ctx, s.workers), s.workers, s.thresh)
+	r := newSchedRun(s.space, rt.NewGroup(s.rt, s.budget.Ctx, s.workers), s.workers, DefaultSplitThreshold)
 	r.base = base
 	r.stopSession = s.cancel
 	r.decBase = make(map[*core.Enumerator]uint64, len(s.es))

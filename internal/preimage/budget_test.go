@@ -108,7 +108,7 @@ func TestReachCubeCapNeverClaimsFixpoint(t *testing.T) {
 	c := gen.Counter(6, true, false)
 	target := trans.TargetFromPatterns(6, "XXXXX1")
 	opts := Options{Engine: EngineBlocking}
-	opts.AllSAT.Budget.MaxCubes = 1
+	opts.Budget.MaxCubes = 1
 	res, err := Reach(c, target, 0, opts)
 	if err != nil {
 		t.Fatal(err)

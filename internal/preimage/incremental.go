@@ -17,7 +17,6 @@ import (
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
-	"allsatpre/internal/core"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/incr"
 	"allsatpre/internal/lit"
@@ -33,27 +32,16 @@ func useIncremental(opts Options) bool {
 	return opts.Incremental && opts.Engine == EngineSuccessDriven && opts.Restrict == nil
 }
 
-// incrOptions translates preimage options into session options with the
-// same budget-precedence rule as runSuccessDriven: an explicitly set
-// engine budget wins over the computation budget.
+// incrOptions translates preimage options into session options.
 func incrOptions(opts Options) incr.Options {
 	workers := opts.Parallel
 	if workers < 1 {
 		workers = 1
 	}
-	co := opts.Core
-	if co.IsZero() {
-		co = core.DefaultOptions()
-	}
-	bud := co.Budget
-	if bud.IsZero() {
-		bud = opts.Budget
-	}
-	co.Budget = budget.Budget{}
 	return incr.Options{
 		Workers:    workers,
-		Core:       co,
-		Budget:     bud,
+		Core:       coreOptions(opts),
+		Budget:     opts.Budget,
 		InputFirst: opts.InputFirstOrder,
 		Interleave: opts.Interleave,
 		// Sessions default off regardless of the one-shot default: only an
@@ -131,15 +119,9 @@ func reachIncremental(c *circuit.Circuit, target *cube.Cover, maxSteps int, opts
 			}
 			break
 		}
-		exact := man.ISOP(newSet, cnfSpace)
-		if opts.FrontierSimplify {
-			simp := man.SimplifyWith(newSet, man.Not(visited))
-			frontier = man.ISOP(simp, cnfSpace)
-		} else {
-			frontier = exact
-		}
+		frontier = man.ISOP(newSet, cnfSpace)
 		visited = man.Or(visited, newSet)
-		res.Frontiers = append(res.Frontiers, canonicalize(stateSpace, exact))
+		res.Frontiers = append(res.Frontiers, canonicalize(stateSpace, frontier))
 		res.FrontierCounts = append(res.FrontierCounts, man.SatCountIn(newSet, stateVars))
 		if st.Aborted {
 			break

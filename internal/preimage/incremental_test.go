@@ -90,7 +90,6 @@ func TestIncrementalReachAblationsMatchFresh(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"frontier-simplify", Options{FrontierSimplify: true}},
 		{"input-first", Options{InputFirstOrder: true}},
 		{"interleave", Options{Interleave: true}},
 	} {

@@ -21,7 +21,7 @@ func reachUnion(t *testing.T, c *circuit.Circuit, target *cube.Cover, k int) (*c
 		sp := StateSpace(c)
 		man := bdd.NewOrdered(sp.Vars())
 		set := man.FromCover(canonicalize(sp, target))
-		return man.ToCover(set, sp), man.SatCount(set)
+		return man.ISOP(set, sp), man.SatCount(set)
 	}
 	r, err := Reach(c, target, k, Options{})
 	if err != nil {

@@ -78,14 +78,14 @@ type Options struct {
 	// WithInputs also reports the input assignments: the SAT engines then
 	// enumerate over (state, input) and InputsCover is populated.
 	WithInputs bool
-	// Core tunes the success-driven enumerator (zero value → defaults).
+	// Core selects the success-driven enumerator's memo and learning
+	// switches; with neither set, both are on (core.DefaultOptions). Only
+	// EnableMemo and EnableLearning are read; the run's limits come from
+	// Budget.
 	Core core.Options
-	// AllSAT tunes the blocking/lifting engines.
-	AllSAT allsat.Options
-	// StateFirstOrder controls the success-driven decision order /
-	// BDD variable order: true (default semantics when unset is
-	// state-first) decides state variables before inputs. Setting
-	// InputFirstOrder flips it — used by the decision-order ablation.
+	// InputFirstOrder makes the SAT engines decide input variables before
+	// state variables (the default is state-first) — the decision-order
+	// ablation.
 	InputFirstOrder bool
 	// Interleave uses an s,x-interleaved order (ablation).
 	Interleave bool
@@ -120,12 +120,6 @@ type Options struct {
 	// engines return the same solution set as the sequential run for
 	// every worker count.
 	Parallel int
-	// FrontierSimplify lets Reach pass each backward frontier through the
-	// Coudert–Madre generalized cofactor with the already-visited states
-	// as don't cares, trading frontier-cover size for possibly revisiting
-	// known states. The fixpoint and reported per-distance frontiers are
-	// unchanged; only the target handed to the next preimage differs.
-	FrontierSimplify bool
 	// Incremental makes the iterated entry points (Reach, ForwardReach,
 	// KStepPreimage, CheckReachable's trace extraction) keep one
 	// persistent solver session and one shared BDD manager across steps
@@ -152,8 +146,7 @@ type Options struct {
 	// an absolute deadline once, at the outermost entry point, so nested
 	// calls (Reach steps, parallel slices) spend from one allowance. When
 	// the budget trips, results come back with Aborted set and a sound
-	// partial answer — never an error, never silently truncated. Explicit
-	// per-engine budgets (Core.Budget, AllSAT.Budget) take precedence.
+	// partial answer — never an error, never silently truncated.
 	Budget budget.Budget
 	// Stats, when non-nil, receives hierarchical counters for the run:
 	// engine totals at the root, per-step sub-registries for the
@@ -255,12 +248,11 @@ func Compute(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, err
 // passes an instance-local formula (trans.NewInstance copies the cached
 // encoding's cone clauses; KStepPreimage builds a private unrolling), so
 // mutating in place is safe. The decision is made once at this layer:
-// both the local mode and the nested allsat mode are flipped to Off so
-// inner layers never re-run (or independently enable) the pass.
+// the mode is flipped to Off so inner layers never re-run (or
+// independently enable) the pass.
 func applySimplify(f *cnf.Formula, projSpace *cube.Space, opts *Options) simplify.Stats {
 	enabled := opts.Simplify.Enabled(true)
 	opts.Simplify = simplify.Off
-	opts.AllSAT.Simplify = simplify.Off
 	if !enabled {
 		return simplify.Stats{}
 	}
@@ -268,12 +260,10 @@ func applySimplify(f *cnf.Formula, projSpace *cube.Space, opts *Options) simplif
 }
 
 // runSATEngine dispatches one all-SAT enumeration for the selected SAT
-// engine, injecting the computation budget into the engine options. The
-// injection happens after the Core zero-value check so default tuning is
-// preserved; an explicitly set engine budget wins over opts.Budget. The
-// formula is simplified first (see applySimplify) unless the caller
-// already did or opted out. Image and KStepPreimage use it because they
-// read the result's Count; computeSAT streams the cubes instead.
+// engine under the computation budget. The formula is simplified first
+// (see applySimplify) unless the caller opted out. Image and KStepPreimage
+// use it because they read the result's Count; computeSAT streams the
+// cubes instead.
 func runSATEngine(f *cnf.Formula, projSpace *cube.Space, opts Options) (*allsat.Result, error) {
 	if r := opts.Budget.Start().Now(); r != budget.None {
 		// Dead budget: abort before preprocessing (see computeSAT).
@@ -310,18 +300,12 @@ func runSATEngineSimplified(f *cnf.Formula, projSpace *cube.Space, opts Options)
 	}
 }
 
-// allsatOptions derives the blocking/lifting/disjoint engine options:
-// the computation budget, runtime and worker count fill in whatever
-// opts.AllSAT leaves unset.
+// allsatOptions derives the blocking/lifting/disjoint engine options from
+// the run's budget, runtime and worker count. The caller has already run
+// applySimplify, so the engines never preprocess again.
 func allsatOptions(opts Options) allsat.Options {
-	as := opts.AllSAT
-	if as.Budget.IsZero() {
-		as.Budget = opts.Budget
-	}
-	if as.Runtime == nil {
-		as.Runtime = opts.Runtime
-	}
-	if opts.Parallel > 1 && as.Workers == 0 {
+	as := allsat.Options{Budget: opts.Budget, Simplify: simplify.Off, Runtime: opts.Runtime}
+	if opts.Parallel > 1 {
 		as.Workers = opts.Parallel
 	}
 	return as
@@ -331,25 +315,16 @@ func allsatOptions(opts Options) allsat.Options {
 // count (one worker short-circuits to the plain sequential enumerator
 // inside the pool) — and returns both the merged BDD (manager + set) and
 // the allsat-shaped result extracted from it. The run budget is enforced
-// by the pool; an explicitly set engine budget wins over opts.Budget.
+// by the pool.
 func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) (*pool.Result, *allsat.Result) {
-	co := opts.Core
-	if co.IsZero() {
-		co = core.DefaultOptions()
-	}
-	bud := co.Budget
-	if bud.IsZero() {
-		bud = opts.Budget
-	}
-	co.Budget = budget.Budget{}
 	workers := opts.Parallel
 	if workers < 1 {
 		workers = 1
 	}
 	pr := pool.Enumerate(f, projSpace, pool.Options{
 		Workers: workers,
-		Core:    co,
-		Budget:  bud,
+		Core:    coreOptions(opts),
+		Budget:  opts.Budget,
 		Stats:   opts.Stats,
 		Runtime: opts.Runtime,
 	})
@@ -363,6 +338,17 @@ func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) (*poo
 	}
 	ar.Stats.Cubes = uint64(ar.Cover.Len())
 	return pr, ar
+}
+
+// coreOptions is the success-driven enumerator's tuning: the memo and
+// learning switches of opts.Core, both on when neither is set. The run
+// budget travels separately (pool and incr options carry it).
+func coreOptions(opts Options) core.Options {
+	co := core.Options{EnableMemo: opts.Core.EnableMemo, EnableLearning: opts.Core.EnableLearning}
+	if co.IsZero() {
+		return core.DefaultOptions()
+	}
+	return co
 }
 
 // recordStats publishes a result's counters into the run registry.

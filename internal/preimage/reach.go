@@ -113,17 +113,9 @@ func Reach(c *circuit.Circuit, target *cube.Cover, maxSteps int, opts Options) (
 			}
 			break
 		}
-		exact := man.ISOP(newSet, stateSpace)
-		if opts.FrontierSimplify {
-			// Any set between newSet and newSet ∪ visited is a valid next
-			// target; the generalized cofactor picks a compact one.
-			simp := man.SimplifyWith(newSet, man.Not(visited))
-			frontier = man.ISOP(simp, stateSpace)
-		} else {
-			frontier = exact
-		}
+		frontier = man.ISOP(newSet, stateSpace)
 		visited = man.Or(visited, newSet)
-		res.Frontiers = append(res.Frontiers, exact)
+		res.Frontiers = append(res.Frontiers, frontier)
 		res.FrontierCounts = append(res.FrontierCounts, man.SatCount(newSet))
 		if pre.Aborted {
 			// The partial layer's states are genuine (all prior frontiers

@@ -218,41 +218,6 @@ func TestReachStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestReachFrontierSimplifyAgrees(t *testing.T) {
-	cases := []struct {
-		c      *circuit.Circuit
-		target *cube.Cover
-	}{
-		{gen.Counter(4, true, false), trans.TargetFromPatterns(4, "1111")},
-		{gen.TrafficLight(), trans.TargetFromPatterns(5, "010XX")},
-		{gen.SLike(gen.SLikeParams{Seed: 31, Inputs: 4, Latches: 4, Gates: 25}), trans.TargetFromPatterns(4, "0110")},
-	}
-	for _, tc := range cases {
-		for _, eng := range []Engine{EngineSuccessDriven, EngineBDD} {
-			plain, err := Reach(tc.c, tc.target, -1, Options{Engine: eng})
-			if err != nil {
-				t.Fatal(err)
-			}
-			simp, err := Reach(tc.c, tc.target, -1, Options{Engine: eng, FrontierSimplify: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if plain.AllCount.Cmp(simp.AllCount) != 0 || plain.Fixpoint != simp.Fixpoint {
-				t.Fatalf("%s/%v: simplify changed the fixpoint: %v vs %v",
-					tc.c.Name, eng, simp.AllCount, plain.AllCount)
-			}
-			if len(plain.Frontiers) != len(simp.Frontiers) {
-				t.Fatalf("%s/%v: layer counts differ", tc.c.Name, eng)
-			}
-			for k := range plain.FrontierCounts {
-				if plain.FrontierCounts[k].Cmp(simp.FrontierCounts[k]) != 0 {
-					t.Fatalf("%s/%v: distance-%d layer size changed", tc.c.Name, eng, k)
-				}
-			}
-		}
-	}
-}
-
 func TestReachS27Fixpoint(t *testing.T) {
 	c := loadS27(t)
 	target := trans.TargetFromPatterns(3, "111")

@@ -35,12 +35,8 @@ func NewWitnessIterator(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	as := opts.AllSAT
-	if as.Budget.IsZero() {
-		as.Budget = opts.Budget.Materialize()
-	}
 	return &WitnessIterator{
-		it: allsat.NewIterator(inst.F, inst.FullSpace, as, true),
+		it: allsat.NewIterator(inst.F, inst.FullSpace, allsat.Options{Budget: opts.Budget.Materialize()}, true),
 		nL: len(inst.StateVars),
 		nI: len(inst.InputVars),
 	}, nil

@@ -220,35 +220,3 @@ func (s *Solver) litRedundant(q lit.Lit, abstractLevels uint32) bool {
 	}
 	return true
 }
-
-// analyzeFinal computes, after a conflict at an assumption level, the
-// subset of assumptions responsible. p is the failing assumption literal.
-func (s *Solver) analyzeFinal(p lit.Lit) {
-	s.conflictOut = s.conflictOut[:0]
-	s.conflictOut = append(s.conflictOut, p.Not())
-	if s.decisionLevel() == 0 {
-		return
-	}
-	s.seen[p.Var()] = 1
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if s.seen[v] == 0 {
-			continue
-		}
-		if r := s.reason[v]; r == crefUndef {
-			if s.level[v] > 0 {
-				s.conflictOut = append(s.conflictOut, s.trail[i].Not())
-			}
-		} else {
-			s.fixBinaryReason(r, s.trail[i])
-			for _, w := range s.ca.lits(r)[1:] {
-				l := lit.Lit(w)
-				if s.level[l.Var()] > 0 {
-					s.seen[l.Var()] = 1
-				}
-			}
-		}
-		s.seen[v] = 0
-	}
-	s.seen[p.Var()] = 0
-}

@@ -198,11 +198,11 @@ func TestArenaCompactionFuzz(t *testing.T) {
 		for op := 0; op < 20; op++ {
 			switch rng.Intn(10) {
 			case 0:
-				if s.Okay() {
+				if s.okay {
 					s.Simplify()
 				}
 			case 1:
-				if s.Okay() {
+				if s.okay {
 					s.reduceDB()
 				}
 			case 2:
@@ -251,7 +251,7 @@ func TestArenaCompactionFuzz(t *testing.T) {
 				}
 			}
 			checkArenaInvariants(t, s)
-			if !s.Okay() {
+			if !s.okay {
 				break
 			}
 		}

@@ -26,8 +26,7 @@ func TestSolveCancelReturnsUnknownWithReason(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	f := phpFormula(9, 8)
-	s := FromFormula(f, DefaultOptions())
-	s.SetBudget(budget.Budget{Ctx: ctx})
+	s := FromFormula(f, Options{Budget: budget.Budget{Ctx: ctx}})
 	if st := s.Solve(); st != Unknown {
 		t.Fatalf("cancelled context: Solve = %v, want Unknown", st)
 	}
@@ -38,7 +37,7 @@ func TestSolveCancelReturnsUnknownWithReason(t *testing.T) {
 
 func TestSolveConflictCapSetsReason(t *testing.T) {
 	f := phpFormula(9, 8) // hard enough to need more than a few conflicts
-	s := FromFormula(f, Options{MaxConflicts: 5})
+	s := FromFormula(f, Options{Budget: budget.Budget{MaxConflicts: 5}})
 	if st := s.Solve(); st != Unknown {
 		t.Fatalf("conflict cap: Solve = %v, want Unknown", st)
 	}
@@ -65,10 +64,7 @@ func TestSolveBudgetCumulativeConflictCap(t *testing.T) {
 
 func TestNewPreservesLimitsOverDefaultSubstitution(t *testing.T) {
 	b := budget.Budget{MaxConflicts: 7, Timeout: time.Hour}
-	s := New(Options{MaxConflicts: 3, Budget: b})
-	if s.opts.MaxConflicts != 3 {
-		t.Fatalf("MaxConflicts lost in default substitution: %d", s.opts.MaxConflicts)
-	}
+	s := New(Options{Budget: b})
 	if s.opts.Budget.MaxConflicts != 7 {
 		t.Fatal("Budget lost in default substitution")
 	}

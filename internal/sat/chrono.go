@@ -63,16 +63,15 @@ type ChronoEnum struct {
 	flipped []bool    // by decision level (flipped[l-1] for level l)
 	cube    []lit.Lit // projection literals of the last emitted cube
 
-	learn            bool
-	exhausted        bool
-	stopped          bool
-	conflictsAtStart uint64
+	learn     bool
+	exhausted bool
+	stopped   bool
 }
 
 // NewChronoEnum prepares a chronological enumeration of the projections
 // of s's clause set onto proj. The solver must be at decision level 0;
 // the enumerator takes ownership of it until the enumeration ends. The
-// solver's MaxConflicts option and Budget bound the whole enumeration
+// solver's Budget bounds the whole enumeration
 // (Next then answers Unknown and StopReason reports the limit).
 func NewChronoEnum(s *Solver, proj []lit.Var) *ChronoEnum {
 	if s.decisionLevel() != 0 {
@@ -104,7 +103,6 @@ func NewChronoEnum(s *Solver, proj []lit.Var) *ChronoEnum {
 		}
 	}
 	e.unsatCnt = len(e.clauses)
-	e.conflictsAtStart = s.stats.Conflicts
 	s.maxLearnts = float64(len(s.clauses)) * s.opts.LearntFactor
 	if s.maxLearnts < 100 {
 		s.maxLearnts = 100
@@ -151,7 +149,7 @@ func (e *ChronoEnum) Next() Status {
 			// Amortized budget poll on the conflict path, mirroring the
 			// CDCL search loop: a consecutive-conflict streak must not
 			// overshoot the caps unboundedly.
-			if s.stats.Conflicts&63 == 0 && s.limitExceeded(e.conflictsAtStart) {
+			if s.stats.Conflicts&63 == 0 && s.limitExceeded() {
 				e.stopped = true
 				return Unknown
 			}
@@ -169,7 +167,7 @@ func (e *ChronoEnum) Next() Status {
 			e.emit()
 			return Sat
 		}
-		if s.limitExceeded(e.conflictsAtStart) {
+		if s.limitExceeded() {
 			e.stopped = true
 			return Unknown
 		}
@@ -189,10 +187,6 @@ func (e *ChronoEnum) Next() Status {
 // Cube returns the projection literals of the cube produced by the last
 // Sat answer. The slice is reused by the next Next call.
 func (e *ChronoEnum) Cube() []lit.Lit { return e.cube }
-
-// Exhausted reports whether the enumeration has covered the whole
-// projection (as opposed to having been stopped by a budget).
-func (e *ChronoEnum) Exhausted() bool { return e.exhausted }
 
 // StopReason reports why Next returned Unknown (budget.None otherwise).
 func (e *ChronoEnum) StopReason() budget.Reason { return e.s.stopReason }

@@ -159,7 +159,7 @@ func TestChronoEnumBudget(t *testing.T) {
 			if e.StopReason() != budget.Decisions {
 				t.Fatalf("stop reason %v, want decisions", e.StopReason())
 			}
-			if e.Exhausted() {
+			if e.exhausted {
 				t.Fatal("budget stop reported as exhaustion")
 			}
 			return
@@ -198,14 +198,14 @@ func pigeonhole(n int) *cnf.Formula {
 
 // TestConflictCapStreakBound is the regression test for the conflict-path
 // budget poll: a consecutive-conflict streak must stop within the
-// amortization window (64 conflicts) of MaxConflicts instead of
+// amortization window (64 conflicts) of Budget.MaxConflicts instead of
 // overshooting it arbitrarily. The poll makes the bound unconditional —
 // it holds for any instance, not just ones whose learnt clauses happen to
 // assert without an immediate follow-on conflict — so the assertion here
 // pins the contract on a conflict-dense refutation at several caps.
 func TestConflictCapStreakBound(t *testing.T) {
 	for _, cap := range []uint64{1, 10, 100} {
-		s := FromFormula(pigeonhole(9), Options{MaxConflicts: cap})
+		s := FromFormula(pigeonhole(9), Options{Budget: budget.Budget{MaxConflicts: cap}})
 		st := s.Solve()
 		if st != Unknown {
 			t.Fatalf("cap %d: got %v, want Unknown (php9 needs far more conflicts)", cap, st)

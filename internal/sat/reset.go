@@ -22,9 +22,8 @@ import (
 // The reuse equivalence suite pins this contract.
 func (s *Solver) Reset(opts Options) {
 	if opts.VarDecay == 0 {
-		maxConflicts, bud := opts.MaxConflicts, opts.Budget
+		bud := opts.Budget
 		opts = DefaultOptions()
-		opts.MaxConflicts = maxConflicts
 		opts.Budget = bud
 	}
 	opts.Budget = opts.Budget.Materialize()
@@ -63,7 +62,6 @@ func (s *Solver) Reset(opts Options) {
 	s.rng = rand.New(rand.NewSource(opts.Seed))
 	s.maxLearnts = 0
 	s.assumptions = s.assumptions[:0]
-	s.conflictOut = s.conflictOut[:0]
 	s.model = s.model[:0]
 	s.proof = nil
 

@@ -18,7 +18,7 @@ type solveTrace struct {
 }
 
 func traceOf(s *Solver, f *cnf.Formula) solveTrace {
-	if !s.AddFormula(f) {
+	if !s.LoadFormula(f) {
 		return solveTrace{status: Unsat, stats: s.Stats()}
 	}
 	st := s.Solve()
@@ -73,7 +73,7 @@ func TestResetBitIdentical(t *testing.T) {
 func TestResetAfterAbort(t *testing.T) {
 	s := New(Options{Budget: budget.Budget{MaxConflicts: 3}})
 	hard := pigeonhole(6)
-	if !s.AddFormula(hard) {
+	if !s.LoadFormula(hard) {
 		t.Fatal("pigeonhole trivially unsat at load")
 	}
 	if st := s.Solve(); st != Unknown {
@@ -115,9 +115,9 @@ func TestResetRetainsCapacity(t *testing.T) {
 	if cap(s.watches) != watchCap {
 		t.Fatalf("watch outer capacity dropped: %d -> %d", watchCap, cap(s.watches))
 	}
-	if s.NumVars() != 0 || s.NumClauses() != 0 || s.NumLearnts() != 0 {
+	if s.NumVars() != 0 || s.NumClauses() != 0 || len(s.learnts) != 0 {
 		t.Fatalf("Reset left contents: vars=%d clauses=%d learnts=%d",
-			s.NumVars(), s.NumClauses(), s.NumLearnts())
+			s.NumVars(), s.NumClauses(), len(s.learnts))
 	}
 	// Re-extend into the retained region: inner watch arrays must come
 	// back with their old capacity, not nil.
@@ -138,11 +138,11 @@ func TestResetRetainsCapacity(t *testing.T) {
 // resource caps survive the default substitution.
 func TestResetOptionsNormalization(t *testing.T) {
 	s := NewDefault()
-	s.Reset(Options{MaxConflicts: 7, Budget: budget.Budget{MaxDecisions: 9}})
+	s.Reset(Options{Budget: budget.Budget{MaxDecisions: 9}})
 	if s.opts.VarDecay != DefaultOptions().VarDecay {
 		t.Fatalf("defaults not substituted: VarDecay=%v", s.opts.VarDecay)
 	}
-	if s.opts.MaxConflicts != 7 || s.opts.Budget.MaxDecisions != 9 {
+	if s.opts.Budget.MaxDecisions != 9 {
 		t.Fatalf("resource caps erased: %+v", s.opts)
 	}
 }

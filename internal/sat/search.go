@@ -8,13 +8,11 @@ import (
 )
 
 // Solve determines satisfiability of the current clause set under the given
-// assumption literals. On Sat, Model reports the assignment; on Unsat under
-// assumptions, Conflict reports a sufficient subset of failed assumptions.
-// Unknown is returned only when a resource limit — Options.MaxConflicts or
-// the Options.Budget — is exceeded; StopReason then tells which one.
+// assumption literals. On Sat, Model reports the assignment. Unknown is
+// returned only when a limit of Options.Budget is exceeded; StopReason
+// then tells which one.
 func (s *Solver) Solve(assumptions ...lit.Lit) Status {
 	s.cancelUntil(0)
-	s.conflictOut = s.conflictOut[:0]
 	s.stopReason = budget.None
 	if !s.okay {
 		return Unsat
@@ -41,10 +39,9 @@ func (s *Solver) Solve(assumptions ...lit.Lit) Status {
 	}
 
 	var curRestart uint64 = 1
-	conflictsAtStart := s.stats.Conflicts
 	for {
 		restartCap := s.opts.RestartBase * luby(curRestart)
-		st := s.search(restartCap, conflictsAtStart)
+		st := s.search(restartCap)
 		if st != Unknown {
 			if st == Sat {
 				// Snapshot the model before backtracking erases it.
@@ -65,14 +62,9 @@ func (s *Solver) Solve(assumptions ...lit.Lit) Status {
 	}
 }
 
-// limitExceeded checks the per-call conflict cap and the cumulative budget
-// caps, recording the stop reason when one trips. conflictsAtStart anchors
-// the per-call cap.
-func (s *Solver) limitExceeded(conflictsAtStart uint64) bool {
-	if s.opts.MaxConflicts > 0 && s.stats.Conflicts-conflictsAtStart >= s.opts.MaxConflicts {
-		s.stopReason = budget.Conflicts
-		return true
-	}
+// limitExceeded checks the cumulative budget caps, recording the stop
+// reason when one trips.
+func (s *Solver) limitExceeded() bool {
 	if b := s.opts.Budget.MaxConflicts; b > 0 && s.stats.Conflicts >= b {
 		s.stopReason = budget.Conflicts
 		return true
@@ -92,7 +84,7 @@ func (s *Solver) limitExceeded(conflictsAtStart uint64) bool {
 
 // search runs CDCL until a result, a restart budget of nConflicts, or the
 // global conflict budget is exhausted (returning Unknown in both cases).
-func (s *Solver) search(nConflicts, conflictsAtStart uint64) Status {
+func (s *Solver) search(nConflicts uint64) Status {
 	var conflictsHere uint64
 	for {
 		confl := s.propagate()
@@ -108,10 +100,10 @@ func (s *Solver) search(nConflicts, conflictsAtStart uint64) Status {
 			}
 			// Amortized budget poll: without it a consecutive-conflict
 			// streak never reaches the no-conflict check below and can
-			// overshoot MaxConflicts/deadline/cancellation arbitrarily.
+			// overshoot the conflict cap/deadline/cancellation arbitrarily.
 			// Every 64th conflict keeps the hot loop lean while bounding
 			// the overshoot.
-			if s.stats.Conflicts&63 == 0 && s.limitExceeded(conflictsAtStart) {
+			if s.stats.Conflicts&63 == 0 && s.limitExceeded() {
 				return Unknown
 			}
 			learnt, btLevel, lbd := s.analyze(confl)
@@ -133,7 +125,7 @@ func (s *Solver) search(nConflicts, conflictsAtStart uint64) Status {
 		}
 
 		// No conflict.
-		if s.limitExceeded(conflictsAtStart) {
+		if s.limitExceeded() {
 			return Unknown
 		}
 		if conflictsHere >= nConflicts {
@@ -152,7 +144,6 @@ func (s *Solver) search(nConflicts, conflictsAtStart uint64) Status {
 			case lit.True:
 				s.newDecisionLevel() // dummy level for satisfied assumption
 			case lit.False:
-				s.analyzeFinal(p)
 				return Unsat
 			default:
 				next = p

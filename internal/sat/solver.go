@@ -80,9 +80,6 @@ type Options struct {
 	RandomFreq float64
 	// Seed seeds the random decision source.
 	Seed int64
-	// MaxConflicts bounds a single Solve call; 0 means unbounded. When
-	// exceeded, Solve returns Unknown.
-	MaxConflicts uint64
 	// Budget imposes cross-call resource limits (deadline, cancellation,
 	// cumulative conflict/decision caps). When it trips, Solve returns
 	// Unknown and StopReason reports why. The zero Budget is unbounded.
@@ -138,8 +135,7 @@ type Solver struct {
 	rng         *rand.Rand
 	maxLearnts  float64
 	assumptions []lit.Lit
-	conflictOut []lit.Lit // final conflict over assumptions
-	model       []bool    // snapshot of the last satisfying assignment
+	model       []bool // snapshot of the last satisfying assignment
 	proof       *proofLogger
 
 	// analyze scratch
@@ -158,13 +154,12 @@ type Solver struct {
 }
 
 // New creates a solver with the given options (zero value → defaults).
-// Resource limits (MaxConflicts, Budget) survive the default substitution:
-// they are caps, not tuning, so leaving VarDecay unset must not erase them.
+// The Budget survives the default substitution: it holds caps, not
+// tuning, so leaving VarDecay unset must not erase it.
 func New(opts Options) *Solver {
 	if opts.VarDecay == 0 {
-		maxConflicts, bud := opts.MaxConflicts, opts.Budget
+		bud := opts.Budget
 		opts = DefaultOptions()
-		opts.MaxConflicts = maxConflicts
 		opts.Budget = bud
 	}
 	opts.Budget = opts.Budget.Materialize()
@@ -216,9 +211,6 @@ func (s *Solver) NumVars() int { return len(s.assign) }
 // NumClauses returns the number of problem clauses currently held.
 func (s *Solver) NumClauses() int { return len(s.clauses) }
 
-// NumLearnts returns the number of learnt clauses currently held.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
-
 // Stats returns a copy of the cumulative statistics, with the arena and
 // tier gauges snapshotted at call time.
 func (s *Solver) Stats() Stats {
@@ -230,22 +222,9 @@ func (s *Solver) Stats() Stats {
 	return st
 }
 
-// SetBudget replaces the solver's resource budget. Relative timeouts are
-// materialized into an absolute deadline immediately, so the clock starts
-// now, not at the next Solve — call this at the outermost entry point and
-// let every subsequent Solve share the same allowance.
-func (s *Solver) SetBudget(b budget.Budget) {
-	s.opts.Budget = b.Materialize()
-	s.check = nil // rebuilt on the next Solve
-}
-
 // StopReason reports why the most recent Solve returned Unknown
 // (budget.None after a Sat/Unsat answer or before any Solve).
 func (s *Solver) StopReason() budget.Reason { return s.stopReason }
-
-// Okay reports whether the clause set is still possibly satisfiable; it
-// becomes false permanently after a top-level conflict.
-func (s *Solver) Okay() bool { return s.okay }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() lit.Var {
@@ -321,22 +300,6 @@ func (s *Solver) ModelBuf(dst []bool) []bool {
 	return append(dst[:0], s.model...)
 }
 
-// Conflict returns, after an Unsat answer under assumptions, a subset of
-// the negated assumptions that is sufficient for unsatisfiability. The
-// returned slice is a fresh copy on every call; use ConflictBuf to reuse
-// a buffer instead.
-func (s *Solver) Conflict() []lit.Lit {
-	out := make([]lit.Lit, len(s.conflictOut))
-	copy(out, s.conflictOut)
-	return out
-}
-
-// ConflictBuf is Conflict with a caller-owned buffer, appending into
-// dst[:0] and returning the (possibly regrown) slice.
-func (s *Solver) ConflictBuf(dst []lit.Lit) []lit.Lit {
-	return append(dst[:0], s.conflictOut...)
-}
-
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // AddClause adds a problem clause. It returns false if the clause set is
@@ -403,18 +366,6 @@ func (s *Solver) AddClause(ls ...lit.Lit) bool {
 	cr := s.ca.alloc(c, false)
 	s.clauses = append(s.clauses, cr)
 	s.attach(cr)
-	return true
-}
-
-// AddFormula adds every clause of f; returns false on top-level conflict.
-func (s *Solver) AddFormula(f *cnf.Formula) bool {
-	s.EnsureVars(f.NumVars)
-	s.clauses = slices.Grow(s.clauses, len(f.Clauses))
-	for _, c := range f.Clauses {
-		if !s.AddClause(c...) {
-			return false
-		}
-	}
 	return true
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/lit"
 )
@@ -49,7 +50,7 @@ func TestTopLevelConflict(t *testing.T) {
 	if s.AddClause(lit.Neg(v)) {
 		t.Fatal("adding conflicting unit should fail")
 	}
-	if s.Okay() {
+	if s.okay {
 		t.Fatal("solver should not be okay")
 	}
 	if st := s.Solve(); st != Unsat {
@@ -233,18 +234,9 @@ func TestAssumptions(t *testing.T) {
 	if !m[a] || m[b] || !m[c] {
 		t.Fatalf("bad model %v", m)
 	}
-	// Assuming ¬a and ¬b is UNSAT, and the conflict mentions them.
+	// Assuming ¬a and ¬b is UNSAT.
 	if st := s.Solve(lit.Neg(a), lit.Neg(b)); st != Unsat {
 		t.Fatalf("got %v, want UNSAT", st)
-	}
-	conf := s.Conflict()
-	if len(conf) == 0 {
-		t.Fatal("empty conflict under failing assumptions")
-	}
-	for _, l := range conf {
-		if l != lit.Pos(a) && l != lit.Pos(b) {
-			t.Fatalf("conflict literal %v is not a negated assumption", l)
-		}
 	}
 	// Solver is reusable after UNSAT-under-assumptions.
 	if st := s.Solve(); st != Sat {
@@ -258,7 +250,7 @@ func TestAssumptionsAgainstBruteForce(t *testing.T) {
 		nVars := 4 + rng.Intn(7)
 		f := randomFormula(rng, nVars, 2+rng.Intn(3*nVars), 3)
 		s := FromFormula(f, DefaultOptions())
-		if !s.Okay() {
+		if !s.okay {
 			continue
 		}
 		// Random assumptions over distinct vars.
@@ -286,51 +278,14 @@ func TestAssumptionsAgainstBruteForce(t *testing.T) {
 		}
 		if st == Sat {
 			checkModel(t, g, s.Model())
-		} else {
-			// Conflict must be a subset of negated assumptions and itself
-			// sufficient: formula ∧ ¬conflict-literals... i.e. assuming the
-			// negation of each conflict literal must be UNSAT again.
-			neg := []lit.Lit{}
-			for _, l := range conflictOrFail(t, s) {
-				found := false
-				for _, a := range assume {
-					if l == a.Not() {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("iter %d: conflict literal %v not a negated assumption %v", iter, l, assume)
-				}
-				neg = append(neg, l.Not())
-			}
-			if len(neg) > 0 {
-				if st2 := s.Solve(neg...); st2 != Unsat {
-					t.Fatalf("iter %d: conflict subset not sufficient (%v)", iter, neg)
-				}
-			}
 		}
 	}
-}
-
-func conflictOrFail(t *testing.T, s *Solver) []lit.Lit {
-	t.Helper()
-	c := s.Conflict()
-	if len(c) == 0 {
-		// An empty conflict is legal only if the formula alone is UNSAT.
-		if st := s.Solve(); st != Unsat {
-			t.Fatal("empty conflict but formula is SAT without assumptions")
-		}
-	}
-	return c
 }
 
 func TestMaxConflictsBudget(t *testing.T) {
 	// A hard instance with a tiny budget should return Unknown.
 	n := 8
-	opts := DefaultOptions()
-	opts.MaxConflicts = 3
-	s := New(opts)
+	s := New(Options{Budget: budget.Budget{MaxConflicts: 3}})
 	vr := func(p, h int) lit.Var { return lit.Var(p*n + h) }
 	s.EnsureVars((n + 1) * n)
 	for p := 0; p <= n; p++ {
@@ -351,7 +306,7 @@ func TestMaxConflictsBudget(t *testing.T) {
 		t.Fatalf("got %v, want UNKNOWN under budget", st)
 	}
 	// Removing the budget must give the real answer.
-	s.opts.MaxConflicts = 0
+	s.opts.Budget = budget.Budget{}
 	if st := s.Solve(); st != Unsat {
 		t.Fatalf("got %v, want UNSAT", st)
 	}
@@ -405,7 +360,7 @@ func TestLuby(t *testing.T) {
 func TestStatsProgress(t *testing.T) {
 	s := NewDefault()
 	f := randomFormula(rand.New(rand.NewSource(3)), 12, 50, 3)
-	s.AddFormula(f)
+	s.LoadFormula(f)
 	s.Solve()
 	st := s.Stats()
 	if st.Decisions == 0 && st.Propagations == 0 {
@@ -513,7 +468,7 @@ func TestSolverString(t *testing.T) {
 	}
 }
 
-func TestModelBufAndConflictBufReuse(t *testing.T) {
+func TestModelBufReuse(t *testing.T) {
 	s := NewDefault()
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(lit.Pos(a), lit.Pos(b))
@@ -535,21 +490,6 @@ func TestModelBufAndConflictBufReuse(t *testing.T) {
 	again := s.ModelBuf(buf)
 	if len(again) > 0 && len(buf) > 0 && &again[0] != &buf[0] {
 		t.Fatal("ModelBuf reallocated despite sufficient capacity")
-	}
-
-	// Conflict under assumptions, via both accessors.
-	if st := s.Solve(lit.Pos(a)); st != Unsat {
-		t.Fatalf("status %v, want UNSAT under conflicting assumption", st)
-	}
-	cw := s.Conflict()
-	cb := s.ConflictBuf(nil)
-	if len(cw) != len(cb) {
-		t.Fatalf("ConflictBuf len %d, want %d", len(cb), len(cw))
-	}
-	for i := range cw {
-		if cw[i] != cb[i] {
-			t.Fatalf("ConflictBuf[%d] = %v, want %v", i, cb[i], cw[i])
-		}
 	}
 }
 
@@ -582,15 +522,9 @@ func TestActivationLiteralRetire(t *testing.T) {
 	s.AddClause(lit.Neg(act1), lit.Pos(y))
 	s.AddClause(lit.Neg(act2), lit.Neg(x))
 
-	// Both groups active: x ∧ ¬x, so UNSAT, and the final conflict is
-	// over the activation assumptions only.
+	// Both groups active: x ∧ ¬x, so UNSAT.
 	if st := s.Solve(lit.Pos(act1), lit.Pos(act2)); st != Unsat {
 		t.Fatalf("both groups: got %v, want UNSAT", st)
-	}
-	for _, l := range s.Conflict() {
-		if l != lit.Neg(act1) && l != lit.Neg(act2) {
-			t.Fatalf("conflict literal %v is not a negated activation assumption", l)
-		}
 	}
 
 	// Group 1 alone is satisfiable and forces x, y.

@@ -70,12 +70,3 @@ func TestTimer(t *testing.T) {
 		t.Error("ElapsedMS")
 	}
 }
-
-func TestRatio(t *testing.T) {
-	if Ratio(4, 2) != "2.00x" {
-		t.Errorf("Ratio = %q", Ratio(4, 2))
-	}
-	if Ratio(1, 0) != "inf" {
-		t.Error("Ratio by zero")
-	}
-}

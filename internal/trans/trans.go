@@ -272,20 +272,3 @@ func (in *Instance) OrderedProjection(inputFirst, interleave bool) ([]lit.Var, [
 	}
 	return vars, names
 }
-
-// ProjectionVars returns the projection variable list: the state variables,
-// plus the input variables when withInputs is set.
-func (in *Instance) ProjectionVars(withInputs bool) []lit.Var {
-	if withInputs {
-		return in.FullSpace.Vars()
-	}
-	return in.StateVars
-}
-
-// ProjectionSpace returns the matching cube space for ProjectionVars.
-func (in *Instance) ProjectionSpace(withInputs bool) *cube.Space {
-	if withInputs {
-		return in.FullSpace
-	}
-	return in.StateSpace
-}

@@ -40,14 +40,8 @@ func TestInstanceSpaces(t *testing.T) {
 	if len(inst.SelectorVars) != 1 {
 		t.Errorf("selector count = %d", len(inst.SelectorVars))
 	}
-	if got := inst.ProjectionVars(false); len(got) != 3 {
-		t.Error("ProjectionVars(false)")
-	}
-	if got := inst.ProjectionVars(true); len(got) != 7 {
-		t.Error("ProjectionVars(true)")
-	}
-	if inst.ProjectionSpace(false) != inst.StateSpace || inst.ProjectionSpace(true) != inst.FullSpace {
-		t.Error("ProjectionSpace accessors")
+	if inst.StateSpace.Size() != 3 || inst.FullSpace.Size() != 7 {
+		t.Errorf("state/full space sizes %d/%d, want 3/7", inst.StateSpace.Size(), inst.FullSpace.Size())
 	}
 }
 

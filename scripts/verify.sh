@@ -9,6 +9,10 @@ set -eux
 test -z "$(gofmt -l $(git ls-files '*.go'))"
 go build ./...
 go vet ./...
+# perfbench is a separate module (replace allsatpre => ../) that imports
+# the internal packages: vetting it catches an internal API change that
+# would break the benchmark without failing anything above.
+(cd perfbench && GOWORK=off go vet ./...)
 go test ./...
 go test -race -short ./...
 # The parallel-enumeration determinism suite, and the equivalence of the
