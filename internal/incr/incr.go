@@ -150,7 +150,7 @@ func NewForward(c *circuit.Circuit, opts Options) (*Session, error) {
 	}
 	simplifyBase(inst, opts)
 	encodeTime := time.Since(t0)
-	next := dedupVars(inst.NextVars)
+	next := trans.DedupVars(inst.NextVars)
 	s := &Session{
 		inst:       inst,
 		backward:   false,
@@ -212,6 +212,10 @@ func (s *Session) Close() {
 	s.cur = nil
 	s.ps.Close()
 }
+
+// Backward reports whether Step computes preimages (NewBackward) rather
+// than images (NewForward).
+func (s *Session) Backward() bool { return s.backward }
 
 // Closed reports whether Close has been called.
 func (s *Session) Closed() bool { return s.closed }
@@ -313,18 +317,4 @@ func (s *Session) publish(r *StepResult) {
 		// fresh path would redo: credit its cost as time saved.
 		reg.AddDuration("incr.encode-saved", s.encodeTime)
 	}
-}
-
-// dedupVars drops repeated variables, keeping first occurrences (several
-// latches can share one next-state signal).
-func dedupVars(vars []lit.Var) []lit.Var {
-	seen := make(map[lit.Var]bool, len(vars))
-	out := make([]lit.Var, 0, len(vars))
-	for _, v := range vars {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -158,18 +158,6 @@ func (t Tern) XorSign(neg bool) Tern {
 	return t
 }
 
-// Bool converts t to a bool; Unknown yields false with ok=false.
-func (t Tern) Bool() (val, ok bool) {
-	switch t {
-	case True:
-		return true, true
-	case False:
-		return false, true
-	default:
-		return false, false
-	}
-}
-
 func (t Tern) String() string {
 	switch t {
 	case True:

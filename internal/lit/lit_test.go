@@ -125,11 +125,8 @@ func TestTernXorSign(t *testing.T) {
 	}
 }
 
-func TestTernStringsAndBool(t *testing.T) {
+func TestTernStrings(t *testing.T) {
 	if True.String() != "1" || False.String() != "0" || Unknown.String() != "X" {
 		t.Error("Tern.String mismatch")
-	}
-	if _, ok := Unknown.Bool(); ok {
-		t.Error("Unknown.Bool() should not be ok")
 	}
 }

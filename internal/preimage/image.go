@@ -42,14 +42,14 @@ func Image(c *circuit.Circuit, init *cube.Cover, opts Options) (*Result, error) 
 	// variables of the Tseitin CNF, which the enumerators handle like any
 	// other projection set.
 	stateSpace := StateSpace(c)
-	projSpace := cube.NewSpace(DedupVars(inst.NextVars))
+	projSpace := cube.NewSpace(trans.DedupVars(inst.NextVars))
 
 	res, err := runSATEngine(inst.F, projSpace, opts)
 	if err != nil {
 		return nil, err
 	}
 
-	states := ExpandNextCover(inst.NextVars, projSpace, res.Cover, stateSpace)
+	states := expandNextCover(inst.NextVars, projSpace, res.Cover, stateSpace)
 	states.Reduce()
 	out := &Result{
 		States:      states,
@@ -68,16 +68,15 @@ func Image(c *circuit.Circuit, init *cube.Cover, opts Options) (*Result, error) 
 	return out, nil
 }
 
-// ExpandNextCover expands a cover over the deduplicated next-state
-// variable space (see DedupVars) back onto the full latch order —
-// exported for drivers that enumerate images over a shared-gate
-// projection themselves. Latches whose next-state
+// expandNextCover expands a cover over the deduplicated next-state
+// variable space (see trans.DedupVars) back onto the full latch order,
+// for Image and the forward session walk. Latches whose next-state
 // functions share a gate share a projection variable; if that variable is
 // free in a cube, the latch bits are "free but equal", which a cube
 // cannot express — such cubes are split on the shared variable's two
 // values. Shared variables are scanned in latch order so the expansion —
 // and hence the produced cube order — is deterministic.
-func ExpandNextCover(nextVars []lit.Var, projSpace *cube.Space, cover *cube.Cover, stateSpace *cube.Space) *cube.Cover {
+func expandNextCover(nextVars []lit.Var, projSpace *cube.Space, cover *cube.Cover, stateSpace *cube.Space) *cube.Cover {
 	counts := map[lit.Var]int{}
 	for _, v := range nextVars {
 		counts[v]++
@@ -111,21 +110,6 @@ func ExpandNextCover(nextVars []lit.Var, projSpace *cube.Space, cover *cube.Cove
 		expand(cb)
 	}
 	return states
-}
-
-// DedupVars removes duplicate variables while preserving first-occurrence
-// order. Two latches may share the same next-state gate (and hence CNF
-// variable); a cube space must not list a variable twice.
-func DedupVars(vars []lit.Var) []lit.Var {
-	seen := map[lit.Var]bool{}
-	out := make([]lit.Var, 0, len(vars))
-	for _, v := range vars {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // imageBDD computes the forward image symbolically: the next-state

@@ -13,20 +13,23 @@ func TestUnreachableProducesCheckableInvariant(t *testing.T) {
 	c := gen.Johnson(4)
 	init := trans.TargetFromPatterns(4, "0000")
 	bad := trans.TargetFromPatterns(4, "0101")
-	res, err := CheckReachable(c, init, bad, -1, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reachable || res.Invariant == nil {
-		t.Fatalf("expected unreachable with invariant: %+v", res)
-	}
-	if err := VerifyInvariant(c, init, bad, res.Invariant, Options{}); err != nil {
-		t.Fatalf("invariant failed verification: %v", err)
-	}
-	// Cross-engine verification of the same certificate.
-	for _, eng := range allEngines {
-		if err := VerifyInvariant(c, init, bad, res.Invariant, Options{Engine: eng}); err != nil {
-			t.Fatalf("engine %v rejects the invariant: %v", eng, err)
+	// Both layer sources of the backward sweep must certify.
+	for _, incremental := range []bool{false, true} {
+		res, err := CheckReachable(c, init, bad, -1, Options{Incremental: incremental})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Reachable || res.Invariant == nil {
+			t.Fatalf("incremental=%v: expected unreachable with invariant: %+v", incremental, res)
+		}
+		if err := VerifyInvariant(c, init, bad, res.Invariant, Options{}); err != nil {
+			t.Fatalf("incremental=%v: invariant failed verification: %v", incremental, err)
+		}
+		// Cross-engine verification of the same certificate.
+		for _, eng := range allEngines {
+			if err := VerifyInvariant(c, init, bad, res.Invariant, Options{Engine: eng}); err != nil {
+				t.Fatalf("incremental=%v: engine %v rejects the invariant: %v", incremental, eng, err)
+			}
 		}
 	}
 }

@@ -33,7 +33,7 @@ func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) 
 			target.Space().Size(), len(c.Latches))
 	}
 	if useIncremental(opts) {
-		return kstepIncremental(c, target, k, opts)
+		return kstepWalk(c, target, k, opts)
 	}
 	enc, err := tseitin.EncodeCached(c)
 	if err != nil {
@@ -131,4 +131,35 @@ func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) 
 	// engine's minterm count is already the state count.
 	out.Count = res.Count
 	return out, nil
+}
+
+// kstepWalk is KStepPreimage as the union of the first k+1 layers of a
+// backward walk over one session. The union equals the unrolled
+// formula's projection, and ISOP over the same latch order makes the
+// returned cover bit-identical to the unrolled path's on unbudgeted runs
+// (abort timing necessarily differs between one unrolled enumeration and
+// k separate layers).
+func kstepWalk(c *circuit.Circuit, target *cube.Cover, k int, opts Options) (*Result, error) {
+	w, err := newWalk(c, target, false, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer w.close()
+	for !w.done() && w.Steps < k {
+		if err := w.Step(); err != nil {
+			return nil, err
+		}
+	}
+	states := w.canonical(w.man.ISOP(w.visited, w.space))
+	states.Reduce()
+	return &Result{
+		States:      states,
+		StateSpace:  w.canon,
+		Count:       w.countSet(w.visited),
+		Stats:       w.stats,
+		BDDNodes:    w.bddNodes,
+		Engine:      opts.Engine,
+		Aborted:     w.Aborted,
+		AbortReason: w.AbortReason,
+	}, nil
 }

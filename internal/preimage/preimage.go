@@ -120,22 +120,25 @@ type Options struct {
 	// engines return the same solution set as the sequential run for
 	// every worker count.
 	Parallel int
-	// Incremental makes the iterated entry points (Reach, ForwardReach,
-	// KStepPreimage, CheckReachable's trace extraction) keep one
-	// persistent solver session and one shared BDD manager across steps
-	// (internal/incr): the circuit is encoded once, each step's target is
-	// gated on a fresh activation literal, and learned clauses plus the
-	// success-driven memo survive retargeting. Frontiers, counts, and
-	// verdicts are bit-identical to the fresh-instance path; only the
-	// resource accounting differs (budgets are session-global instead of
-	// per-step, see DESIGN.md §10). It applies to the success-driven
-	// engine without Restrict; other configurations fall back to the
-	// fresh path. Single-step Compute ignores it.
+	// Incremental selects the layer source of the frontier walk behind
+	// the iterated entry points (Reach, ForwardReach, KStepPreimage and
+	// CheckReachable's backward sweep): one persistent solver session
+	// and one shared BDD manager across steps (internal/incr) instead of
+	// a fresh Compute or Image per layer. The circuit is encoded once,
+	// each step's target is gated on a fresh activation literal, and
+	// learned clauses plus the success-driven memo survive retargeting.
+	// Frontiers, counts, and verdicts are bit-identical to the fresh
+	// source; only the resource accounting differs (budgets are
+	// session-global instead of per-step, see DESIGN.md §10). It applies
+	// to the success-driven engine without Restrict; other
+	// configurations fall back to the fresh source. Single-step Compute
+	// ignores it, and CheckReachable extracts its trace on one persistent
+	// solver either way.
 	Incremental bool
 	// ShareManager, when non-nil, asks the success-driven engine to also
 	// export the state projection of its solution set into this manager
 	// (Result.Set/HasSet), skipping the cover→BDD re-import for callers
-	// that keep their own visited set — Reach's fixpoint loop. The set is
+	// that keep their own visited set — the frontier walk. The set is
 	// renamed onto the canonical state space (variable k = latch k), so
 	// the manager must be ordered over those variables — typically
 	// bdd.NewOrdered(StateSpace(c).Vars()).

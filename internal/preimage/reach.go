@@ -1,11 +1,9 @@
 package preimage
 
 import (
-	"fmt"
 	"math/big"
 
 	"allsatpre/internal/allsat"
-	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
 	"allsatpre/internal/cube"
@@ -51,99 +49,23 @@ type ReachResult struct {
 // The budget in opts governs the whole iteration: a relative Timeout is
 // resolved once here, so all steps share the allowance, and a step that
 // aborts ends the iteration with ReachResult.Aborted set — Fixpoint is
-// never claimed from a truncated layer.
+// never claimed from a truncated layer (see Walk).
 func Reach(c *circuit.Circuit, target *cube.Cover, maxSteps int, opts Options) (*ReachResult, error) {
-	opts.Budget = opts.Budget.Materialize()
-	if useIncremental(opts) {
-		return reachIncremental(c, target, maxSteps, opts)
-	}
-	runStats := opts.Stats
-	stateSpace := StateSpace(c)
-	man := bdd.NewOrdered(stateSpace.Vars())
-	if opts.Engine == EngineSuccessDriven {
-		// Let Compute export each step's state set straight into our
-		// manager instead of round-tripping it through a cover.
-		opts.ShareManager = man
-	}
-
-	targetC := canonicalize(stateSpace, target)
-	visited := man.FromCover(targetC)
-	res := &ReachResult{
-		StateSpace:     stateSpace,
-		Frontiers:      []*cube.Cover{targetC},
-		FrontierCounts: []*big.Int{man.SatCount(visited)},
-	}
-	frontier := targetC
-
-	for step := 0; maxSteps <= 0 || step < maxSteps; step++ {
-		if frontier.Len() == 0 {
-			res.Fixpoint = true
-			break
-		}
-		if runStats != nil {
-			opts.Stats = runStats.Phase(fmt.Sprintf("step%02d", step))
-		}
-		pre, err := Compute(c, frontier, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Steps++
-		accumulate(&res.Stats, pre.Stats)
-		if pre.BDDNodes > res.BDDNodes {
-			res.BDDNodes = pre.BDDNodes
-		}
-		if pre.Aborted {
-			res.Aborted = true
-			if res.AbortReason == budget.None {
-				res.AbortReason = pre.AbortReason
-			}
-		}
-		var preSet bdd.Ref
-		if pre.HasSet {
-			preSet = pre.Set
-		} else {
-			preSet = man.FromCover(pre.States)
-		}
-		newSet := man.Diff(preSet, visited)
-		if newSet == bdd.False {
-			// Convergence may be claimed only from a complete layer: an
-			// aborted preimage adding nothing proves nothing.
-			if !pre.Aborted {
-				res.Fixpoint = true
-			}
-			break
-		}
-		frontier = man.ISOP(newSet, stateSpace)
-		visited = man.Or(visited, newSet)
-		res.Frontiers = append(res.Frontiers, frontier)
-		res.FrontierCounts = append(res.FrontierCounts, man.SatCount(newSet))
-		if pre.Aborted {
-			// The partial layer's states are genuine (all prior frontiers
-			// were exact, so they sit at distance step+1), but iterating
-			// from a truncated frontier would assign wrong distances —
-			// merge it and stop.
-			break
-		}
-	}
-	res.All = man.ISOP(visited, stateSpace)
-	res.AllCount = man.SatCount(visited)
-	return res, nil
+	return walkResult(c, target, false, maxSteps, opts)
 }
 
-func accumulate(dst *allsat.Stats, s allsat.Stats) {
-	dst.Solutions += s.Solutions
-	dst.Cubes += s.Cubes
-	dst.BlockingClauses += s.BlockingClauses
-	dst.BlockingLits += s.BlockingLits
-	dst.LiftedFree += s.LiftedFree
-	dst.Decisions += s.Decisions
-	dst.Propagations += s.Propagations
-	dst.Conflicts += s.Conflicts
-	dst.CacheLookups += s.CacheLookups
-	dst.CacheHits += s.CacheHits
-	dst.CacheClears += s.CacheClears
-	dst.Kernel.Merge(s.Kernel)
-	if s.BDDNodes > dst.BDDNodes {
-		dst.BDDNodes = s.BDDNodes
+// walkResult runs Reach or ForwardReach: a walk with per-step stats
+// phases, rendered as a ReachResult.
+func walkResult(c *circuit.Circuit, start *cube.Cover, forward bool, maxSteps int, opts Options) (*ReachResult, error) {
+	opts.Budget = opts.Budget.Materialize()
+	w, err := newWalk(c, start, forward, opts)
+	if err != nil {
+		return nil, err
 	}
+	defer w.close()
+	w.phases = opts.Stats
+	if err := w.run(maxSteps); err != nil {
+		return nil, err
+	}
+	return w.result(), nil
 }

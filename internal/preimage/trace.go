@@ -2,7 +2,6 @@ package preimage
 
 import (
 	"fmt"
-	"math/big"
 
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
@@ -18,64 +17,7 @@ import (
 // budget semantics: one shared allowance, no fixpoint claims from
 // truncated layers.
 func ForwardReach(c *circuit.Circuit, init *cube.Cover, maxSteps int, opts Options) (*ReachResult, error) {
-	opts.Budget = opts.Budget.Materialize()
-	if useIncremental(opts) {
-		return forwardReachIncremental(c, init, maxSteps, opts)
-	}
-	runStats := opts.Stats
-	stateSpace := StateSpace(c)
-	man := bdd.NewOrdered(stateSpace.Vars())
-
-	initC := canonicalize(stateSpace, init)
-	visited := man.FromCover(initC)
-	res := &ReachResult{
-		StateSpace:     stateSpace,
-		Frontiers:      []*cube.Cover{initC},
-		FrontierCounts: []*big.Int{man.SatCount(visited)},
-	}
-	frontier := initC
-	for step := 0; maxSteps <= 0 || step < maxSteps; step++ {
-		if frontier.Len() == 0 {
-			res.Fixpoint = true
-			break
-		}
-		if runStats != nil {
-			opts.Stats = runStats.Phase(fmt.Sprintf("step%02d", step))
-		}
-		img, err := Image(c, frontier, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Steps++
-		accumulate(&res.Stats, img.Stats)
-		if img.BDDNodes > res.BDDNodes {
-			res.BDDNodes = img.BDDNodes
-		}
-		if img.Aborted {
-			res.Aborted = true
-			if res.AbortReason == budget.None {
-				res.AbortReason = img.AbortReason
-			}
-		}
-		imgSet := man.FromCover(img.States)
-		newSet := man.Diff(imgSet, visited)
-		if newSet == bdd.False {
-			if !img.Aborted {
-				res.Fixpoint = true
-			}
-			break
-		}
-		visited = man.Or(visited, newSet)
-		frontier = man.ISOP(newSet, stateSpace)
-		res.Frontiers = append(res.Frontiers, frontier)
-		res.FrontierCounts = append(res.FrontierCounts, man.SatCount(newSet))
-		if img.Aborted {
-			break
-		}
-	}
-	res.All = man.ISOP(visited, stateSpace)
-	res.AllCount = man.SatCount(visited)
-	return res, nil
+	return walkResult(c, init, true, maxSteps, opts)
 }
 
 // Trace is a concrete counterexample: a state sequence and the input
@@ -148,86 +90,59 @@ func VerifyInvariant(c *circuit.Circuit, init, bad, inv *cube.Cover, opts Option
 // CheckReachable decides whether any state of bad is reachable from any
 // state of init, using backward reachability from bad (the paper's
 // unbounded model-checking loop) and, on success, extracting a concrete
-// input trace with one SAT query per step.
+// input trace with one SAT query per step on one persistent solver.
+// Options.Incremental selects the backward walk's layer source.
 func CheckReachable(c *circuit.Circuit, init, bad *cube.Cover, maxSteps int, opts Options) (*CheckResult, error) {
 	opts.Budget = opts.Budget.Materialize()
-	stateSpace := StateSpace(c)
-	man := bdd.NewOrdered(stateSpace.Vars())
-	initSet := man.FromCover(canonicalize(stateSpace, init))
+	w, err := newWalk(c, bad, false, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer w.close()
+	man := w.man
+	initSet := man.FromCover(canonicalize(w.space, init))
 
-	// Backward layers from bad until init is hit or fixpoint.
-	badC := canonicalize(stateSpace, bad)
-	visited := man.FromCover(badC)
-	layers := []bdd.Ref{visited}
-	frontier := badC
-
+	// Backward layers from bad until init is hit or the walk ends.
 	hitLayer := -1
-	if man.And(initSet, visited) != bdd.False {
+	if man.And(initSet, w.layers[0]) != bdd.False {
 		hitLayer = 0
 	}
-	steps := 0
 	for hitLayer < 0 {
-		if maxSteps > 0 && steps >= maxSteps {
-			return &CheckResult{Steps: steps}, nil
+		if maxSteps > 0 && w.Steps >= maxSteps {
+			return &CheckResult{Steps: w.Steps}, nil
 		}
-		pre, err := Compute(c, frontier, opts)
-		if err != nil {
+		layers := w.Layers()
+		if err := w.Step(); err != nil {
 			return nil, err
 		}
-		steps++
-		preSet := man.FromCover(pre.States)
-		newSet := man.Diff(preSet, visited)
-		if newSet == bdd.False {
-			if pre.Aborted {
-				// A truncated layer that happens to add nothing proves
-				// nothing: the missing predecessors may be exactly the
-				// ones reaching init.
-				return &CheckResult{
-					Steps: steps, Aborted: true, AbortReason: pre.AbortReason,
-				}, nil
-			}
-			inv := man.ISOP(man.Not(visited), stateSpace)
-			return &CheckResult{Steps: steps, Complete: true, Invariant: inv}, nil
+		if w.Fixpoint {
+			inv := w.canonical(man.ISOP(man.Not(w.visited), w.space))
+			return &CheckResult{Steps: w.Steps, Complete: true, Invariant: inv}, nil
 		}
-		visited = man.Or(visited, newSet)
-		layers = append(layers, newSet)
-		frontier = man.ISOP(newSet, stateSpace)
-		if man.And(initSet, newSet) != bdd.False {
+		if w.Layers() > layers && man.And(initSet, w.layers[layers]) != bdd.False {
 			// Sound even from a truncated layer: every state in a partial
 			// preimage is a genuine predecessor, so the trace exists.
-			hitLayer = len(layers) - 1
-		} else if pre.Aborted {
-			return &CheckResult{
-				Steps: steps, Aborted: true, AbortReason: pre.AbortReason,
-			}, nil
+			hitLayer = layers
+		} else if w.Aborted {
+			// A truncated layer proves nothing: the missing predecessors
+			// may be exactly the ones reaching init.
+			return &CheckResult{Steps: w.Steps, Aborted: true, AbortReason: w.AbortReason}, nil
 		}
 	}
 
 	// Extract the trace: start at a state in init ∩ layers[hitLayer], then
 	// step forward into layers[hitLayer-1], ..., layers[0].
-	start := man.AnySat(man.And(initSet, layers[hitLayer]), stateSpace)
+	start := man.AnySat(man.And(initSet, w.layers[hitLayer]), w.space)
 	cur := cubeToState(start)
 	tr := &Trace{States: [][]bool{cur}}
 	var stepper *traceStepper
-	if opts.Incremental && hitLayer > 1 {
-		// One persistent solver for the whole trace instead of a fresh
-		// CNF + solver per layer. Any valid witness is acceptable, so the
-		// (legal) model differences a warmed-up solver may produce do not
-		// matter here.
-		s, err := newTraceStepper(c)
-		if err != nil {
+	if hitLayer > 0 {
+		if stepper, err = newTraceStepper(c); err != nil {
 			return nil, err
 		}
-		stepper = s
 	}
 	for k := hitLayer - 1; k >= 0; k-- {
-		var in, next []bool
-		var err error
-		if stepper != nil {
-			in, next, err = stepper.step(cur, man.ISOP(layers[k], stateSpace))
-		} else {
-			in, next, err = stepInto(c, cur, man.ISOP(layers[k], stateSpace))
-		}
+		in, next, err := stepper.step(cur, w.Frontier(k))
 		if err != nil {
 			return nil, fmt.Errorf("preimage: trace extraction at layer %d: %w", k, err)
 		}
@@ -247,33 +162,64 @@ func cubeToState(cb cube.Cube) []bool {
 	return out
 }
 
-// stepInto finds one input vector that moves the concrete state cur into
-// the target set, returning the inputs and the successor state. It is a
-// single incremental SAT query on the transition CNF.
-func stepInto(c *circuit.Circuit, cur []bool, target *cube.Cover) (inputs, next []bool, err error) {
-	inst, err := trans.NewInstance(c, target)
+// traceStepper replays a counterexample trace with one persistent
+// transition instance and SAT solver: each layer's target is gated on a
+// fresh activation literal (trans.Retarget) and retired with a unit,
+// instead of rebuilding the CNF and solver per layer. Learned clauses
+// mentioning a retired activation variable are permanently satisfied by
+// its unit, so the plain CDCL solver needs no group GC.
+type traceStepper struct {
+	inst   *trans.Instance
+	s      *sat.Solver
+	act    lit.Lit
+	hasAct bool
+}
+
+func newTraceStepper(c *circuit.Circuit) (*traceStepper, error) {
+	inst, err := trans.NewBaseInstance(c)
+	if err != nil {
+		return nil, err
+	}
+	return &traceStepper{inst: inst, s: sat.FromFormula(inst.F, sat.DefaultOptions())}, nil
+}
+
+// step finds one input vector moving the concrete state cur into the
+// target set, returning the inputs and the successor state.
+func (ts *traceStepper) step(cur []bool, target *cube.Cover) (inputs, next []bool, err error) {
+	if ts.hasAct {
+		ts.s.AddClause(ts.act.Not())
+	}
+	st, err := ts.inst.Retarget(target, ts.s.NewVar)
 	if err != nil {
 		return nil, nil, err
 	}
-	s := sat.FromFormula(inst.F, sat.DefaultOptions())
-	var assume []lit.Lit
-	for i, v := range inst.StateVars {
+	ts.act, ts.hasAct = st.Act, true
+	ok := true
+	for _, cl := range st.Clauses {
+		ok = ts.s.AddClause(cl...) && ok
+	}
+	if !ok {
+		return nil, nil, fmt.Errorf("no transition from %v into the layer", cur)
+	}
+	assume := make([]lit.Lit, 0, len(ts.inst.StateVars)+1)
+	for i, v := range ts.inst.StateVars {
 		assume = append(assume, lit.New(v, !cur[i]))
 	}
-	switch s.Solve(assume...) {
+	assume = append(assume, st.Act)
+	switch ts.s.Solve(assume...) {
 	case sat.Sat:
 	case sat.Unsat:
 		return nil, nil, fmt.Errorf("no transition from %v into the layer", cur)
 	default:
 		return nil, nil, fmt.Errorf("budget exhausted during trace extraction")
 	}
-	m := s.Model()
-	inputs = make([]bool, len(inst.InputVars))
-	for i, v := range inst.InputVars {
+	m := ts.s.Model()
+	inputs = make([]bool, len(ts.inst.InputVars))
+	for i, v := range ts.inst.InputVars {
 		inputs[i] = m[v]
 	}
-	next = make([]bool, len(inst.NextVars))
-	for i, v := range inst.NextVars {
+	next = make([]bool, len(ts.inst.NextVars))
+	for i, v := range ts.inst.NextVars {
 		next[i] = m[v]
 	}
 	return inputs, next, nil

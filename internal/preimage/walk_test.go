@@ -1,0 +1,121 @@
+package preimage
+
+import (
+	"fmt"
+	"testing"
+
+	"allsatpre/internal/bdd"
+	"allsatpre/internal/budget"
+	"allsatpre/internal/circuit"
+	"allsatpre/internal/gen"
+	"allsatpre/internal/trans"
+)
+
+// TestWalkAbortContract runs every layer source — fresh success, fresh
+// lifting and session, backward and forward — under no budget, a cube
+// cap, a decision cap and an expired deadline, and checks the Aborted
+// contract on the walk itself:
+//   - an aborted walk claims no Fixpoint, names its reason, and has
+//     ended: a further Step solves nothing;
+//   - a complete walk ends at a fixpoint;
+//   - every frontier of an aborted walk is a subset of the complete
+//     walk's frontier at the same depth;
+//   - complete walks give the same frontiers and counts from every
+//     source.
+func TestWalkAbortContract(t *testing.T) {
+	sources := []struct {
+		name string
+		opts Options
+	}{
+		{"fresh-success", Options{}},
+		{"fresh-lifting", Options{Engine: EngineLifting}},
+		{"session", Options{Incremental: true}},
+	}
+	budgets := []struct {
+		name string
+		b    budget.Budget
+	}{
+		{"none", budget.Budget{}},
+		{"cubes", budget.Budget{MaxCubes: 1}},
+		{"decisions", budget.Budget{MaxDecisions: 40}},
+		{"deadline", expiredBudget()},
+	}
+	suite := []struct {
+		name  string
+		c     *circuit.Circuit
+		start string
+	}{
+		{"counter6", gen.Counter(6, true, false), "XXXX01"},
+		{"slike2", gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120}), "X1XX0XXX"},
+	}
+	aborts := map[string]int{}
+	for _, tc := range suite {
+		start := trans.TargetFromPatterns(len(tc.c.Latches), tc.start)
+		for _, forward := range []bool{false, true} {
+			var ref *ReachResult // the first complete walk
+			var partial []*ReachResult
+			var partialLabels []string
+			for _, bud := range budgets {
+				for _, src := range sources {
+					label := fmt.Sprintf("%s/forward=%v/%s/%s", tc.name, forward, src.name, bud.name)
+					opts := src.opts
+					opts.Budget = bud.b.Materialize()
+					w, err := newWalk(tc.c, start, forward, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := w.run(0); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					steps, layers := w.Steps, w.Layers()
+					if err := w.Step(); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if w.Steps != steps || w.Layers() != layers {
+						t.Fatalf("%s: a Step after the walk ended solved again", label)
+					}
+					res := w.result()
+					w.close()
+					switch {
+					case res.Aborted:
+						aborts[bud.name]++
+						if res.Fixpoint {
+							t.Fatalf("%s: aborted walk claimed a fixpoint", label)
+						}
+						if res.AbortReason == budget.None {
+							t.Fatalf("%s: aborted walk names no reason", label)
+						}
+						partial = append(partial, res)
+						partialLabels = append(partialLabels, label)
+					case !res.Fixpoint:
+						t.Fatalf("%s: complete walk stopped short of a fixpoint", label)
+					case ref == nil:
+						ref = res
+					default:
+						compareReach(t, label, res, ref)
+					}
+				}
+			}
+			if ref == nil {
+				t.Fatalf("%s/forward=%v: no complete walk", tc.name, forward)
+			}
+			m := bdd.NewOrdered(ref.StateSpace.Vars())
+			for i, res := range partial {
+				if len(res.Frontiers) > len(ref.Frontiers) {
+					t.Fatalf("%s: %d layers, the complete walk has %d",
+						partialLabels[i], len(res.Frontiers), len(ref.Frontiers))
+				}
+				for k, f := range res.Frontiers {
+					if m.Diff(m.FromCover(f), m.FromCover(ref.Frontiers[k])) != bdd.False {
+						t.Fatalf("%s: frontier %d is not a subset of the complete walk's", partialLabels[i], k)
+					}
+				}
+			}
+		}
+	}
+	for _, bud := range budgets[1:] {
+		if aborts[bud.name] == 0 {
+			t.Errorf("budget %s truncated no walk; the case is vacuous", bud.name)
+		}
+	}
+}

@@ -414,15 +414,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := &session{
-		id:       id,
-		created:  time.Now(),
-		sess:     isess,
-		man:      isess.Manager(),
-		cnfSpace: isess.StateSpace(),
-		counting: isess.StateVars(),
-		frontier: target,
+		id:      id,
+		created: time.Now(),
+		sess:    isess,
+		walk:    preimage.NewSessionWalk(c, isess, target),
 	}
-	sess.visited = sess.man.FromCover(isess.Instance().RetargetCover(target))
 	sess.touch()
 
 	evicted, err := s.store.insert(sess)

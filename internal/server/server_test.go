@@ -528,3 +528,73 @@ func TestEnumerateSuccessSimplifyKeepsStream(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionTruncatedLayerEndsWalk: a truncated layer ends a session's
+// walk as it ends Reach. No later step may claim a fixpoint (the layer
+// that added nothing, or added only part of its states, proves nothing)
+// or solve again from the partial frontier: each further step repeats
+// the first truncation with no new states and no solver work.
+func TestSessionTruncatedLayerEndsWalk(t *testing.T) {
+	cases := []struct {
+		name   string
+		c      *circuit.Circuit
+		target string
+		budget map[string]any
+	}{
+		{"counter8-deadline", gen.Counter(8, false, false), "00000000",
+			map[string]any{"timeout": "1ns"}},
+		{"slike5-decisions", gen.SLike(gen.SLikeParams{Seed: 5, Inputs: 8, Latches: 10, Gates: 200}),
+			"XXXXXXXXX1", map[string]any{"max_decisions": 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := stats.NewRegistry("test")
+			srv := New(Config{Stats: reg})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Close()
+
+			body := map[string]any{"name": "cut", "bench": circuit.BenchString(tc.c), "target": []string{tc.target}}
+			for k, v := range tc.budget {
+				body[k] = v
+			}
+			if code := postJSON(t, ts.URL+"/v1/sessions", body, nil); code != http.StatusCreated {
+				t.Fatalf("create: status %d", code)
+			}
+			step := func() stepReply {
+				t.Helper()
+				var rep stepReply
+				if code := postJSON(t, ts.URL+"/v1/sessions/cut/step", "", &rep); code != http.StatusOK {
+					t.Fatalf("step: status %d", code)
+				}
+				return rep
+			}
+			var cut stepReply
+			for i := 0; ; i++ {
+				if i == 16 {
+					t.Fatal("the budget never truncated a layer; the test is vacuous")
+				}
+				if cut = step(); cut.Fixpoint {
+					t.Fatalf("step %d claimed a fixpoint before any truncation", cut.Step)
+				}
+				if cut.Truncated {
+					break
+				}
+			}
+			solves := reg.Counter("incr.steps").Load()
+			for i := 0; i < 2; i++ {
+				rep := step()
+				if rep.Fixpoint {
+					t.Fatalf("step after a truncated layer claimed a fixpoint: %+v", rep)
+				}
+				if !rep.Truncated || rep.Reason != cut.Reason || rep.Step != cut.Step ||
+					rep.NewStates != "" || len(rep.Frontier) != 0 {
+					t.Fatalf("step after the truncated layer %+v = %+v, want the ended walk's state", cut, rep)
+				}
+			}
+			if got := reg.Counter("incr.steps").Load(); got != solves {
+				t.Fatalf("steps after the truncated layer solved again (incr.steps %d -> %d)", solves, got)
+			}
+		})
+	}
+}

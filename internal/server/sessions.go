@@ -7,37 +7,28 @@ import (
 	"sync/atomic"
 	"time"
 
-	"allsatpre/internal/bdd"
-	"allsatpre/internal/cube"
 	"allsatpre/internal/incr"
-	"allsatpre/internal/lit"
+	"allsatpre/internal/preimage"
 	"allsatpre/internal/stats"
 )
 
 // session is one tenant's persistent incremental-reachability state:
-// the incr.Session (solver pool + BDD manager alive across steps) plus
-// the frontier bookkeeping that turns repeated Step calls into a
-// backward/forward reachability iteration, one layer per HTTP request.
+// the incr.Session (solver pool + BDD manager alive across steps) and
+// the preimage.Walk over it that turns repeated Step calls into a
+// backward reachability walk, one layer per HTTP request.
 //
 // incr.Session is not safe for concurrent use; mu serializes steps
 // against each other and against the eviction Close (see the contract
 // on incr.Session). The store's lock is never held while mu is.
 type session struct {
 	id      string
-	forward bool
 	created time.Time
 
-	mu       sync.Mutex
-	sess     *incr.Session
-	man      *bdd.Manager
-	cnfSpace *cube.Space // state space frontier ISOPs are extracted over
-	counting []lit.Var   // vars SatCountIn counts new states over
-	visited  bdd.Ref
-	frontier *cube.Cover
-	steps    int
-	fixpoint bool
+	mu   sync.Mutex
+	sess *incr.Session
+	walk *preimage.Walk
 
-	// Listing-visible mirrors of the fields above, updated atomically so
+	// Listing-visible mirrors of the walk, updated atomically so
 	// GET /v1/sessions never blocks behind (or races with) a long step.
 	stepsDone    atomic.Int64
 	fixpointSeen atomic.Bool
@@ -56,45 +47,32 @@ type stepOutcome struct {
 	Reason    string
 }
 
-// step advances the session one frontier. Caller holds s.mu.
+// step advances the session one layer. Once the walk has ended — a
+// fixpoint, or a truncated layer — nothing is solved and the reply
+// repeats the ended walk's verdict with no new states. Caller holds s.mu.
 func (s *session) step() (*stepOutcome, error) {
-	out := &stepOutcome{Step: s.steps + 1}
-	if s.fixpoint || s.frontier.Len() == 0 {
-		s.fixpoint = true
-		s.fixpointSeen.Store(true)
-		out.Step = s.steps
-		out.Fixpoint = true
-		return out, nil
-	}
-	st, err := s.sess.Step(s.frontier)
-	if err != nil {
+	w := s.walk
+	solved, layers := w.Steps, w.Layers()
+	if err := w.Step(); err != nil {
 		return nil, err
 	}
-	s.steps++
-	s.stepsDone.Store(int64(s.steps))
-	out.Step = s.steps
-	if st.Aborted {
-		out.Aborted = true
-		out.Reason = st.Reason.String()
+	s.stepsDone.Store(int64(w.Steps))
+	s.fixpointSeen.Store(w.Fixpoint)
+	out := &stepOutcome{Step: w.Steps, Fixpoint: w.Fixpoint, Aborted: w.Aborted}
+	if w.Aborted {
+		out.Reason = w.AbortReason.String()
 	}
-	layer := s.sess.StateSet(st.Set)
-	newSet := s.man.Diff(layer, s.visited)
-	if newSet == bdd.False {
-		// Nothing new: a complete layer proves the fixpoint; a truncated
-		// one proves only that this (partial) step added nothing.
-		s.fixpoint = !st.Aborted
-		s.fixpointSeen.Store(s.fixpoint)
-		out.Fixpoint = s.fixpoint
-		s.frontier = cube.NewCover(s.cnfSpace)
+	switch {
+	case w.Steps == solved:
+		// The walk had ended: nothing was solved.
+	case w.Layers() == layers:
 		out.NewStates = "0"
-		return out, nil
+	default:
+		for _, c := range w.Frontier(layers).Cubes() {
+			out.Frontier = append(out.Frontier, c.String())
+		}
+		out.NewStates = w.Count(layers).String()
 	}
-	s.frontier = s.man.ISOP(newSet, s.cnfSpace)
-	s.visited = s.man.Or(s.visited, newSet)
-	for _, c := range s.frontier.Cubes() {
-		out.Frontier = append(out.Frontier, c.String())
-	}
-	out.NewStates = s.man.SatCountIn(newSet, s.counting).String()
 	return out, nil
 }
 
@@ -206,13 +184,9 @@ func (st *sessionStore) list() []sessionInfo {
 	now := time.Now()
 	for el := st.lru.Front(); el != nil; el = el.Next() {
 		s := el.Value.(*session)
-		dir := "backward"
-		if s.forward {
-			dir = "forward"
-		}
 		out = append(out, sessionInfo{
 			ID:        s.id,
-			Direction: dir,
+			Direction: "backward",
 			Steps:     int(s.stepsDone.Load()),
 			Fixpoint:  s.fixpointSeen.Load(),
 			IdleMS:    (now.UnixNano() - s.lastUsedNano.Load()) / int64(time.Millisecond),

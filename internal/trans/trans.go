@@ -42,6 +42,21 @@ type Instance struct {
 	SelectorVars []lit.Var
 }
 
+// DedupVars drops repeated variables, keeping first occurrences: latches
+// may share one next-state gate, and a cube space must not list its
+// variable twice, so image projections range over DedupVars(NextVars).
+func DedupVars(vars []lit.Var) []lit.Var {
+	seen := make(map[lit.Var]bool, len(vars))
+	out := make([]lit.Var, 0, len(vars))
+	for _, v := range vars {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // NewBaseInstance builds an instance carrying the Tseitin CNF of the
 // circuit's next-state cone with no target constraint: F is a private
 // copy of the (cached) encoding's cone clauses in one literal arena, and

@@ -15,13 +15,13 @@ go vet ./...
 (cd perfbench && GOWORK=off go vet ./...)
 go test ./...
 go test -race -short ./...
-# The parallel-enumeration determinism suite, and the equivalence of the
-# streamed state projection with enumerate-then-project, must hold
-# regardless of how the Go scheduler interleaves workers: exercise them
-# both pinned to one OS thread and with real preemption under the race
-# detector.
-GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection' ./internal/preimage/
-GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection' ./internal/preimage/
+# The parallel-enumeration determinism suite, the equivalence of the
+# streamed state projection with enumerate-then-project, and the frontier
+# walk's Aborted contract over every layer source must hold regardless
+# of how the Go scheduler interleaves workers: exercise them both pinned
+# to one OS thread and with real preemption under the race detector.
+GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract' ./internal/preimage/
+GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract' ./internal/preimage/
 # Every fan-out runs as runtime.Group jobs on a scheduler: the pool, the
 # incremental sessions and the parallel BMC sweep must hold pinned and
 # preempted alike.
@@ -93,6 +93,15 @@ curl -sf -XPOST "http://$ADDR/v1/sessions/smoke/step" | grep -q '"new_states":"1
 curl -sf "http://$ADDR/v1/sessions" \
     -d "{\"name\":\"second\",\"bench\":\"$BENCH\",\"target\":[\"111\"]}" | grep -q '"evicted":\["smoke"\]'
 test "$(curl -s -o /dev/null -w '%{http_code}' -XPOST "http://$ADDR/v1/sessions/smoke/step")" = 404
+# A truncated layer ends a session's walk: the 1ns deadline truncates the
+# first step, and the second step must repeat the truncation instead of
+# claiming a fixpoint.
+curl -sf "http://$ADDR/v1/sessions" \
+    -d "{\"name\":\"cut\",\"bench\":\"$BENCH\",\"target\":[\"000\"],\"timeout\":\"1ns\"}" | grep -q '"id":"cut"'
+curl -sf -XPOST "http://$ADDR/v1/sessions/cut/step" | grep -q '"truncated":true'
+CUT=$(curl -sf -XPOST "http://$ADDR/v1/sessions/cut/step")
+echo "$CUT" | grep -q '"truncated":true'
+case "$CUT" in *'"fixpoint":true'*) exit 1 ;; esac
 curl -sf "http://$ADDR/debug/stats" | grep -q 'server.requests'
 kill -TERM $SERVE_PID
 wait $SERVE_PID
