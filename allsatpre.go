@@ -348,9 +348,10 @@ type DimacsOptions struct {
 	Simplify SimplifyMode
 	// Budget bounds the enumeration; a tripped limit yields a partial
 	// cover with Aborted set on the result (sound under-approximation).
-	// Budget.MaxCubes caps the cubes of the blocking, lifting and
-	// disjoint engines; the success-driven engine builds a BDD rather
-	// than cubes and is bounded by the Budget's other limits.
+	// Budget.MaxCubes caps every engine's cover: the blocking, lifting
+	// and disjoint engines stop enumerating at the cap, the
+	// success-driven engine keeps the first MaxCubes cubes of the cover
+	// it extracts from its BDD, and counts only the minterms they cover.
 	Budget Budget
 	// Workers > 1 enumerates in parallel over guiding-path subcubes: the
 	// success-driven engine uses the parallel pool (internal/pool),

@@ -81,9 +81,6 @@ func New(name string) *Graph {
 	}
 }
 
-// NumNodes returns the node count including the constant.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 // NumAnds returns the number of AND nodes.
 func (g *Graph) NumAnds() int {
 	n := 0
@@ -94,15 +91,6 @@ func (g *Graph) NumAnds() int {
 	}
 	return n
 }
-
-// Inputs returns the input literals (shared slice).
-func (g *Graph) Inputs() []Lit { return g.inputs }
-
-// Latches returns the latch output literals (shared slice).
-func (g *Graph) Latches() []Lit { return g.latches }
-
-// Outputs returns the output literals (shared slice).
-func (g *Graph) Outputs() []Lit { return g.outputs }
 
 // AddInput appends a primary input and returns its literal.
 func (g *Graph) AddInput(name string) Lit {

@@ -161,7 +161,7 @@ func TestParallelCancelledBeforeCall(t *testing.T) {
 			}
 		}
 		it.Stop()
-		return outcome{it.Aborted(), it.Reason()}
+		return outcome{it.Reason() != budget.None, it.Reason()}
 	}
 	cases := []struct {
 		name string

@@ -83,9 +83,6 @@ func (it *DisjointIterator) Next() (cube.Cube, bool) {
 // set (budget.None when it ran to completion or is still running).
 func (it *DisjointIterator) Reason() budget.Reason { return it.reason }
 
-// Aborted reports whether a resource limit cut the iteration short.
-func (it *DisjointIterator) Aborted() bool { return it.reason != budget.None }
-
 // Stats returns the counters accumulated so far. BlockingClauses is zero
 // by construction — the engine's defining property.
 func (it *DisjointIterator) Stats() Stats {

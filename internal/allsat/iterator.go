@@ -105,9 +105,6 @@ func (it *Iterator) Next() (cube.Cube, bool) {
 // projection, not all of it.
 func (it *Iterator) Reason() budget.Reason { return it.reason }
 
-// Aborted reports whether a resource limit cut the iteration short.
-func (it *Iterator) Aborted() bool { return it.reason != budget.None }
-
 // Stats returns the counters accumulated so far.
 func (it *Iterator) Stats() Stats {
 	it.captureStats()

@@ -254,9 +254,6 @@ func (p *ParallelIterator) Close() { p.Stop() }
 // ran to completion or is still running).
 func (p *ParallelIterator) Reason() budget.Reason { return p.g.Reason() }
 
-// Aborted reports whether a resource limit cut the iteration short.
-func (p *ParallelIterator) Aborted() bool { return p.Reason() != budget.None }
-
 // Stats returns the counters folded in from finished subcube iterators.
 func (p *ParallelIterator) Stats() Stats {
 	p.mu.Lock()

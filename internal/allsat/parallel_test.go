@@ -147,9 +147,8 @@ func TestParallelIteratorAbortCancelsSiblings(t *testing.T) {
 				t.Fatalf("trial %d: cube %v from a subcube fed out after the abort", trial, c)
 			}
 		}
-		if !it.Aborted() || it.Reason() != budget.Decisions {
-			t.Fatalf("trial %d: aborted=%v reason=%v, want decision-budget abort",
-				trial, it.Aborted(), it.Reason())
+		if it.Reason() != budget.Decisions {
+			t.Fatalf("trial %d: reason=%v, want decision-budget abort", trial, it.Reason())
 		}
 		if _, ok := it.Next(); ok {
 			t.Fatalf("trial %d: Next succeeded after the stream ended", trial)
@@ -182,7 +181,7 @@ func TestParallelDisjointIteratorDrains(t *testing.T) {
 			}
 			got.Add(c)
 		}
-		if it.Aborted() {
+		if it.Reason() != budget.None {
 			t.Fatalf("iter %d: spurious abort: %v", iter, it.Reason())
 		}
 		if coverSet(m, got) != wantSet {
@@ -214,7 +213,7 @@ func TestParallelIteratorDrainsProjection(t *testing.T) {
 			}
 			got.Add(c)
 		}
-		if it.Aborted() {
+		if it.Reason() != budget.None {
 			t.Fatalf("iter %d: spurious abort: %v", iter, it.Reason())
 		}
 		if coverSet(m, got) != wantSet {

@@ -148,9 +148,6 @@ func newOrdered(order []lit.Var, uniqueBits int) *Manager {
 	return m
 }
 
-// NumVars returns the number of variables in the order.
-func (m *Manager) NumVars() int { return len(m.order) }
-
 // NumNodes returns the total number of nodes ever created, including the
 // two terminals — the memory-consumption proxy used by the benchmarks.
 func (m *Manager) NumNodes() int { return len(m.nodes) }

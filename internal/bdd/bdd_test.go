@@ -297,7 +297,7 @@ func TestNumNodesMonotone(t *testing.T) {
 	if m.NumNodes() != 3 {
 		t.Fatalf("after one Var: %d nodes", m.NumNodes())
 	}
-	if m.NumVars() != 8 {
+	if len(m.order) != 8 {
 		t.Fatal("NumVars")
 	}
 }

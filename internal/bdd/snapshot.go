@@ -19,10 +19,6 @@ type Snapshot struct {
 	root   int32
 }
 
-// NumNodes reports the number of internal nodes the snapshot carries
-// (zero for a terminal).
-func (s *Snapshot) NumNodes() int { return len(s.vars) }
-
 // Export serializes f into a self-contained Snapshot.
 func (m *Manager) Export(f Ref) *Snapshot {
 	s := &Snapshot{}

@@ -174,9 +174,6 @@ func (c *Checker) Now() Reason {
 	return c.check()
 }
 
-// Reason returns the sticky stop reason without checking anything.
-func (c *Checker) Reason() Reason { return c.reason }
-
 func (c *Checker) check() Reason {
 	if c.done != nil {
 		select {

@@ -332,7 +332,13 @@ func TestStep64MatchesScalar(t *testing.T) {
 func TestRunTrace(t *testing.T) {
 	c := buildToy(t)
 	sim, _ := NewSimulator(c)
-	trace, final := sim.Run([]bool{false, false}, [][]bool{{true}, {true}, {true}})
+	var trace [][]bool
+	final := []bool{false, false}
+	for _, in := range [][]bool{{true}, {true}, {true}} {
+		var out []bool
+		out, final = sim.Step(final, in)
+		trace = append(trace, out)
+	}
 	if len(trace) != 3 {
 		t.Fatal("trace length")
 	}

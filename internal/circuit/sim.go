@@ -122,15 +122,3 @@ func (s *Simulator) Step64(state, inputs []uint64) (outputs, nextState []uint64)
 	}
 	return outputs, nextState
 }
-
-// Run simulates a sequence of input vectors from an initial state and
-// returns the trace of output vectors and the final state.
-func (s *Simulator) Run(initState []bool, inputSeq [][]bool) (outTrace [][]bool, finalState []bool) {
-	state := append([]bool(nil), initState...)
-	for _, in := range inputSeq {
-		var out []bool
-		out, state = s.Step(state, in)
-		outTrace = append(outTrace, out)
-	}
-	return outTrace, state
-}

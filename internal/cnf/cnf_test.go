@@ -163,6 +163,7 @@ func TestParseDimacsErrors(t *testing.T) {
 		"c proj 0\np cnf 1 0\n",  // bad projection var
 		"c proj 9\np cnf 2 0\n",  // projection out of range
 		"c proj -2\np cnf 3 0\n", // negative projection var
+		"7000000000000000000\n",  // literal overflowing the encoding
 	}
 	for _, s := range cases {
 		if _, _, err := ParseDimacsString(s); err == nil {

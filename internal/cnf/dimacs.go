@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -59,7 +60,9 @@ func ParseDimacs(r io.Reader) (*Formula, []lit.Var, error) {
 		}
 		for _, tok := range strings.Fields(line) {
 			d, err := strconv.Atoi(tok)
-			if err != nil {
+			// The solver stores a literal in 32 bits; a larger variable
+			// would overflow the literal encoding into a negative index.
+			if err != nil || d > math.MaxInt32 || d < -math.MaxInt32 {
 				return nil, nil, fmt.Errorf("dimacs line %d: bad literal %q", lineNo, tok)
 			}
 			if d == 0 {

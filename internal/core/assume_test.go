@@ -24,10 +24,10 @@ func TestEnumerateUnderPartitionsSolutionSet(t *testing.T) {
 		vars := rng.Perm(nVars)[:nProj]
 		space := projSpace(vars...)
 
-		full := New(f.Clone(), space, DefaultOptions())
+		full := New(nil, f.Clone(), space, DefaultOptions())
 		fr := full.Enumerate()
 
-		e := New(f.Clone(), space, DefaultOptions())
+		e := New(nil, f.Clone(), space, DefaultOptions())
 		want := e.man.Import(full.man.Export(fr.Set))
 
 		k := 1 + rng.Intn(2)
@@ -79,7 +79,7 @@ func TestEnumerateUnderFailedAssumptions(t *testing.T) {
 	f.AddClause(cnf.Clause{lit.Neg(0), lit.Neg(1)})
 	f.AddClause(cnf.Clause{lit.Pos(2), lit.Pos(3)})
 	space := projSpace(0, 1, 2, 3)
-	e := New(f, space, DefaultOptions())
+	e := New(nil, f, space, DefaultOptions())
 	sub := e.EnumerateUnder([]lit.Lit{lit.Pos(0), lit.Pos(1)}, 0)
 	if sub.Status != SubUnsatAssumps {
 		t.Fatalf("status %v, want unsat-assumptions", sub.Status)
@@ -105,7 +105,7 @@ func TestEnumerateUnderRootFalsifiedAssumption(t *testing.T) {
 	f.AddClause(cnf.Clause{lit.Neg(0)})
 	f.AddClause(cnf.Clause{lit.Pos(1), lit.Pos(2)})
 	space := projSpace(0, 1, 2)
-	e := New(f, space, DefaultOptions())
+	e := New(nil, f, space, DefaultOptions())
 	sub := e.EnumerateUnder([]lit.Lit{lit.Pos(1), lit.Pos(0)}, 0)
 	if sub.Status != SubUnsatAssumps {
 		t.Fatalf("status %v, want unsat-assumptions", sub.Status)
@@ -120,7 +120,7 @@ func TestEnumerateUnderGlobalUnsat(t *testing.T) {
 	f.AddClause(cnf.Clause{lit.Pos(0)})
 	f.AddClause(cnf.Clause{lit.Neg(0)})
 	space := projSpace(0, 1)
-	e := New(f, space, DefaultOptions())
+	e := New(nil, f, space, DefaultOptions())
 	sub := e.EnumerateUnder([]lit.Lit{lit.Pos(1)}, 0)
 	if sub.Status != SubGlobalUnsat {
 		t.Fatalf("status %v, want unsat-global", sub.Status)
@@ -134,7 +134,7 @@ func TestEnumerateUnderSplitRequest(t *testing.T) {
 	f := cnf.New(3)
 	f.AddClause(cnf.Clause{lit.Pos(0), lit.Pos(1), lit.Pos(2)})
 	space := projSpace(0, 1, 2)
-	e := New(f.Clone(), space, DefaultOptions())
+	e := New(nil, f.Clone(), space, DefaultOptions())
 	sub := e.EnumerateUnder(nil, 1)
 	if sub.Status != SubSplit {
 		t.Fatalf("status %v, want split", sub.Status)

@@ -7,7 +7,9 @@
 // fixed static order, and assembles the solution set directly as an ROBDD
 // over those variables:
 //
-//   - Unit propagation uses two-watched literals; internal circuit
+//   - The search runs on the CDCL kernel of internal/sat: core makes the
+//     decisions (projection variables only, in projection order) and the
+//     solver propagates them over its clause arena; internal circuit
 //     variables are never decided, only implied.
 //   - When every original clause is satisfied, the remaining (unassigned)
 //     projection variables are don't cares: the search returns the BDD
@@ -24,15 +26,18 @@
 //     reconvergent or replicated logic, and happens across sibling
 //     branches whenever the decided variable has ceased to matter — the
 //     stored solution sub-BDD is grafted in O(1) instead of re-searching.
+//     Core keeps the signature over its own list of the original clauses,
+//     following the solver's trail after each propagation and unwinding it
+//     before each backtrack.
 //   - Conflict-driven learning is retained: failed branches produce
-//     first-UIP learned clauses that prune later UNSAT regions. Learned
-//     clauses are used only for propagation and conflict detection, never
-//     for the satisfaction test, so they cannot corrupt the enumeration.
+//     first-UIP learned clauses (the solver's analysis and tiered learnt
+//     database) that prune later UNSAT regions. Learned clauses are used
+//     only for propagation and conflict detection, never for the
+//     satisfaction test, so they cannot corrupt the enumeration.
 package core
 
 import (
 	"fmt"
-	"math/big"
 
 	"allsatpre/internal/allsat"
 	"allsatpre/internal/bdd"
@@ -40,6 +45,7 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
+	"allsatpre/internal/sat"
 )
 
 // Options tunes the success-driven enumerator.
@@ -89,44 +95,21 @@ func (o Options) IsZero() bool {
 // pathological instances.
 const DefaultMemoLimit = 1 << 20
 
-type clause struct {
-	lits    []lit.Lit
-	learned bool
-	// dead marks a clause retired by RetireGroup (or a learned clause
-	// garbage-collected with it); dead clauses are swept from the watch
-	// lists at retirement and stay permanently root-satisfied, so the
-	// search never consults them again.
-	dead bool
-}
-
-type watcher struct {
-	cl      *clause
-	blocker lit.Lit
-}
-
 // Enumerator is the success-driven all-solutions engine for one formula
 // and projection. Create with New, run with Enumerate.
 type Enumerator struct {
 	opts Options
+	s    *sat.Solver // the CDCL kernel the search runs on
 
-	orig    []*clause // original clauses, index-aligned with satBy
-	learned []*clause
-	watches [][]watcher
-
-	assign   []lit.Tern
-	reason   []*clause
-	seen     []byte // analyze scratch
-	dlevel   []int32
-	trailIdx []int32 // variable -> trail position (valid while assigned)
-
-	trail    []lit.Lit
-	trailLim []int
-	qhead    int
-
-	// occ[l] lists original clause indexes containing literal l, for the
-	// satisfied-clause bookkeeping.
+	// orig holds the normalized original clauses; a clause's index is its
+	// id in the residual signature. occ[l] lists the clauses containing
+	// literal l. satBy[ci] is the trail position of the literal that
+	// satisfied clause ci, -1 while none; synced is the trail prefix
+	// already folded into satBy and the signature.
+	orig     [][]lit.Lit
 	occ      [][]int32
-	satBy    []int32 // original clause -> trail index that satisfied it, -1
+	satBy    []int32
+	synced   int
 	unsatCnt int
 
 	// Residual-subproblem signature (success-driven learning). The
@@ -142,30 +125,13 @@ type Enumerator struct {
 
 	proj   []lit.Var
 	isProj []bool
-	space  *cube.Space
 
 	man       *bdd.Manager
 	memo      map[sig128]bdd.Ref
 	memoLimit int // DefaultMemoLimit; tests lower it to force clears
 
-	// learnFrom scratch, reused across conflicts.
-	learntBuf  []lit.Lit
-	cleanupBuf []lit.Var
-
-	// Chunked backing for learned clauses: clause structs and their
-	// literal slices are carved out of fixed-capacity blocks, so a learnt
-	// costs zero dedicated allocations once a chunk is open (the same
-	// pre-sizing idea New applies to the original clauses, extended to
-	// clauses whose count is unknown up front). Chunks are never grown in
-	// place — live *clause pointers into them must stay stable — a full
-	// chunk is simply replaced by a fresh one and kept alive by its
-	// clauses. learnedLits counts the literals of live learned clauses
-	// (the retained-learnt footprint incr sessions report).
-	litChunk    []lit.Lit
-	clauseChunk []clause
-	learnedLits int
-
 	residScan   int  // rotating scan pointer for residualSAT
+	rootUnsat   bool // the formula is UNSAT at the root
 	aborted     bool // resource budget exhausted
 	abortReason budget.Reason
 	check       *budget.Checker // nil when the budget is unbounded
@@ -182,11 +148,6 @@ type Enumerator struct {
 	dynUnsat     int
 	stepSigs     []sig128
 
-	// Root preparation state (unit installation + root BCP), done once so
-	// the enumerator can serve repeated EnumerateUnder calls.
-	prepared  bool
-	rootUnsat bool
-
 	// Per-call soft decision cap (EnumerateUnder): when the call exceeds
 	// callMaxDec decisions, splitReq is raised and the search unwinds with
 	// partial results discarded, asking the caller to split the subcube.
@@ -198,232 +159,134 @@ type Enumerator struct {
 }
 
 // New prepares an enumerator for formula f projected onto the variables of
-// space (which become the BDD variable order, top to bottom).
-func New(f *cnf.Formula, space *cube.Space, opts Options) *Enumerator {
+// space (which become the BDD variable order, top to bottom). The search
+// runs on solver s, which must be fresh or Reset (nil: a new one with
+// default options); the enumerator owns it until the caller takes it back
+// with Solver (e.g. a warm pool releasing it after the run).
+func New(s *sat.Solver, f *cnf.Formula, space *cube.Space, opts Options) *Enumerator {
 	opts.Budget = opts.Budget.Materialize()
+	if s == nil {
+		s = sat.New(sat.Options{})
+	}
 	man := opts.Manager
 	if man == nil {
 		man = bdd.NewOrdered(space.Vars())
 	}
 	n := f.NumVars
 	e := &Enumerator{
-		opts:     opts,
-		watches:  make([][]watcher, 2*n),
-		assign:   make([]lit.Tern, n),
-		reason:   make([]*clause, n),
-		seen:     make([]byte, n),
-		dlevel:   make([]int32, n),
-		trailIdx: make([]int32, n),
-		occ:      make([][]int32, 2*n),
-		proj:     space.Vars(),
-		isProj:   make([]bool, n),
-		space:    space,
-		man:      man,
-		memo:     make(map[sig128]bdd.Ref),
+		opts:      opts,
+		s:         s,
+		occ:       make([][]int32, 2*n),
+		proj:      space.Vars(),
+		isProj:    make([]bool, n),
+		man:       man,
+		memo:      make(map[sig128]bdd.Ref),
+		memoLimit: DefaultMemoLimit,
 	}
-	e.memoLimit = DefaultMemoLimit
 	for _, v := range e.proj {
 		if int(v) >= n {
 			panic(fmt.Sprintf("core: projection variable %v outside formula", v))
 		}
 		e.isProj[v] = true
 	}
+	e.rootUnsat = !s.LoadFormula(f)
 
-	// Install the clauses in two passes: normalize and count first, then
-	// carve the occurrence lists, clause literals, and initial watch lists
-	// out of single backing arrays sized exactly — one allocation each
-	// instead of an append-doubling chain per literal.
-	norm := make([]cnf.Clause, 0, len(f.Clauses))
-	occCnt := make([]int32, 2*n)
-	watchCnt := make([]int32, 2*n)
-	totalLits := 0
+	// Normalize the clauses into one backing array, then carve the
+	// occurrence lists out of a second one sized exactly — one allocation
+	// each instead of an append-doubling chain per literal.
+	total := 0
 	for _, c := range f.Clauses {
-		nc, taut := c.Normalize()
+		total += len(c)
+	}
+	litBack := make([]lit.Lit, 0, total)
+	e.orig = make([][]lit.Lit, 0, len(f.Clauses))
+	occCnt := make([]int32, 2*n)
+	for _, c := range f.Clauses {
+		start := len(litBack)
+		litBack = append(litBack, c...)
+		nc, taut := cnf.Clause(litBack[start:]).NormalizeInPlace()
 		if taut {
+			litBack = litBack[:start]
 			continue
 		}
-		norm = append(norm, nc)
-		totalLits += len(nc)
+		litBack = litBack[:start+len(nc)]
+		e.orig = append(e.orig, litBack[start:len(litBack):len(litBack)])
 		for _, l := range nc {
 			occCnt[l]++
 		}
-		if len(nc) >= 2 {
-			watchCnt[nc[0].Not()]++
-			watchCnt[nc[1].Not()]++
-		}
 	}
-	occBack := make([]int32, totalLits)
+	occBack := make([]int32, len(litBack))
 	pos := 0
 	for l, cnt := range occCnt {
-		if cnt == 0 {
-			continue
-		}
+		// Three-index caps keep a list that later outgrows its chunk from
+		// stomping its neighbour: the overflowing append reallocates.
 		e.occ[l] = occBack[pos : pos : pos+int(cnt)]
 		pos += int(cnt)
 	}
-	totalWatch := 0
-	for _, cnt := range watchCnt {
-		totalWatch += int(cnt)
-	}
-	watchBack := make([]watcher, totalWatch)
-	pos = 0
-	for l, cnt := range watchCnt {
-		if cnt == 0 {
-			continue
+	e.satBy = make([]int32, len(e.orig))
+	e.contrib = make([]sig128, len(e.orig))
+	e.groupOf = make([]int32, len(e.orig))
+	for ci, cl := range e.orig {
+		e.satBy[ci] = -1
+		base := clauseBase(int32(ci))
+		e.contrib[ci] = base
+		e.resid.xor(base)
+		for _, l := range cl {
+			e.occ[l] = append(e.occ[l], int32(ci))
 		}
-		// Three-index caps keep a list that later outgrows its chunk from
-		// stomping its neighbour: the overflowing append reallocates.
-		e.watches[l] = watchBack[pos : pos : pos+int(cnt)]
-		pos += int(cnt)
 	}
-	litBack := make([]lit.Lit, 0, totalLits)
-	clauseBack := make([]clause, len(norm))
-	e.orig = make([]*clause, 0, len(norm))
-	e.satBy = make([]int32, 0, len(norm))
-	e.contrib = make([]sig128, 0, len(norm))
-	e.groupOf = make([]int32, 0, len(norm))
-	for i, nc := range norm {
-		start := len(litBack)
-		litBack = append(litBack, nc...)
-		cl := &clauseBack[i]
-		cl.lits = litBack[start:len(litBack):len(litBack)]
-		e.install(cl)
-	}
+	e.unsatCnt = len(e.orig)
+	// Fold in the root assignment the solver's unit propagation made.
+	e.sync()
 	return e
 }
 
-// install records a normalized problem clause: residual signature,
-// occurrence lists, and (for clauses of length ≥ 2) the watch pair. Unit
-// and empty clauses are handled at Enumerate start.
-func (e *Enumerator) install(cl *clause) {
-	ci := int32(len(e.orig))
-	e.orig = append(e.orig, cl)
-	e.satBy = append(e.satBy, -1)
-	e.groupOf = append(e.groupOf, 0)
-	e.unsatCnt++
-	base := clauseBase(ci)
-	e.contrib = append(e.contrib, base)
-	e.resid.xor(base)
-	for _, l := range cl.lits {
-		e.occ[l] = append(e.occ[l], ci)
-	}
-	if len(cl.lits) >= 2 {
-		e.attach(cl)
-	}
-}
+// Solver returns the solver the enumerator searches on.
+func (e *Enumerator) Solver() *sat.Solver { return e.s }
 
-func (e *Enumerator) attach(cl *clause) {
-	w0, w1 := cl.lits[0].Not(), cl.lits[1].Not()
-	e.watches[w0] = append(e.watches[w0], watcher{cl: cl, blocker: cl.lits[1]})
-	e.watches[w1] = append(e.watches[w1], watcher{cl: cl, blocker: cl.lits[0]})
-}
-
-func (e *Enumerator) litValue(l lit.Lit) lit.Tern {
-	return e.assign[l.Var()].XorSign(l.Sign())
-}
-
-func (e *Enumerator) enqueue(l lit.Lit, from *clause) {
-	v := l.Var()
-	e.assign[v] = lit.TernOf(!l.Sign())
-	e.reason[v] = from
-	e.dlevel[v] = int32(len(e.trailLim))
-	pos := int32(len(e.trail))
-	e.trailIdx[v] = pos
-	e.trail = append(e.trail, l)
-	// Clauses containing l become satisfied: drop them from the residual.
-	for _, ci := range e.occ[l] {
-		if e.satBy[ci] < 0 {
-			e.satBy[ci] = pos
-			e.unsatCnt--
-			e.resid.xor(e.contrib[ci])
-			if e.groupOf[ci] != 0 {
-				e.dynUnsat--
-			}
-		}
-	}
-	// Clauses containing ¬l lose a literal: fold the falsity key in.
-	nl := l.Not()
-	for _, ci := range e.occ[nl] {
-		k := falseKey(ci, nl)
-		e.contrib[ci].xor(k)
-		if e.satBy[ci] < 0 {
-			e.resid.xor(k)
-		}
-	}
-}
-
-// bcp propagates to fixpoint; returns the conflicting clause or nil.
-func (e *Enumerator) bcp() *clause {
-	for e.qhead < len(e.trail) {
-		p := e.trail[e.qhead]
-		e.qhead++
-		ws := e.watches[p]
-		out := ws[:0]
-		var confl *clause
-	watchLoop:
-		for i := 0; i < len(ws); i++ {
-			w := ws[i]
-			if e.litValue(w.blocker) == lit.True {
-				out = append(out, w)
-				continue
-			}
-			c := w.cl
-			falseLit := p.Not()
-			if c.lits[0] == falseLit {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-			}
-			first := c.lits[0]
-			if first != w.blocker && e.litValue(first) == lit.True {
-				out = append(out, watcher{cl: c, blocker: first})
-				continue
-			}
-			for k := 2; k < len(c.lits); k++ {
-				if e.litValue(c.lits[k]) != lit.False {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nw := c.lits[1].Not()
-					e.watches[nw] = append(e.watches[nw], watcher{cl: c, blocker: first})
-					continue watchLoop
+// sync folds the trail literals assigned since the last call into the
+// satisfied-clause index and the residual signature. Called at
+// conflict-free propagation fixpoints, so each trail position is folded
+// once per assign/unassign cycle.
+func (e *Enumerator) sync() {
+	trail := e.s.Trail()
+	for ; e.synced < len(trail); e.synced++ {
+		l := trail[e.synced]
+		pos := int32(e.synced)
+		// Clauses containing l become satisfied: drop them from the residual.
+		for _, ci := range e.occ[l] {
+			if e.satBy[ci] < 0 {
+				e.satBy[ci] = pos
+				e.unsatCnt--
+				e.resid.xor(e.contrib[ci])
+				if e.groupOf[ci] != 0 {
+					e.dynUnsat--
 				}
 			}
-			out = append(out, watcher{cl: c, blocker: first})
-			switch e.litValue(first) {
-			case lit.False:
-				confl = c
-				e.qhead = len(e.trail)
-				for i++; i < len(ws); i++ {
-					out = append(out, ws[i])
-				}
-			case lit.Unknown:
-				e.stats.Propagations++
-				e.enqueue(first, c)
-			}
-			if confl != nil {
-				break
-			}
 		}
-		e.watches[p] = out
-		if confl != nil {
-			return confl
+		// Clauses containing ¬l lose a literal: fold the falsity key in.
+		nl := l.Not()
+		for _, ci := range e.occ[nl] {
+			k := falseKey(ci, nl)
+			e.contrib[ci].xor(k)
+			if e.satBy[ci] < 0 {
+				e.resid.xor(k)
+			}
 		}
 	}
-	return nil
 }
 
-// pushLevel opens a new decision level and returns the trail mark.
-func (e *Enumerator) pushLevel() int {
-	e.trailLim = append(e.trailLim, len(e.trail))
-	return len(e.trail)
-}
-
-// popLevel undoes the topmost decision level.
-func (e *Enumerator) popLevel() {
-	mark := e.trailLim[len(e.trailLim)-1]
-	e.trailLim = e.trailLim[:len(e.trailLim)-1]
-	for i := len(e.trail) - 1; i >= mark; i-- {
-		l := e.trail[i]
-		v := l.Var()
-		e.assign[v] = lit.Unknown
-		e.reason[v] = nil
+// backtrack undoes every decision level above lvl: it unwinds the
+// satisfied-clause index and the signature over the removed trail suffix,
+// then backtracks the solver. All backtracking goes through here.
+func (e *Enumerator) backtrack(lvl int) {
+	if e.s.DecisionLevel() <= lvl {
+		return
+	}
+	bound := e.s.LevelStart(lvl + 1)
+	trail := e.s.Trail()
+	for i := e.synced - 1; i >= bound; i-- {
+		l := trail[i]
 		nl := l.Not()
 		for _, ci := range e.occ[nl] {
 			k := falseKey(ci, nl)
@@ -443,8 +306,23 @@ func (e *Enumerator) popLevel() {
 			}
 		}
 	}
-	e.trail = e.trail[:mark]
-	e.qhead = len(e.trail)
+	e.synced = min(e.synced, bound)
+	e.s.Backtrack(lvl)
+}
+
+// popLevel undoes the topmost decision level.
+func (e *Enumerator) popLevel() { e.backtrack(e.s.DecisionLevel() - 1) }
+
+// decide opens a decision level for l and propagates it, following the
+// trail on success. On a conflict the level is left open for the caller's
+// analysis; either way the caller pops it.
+func (e *Enumerator) decide(l lit.Lit) bool {
+	e.s.Decide(l)
+	if !e.s.Propagate() {
+		return false
+	}
+	e.sync()
+	return true
 }
 
 // sig128 is a 128-bit Zobrist hash value.
@@ -502,20 +380,20 @@ func (e *Enumerator) Enumerate() *Result {
 		e.check = e.opts.Budget.Start()
 	}
 	res := &Result{Manager: e.man}
-	if !e.prepareRoot() {
+	if e.rootUnsat {
 		res.Set = bdd.False
-		res.Stats = e.stats
+		res.Stats = e.Stats()
 		return res
 	}
 	set := e.enumerate()
 	// Fold in projection literals implied at the root level.
-	for _, l := range e.trail {
+	for _, l := range e.s.Trail() {
 		if e.isProj[l.Var()] {
 			set = e.man.And(set, e.man.Lit(l))
 		}
 	}
 	res.Set = set
-	res.Stats = e.stats
+	res.Stats = e.Stats()
 	res.Stats.BDDNodes = e.man.NumNodes()
 	res.Stats.Kernel = e.man.Kernel()
 	res.Aborted = e.aborted
@@ -543,7 +421,7 @@ func (e *Enumerator) enumerate() bdd.Ref {
 	// Next decision: the first unassigned projection variable.
 	v := lit.UndefVar
 	for _, pv := range e.proj {
-		if e.assign[pv] == lit.Unknown {
+		if e.s.Value(pv) == lit.Unknown {
 			v = pv
 			break
 		}
@@ -614,13 +492,14 @@ func (e *Enumerator) branch(dec lit.Lit) bdd.Ref {
 			return bdd.False
 		}
 	}
-	mark := e.pushLevel()
+	mark := len(e.s.Trail())
 	e.stats.Decisions++
-	e.enqueue(dec, nil)
-	if confl := e.bcp(); confl != nil {
+	if !e.decide(dec) {
 		e.stats.Conflicts++
 		if e.opts.EnableLearning {
-			e.learnFrom(confl)
+			n := e.s.Learn()
+			e.stats.BlockingClauses++ // reuse the counter as "learned clauses"
+			e.stats.BlockingLits += uint64(n)
 		}
 		e.popLevel()
 		return bdd.False
@@ -629,8 +508,7 @@ func (e *Enumerator) branch(dec lit.Lit) bdd.Ref {
 	if sub != bdd.False {
 		// Fold in projection literals implied by this branch (not the
 		// decision itself — the caller encodes that in the ITE).
-		for i := mark + 1; i < len(e.trail); i++ {
-			l := e.trail[i]
+		for _, l := range e.s.Trail()[mark+1:] {
 			if e.isProj[l.Var()] {
 				sub = e.man.And(sub, e.man.Lit(l))
 			}
@@ -638,134 +516,6 @@ func (e *Enumerator) branch(dec lit.Lit) bdd.Ref {
 	}
 	e.popLevel()
 	return sub
-}
-
-// learnFrom performs first-UIP conflict analysis and installs the learned
-// clause for future propagation. The clause is implied by the original
-// formula, so it can only prune, never change, the solution set.
-func (e *Enumerator) learnFrom(confl *clause) {
-	level := int32(len(e.trailLim))
-	if level == 0 {
-		return
-	}
-	// learntBuf and cleanupBuf are per-enumerator scratch: conflicts are
-	// frequent and the buffers reach steady-state capacity quickly, so the
-	// analysis itself allocates nothing; only a kept clause copies out.
-	e.learntBuf = e.learntBuf[:0]
-	e.cleanupBuf = e.cleanupBuf[:0]
-	pathC := 0
-	idx := len(e.trail) - 1
-	var p lit.Lit = lit.UndefLit
-
-	expand := func(c *clause, skipFirst bool) {
-		start := 0
-		if skipFirst {
-			start = 1
-		}
-		for _, q := range c.lits[start:] {
-			v := q.Var()
-			if e.seen[v] != 0 || e.assign[v] == lit.Unknown {
-				continue
-			}
-			// Root-level literals are globally implied and can be dropped.
-			if e.dlevel[v] == 0 {
-				continue
-			}
-			e.seen[v] = 1
-			e.cleanupBuf = append(e.cleanupBuf, v)
-			if e.dlevel[v] >= level {
-				pathC++
-			} else {
-				e.learntBuf = append(e.learntBuf, q)
-			}
-		}
-	}
-	expand(confl, false)
-	for pathC > 0 {
-		for idx >= 0 && e.seen[e.trail[idx].Var()] == 0 {
-			idx--
-		}
-		if idx < 0 {
-			break
-		}
-		p = e.trail[idx]
-		idx--
-		e.seen[p.Var()] = 0
-		pathC--
-		if pathC == 0 {
-			break
-		}
-		if rc := e.reason[p.Var()]; rc != nil {
-			expand(rc, true)
-		} else {
-			// Reached a decision before the UIP: abandon learning.
-			for _, v := range e.cleanupBuf {
-				e.seen[v] = 0
-			}
-			return
-		}
-	}
-	for _, v := range e.cleanupBuf {
-		e.seen[v] = 0
-	}
-	if !p.IsDef() {
-		return
-	}
-	n := len(e.learntBuf) + 1
-	cl := e.allocLearnt(n)
-	learnt := cl.lits
-	learnt[0] = p.Not()
-	copy(learnt[1:], e.learntBuf)
-	e.learned = append(e.learned, cl)
-	e.learnedLits += n
-	e.stats.BlockingClauses++ // reuse the counter as "learned clauses"
-	e.stats.BlockingLits += uint64(len(learnt))
-	if len(learnt) >= 2 {
-		// Watch the UIP literal and the most recently assigned other
-		// literal, so the clause is inspected as soon as relevant.
-		best := 1
-		for k := 2; k < len(learnt); k++ {
-			if e.trailPos(learnt[k].Var()) > e.trailPos(learnt[best].Var()) {
-				best = k
-			}
-		}
-		learnt[1], learnt[best] = learnt[best], learnt[1]
-		e.attach(cl)
-	}
-}
-
-// Chunk capacities for the learned-clause backing arrays: big enough to
-// amortize allocation, small enough that a mostly-dead chunk pinned by
-// one long-lived clause wastes little.
-const (
-	learntLitChunk    = 1 << 12
-	learntClauseChunk = 256
-)
-
-// allocLearnt returns a learned clause with an n-literal backing slice,
-// both carved from the current chunks (full-capacity slice expression,
-// so later carves cannot alias it).
-func (e *Enumerator) allocLearnt(n int) *clause {
-	if cap(e.litChunk)-len(e.litChunk) < n {
-		c := learntLitChunk
-		if n > c {
-			c = n
-		}
-		e.litChunk = make([]lit.Lit, 0, c)
-	}
-	s := len(e.litChunk)
-	e.litChunk = e.litChunk[:s+n]
-	lits := e.litChunk[s : s+n : s+n]
-	if len(e.clauseChunk) == cap(e.clauseChunk) {
-		e.clauseChunk = make([]clause, 0, learntClauseChunk)
-	}
-	e.clauseChunk = append(e.clauseChunk, clause{lits: lits, learned: true})
-	return &e.clauseChunk[len(e.clauseChunk)-1]
-}
-
-// trailPos returns the trail index of a currently assigned variable.
-func (e *Enumerator) trailPos(v lit.Var) int {
-	return int(e.trailIdx[v])
 }
 
 // abort flags the enumeration as truncated, keeping the first reason.
@@ -792,15 +542,12 @@ func (e *Enumerator) residualSAT() bool {
 			continue
 		}
 		e.residScan = ci
-		cl := e.orig[ci]
-		for _, l := range cl.lits {
-			if e.litValue(l) != lit.Unknown {
+		for _, l := range e.orig[ci] {
+			if e.s.LitValue(l) != lit.Unknown {
 				continue
 			}
-			e.pushLevel()
 			e.stats.Decisions++
-			e.enqueue(l, nil)
-			ok := e.bcp() == nil && e.residualSAT()
+			ok := e.decide(l) && e.residualSAT()
 			e.popLevel()
 			if ok {
 				return true
@@ -813,30 +560,41 @@ func (e *Enumerator) residualSAT() bool {
 	return true
 }
 
-// EnumerateToResult runs the engine and converts to the shared allsat
-// result shape. The cover is extracted from the solution BDD with the
-// Minato–Morreale ISOP algorithm, which yields an irredundant
+// Extract converts r to the shared allsat result shape. Its cover is the
+// Minato–Morreale ISOP cover of r.Set over space, an irredundant
 // sum-of-products — typically far fewer cubes than raw 1-path
-// enumeration, and the compact representation the downstream reachability
-// loop feeds back as its next target.
-func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.Result {
-	e := New(f, space, opts)
-	r := e.Enumerate()
+// enumeration, and the compact representation the downstream
+// reachability loop feeds back as its next target. Extract is also where
+// the budget's cube cap applies to this engine: with maxCubes > 0 only the
+// first maxCubes cubes are kept, r.Set is narrowed to the states they
+// cover (so the count is the kept states'), and r is marked Aborted with
+// budget.Cubes unless an earlier limit already stopped the search.
+func (r *Result) Extract(space *cube.Space, maxCubes uint64) *allsat.Result {
+	cv := r.Manager.ISOP(r.Set, space)
+	if maxCubes > 0 && uint64(cv.Len()) > maxCubes {
+		kept := cube.NewCover(space)
+		for _, c := range cv.Cubes()[:maxCubes] {
+			kept.Add(c)
+		}
+		cv, r.Set = kept, r.Manager.FromCover(kept)
+		if !r.Aborted {
+			r.Aborted, r.Reason = true, budget.Cubes
+		}
+	}
 	out := &allsat.Result{
 		Space:   space,
-		Cover:   r.Manager.ISOP(r.Set, space),
+		Cover:   cv,
 		Count:   r.Manager.SatCount(r.Set),
 		Stats:   r.Stats,
 		Aborted: r.Aborted,
 		Reason:  r.Reason,
 	}
-	out.Stats.Cubes = uint64(out.Cover.Len())
+	out.Stats.Cubes = uint64(cv.Len())
 	return out
 }
 
-// Count is a convenience that returns only the number of projected
-// solutions.
-func Count(f *cnf.Formula, space *cube.Space, opts Options) *big.Int {
-	e := New(f, space, opts)
-	return e.man.SatCount(e.Enumerate().Set)
+// EnumerateToResult runs the engine and converts to the shared allsat
+// result shape (see Extract), honoring opts.Budget's cube cap.
+func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.Result {
+	return New(nil, f, space, opts).Enumerate().Extract(space, opts.Budget.MaxCubes)
 }

@@ -209,7 +209,7 @@ func TestMemoHitsOnReplicatedStructure(t *testing.T) {
 	iff(p0, a)
 	iff(p1, b)
 	space := projSpace(0, 1)
-	e := New(f, space, DefaultOptions())
+	e := New(nil, f, space, DefaultOptions())
 	r := e.Enumerate()
 	if got := e.man.SatCount(r.Set); got.Cmp(big.NewInt(4)) != 0 {
 		t.Fatalf("count %v, want 4", got)
@@ -280,15 +280,7 @@ func TestPanicsOnProjectionOutsideFormula(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(f, projSpace(5), DefaultOptions())
-}
-
-func TestCountHelper(t *testing.T) {
-	f := cnf.New(2)
-	f.Add(lit.Pos(0), lit.Pos(1))
-	if got := Count(f, projSpace(0, 1), DefaultOptions()); got.Cmp(big.NewInt(3)) != 0 {
-		t.Fatalf("Count = %v, want 3", got)
-	}
+	New(nil, f, projSpace(5), DefaultOptions())
 }
 
 func TestSolutionBDDIsCanonicalPreimageShape(t *testing.T) {
@@ -299,7 +291,7 @@ func TestSolutionBDDIsCanonicalPreimageShape(t *testing.T) {
 	f.Add(lit.Neg(0), lit.Pos(2))
 	f.Add(lit.Pos(0), lit.Neg(1), lit.Neg(2))
 	space := projSpace(0, 1, 2)
-	e := New(f, space, DefaultOptions())
+	e := New(nil, f, space, DefaultOptions())
 	r := e.Enumerate()
 	m := r.Manager
 	want := m.Xnor(m.Var(0), m.And(m.Var(1), m.Var(2)))
@@ -339,7 +331,7 @@ func TestMemoBoundClearsAndAgrees(t *testing.T) {
 		vars := rng.Perm(nVars)[:5]
 		space := projSpace(vars...)
 		free := EnumerateToResult(f, space, Options{EnableMemo: true, EnableLearning: true})
-		e := New(f, space, Options{EnableMemo: true, EnableLearning: true})
+		e := New(nil, f, space, Options{EnableMemo: true, EnableLearning: true})
 		e.memoLimit = 2
 		r := e.Enumerate()
 		if got := e.man.SatCount(r.Set); got.Cmp(free.Count) != 0 {
@@ -361,7 +353,7 @@ func TestMemoBoundClearsAndAgrees(t *testing.T) {
 // the clear-on-threshold check would empty the table on every insert.
 func TestMemoLimitResolution(t *testing.T) {
 	f := cnf.New(2)
-	if e := New(f, projSpace(0, 1), Options{EnableMemo: true}); e.memoLimit != DefaultMemoLimit {
+	if e := New(nil, f, projSpace(0, 1), Options{EnableMemo: true}); e.memoLimit != DefaultMemoLimit {
 		t.Fatalf("memo limit resolved to %d, want DefaultMemoLimit", e.memoLimit)
 	}
 }
@@ -370,7 +362,7 @@ func TestKernelStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(5005))
 	f := randomFormula(rng, 10, 20, 3)
 	space := projSpace(0, 1, 2, 3, 4)
-	r := New(f, space, DefaultOptions()).Enumerate()
+	r := New(nil, f, space, DefaultOptions()).Enumerate()
 	k := r.Stats.Kernel
 	if k.UniqueLookups == 0 || k.UniqueCap == 0 {
 		t.Fatalf("kernel gauges empty: %+v", k)

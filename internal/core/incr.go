@@ -7,14 +7,13 @@ package core
 // NewVar, opens a clause group with BeginGroup, adds the target clauses
 // gated on a fresh activation literal act (every group clause contains
 // ¬act) with AddGroupClause, enumerates under the assumption act, and
-// finally retires the group with RetireGroup(¬act, vars). The unit ¬act
-// permanently satisfies every group clause, so the group can be swept
-// from the watch and occurrence lists without changing the formula's
-// models; learned clauses derived while act was assumable contain ¬act
-// (or only circuit literals) and remain implied by the remaining
-// formula, so they are retained unless they mention a retired variable —
-// those are garbage-collected, since with ¬act forced they are
-// permanently satisfied and would only burden the watch lists.
+// finally retires the group with RetireGroup(¬act, vars). Retirement is
+// the solver's activation-literal protocol (see internal/sat): the unit
+// ¬act permanently satisfies every group clause and every learned clause
+// derived from one, and Simplify deletes them; learned clauses that never
+// mention ¬act stay live across retargetings. Core drops the group's
+// clauses from its own occurrence lists, so the residual bookkeeping no
+// longer visits them.
 //
 // Memo soundness across retargeting: a memo entry's signature hashes the
 // exact set of (clause, falsified-literal) pairs of the unsatisfied
@@ -35,11 +34,11 @@ import (
 
 // RetireStats reports what RetireGroup removed and kept.
 type RetireStats struct {
-	// OrigRetired is the number of group clauses tombstoned.
+	// OrigRetired is the number of group clauses retired.
 	OrigRetired int
 	// LearnedKept / LearnedDropped split the learned-clause database at
-	// retirement: kept clauses mention no retired variable and survive
-	// into the next step.
+	// retirement: dropped clauses were satisfied by the retiring unit,
+	// kept ones survive into the next step.
 	LearnedKept    int
 	LearnedDropped int
 	// MemoInvalidated counts memo entries whose residual signature
@@ -50,34 +49,22 @@ type RetireStats struct {
 	VarsRetired int
 }
 
-// NumVars reports the enumerator's current variable count.
-func (e *Enumerator) NumVars() int { return len(e.assign) }
-
 // MemoSize reports the current number of success-memo entries.
 func (e *Enumerator) MemoSize() int { return len(e.memo) }
 
-// LearnedCount reports the current learned-clause count.
-func (e *Enumerator) LearnedCount() int { return len(e.learned) }
-
-// LearnedLits reports the total literal count of the live learned
-// clauses — the retained-learnt footprint a persistent session carries
-// across retargetings (clause counts alone hide clause length).
-func (e *Enumerator) LearnedLits() int { return e.learnedLits }
+// LearnedCount reports the solver's live learned-clause count.
+func (e *Enumerator) LearnedCount() int {
+	st := e.s.Stats()
+	return st.LearntsCore + st.LearntsTier2 + st.LearntsLocal
+}
 
 // NewVar allocates a fresh variable (for activation literals and
 // per-step selectors). The variable is not a projection variable and
 // does not enter the BDD manager's order.
 func (e *Enumerator) NewVar() lit.Var {
-	v := lit.Var(len(e.assign))
-	e.assign = append(e.assign, lit.Unknown)
-	e.reason = append(e.reason, nil)
-	e.seen = append(e.seen, 0)
-	e.dlevel = append(e.dlevel, 0)
-	e.trailIdx = append(e.trailIdx, 0)
 	e.isProj = append(e.isProj, false)
-	e.watches = append(e.watches, nil, nil)
 	e.occ = append(e.occ, nil, nil)
-	return v
+	return e.s.NewVar()
 }
 
 // AddClause installs a permanent clause at the root level between
@@ -109,17 +96,18 @@ func (e *Enumerator) AddGroupClause(lits ...lit.Lit) bool {
 	return e.addDynamic(lits, e.curGroup)
 }
 
-// addDynamic normalizes and installs one clause at the root, aware of
-// the current root assignment: root-true literals set satBy, root-false
-// literals fold their falsity keys into the contribution (so the
-// residual signature of a later partial assignment matches what a fresh
-// enumerator would compute), and a clause unit under the root assignment
-// is propagated immediately.
+// addDynamic normalizes and installs one clause at the root, in core's
+// clause list and in the solver. Literals the root assignment already
+// decides are folded in as a fresh enumerator would see them: a root-true
+// literal marks the clause satisfied (at trail position 0 — the root is
+// never unwound, so any root position serves), a root-false one folds its
+// falsity key into the contribution. Whatever the solver then propagates
+// at the root is followed like any other propagation.
 func (e *Enumerator) addDynamic(ls []lit.Lit, group int32) bool {
-	if len(e.trailLim) != 0 {
+	if e.s.DecisionLevel() != 0 {
 		panic("core: clause added above the root level")
 	}
-	if !e.prepareRoot() {
+	if e.rootUnsat {
 		return false
 	}
 	nc, taut := cnf.Clause(ls).Normalize()
@@ -127,38 +115,22 @@ func (e *Enumerator) addDynamic(ls []lit.Lit, group int32) bool {
 		return true
 	}
 	for _, l := range nc {
-		if int(l.Var()) >= len(e.assign) {
+		if int(l.Var()) >= e.s.NumVars() {
 			panic(fmt.Sprintf("core: clause literal %v outside formula; call NewVar first", l))
 		}
 	}
-	if len(nc) == 0 {
-		e.rootUnsat = true
-		return false
-	}
 	ci := int32(len(e.orig))
-	// Root status: earliest satisfying trail position, falsity keys of
-	// root-false literals, and the non-false literals moved to the front
-	// so positions 0 and 1 are valid watches.
 	contrib := clauseBase(ci)
 	satPos := int32(-1)
-	w := 0
-	for i, l := range nc {
-		switch e.litValue(l) {
+	for _, l := range nc {
+		switch e.s.LitValue(l) {
 		case lit.True:
-			if p := e.trailIdx[l.Var()]; satPos < 0 || p < satPos {
-				satPos = p
-			}
-			nc[w], nc[i] = nc[i], nc[w]
-			w++
-		case lit.Unknown:
-			nc[w], nc[i] = nc[i], nc[w]
-			w++
+			satPos = 0
 		case lit.False:
 			contrib.xor(falseKey(ci, l))
 		}
 	}
-	cl := &clause{lits: nc}
-	e.orig = append(e.orig, cl)
+	e.orig = append(e.orig, nc)
 	e.satBy = append(e.satBy, satPos)
 	e.contrib = append(e.contrib, contrib)
 	e.groupOf = append(e.groupOf, group)
@@ -175,121 +147,54 @@ func (e *Enumerator) addDynamic(ls []lit.Lit, group int32) bool {
 	if group != 0 {
 		e.groupClauses = append(e.groupClauses, ci)
 	}
-	if w >= 2 {
-		e.attach(cl)
-		return true
-	}
-	if satPos >= 0 {
-		return true
-	}
-	if w == 0 {
-		// Every literal is root-false: the formula became UNSAT.
+	if !e.s.AddClause(nc...) {
 		e.rootUnsat = true
 		return false
 	}
-	// Exactly one non-false literal (now at nc[0], satisfying the
-	// "reason clause leads with its own literal" invariant): unit under
-	// the root assignment — propagate it. enqueue sees this clause in
-	// occ[nc[0]] and marks it satisfied, balancing the counters above.
-	e.enqueue(nc[0], cl)
-	e.stats.Propagations++
-	if e.bcp() != nil {
-		e.rootUnsat = true
-		return false
-	}
+	e.sync()
 	return true
 }
 
 // RetireGroup closes the open group: unit is the negated activation
 // literal (every group clause contains it), vars are the variables
 // private to the group (activation + selectors). The unit is added as a
-// permanent clause, the group's clauses are swept from the watch and
-// occurrence lists, learned clauses mentioning a retired variable are
-// garbage-collected, and memo entries whose residual embedded a live
-// group clause are invalidated. Must be called at the root with no
-// enumeration in flight.
+// permanent clause, the group's clauses leave core's occurrence lists,
+// the solver's Simplify deletes every clause the unit satisfied (the
+// group's and the learned clauses derived from it), and memo entries
+// whose residual embedded a live group clause are invalidated. Must be
+// called at the root with no enumeration in flight.
 func (e *Enumerator) RetireGroup(unit lit.Lit, vars []lit.Var) RetireStats {
 	var out RetireStats
 	if e.curGroup == 0 {
 		panic("core: RetireGroup without an open group")
 	}
-	if len(e.trailLim) != 0 {
+	if e.s.DecisionLevel() != 0 {
 		panic("core: RetireGroup above the root level")
 	}
 	e.curGroup = 0
 	out.VarsRetired = len(vars)
+	learned := e.LearnedCount()
 	if !e.AddClause(unit) {
 		// Root-UNSAT; nothing else can run on this enumerator.
 		e.groupClauses = e.groupClauses[:0]
 		return out
 	}
-	// 1. Tombstone the group clauses and drop their occurrence entries.
-	// The unit made every one root-satisfied, so removal changes no
-	// model and invalidates no learned clause.
 	for _, ci := range e.groupClauses {
-		cl := e.orig[ci]
-		if cl.dead || e.satBy[ci] < 0 {
-			// satBy < 0 would mean a group clause without the gating
-			// literal — a protocol violation; leave it live rather than
-			// unsoundly deleting a constraint.
+		if e.satBy[ci] < 0 {
+			// A group clause without the gating literal — a protocol
+			// violation; leave it live rather than unsoundly deleting a
+			// constraint.
 			continue
 		}
-		cl.dead = true
 		out.OrigRetired++
-		for _, l := range cl.lits {
+		for _, l := range e.orig[ci] {
 			e.removeOcc(l, ci)
 		}
 	}
 	e.groupClauses = e.groupClauses[:0]
-	// 2. GC learned clauses mentioning a retired variable. With the
-	// activation literal forced false they are permanently satisfied (or
-	// mention a forever-unassignable selector) — keeping them would only
-	// burden the watch lists across later steps.
-	for _, v := range vars {
-		e.seen[v] = 1
-	}
-	kept := e.learned[:0]
-	for _, cl := range e.learned {
-		drop := false
-		for _, l := range cl.lits {
-			if e.seen[l.Var()] != 0 {
-				drop = true
-				break
-			}
-		}
-		if drop {
-			cl.dead = true
-			e.learnedLits -= len(cl.lits)
-			out.LearnedDropped++
-		} else {
-			kept = append(kept, cl)
-		}
-	}
-	for i := len(kept); i < len(e.learned); i++ {
-		e.learned[i] = nil
-	}
-	e.learned = kept
-	out.LearnedKept = len(kept)
-	for _, v := range vars {
-		e.seen[v] = 0
-	}
-	// 3. Sweep every watch list once, dropping dead clauses. bcp
-	// migrates watchers between lists, so per-clause unlinking is not
-	// possible; the full sweep between steps is.
-	for li := range e.watches {
-		ws := e.watches[li]
-		outWs := ws[:0]
-		for _, wt := range ws {
-			if !wt.cl.dead {
-				outWs = append(outWs, wt)
-			}
-		}
-		for i := len(outWs); i < len(ws); i++ {
-			ws[i] = watcher{}
-		}
-		e.watches[li] = outWs
-	}
-	// 4. Invalidate memo entries whose residual embedded a group clause.
+	e.s.Simplify()
+	out.LearnedKept = e.LearnedCount()
+	out.LearnedDropped = learned - out.LearnedKept
 	for _, s := range e.stepSigs {
 		if _, ok := e.memo[s]; ok {
 			delete(e.memo, s)
@@ -301,7 +206,7 @@ func (e *Enumerator) RetireGroup(unit lit.Lit, vars []lit.Var) RetireStats {
 }
 
 // removeOcc swap-removes clause ci from l's occurrence list. Occurrence
-// order does not influence results (enqueue/popLevel visit all entries),
+// order does not influence results (sync/backtrack visit all entries),
 // so the in-place shrink is safe.
 func (e *Enumerator) removeOcc(l lit.Lit, ci int32) {
 	occ := e.occ[l]

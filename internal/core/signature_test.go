@@ -36,13 +36,11 @@ func TestResidualHashRestoredOnBacktrack(t *testing.T) {
 	f.Add(lit.Neg(0), lit.Pos(2))
 	f.Add(lit.Neg(1), lit.Neg(2), lit.Pos(3))
 	space := projSpace(0, 1, 2, 3)
-	e := New(f, space, DefaultOptions())
+	e := New(nil, f, space, DefaultOptions())
 	start := e.resid
 	startUnsat := e.unsatCnt
 
-	e.pushLevel()
-	e.enqueue(lit.Pos(0), nil)
-	if e.bcp() != nil {
+	if !e.decide(lit.Pos(0)) {
 		t.Fatal("unexpected conflict")
 	}
 	if e.resid == start {
@@ -54,13 +52,12 @@ func TestResidualHashRestoredOnBacktrack(t *testing.T) {
 	}
 
 	// Two levels, partial pops.
-	e.pushLevel()
-	e.enqueue(lit.Neg(1), nil)
-	e.bcp()
+	e.decide(lit.Pos(3))
 	mid := e.resid
-	e.pushLevel()
-	e.enqueue(lit.Pos(2), nil)
-	e.bcp()
+	e.decide(lit.Neg(0))
+	if e.resid == mid {
+		t.Fatal("inner assignment should change the residual hash")
+	}
 	e.popLevel()
 	if e.resid != mid {
 		t.Fatal("inner level not restored")
@@ -78,29 +75,19 @@ func TestEqualResidualsSameHash(t *testing.T) {
 	f.Add(lit.Pos(2), lit.Pos(3)) // clause untouched by v0, v1
 	space := projSpace(0, 1, 2, 3)
 
-	e1 := New(f, space, DefaultOptions())
-	e1.pushLevel()
-	e1.enqueue(lit.Pos(0), nil)
-	e1.bcp()
-	e1.pushLevel()
-	e1.enqueue(lit.Neg(1), nil)
-	e1.bcp()
+	e1 := New(nil, f, space, DefaultOptions())
+	e1.decide(lit.Pos(0))
+	e1.decide(lit.Neg(1))
 
-	e2 := New(f.Clone(), space, DefaultOptions())
-	e2.pushLevel()
-	e2.enqueue(lit.Neg(1), nil)
-	e2.bcp()
-	e2.pushLevel()
-	e2.enqueue(lit.Pos(0), nil)
-	e2.bcp()
+	e2 := New(nil, f.Clone(), space, DefaultOptions())
+	e2.decide(lit.Neg(1))
+	e2.decide(lit.Pos(0))
 
 	if e1.resid != e2.resid {
 		t.Fatal("identical residuals hash differently")
 	}
 	// And an assignment touching the clause changes it.
-	e2.pushLevel()
-	e2.enqueue(lit.Neg(2), nil)
-	e2.bcp()
+	e2.decide(lit.Neg(2))
 	if e1.resid == e2.resid {
 		t.Fatal("different residuals hash equal")
 	}
@@ -121,7 +108,7 @@ func TestMemoHitRateOnShiftChain(t *testing.T) {
 		vars[i] = i
 	}
 	space := projSpace(vars...)
-	e := New(f, space, DefaultOptions())
+	e := New(nil, f, space, DefaultOptions())
 	r := e.Enumerate()
 	if got := e.man.SatCount(r.Set); got.Cmp(big.NewInt(1<<uint(n))) != 0 {
 		t.Fatalf("count %v, want 2^%d", got, n)

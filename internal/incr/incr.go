@@ -37,7 +37,8 @@ type Options struct {
 	// Budget bounds the whole session — every step spends from it. The
 	// decision cap is enforced session-globally, unlike the fresh path's
 	// per-step enumerators (a budget is a resource allowance, not a
-	// semantic knob; see DESIGN.md §10).
+	// semantic knob; see DESIGN.md §10). The cube cap bounds each step's
+	// (state, input) cover, as it bounds each fresh Compute's.
 	Budget budget.Budget
 	// InputFirst / Interleave select the projection-order ablations,
 	// matching preimage.Options.
@@ -106,6 +107,7 @@ type Session struct {
 	quantVars []lit.Var   // projection vars to ∃-quantify for StateSet
 
 	cur        *trans.Step // open step's gated group, nil before first Step
+	maxCubes   uint64      // Budget.MaxCubes, applied per step
 	steps      int
 	encodeTime time.Duration
 	reg        *stats.Registry
@@ -130,6 +132,7 @@ func NewBackward(c *circuit.Circuit, opts Options) (*Session, error) {
 		projSpace:  cube.NewNamedSpace(projVars, projNames),
 		stateVars:  inst.StateVars,
 		quantVars:  inst.InputVars,
+		maxCubes:   opts.Budget.MaxCubes,
 		encodeTime: encodeTime,
 		reg:        opts.Stats,
 	}
@@ -156,6 +159,7 @@ func NewForward(c *circuit.Circuit, opts Options) (*Session, error) {
 		backward:   false,
 		projSpace:  cube.NewSpace(next),
 		stateVars:  next,
+		maxCubes:   opts.Budget.MaxCubes,
 		encodeTime: encodeTime,
 		reg:        opts.Stats,
 	}
@@ -274,6 +278,9 @@ func (s *Session) Step(cover *cube.Cover) (*StepResult, error) {
 		out.Set = bdd.False
 	} else {
 		r := s.ps.Run([]lit.Lit{st.Act})
+		if s.maxCubes > 0 {
+			r.Extract(s.projSpace, s.maxCubes) // narrows r.Set to the kept cubes
+		}
 		out.Set = r.Set
 		out.Stats = r.Stats
 		out.Pool = r.Pool
@@ -310,7 +317,6 @@ func (s *Session) publish(r *StepResult) {
 	reg.Counter("incr.memo-invalidated").Add(uint64(r.Retire.MemoInvalidated))
 	reg.SetGauge("incr.learned-kept", int64(r.Retire.LearnedKept))
 	reg.SetGauge("incr.learned-live", int64(s.ps.LearnedCount()))
-	reg.SetGauge("incr.learned-live-lits", int64(s.ps.LearnedLits()))
 	reg.SetGauge("incr.memo-size", int64(s.ps.MemoSize()))
 	if s.steps > 1 {
 		// Every step after the first reuses the one-time encoding the

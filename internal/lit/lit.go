@@ -64,17 +64,6 @@ func (l Lit) Not() Lit {
 	return l ^ 1
 }
 
-// XorSign flips the phase of l when neg is true.
-func (l Lit) XorSign(neg bool) Lit {
-	if l < 0 {
-		return UndefLit
-	}
-	if neg {
-		return l ^ 1
-	}
-	return l
-}
-
 // IsDef reports whether l is a real literal (not UndefLit).
 func (l Lit) IsDef() bool { return l >= 0 }
 

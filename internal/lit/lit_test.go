@@ -76,19 +76,6 @@ func TestLitDimacsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestXorSign(t *testing.T) {
-	l := Pos(5)
-	if l.XorSign(false) != l {
-		t.Error("XorSign(false) should be identity")
-	}
-	if l.XorSign(true) != l.Not() {
-		t.Error("XorSign(true) should complement")
-	}
-	if UndefLit.XorSign(true) != UndefLit {
-		t.Error("XorSign on undef should stay undef")
-	}
-}
-
 func TestLitString(t *testing.T) {
 	if got := Pos(0).String(); got != "1" {
 		t.Errorf("Pos(0).String() = %q, want 1", got)

@@ -36,6 +36,7 @@ import (
 	"allsatpre/internal/cube"
 	"allsatpre/internal/partition"
 	rt "allsatpre/internal/runtime"
+	"allsatpre/internal/sat"
 	"allsatpre/internal/stats"
 )
 
@@ -87,24 +88,17 @@ type PoolStats struct {
 	MinWorkerDecisions uint64
 }
 
-// Result is the merged outcome of a pooled enumeration.
+// Result is the merged outcome of a pooled enumeration. In the embedded
+// core.Result, Manager is the parent manager the per-subcube sets were
+// merged into (its variable order is the projection order) and Set their
+// union; Stats sums the enumerators' search counters, with BDDNodes
+// totalling every manager (enumerators + parent) as the run's memory
+// proxy and Kernel merging all kernel counters; Aborted is set when any
+// job or the merger tripped the budget, with Reason the first cause.
 type Result struct {
-	// Manager owns Set: the parent manager the per-subcube sets were
-	// merged into. Its variable order is the projection order.
-	Manager *bdd.Manager
-	// Set is the union of the per-subcube solution sets.
-	Set bdd.Ref
-	// Stats sums the enumerators' search counters; BDDNodes totals every
-	// manager (enumerators + parent) as the run's memory proxy, and Kernel
-	// merges all kernel counters.
-	Stats allsat.Stats
+	core.Result
 	// Pool holds the pool's own counters.
 	Pool PoolStats
-	// Aborted is set when any job or the merger tripped the budget;
-	// Set is then a sound under-approximation and Reason holds the first
-	// cause.
-	Aborted bool
-	Reason  budget.Reason
 	// rt is the runtime the parent manager was acquired from, so Release
 	// can return it (nil without a runtime and for Session results,
 	// where Release degrades to clearing the references).
@@ -185,38 +179,28 @@ func enumerate(f *cnf.Formula, space *cube.Space, opts Options, k int, thresh ui
 func sequential(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 	co := opts.Core
 	co.Budget = opts.Budget
-	if p := opts.Runtime.P(); p != nil {
-		co.Manager = p.AcquireManager(space.Vars(), 0)
-	}
-	e := core.New(f, space, co)
-	r := e.Enumerate()
-	res := &Result{
-		Manager: r.Manager,
-		Set:     r.Set,
-		Stats:   r.Stats,
-		Pool:    PoolStats{Workers: 1, Subcubes: 1},
-		Aborted: r.Aborted,
-		Reason:  r.Reason,
-		rt:      opts.Runtime,
-	}
+	e := newEnumerator(opts.Runtime, f, space, co)
+	res := &Result{Result: *e.Enumerate(), Pool: PoolStats{Workers: 1, Subcubes: 1}, rt: opts.Runtime}
+	opts.Runtime.P().ReleaseSolver(e.Solver())
 	publish(opts.Stats, res.Pool)
 	return res
 }
 
+// newEnumerator builds a one-shot enumerator on a warm solver and manager
+// from the runtime's pool (fresh ones without a pool). The caller returns
+// the solver once the run is over; the manager goes back with the result.
+func newEnumerator(r *rt.Runtime, f *cnf.Formula, space *cube.Space, co core.Options) *core.Enumerator {
+	p := r.P()
+	co.Manager = p.AcquireManager(space.Vars(), 0)
+	return core.New(p.AcquireSolver(sat.Options{}, uint64(f.NumVars)*64), f, space, co)
+}
+
 // EnumerateToResult converts a pooled run to the shared allsat result
-// shape, extracting the ISOP cover from the merged set exactly like the
-// sequential core.EnumerateToResult.
+// shape, extracting the cover from the merged set under the budget's cube
+// cap exactly like the sequential core.EnumerateToResult.
 func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.Result {
 	r := Enumerate(f, space, opts)
-	out := &allsat.Result{
-		Space:   space,
-		Cover:   r.Manager.ISOP(r.Set, space),
-		Count:   r.Manager.SatCount(r.Set),
-		Stats:   r.Stats,
-		Aborted: r.Aborted,
-		Reason:  r.Reason,
-	}
-	out.Stats.Cubes = uint64(out.Cover.Len())
+	out := r.Extract(space, opts.Budget.MaxCubes)
 	r.Release()
 	return out
 }

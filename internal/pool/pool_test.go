@@ -166,7 +166,7 @@ func TestPoolBudgetAbortPartial(t *testing.T) {
 		vars := rng.Perm(nVars)[:6]
 		space := projSpace(vars...)
 
-		full := core.New(f.Clone(), space, core.DefaultOptions())
+		full := core.New(nil, f.Clone(), space, core.DefaultOptions())
 		fr := full.Enumerate()
 
 		r := Enumerate(f.Clone(), space, Options{

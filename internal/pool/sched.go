@@ -41,7 +41,8 @@ type schedRun struct {
 	g      *rt.Group
 
 	// f/core build fresh enumerators (Enumerate); rt supplies their
-	// managers from the warm pool and takes them back at the end.
+	// solvers and managers from the warm pool and takes them back at the
+	// end.
 	f    *cnf.Formula
 	core core.Options
 	rt   *rt.Runtime
@@ -141,18 +142,21 @@ func (r *schedRun) run(tasks []partition.Subcube, man *bdd.Manager, maxNodes int
 		}
 		if r.decBase == nil { // built by this run, not a Session's
 			r.rt.P().ReleaseManager(e.Manager())
+			r.rt.P().ReleaseSolver(e.Solver())
 		}
 	}
 	kernel.Merge(man.Kernel())
 	total.Kernel = kernel
 	total.BDDNodes = nodes + man.NumNodes()
 	return &Result{
-		Manager: man,
-		Set:     set,
-		Stats:   total,
-		Pool:    pst,
-		Aborted: reason != budget.None,
-		Reason:  reason,
+		Result: core.Result{
+			Manager: man,
+			Set:     set,
+			Stats:   total,
+			Aborted: reason != budget.None,
+			Reason:  reason,
+		},
+		Pool: pst,
 	}
 }
 
@@ -189,11 +193,7 @@ func (r *schedRun) acquire() *core.Enumerator {
 	default:
 	}
 	if int(r.created.Add(1)) <= cap(r.stash) {
-		co := r.core
-		if p := r.rt.P(); p != nil {
-			co.Manager = p.AcquireManager(r.space.Vars(), 0)
-		}
-		return core.New(r.f, r.space, co)
+		return newEnumerator(r.rt, r.f, r.space, r.core)
 	}
 	r.created.Add(-1)
 	return <-r.stash

@@ -102,7 +102,7 @@ func NewSession(f *cnf.Formula, space *cube.Space, opts Options) *Session {
 	}
 	s.es = make([]*core.Enumerator, workers)
 	for i := range s.es {
-		s.es[i] = core.New(f, space, co)
+		s.es[i] = core.New(nil, f, space, co)
 	}
 	if workers == 1 {
 		s.man = s.es[0].Manager()
@@ -131,19 +131,6 @@ func (s *Session) NewVar() lit.Var {
 		}
 	}
 	return v
-}
-
-// NumVars reports the shared solver variable count.
-func (s *Session) NumVars() int { return s.es[0].NumVars() }
-
-// AddClause adds a permanent clause on every worker; false when the
-// formula became UNSAT at the root.
-func (s *Session) AddClause(lits ...lit.Lit) bool {
-	ok := true
-	for _, e := range s.es {
-		ok = e.AddClause(lits...) && ok
-	}
-	return ok
 }
 
 // BeginGroup opens a clause group on every worker.
@@ -187,16 +174,6 @@ func (s *Session) LearnedCount() int {
 	return n
 }
 
-// LearnedLits sums the live learned clauses' literal counts across
-// workers — the session's retained-learnt footprint.
-func (s *Session) LearnedLits() int {
-	n := 0
-	for _, e := range s.es {
-		n += e.LearnedLits()
-	}
-	return n
-}
-
 // MemoSize sums the memo entries across workers.
 func (s *Session) MemoSize() int {
 	n := 0
@@ -230,12 +207,14 @@ func (s *Session) runSequential(base []lit.Lit) *Result {
 	st.Kernel = s.man.Kernel()
 	st.BDDNodes = s.man.NumNodes()
 	return &Result{
-		Manager: s.man,
-		Set:     set,
-		Stats:   st,
-		Pool:    PoolStats{Workers: 1, Subcubes: 1},
-		Aborted: sub.Aborted,
-		Reason:  sub.Reason,
+		Result: core.Result{
+			Manager: s.man,
+			Set:     set,
+			Stats:   st,
+			Aborted: sub.Aborted,
+			Reason:  sub.Reason,
+		},
+		Pool: PoolStats{Workers: 1, Subcubes: 1},
 	}
 }
 

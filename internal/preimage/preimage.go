@@ -318,7 +318,8 @@ func allsatOptions(opts Options) allsat.Options {
 // count (one worker short-circuits to the plain sequential enumerator
 // inside the pool) — and returns both the merged BDD (manager + set) and
 // the allsat-shaped result extracted from it. The run budget is enforced
-// by the pool.
+// by the pool, its cube cap by the extraction, which then narrows the
+// merged set to the kept cubes.
 func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) (*pool.Result, *allsat.Result) {
 	workers := opts.Parallel
 	if workers < 1 {
@@ -331,16 +332,7 @@ func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) (*poo
 		Stats:   opts.Stats,
 		Runtime: opts.Runtime,
 	})
-	ar := &allsat.Result{
-		Space:   projSpace,
-		Cover:   pr.Manager.ISOP(pr.Set, projSpace),
-		Count:   pr.Manager.SatCount(pr.Set),
-		Stats:   pr.Stats,
-		Aborted: pr.Aborted,
-		Reason:  pr.Reason,
-	}
-	ar.Stats.Cubes = uint64(ar.Cover.Len())
-	return pr, ar
+	return pr, pr.Extract(projSpace, opts.Budget.MaxCubes)
 }
 
 // coreOptions is the success-driven enumerator's tuning: the memo and

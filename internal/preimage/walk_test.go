@@ -15,6 +15,7 @@ import (
 // lifting and session, backward and forward — under no budget, a cube
 // cap, a decision cap and an expired deadline, and checks the Aborted
 // contract on the walk itself:
+//   - every source honors the one-cube cap: the walk is truncated;
 //   - an aborted walk claims no Fixpoint, names its reason, and has
 //     ended: a further Step solves nothing;
 //   - a complete walk ends at a fixpoint;
@@ -76,6 +77,9 @@ func TestWalkAbortContract(t *testing.T) {
 					}
 					res := w.result()
 					w.close()
+					if bud.b.MaxCubes > 0 && !res.Aborted {
+						t.Fatalf("%s: the walk ignored the cube cap", label)
+					}
 					switch {
 					case res.Aborted:
 						aborts[bud.name]++

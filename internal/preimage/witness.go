@@ -2,7 +2,6 @@ package preimage
 
 import (
 	"allsatpre/internal/allsat"
-	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/trans"
@@ -28,8 +27,7 @@ type WitnessIterator struct {
 
 // NewWitnessIterator prepares a streaming enumeration of the (state,
 // input) pairs whose successor lies in target. The budget in opts bounds
-// the iteration; a tripped limit ends it early with Aborted reporting
-// true.
+// the iteration; a tripped limit ends it early.
 func NewWitnessIterator(c *circuit.Circuit, target *cube.Cover, opts Options) (*WitnessIterator, error) {
 	inst, err := trans.NewInstance(c, target)
 	if err != nil {
@@ -58,11 +56,3 @@ func (wi *WitnessIterator) Next() (Witness, bool) {
 
 // Stats reports the underlying search counters.
 func (wi *WitnessIterator) Stats() allsat.Stats { return wi.it.Stats() }
-
-// Aborted reports whether a resource limit cut the iteration short; the
-// witnesses seen so far are then a subset of the preimage pairs.
-func (wi *WitnessIterator) Aborted() bool { return wi.it.Aborted() }
-
-// AbortReason reports which limit ended the iteration (budget.None when
-// it ran to exhaustion or is still running).
-func (wi *WitnessIterator) AbortReason() budget.Reason { return wi.it.Reason() }

@@ -66,9 +66,6 @@ func NewScheduler(workers int, reg *stats.Registry) *Scheduler {
 	return s
 }
 
-// Workers returns the executor count.
-func (s *Scheduler) Workers() int { return s.workers }
-
 // Submit queues jobs under the given tenant in one step. Executors pop
 // a tenant's jobs newest first, so the batch is queued in reverse:
 // jobs[0] runs first, and no executor can start a later job of the

@@ -66,7 +66,7 @@ func (s *Solver) analyze(confl cref) (learnt []lit.Lit, btLevel, lbd int) {
 			}
 			s.seen[v] = 1
 			s.varBump(v)
-			if s.level[v] >= s.decisionLevel() {
+			if s.level[v] >= s.DecisionLevel() {
 				pathC++
 			} else {
 				learnt = append(learnt, q)

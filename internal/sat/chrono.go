@@ -52,8 +52,8 @@ type ChronoEnum struct {
 	//
 	// clauses SHARES the solver's problem-clause slice: the occurrence
 	// lists hold positions into it, and arena compaction (reachable from
-	// learnFrom's reduceDB) rewrites the crefs in place position-preserving
-	// precisely so these indexes survive.
+	// learnAttached's reduceDB) rewrites the crefs in place,
+	// position-preserving, precisely so these indexes survive.
 	clauses  []cref
 	occ      [][]int32 // literal -> clause indexes
 	satBy    []int32
@@ -74,7 +74,7 @@ type ChronoEnum struct {
 // solver's Budget bounds the whole enumeration
 // (Next then answers Unknown and StopReason reports the limit).
 func NewChronoEnum(s *Solver, proj []lit.Var) *ChronoEnum {
-	if s.decisionLevel() != 0 {
+	if s.DecisionLevel() != 0 {
 		panic("sat: NewChronoEnum above decision level 0")
 	}
 	maxVar := 0
@@ -103,10 +103,7 @@ func NewChronoEnum(s *Solver, proj []lit.Var) *ChronoEnum {
 		}
 	}
 	e.unsatCnt = len(e.clauses)
-	s.maxLearnts = float64(len(s.clauses)) * s.opts.LearntFactor
-	if s.maxLearnts < 100 {
-		s.maxLearnts = 100
-	}
+	s.initLearntCap()
 	return e
 }
 
@@ -141,7 +138,7 @@ func (e *ChronoEnum) Next() Status {
 		confl := s.propagate()
 		if confl != crefUndef {
 			s.stats.Conflicts++
-			if s.decisionLevel() == 0 {
+			if s.DecisionLevel() == 0 {
 				s.okay = false
 				e.exhausted = true
 				return Unsat
@@ -154,7 +151,7 @@ func (e *ChronoEnum) Next() Status {
 				return Unknown
 			}
 			if e.learn {
-				e.learnFrom(confl)
+				s.learnAttached(confl)
 			}
 			if !e.advance() {
 				e.exhausted = true
@@ -177,10 +174,9 @@ func (e *ChronoEnum) Next() Status {
 			// satisfies every clause, so unsatCnt must have been zero.
 			panic("sat: chrono fixpoint left a clause unsatisfied")
 		}
-		s.newDecisionLevel()
 		e.flipped = append(e.flipped, false)
 		s.stats.Decisions++
-		s.uncheckedEnqueue(next, crefUndef)
+		s.Decide(next)
 	}
 }
 
@@ -230,7 +226,7 @@ func (e *ChronoEnum) syncSat() {
 // enumeration must go through here.
 func (e *ChronoEnum) cancelToLevel(level int) {
 	s := e.s
-	if s.decisionLevel() <= level {
+	if s.DecisionLevel() <= level {
 		return
 	}
 	bound := s.trailLim[level]
@@ -246,7 +242,7 @@ func (e *ChronoEnum) cancelToLevel(level int) {
 		}
 		e.satHead = bound
 	}
-	s.cancelUntil(level)
+	s.Backtrack(level)
 	e.flipped = e.flipped[:level]
 }
 
@@ -255,18 +251,17 @@ func (e *ChronoEnum) cancelToLevel(level int) {
 // false when every level is flipped — the search tree is exhausted.
 func (e *ChronoEnum) advance() bool {
 	s := e.s
-	for s.decisionLevel() > 0 && e.flipped[s.decisionLevel()-1] {
-		e.cancelToLevel(s.decisionLevel() - 1)
+	for s.DecisionLevel() > 0 && e.flipped[s.DecisionLevel()-1] {
+		e.cancelToLevel(s.DecisionLevel() - 1)
 	}
-	d := s.decisionLevel()
+	d := s.DecisionLevel()
 	if d == 0 {
 		return false
 	}
 	dec := s.trail[s.trailLim[d-1]]
 	e.cancelToLevel(d - 1)
-	s.newDecisionLevel()
 	e.flipped = append(e.flipped, true)
-	s.uncheckedEnqueue(dec.Not(), crefUndef)
+	s.Decide(dec.Not())
 	return true
 }
 
@@ -280,7 +275,7 @@ func (e *ChronoEnum) advance() bool {
 // intersect this one.
 func (e *ChronoEnum) emit() {
 	s := e.s
-	d := s.decisionLevel()
+	d := s.DecisionLevel()
 	b := 0
 	for ci := range e.clauses {
 		if lv := s.level[s.trail[e.satBy[ci]].Var()]; lv > b {
@@ -316,35 +311,5 @@ func (e *ChronoEnum) emit() {
 	e.cancelToLevel(b)
 	if !e.advance() {
 		e.exhausted = true
-	}
-}
-
-// learnFrom runs first-UIP analysis and stores the learnt clause
-// attach-only: it joins the watch lists (pruning future descents) but is
-// never used as an enqueue reason here, so chronological flipping keeps
-// full control of the trail. The clause is implied by the formula alone —
-// flipped decisions resolve like ordinary decisions — so it can never
-// exclude an unenumerated model; deleting one is therefore sound, and the
-// attach-only learnts go through the same tiered database as CDCL
-// learnts. The tier rules give them exactly the protection they need: a
-// clause that prunes a descent participates in the conflict analysis,
-// which sets its used bit (and may promote it), and reduceDB never
-// deletes a used clause — so a learnt cannot be dropped in the same
-// round it pruned a subtree (pinned by TestChronoAttachOnlySurvival).
-func (e *ChronoEnum) learnFrom(confl cref) {
-	s := e.s
-	learnt, _, lbd := s.analyze(confl)
-	s.varDecay()
-	s.claDecay()
-	if len(learnt) < 2 {
-		// Unit (or empty) consequences are rediscovered by propagation;
-		// installing them mid-tree would need out-of-order enqueueing.
-		return
-	}
-	s.installLearnt(learnt, lbd)
-	s.stats.Learned++
-	s.stats.LearnedLits += uint64(len(learnt))
-	if s.reduceNeeded() {
-		s.reduceDB()
 	}
 }

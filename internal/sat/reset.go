@@ -1,10 +1,6 @@
 package sat
 
-import (
-	"math/rand"
-
-	"allsatpre/internal/budget"
-)
+import "allsatpre/internal/budget"
 
 // Reset returns the solver to the state New(opts) produces — no
 // variables, no clauses, pristine statistics — while keeping every
@@ -59,7 +55,7 @@ func (s *Solver) Reset(opts Options) {
 	s.learntWords = 0
 
 	s.okay = true
-	s.rng = rand.New(rand.NewSource(opts.Seed))
+	s.rng = nil // reseeded from opts.Seed on first use, as in New
 	s.maxLearnts = 0
 	s.assumptions = s.assumptions[:0]
 	s.model = s.model[:0]

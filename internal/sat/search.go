@@ -12,7 +12,7 @@ import (
 // returned only when a limit of Options.Budget is exceeded; StopReason
 // then tells which one.
 func (s *Solver) Solve(assumptions ...lit.Lit) Status {
-	s.cancelUntil(0)
+	s.Backtrack(0)
 	s.stopReason = budget.None
 	if !s.okay {
 		return Unsat
@@ -33,10 +33,7 @@ func (s *Solver) Solve(assumptions ...lit.Lit) Status {
 	}
 	s.assumptions = assumptions
 
-	s.maxLearnts = float64(len(s.clauses)) * s.opts.LearntFactor
-	if s.maxLearnts < 100 {
-		s.maxLearnts = 100
-	}
+	s.initLearntCap()
 
 	var curRestart uint64 = 1
 	for {
@@ -50,11 +47,11 @@ func (s *Solver) Solve(assumptions ...lit.Lit) Status {
 					s.model = append(s.model, t == lit.True)
 				}
 			}
-			s.cancelUntil(0)
+			s.Backtrack(0)
 			return st
 		}
 		if s.stopReason != budget.None {
-			s.cancelUntil(0)
+			s.Backtrack(0)
 			return Unknown
 		}
 		curRestart++
@@ -91,7 +88,7 @@ func (s *Solver) search(nConflicts uint64) Status {
 		if confl != crefUndef {
 			s.stats.Conflicts++
 			conflictsHere++
-			if s.decisionLevel() == 0 {
+			if s.DecisionLevel() == 0 {
 				s.okay = false
 				if s.proof != nil {
 					s.proof.addClause(nil)
@@ -110,7 +107,7 @@ func (s *Solver) search(nConflicts uint64) Status {
 			if s.proof != nil {
 				s.proof.addClause(learnt)
 			}
-			s.cancelUntil(btLevel)
+			s.Backtrack(btLevel)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
@@ -129,7 +126,7 @@ func (s *Solver) search(nConflicts uint64) Status {
 			return Unknown
 		}
 		if conflictsHere >= nConflicts {
-			s.cancelUntil(s.baseLevel())
+			s.Backtrack(s.baseLevel())
 			return Unknown // restart
 		}
 		if s.reduceNeeded() {
@@ -138,8 +135,8 @@ func (s *Solver) search(nConflicts uint64) Status {
 
 		// Establish assumptions as the first decisions.
 		next := lit.UndefLit
-		for s.decisionLevel() < len(s.assumptions) {
-			p := s.assumptions[s.decisionLevel()]
+		for s.DecisionLevel() < len(s.assumptions) {
+			p := s.assumptions[s.DecisionLevel()]
 			switch s.LitValue(p) {
 			case lit.True:
 				s.newDecisionLevel() // dummy level for satisfied assumption
@@ -159,18 +156,17 @@ func (s *Solver) search(nConflicts uint64) Status {
 			}
 			s.stats.Decisions++
 		}
-		s.newDecisionLevel()
-		s.uncheckedEnqueue(next, crefUndef)
+		s.Decide(next)
 	}
 }
 
 // baseLevel is the decision level below which restarts must not backtrack
 // (the assumption levels).
 func (s *Solver) baseLevel() int {
-	if len(s.assumptions) < s.decisionLevel() {
+	if len(s.assumptions) < s.DecisionLevel() {
 		return len(s.assumptions)
 	}
-	return s.decisionLevel()
+	return s.DecisionLevel()
 }
 
 // reduceNeeded gates DB reduction on the reducible population: core-tier
@@ -288,7 +284,7 @@ func (s *Solver) reduceDB() {
 // have no lazy-drop path); long watch lists shed tombstones lazily or at
 // the compaction this may trigger.
 func (s *Solver) Simplify() bool {
-	if s.decisionLevel() != 0 {
+	if s.DecisionLevel() != 0 {
 		panic("sat: Simplify above level 0")
 	}
 	if !s.okay {

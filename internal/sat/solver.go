@@ -131,8 +131,9 @@ type Solver struct {
 	nCore, nTier2, nLocal int
 	learntWords           uint64
 
-	okay        bool // false once a top-level conflict is found
-	rng         *rand.Rand
+	okay        bool       // false once a top-level conflict is found
+	confl       cref       // the kernel's last conflict (see kernel.go)
+	rng         *rand.Rand // random decisions; seeded from opts.Seed on first use
 	maxLearnts  float64
 	assumptions []lit.Lit
 	model       []bool // snapshot of the last satisfying assignment
@@ -168,7 +169,6 @@ func New(opts Options) *Solver {
 		varInc: 1.0,
 		claInc: 1.0,
 		okay:   true,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
 	}
 	s.order = newVarHeap(&s.activity)
 	return s
@@ -256,6 +256,8 @@ func (s *Solver) EnsureVars(n int) {
 	s.polarity = slices.Grow(s.polarity, extra)
 	s.activity = slices.Grow(s.activity, extra)
 	s.seen = slices.Grow(s.seen, extra)
+	s.order.heap = slices.Grow(s.order.heap, extra)
+	s.order.indices = slices.Grow(s.order.indices, extra)
 	s.watches = slices.Grow(s.watches, 2*extra)
 	s.binWatches = slices.Grow(s.binWatches, 2*extra)
 	for len(s.assign) < n {
@@ -300,8 +302,6 @@ func (s *Solver) ModelBuf(dst []bool) []bool {
 	return append(dst[:0], s.model...)
 }
 
-func (s *Solver) decisionLevel() int { return len(s.trailLim) }
-
 // AddClause adds a problem clause. It returns false if the clause set is
 // now known unsatisfiable at the top level. Must be called at decision
 // level 0 (Solve restores level 0 before returning).
@@ -309,7 +309,7 @@ func (s *Solver) AddClause(ls ...lit.Lit) bool {
 	if !s.okay {
 		return false
 	}
-	if s.decisionLevel() != 0 {
+	if s.DecisionLevel() != 0 {
 		panic("sat: AddClause called above decision level 0")
 	}
 	// Normalize: sort-free dedup & tautology check, drop false lits,
@@ -389,7 +389,7 @@ func (s *Solver) attach(c cref) {
 func (s *Solver) uncheckedEnqueue(l lit.Lit, from cref) {
 	v := l.Var()
 	s.assign[v] = lit.TernOf(!l.Sign())
-	s.level[v] = s.decisionLevel()
+	s.level[v] = s.DecisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
 	if len(s.trail) > s.stats.MaxTrail {
@@ -480,9 +480,9 @@ func (s *Solver) propagate() cref {
 	return crefUndef
 }
 
-// cancelUntil backtracks to the given decision level.
-func (s *Solver) cancelUntil(level int) {
-	if s.decisionLevel() <= level {
+// Backtrack undoes every decision level above level.
+func (s *Solver) Backtrack(level int) {
+	if s.DecisionLevel() <= level {
 		return
 	}
 	bound := s.trailLim[level]
@@ -571,6 +571,11 @@ func (s *Solver) bumpTier(t uint32, d int) {
 // variables are assigned.
 func (s *Solver) pickBranchLit() lit.Lit {
 	var v lit.Var = lit.UndefVar
+	if s.opts.RandomFreq > 0 && s.rng == nil {
+		// Seeding a source costs more than loading a small formula, so
+		// only solvers that make random decisions pay for it.
+		s.rng = rand.New(rand.NewSource(s.opts.Seed))
+	}
 	if s.opts.RandomFreq > 0 && s.rng.Float64() < s.opts.RandomFreq && !s.order.empty() {
 		cand := s.order.heap[s.rng.Intn(len(s.order.heap))]
 		if s.assign[cand] == lit.Unknown {

@@ -529,6 +529,62 @@ func TestEnumerateSuccessSimplifyKeepsStream(t *testing.T) {
 	}
 }
 
+// TestEnumerateSuccessCubeCap: the success-driven stream honors the cube
+// cap like the iterator engines. A capped request streams the first cubes
+// of the uncapped cover, counts only the states they cover, and says it
+// was truncated by the cube limit — at every worker count.
+func TestEnumerateSuccessCubeCap(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	// (x1 v x2) & (!x1 v x3) & (x4 v x5): the ISOP cover has 4 cubes.
+	dimacs := "p cnf 5 3\n1 2 0\n-1 3 0\n4 5 0\n"
+	sp := cube.NewSpace([]lit.Var{0, 1, 2, 3, 4})
+	stream := func(query string) (cubes []string, summary event) {
+		resp, err := http.Post(ts.URL+"/v1/enumerate?engine=success&"+query, "text/plain",
+			strings.NewReader(dimacs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		sc := bufio.NewScanner(resp.Body)
+		for {
+			ev := decodeLine(t, sc)
+			switch ev.Type {
+			case "cube":
+				cubes = append(cubes, ev.Cube)
+			case "summary":
+				return cubes, ev
+			}
+		}
+	}
+	for _, workers := range []string{"1", "2"} {
+		full, sum := stream("workers=" + workers)
+		if sum.Truncated || len(full) < 3 || sum.Count != "12" {
+			t.Fatalf("workers=%s: uncapped stream %v (%+v)", workers, full, sum)
+		}
+		for _, max := range []int{1, 2} {
+			got, sum := stream(fmt.Sprintf("workers=%s&max-cubes=%d", workers, max))
+			if !sum.Truncated || sum.Reason != "cube-limit" {
+				t.Fatalf("workers=%s max-cubes=%d: summary %+v, want truncated by the cube limit",
+					workers, max, sum)
+			}
+			if strings.Join(got, "|") != strings.Join(full[:max], "|") {
+				t.Fatalf("workers=%s max-cubes=%d: streamed %v, want the first cubes of %v",
+					workers, max, got, full)
+			}
+			kept := cube.NewCover(sp)
+			for _, c := range got {
+				kept.Add(sp.CubeOf(c))
+			}
+			m := bdd.NewOrdered(sp.Vars())
+			if want := m.SatCount(m.FromCover(kept)).String(); sum.Count != want {
+				t.Fatalf("workers=%s max-cubes=%d: count %s, want the kept cubes' %s",
+					workers, max, sum.Count, want)
+			}
+		}
+	}
+}
+
 // TestSessionTruncatedLayerEndsWalk: a truncated layer ends a session's
 // walk as it ends Reach. No later step may claim a fixpoint (the layer
 // that added nothing, or added only part of its states, proves nothing)

@@ -252,9 +252,6 @@ func (r *Result) Extend(model []bool) []bool {
 	return model
 }
 
-// NumVars is the variable count of the (original and simplified) formula.
-func (r *Result) NumVars() int { return r.numVars }
-
 // Eliminated reports whether v was removed (eliminated or fixed) by the
 // run; such variables carry stack records and are reconstructed by
 // Extend.

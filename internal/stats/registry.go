@@ -56,9 +56,6 @@ func NewRegistry(name string) *Registry {
 	}
 }
 
-// Name returns the registry's name.
-func (r *Registry) Name() string { return r.name }
-
 // Counter returns (creating on first use) the named counter.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()

@@ -22,9 +22,6 @@ func StartTimer() *Timer { return &Timer{start: time.Now()} }
 // Elapsed returns the time since start.
 func (t *Timer) Elapsed() time.Duration { return time.Since(t.start) }
 
-// ElapsedMS returns elapsed milliseconds as a float.
-func (t *Timer) ElapsedMS() float64 { return float64(t.Elapsed().Microseconds()) / 1000.0 }
-
 // Table accumulates rows and renders them with aligned columns.
 type Table struct {
 	Title   string

@@ -66,7 +66,4 @@ func TestTimer(t *testing.T) {
 	if tm.Elapsed() < time.Millisecond {
 		t.Error("timer too fast")
 	}
-	if tm.ElapsedMS() <= 0 {
-		t.Error("ElapsedMS")
-	}
 }

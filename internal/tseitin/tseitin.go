@@ -40,9 +40,6 @@ type Encoding struct {
 	c           *circuit.Circuit
 }
 
-// Circuit returns the encoded circuit.
-func (e *Encoding) Circuit() *circuit.Circuit { return e.c }
-
 // Encode builds the Tseitin CNF of the circuit's combinational logic.
 // Primary inputs and latch outputs (present-state variables) are
 // unconstrained; DFF gates themselves contribute no clauses — their D

@@ -131,9 +131,6 @@ func TestS27Encoding(t *testing.T) {
 		t.Fatalf("var group sizes wrong: %d %d %d %d",
 			len(e.InputVars), len(e.StateVars), len(e.NextStateVars), len(e.OutputVars))
 	}
-	if e.Circuit() != c {
-		t.Fatal("Circuit() accessor")
-	}
 	// CNF model count = 2^(PI+FF): 2^7 = 128.
 	if got := e.F.CountModels(); got != 128 {
 		t.Fatalf("s27 CNF has %d models, want 128", got)

@@ -24,9 +24,10 @@ GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness|TestStreamedProj
 GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract' ./internal/preimage/
 # Every fan-out runs as runtime.Group jobs on a scheduler: the pool, the
 # incremental sessions and the parallel BMC sweep must hold pinned and
-# preempted alike.
-GOMAXPROCS=1 go test -count=1 ./internal/pool/ ./internal/incr/ ./internal/bmc/
-GOMAXPROCS=4 go test -count=1 -race ./internal/pool/ ./internal/incr/ ./internal/bmc/
+# preempted alike, and so must the success-driven enumerator the pooled
+# jobs run on the shared sat kernel.
+GOMAXPROCS=1 go test -count=1 ./internal/core/ ./internal/pool/ ./internal/incr/ ./internal/bmc/
+GOMAXPROCS=4 go test -count=1 -race ./internal/core/ ./internal/pool/ ./internal/incr/ ./internal/bmc/
 # The simplify equivalence suite is the CI gate for the preprocessor: if
 # -simplify changes any engine's enumerated state set on the determinism
 # circuits, this fails the build. Run it pinned and preempted like the
@@ -63,6 +64,7 @@ for engine in success blocking lifting disjoint; do
     go run ./cmd/allsat -engine $engine testdata/parity5.cnf | grep -q '^solutions (projected minterms): 16$'
 done
 go run ./cmd/allsat -engine blocking -max-cubes 1 testdata/parity5.cnf | grep -q 'TRUNCATED (cube-limit)'
+go run ./cmd/allsat -engine success -max-cubes 1 testdata/parity5.cnf | grep -q 'TRUNCATED (cube-limit)'
 
 # Service smoke test: boot cmd/serve on a random port, stream a small
 # enumeration, create/step/evict a session, and drain on SIGTERM. This
