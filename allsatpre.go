@@ -396,8 +396,8 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 	space := cube.NewSpace(proj)
 
 	// Projection-safe simplification is decided here for every engine —
-	// including the success-driven core/pool paths below, which have no
-	// preprocessing of their own — so the allsat layer is told not to
+	// including the success-driven pool path below, which has no
+	// preprocessing of its own — so the allsat layer is told not to
 	// repeat it.
 	var sstats simplify.Stats
 	if o.Simplify.Enabled(true) {
@@ -412,18 +412,13 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 	var res *allsat.Result
 	switch engine {
 	case EngineSuccessDriven:
-		if o.Workers > 1 {
-			res = pool.EnumerateToResult(f, space, pool.Options{
-				Workers: o.Workers,
-				Core:    core.DefaultOptions(),
-				Budget:  bud,
-				Stats:   o.Stats,
-			})
-			break
-		}
-		co := core.DefaultOptions()
-		co.Budget = bud
-		res = core.EnumerateToResult(f, space, co)
+		// The pool reads 0 workers as GOMAXPROCS; the facade default is one.
+		res = pool.EnumerateToResult(f, space, pool.Options{
+			Workers: max(1, o.Workers),
+			Core:    core.DefaultOptions(),
+			Budget:  bud,
+			Stats:   o.Stats,
+		})
 	case EngineBlocking:
 		res = allsat.EnumerateBlocking(f, space, asOpts)
 	case EngineLifting:

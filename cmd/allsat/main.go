@@ -49,18 +49,9 @@ func main() {
 		in = f
 	}
 
-	var eng allsatpre.Engine
-	switch *engine {
-	case "success":
-		eng = allsatpre.EngineSuccessDriven
-	case "blocking":
-		eng = allsatpre.EngineBlocking
-	case "lifting":
-		eng = allsatpre.EngineLifting
-	case "disjoint":
-		eng = allsatpre.EngineDisjoint
-	default:
-		fatal(fmt.Errorf("unknown engine %q", *engine))
+	eng, err := genspec.Engine(*engine)
+	if err != nil {
+		fatal(err)
 	}
 
 	parseVars := func(s string) []int {

@@ -83,6 +83,23 @@ type Stats struct {
 	Simplify simplify.Stats
 }
 
+// Add sums the monotone search counters of s, Solutions through
+// CacheClears, into st. The gauges (learnt and arena watermarks,
+// BDDNodes, Kernel, Simplify) are the caller's to combine.
+func (st *Stats) Add(s Stats) {
+	st.Solutions += s.Solutions
+	st.Cubes += s.Cubes
+	st.BlockingClauses += s.BlockingClauses
+	st.BlockingLits += s.BlockingLits
+	st.LiftedFree += s.LiftedFree
+	st.Decisions += s.Decisions
+	st.Propagations += s.Propagations
+	st.Conflicts += s.Conflicts
+	st.CacheLookups += s.CacheLookups
+	st.CacheHits += s.CacheHits
+	st.CacheClears += s.CacheClears
+}
+
 // Result is the outcome of an enumeration.
 type Result struct {
 	// Space is the projection space (one position per projection var).

@@ -184,22 +184,16 @@ func (cs *cubeSlots) drain(it CubeIterator, g *rt.Group, keep func(cube.Cube)) {
 	}
 }
 
-// addStats sums one subcube's search counters into dst.
+// addStats sums one subcube's search counters into dst, and its learnt
+// and arena gauges too: the subcube jobs run concurrently.
 func addStats(dst *Stats, s Stats) {
-	dst.Solutions += s.Solutions
-	dst.Cubes += s.Cubes
-	dst.BlockingClauses += s.BlockingClauses
-	dst.BlockingLits += s.BlockingLits
-	dst.LiftedFree += s.LiftedFree
+	dst.Add(s)
 	dst.PeakLearnts += s.PeakLearnts
 	dst.PeakLearntBytes += s.PeakLearntBytes
 	dst.ArenaBytes += s.ArenaBytes
 	dst.LearntsCore += s.LearntsCore
 	dst.LearntsTier2 += s.LearntsTier2
 	dst.LearntsLocal += s.LearntsLocal
-	dst.Decisions += s.Decisions
-	dst.Propagations += s.Propagations
-	dst.Conflicts += s.Conflicts
 }
 
 // push appends a cube to the buffer and wakes a consumer.

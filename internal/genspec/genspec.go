@@ -101,7 +101,8 @@ func Resolve(spec string) (*circuit.Circuit, error) {
 	}
 }
 
-// Engine maps an engine name to its constant.
+// Engine maps an engine name to its constant: the one engine-name table
+// of the CLIs and the server.
 func Engine(name string) (preimage.Engine, error) {
 	switch name {
 	case "success", "success-driven", "sd":
@@ -115,7 +116,7 @@ func Engine(name string) (preimage.Engine, error) {
 	case "bdd":
 		return preimage.EngineBDD, nil
 	default:
-		return 0, fmt.Errorf("genspec: unknown engine %q", name)
+		return 0, fmt.Errorf("genspec: unknown engine %q (want success, blocking, lifting, disjoint, or bdd)", name)
 	}
 }
 

@@ -205,22 +205,6 @@ func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.
 	return out
 }
 
-// addCounters accumulates the monotone counter fields (gauge-like fields
-// — BDDNodes, Kernel — are aggregated from the worker exit reports).
-func addCounters(dst *allsat.Stats, s allsat.Stats) {
-	dst.Solutions += s.Solutions
-	dst.Cubes += s.Cubes
-	dst.BlockingClauses += s.BlockingClauses
-	dst.BlockingLits += s.BlockingLits
-	dst.LiftedFree += s.LiftedFree
-	dst.Decisions += s.Decisions
-	dst.Propagations += s.Propagations
-	dst.Conflicts += s.Conflicts
-	dst.CacheLookups += s.CacheLookups
-	dst.CacheHits += s.CacheHits
-	dst.CacheClears += s.CacheClears
-}
-
 // publish mirrors the pool counters into the stats registry under the
 // pool.* keys.
 func publish(reg *stats.Registry, p PoolStats) {

@@ -106,7 +106,7 @@ func (r *schedRun) run(tasks []partition.Subcube, man *bdd.Manager, maxNodes int
 	set := bdd.False
 	var total allsat.Stats
 	for m := range r.msgs {
-		addCounters(&total, m.stats)
+		total.Add(m.stats)
 		if m.snap != nil && !*dead {
 			set = man.Or(set, man.Import(m.snap))
 			if maxNodes > 0 && man.NumNodes() >= maxNodes {

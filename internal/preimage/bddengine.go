@@ -86,8 +86,10 @@ func (bv bddVars) segregatedOrder() []lit.Var {
 //
 // with the product evaluated as a sequence of AndExists relational
 // products, quantifying each s'_k as soon as its partition is conjoined
-// (early quantification), then quantifying the inputs.
-func computeBDD(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, error) {
+// (early quantification), then quantifying the inputs. A non-nil
+// restrict (one position per latch) intersects the preimage with that
+// present-state cube: computeBDDParallel's slices.
+func computeBDD(c *circuit.Circuit, target *cube.Cover, opts Options, restrict cube.Cube) (*Result, error) {
 	if target.Space().Size() != len(c.Latches) {
 		return nil, fmt.Errorf("preimage: target has %d positions, circuit has %d latches",
 			target.Space().Size(), len(c.Latches))
@@ -103,7 +105,7 @@ func computeBDD(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, 
 	}
 	m := bdd.NewOrdered(varOrder)
 	installLimits(m, opts.Budget)
-	res, reason, err := computeBDDBody(c, target, opts, m, bv, order)
+	res, reason, err := computeBDDBody(c, target, restrict, m, bv, order)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +117,7 @@ func computeBDD(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, 
 
 // computeBDDBody runs the budget-armed symbolic computation; a tripped
 // limit unwinds via the *bdd.Abort panic recovered into reason.
-func computeBDDBody(c *circuit.Circuit, target *cube.Cover, opts Options,
+func computeBDDBody(c *circuit.Circuit, target *cube.Cover, restrict cube.Cube,
 	m *bdd.Manager, bv bddVars, order []int) (_ *Result, reason budget.Reason, err error) {
 	defer bdd.CatchAbort(&reason)
 
@@ -161,12 +163,8 @@ func computeBDDBody(c *circuit.Circuit, target *cube.Cover, opts Options,
 		}
 		return cube.NewSpace(vars)
 	}()
-	if opts.Restrict != nil {
-		if len(opts.Restrict) != bv.nL {
-			return nil, budget.None, fmt.Errorf("preimage: Restrict has %d positions, circuit has %d latches",
-				len(opts.Restrict), bv.nL)
-		}
-		r = m.And(r, m.FromCube(mgrStateSpace, opts.Restrict))
+	if restrict != nil {
+		r = m.And(r, m.FromCube(mgrStateSpace, restrict))
 	}
 	stateSpace := StateSpace(c)
 	states := canonicalize(stateSpace, m.ISOP(r, mgrStateSpace))

@@ -7,6 +7,7 @@ import (
 
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
+	"allsatpre/internal/circuit"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/gen"
 	"allsatpre/internal/stats"
@@ -31,50 +32,79 @@ func assertSubset(t *testing.T, space *cube.Space, sub, full *cube.Cover, label 
 	}
 }
 
-// TestDeadlineAbortsAllEngines: an expired deadline must yield a
-// structured Aborted result from every engine, with the partial cover a
-// sound subset of the true preimage — never an error, never a silently
+// entryRow is one public entry point on one engine, over a fixed
+// circuit and state set.
+type entryRow struct {
+	name string
+	run  func(Options) (*Result, error)
+}
+
+// entryRows lists Compute on each of engines, then Image and the
+// unrolled KStepPreimage (two steps) on every SAT engine.
+func entryRows(c *circuit.Circuit, set *cube.Cover, engines []Engine) []entryRow {
+	var rows []entryRow
+	for _, eng := range engines {
+		rows = append(rows, entryRow{"Compute/" + eng.String(), func(o Options) (*Result, error) {
+			o.Engine = eng
+			return Compute(c, set, o)
+		}})
+	}
+	for _, eng := range []Engine{EngineSuccessDriven, EngineBlocking, EngineLifting, EngineDisjoint} {
+		rows = append(rows,
+			entryRow{"Image/" + eng.String(), func(o Options) (*Result, error) {
+				o.Engine = eng
+				return Image(c, set, o)
+			}},
+			entryRow{"KStepPreimage/" + eng.String(), func(o Options) (*Result, error) {
+				o.Engine = eng
+				return KStepPreimage(c, set, 2, o)
+			}})
+	}
+	return rows
+}
+
+// checkBudgetAbort runs row unbudgeted and under bud: the budgeted run
+// must be a structured abort with reason want, its cover a sound subset
+// of the complete one — never an error, never a silently
 // complete-looking answer.
+func checkBudgetAbort(t *testing.T, row entryRow, bud budget.Budget, want budget.Reason) {
+	t.Helper()
+	full, err := row.run(Options{})
+	if err != nil {
+		t.Fatalf("%s full: %v", row.name, err)
+	}
+	if full.Aborted {
+		t.Fatalf("%s: unbudgeted run reported Aborted", row.name)
+	}
+	res, err := row.run(Options{Budget: bud})
+	if err != nil {
+		t.Fatalf("%s budgeted: %v", row.name, err)
+	}
+	if !res.Aborted || res.AbortReason != want {
+		t.Fatalf("%s: Aborted=%v reason=%v, want %v abort", row.name, res.Aborted, res.AbortReason, want)
+	}
+	assertSubset(t, full.StateSpace, res.States, full.States, row.name)
+}
+
+// TestDeadlineAbortsAllEngines: an expired deadline must yield a
+// structured Aborted result from every engine and SAT entry point.
 func TestDeadlineAbortsAllEngines(t *testing.T) {
 	c := gen.SLike(gen.SLikeParams{Seed: 3, Inputs: 6, Latches: 6, Gates: 60})
 	target := trans.TargetFromPatterns(6, "XX1X0X")
-	for _, eng := range allEngines {
-		full, err := Compute(c, target, Options{Engine: eng})
-		if err != nil {
-			t.Fatalf("%v full: %v", eng, err)
-		}
-		if full.Aborted {
-			t.Fatalf("%v: unbudgeted run reported Aborted", eng)
-		}
-		res, err := Compute(c, target, Options{Engine: eng, Budget: expiredBudget()})
-		if err != nil {
-			t.Fatalf("%v budgeted: %v", eng, err)
-		}
-		if !res.Aborted {
-			t.Fatalf("%v: expired deadline not reported as Aborted", eng)
-		}
-		if res.AbortReason != budget.Deadline {
-			t.Fatalf("%v: AbortReason = %v, want %v", eng, res.AbortReason, budget.Deadline)
-		}
-		assertSubset(t, full.StateSpace, res.States, full.States, eng.String())
+	for _, row := range entryRows(c, target, allEngines) {
+		checkBudgetAbort(t, row, expiredBudget(), budget.Deadline)
 	}
 }
 
 // TestContextCancelAborts: a pre-cancelled context aborts with reason
-// Cancelled on the SAT engines.
+// Cancelled on the SAT engines and entry points.
 func TestContextCancelAborts(t *testing.T) {
 	c := gen.Counter(8, true, false)
 	target := trans.TargetFromPatterns(8, "XXXXXXX1")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, eng := range []Engine{EngineSuccessDriven, EngineBlocking, EngineLifting} {
-		res, err := Compute(c, target, Options{Engine: eng, Budget: budget.Budget{Ctx: ctx}})
-		if err != nil {
-			t.Fatalf("%v: %v", eng, err)
-		}
-		if !res.Aborted || res.AbortReason != budget.Cancelled {
-			t.Fatalf("%v: Aborted=%v reason=%v, want cancelled abort", eng, res.Aborted, res.AbortReason)
-		}
+	for _, row := range entryRows(c, target, []Engine{EngineSuccessDriven, EngineBlocking, EngineLifting}) {
+		checkBudgetAbort(t, row, budget.Budget{Ctx: ctx}, budget.Cancelled)
 	}
 }
 
@@ -180,33 +210,35 @@ func TestForwardReachAbortNoFixpoint(t *testing.T) {
 	}
 }
 
-// TestStatsRecording: a registry passed through Options collects the
-// run's counters, including the abort markers.
+// TestStatsRecording: a registry passed through Options collects each
+// SAT entry point's counters exactly once, including the abort markers.
 func TestStatsRecording(t *testing.T) {
 	c := gen.Counter(8, true, false)
 	target := trans.TargetFromPatterns(8, "XXXXXXX1")
-	reg := stats.NewRegistry("test")
-	_, err := Compute(c, target, Options{Stats: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Counter("decisions").Load() == 0 {
-		t.Fatal("stats registry recorded no decisions")
-	}
-	if reg.Counter("aborts").Load() != 0 {
-		t.Fatal("complete run recorded an abort")
-	}
+	for _, row := range entryRows(c, target, []Engine{EngineSuccessDriven}) {
+		reg := stats.NewRegistry("test")
+		res, err := row.run(Options{Stats: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := reg.Counter("decisions").Load(); d == 0 || d != res.Stats.Decisions {
+			t.Fatalf("%s: registry recorded %d decisions, result has %d", row.name, d, res.Stats.Decisions)
+		}
+		if reg.Counter("aborts").Load() != 0 {
+			t.Fatalf("%s: complete run recorded an abort", row.name)
+		}
 
-	reg2 := stats.NewRegistry("test2")
-	res, err := Compute(c, target, Options{Stats: reg2, Budget: expiredBudget()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aborted {
-		t.Fatal("expired deadline not reported")
-	}
-	if reg2.Counter("aborts").Load() != 1 {
-		t.Fatal("aborted run did not record the abort counter")
+		reg2 := stats.NewRegistry("test2")
+		res, err = row.run(Options{Stats: reg2, Budget: expiredBudget()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Aborted {
+			t.Fatalf("%s: expired deadline not reported", row.name)
+		}
+		if reg2.Counter("aborts").Load() != 1 {
+			t.Fatalf("%s: aborted run did not record the abort counter once", row.name)
+		}
 	}
 }
 

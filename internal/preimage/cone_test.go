@@ -31,22 +31,17 @@ func TestSuccessCoverMatchesFullNetlist(t *testing.T) {
 		for _, cl := range inst.F.Clauses[len(inst.Enc.NextStateCone()):] {
 			full.AddClause(cl.Clone())
 		}
-		opts := Options{}
-		projVars, projNames := projectionOrder(inst, opts)
+		projVars, projNames := projectionOrder(inst, Options{})
 		projSpace := cube.NewNamedSpace(projVars, projNames)
-		applySimplify(full, projSpace, &opts)
-		pr, res := runSuccessDriven(full, projSpace, opts)
-		pr.Release()
-		stateSpace := StateSpace(c)
-		want := cube.NewCover(stateSpace)
-		for _, cb := range res.Cover.Cubes() {
-			sc := stateSpace.FullCube()
-			for i, v := range inst.StateVars {
-				sc[i] = cb[projSpace.PosOf(v)]
-			}
-			want.Add(sc)
+		run := satRun{f: full, proj: projSpace, pos: latchPositions(inst.StateVars, projSpace)}
+		ref, _, err := run.solve(StateSpace(c), Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want.Reduce()
+		want := ref.States
+		if got.Count.Cmp(ref.Count) != 0 {
+			t.Fatalf("%s: count %v, full netlist %v", nc.Name, got.Count, ref.Count)
+		}
 
 		if g, w := fmt.Sprint(got.States.Cubes()), fmt.Sprint(want.Cubes()); g != w {
 			t.Fatalf("%s: cover differs from the full netlist's\ngot  %s\nwant %s", nc.Name, g, w)

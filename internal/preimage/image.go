@@ -24,92 +24,39 @@ import (
 // cut-based enumeration, exactly as the paper observes for preimage's
 // dual).
 func Image(c *circuit.Circuit, init *cube.Cover, opts Options) (*Result, error) {
-	opts.Budget = opts.Budget.Materialize()
-	start := time.Now()
-	if opts.Engine == EngineBDD {
-		out, err := imageBDD(c, init, opts)
-		if err == nil {
-			recordStats(opts.Stats, out, time.Since(start))
-		}
-		return out, err
-	}
-	inst, err := trans.NewImageInstance(c, init)
-	if err != nil {
-		return nil, err
-	}
-	// Projection: the next-state variables in latch order (deduplicated —
-	// latches may share a next-state gate). They are internal gate
-	// variables of the Tseitin CNF, which the enumerators handle like any
-	// other projection set.
-	stateSpace := StateSpace(c)
-	projSpace := cube.NewSpace(trans.DedupVars(inst.NextVars))
-
-	res, err := runSATEngine(inst.F, projSpace, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	states := expandNextCover(inst.NextVars, projSpace, res.Cover, stateSpace)
-	states.Reduce()
-	out := &Result{
-		States:      states,
-		StateSpace:  stateSpace,
-		Stats:       res.Stats,
-		BDDNodes:    res.Stats.BDDNodes,
-		Engine:      opts.Engine,
-		Aborted:     res.Aborted,
-		AbortReason: res.Reason,
-	}
-	// Each assignment to the deduplicated next-state variables maps to
-	// exactly one state (shared latches just repeat a bit), so the
-	// engine's minterm count is already the state count.
-	out.Count = res.Count
-	recordStats(opts.Stats, out, time.Since(start))
-	return out, nil
+	res, _, err := image(c, init, opts, nil)
+	return res, err
 }
 
-// expandNextCover expands a cover over the deduplicated next-state
-// variable space (see trans.DedupVars) back onto the full latch order,
-// for Image and the forward session walk. Latches whose next-state
-// functions share a gate share a projection variable; if that variable is
-// free in a cube, the latch bits are "free but equal", which a cube
-// cannot express — such cubes are split on the shared variable's two
-// values. Shared variables are scanned in latch order so the expansion —
-// and hence the produced cube order — is deterministic.
-func expandNextCover(nextVars []lit.Var, projSpace *cube.Space, cover *cube.Cover, stateSpace *cube.Space) *cube.Cover {
-	counts := map[lit.Var]int{}
-	for _, v := range nextVars {
-		counts[v]++
-	}
-	sharedFree := func(cb cube.Cube) lit.Var {
-		for _, v := range nextVars {
-			if counts[v] > 1 && cb[projSpace.PosOf(v)] == lit.Unknown {
-				return v
-			}
+// image is Image for the frontier walk's fresh layer source; share is
+// as in compute. The SAT engines project onto the next-state variables
+// in latch order, deduplicated (latches may share a next-state gate).
+// They are internal gate variables of the Tseitin CNF, which the
+// enumerators handle like any other projection set.
+func image(c *circuit.Circuit, init *cube.Cover, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
+	opts.Budget = opts.Budget.Materialize()
+	start := time.Now()
+	var res *Result
+	set := bdd.False
+	var err error
+	if opts.Engine == EngineBDD {
+		if res, err = imageBDD(c, init, opts); err == nil && share != nil {
+			set = share.FromCover(res.States)
 		}
-		return lit.UndefVar
-	}
-	states := cube.NewCover(stateSpace)
-	var expand func(cb cube.Cube)
-	expand = func(cb cube.Cube) {
-		if v := sharedFree(cb); v != lit.UndefVar {
-			for _, val := range []lit.Tern{lit.False, lit.True} {
-				split := cb.Clone()
-				split[projSpace.PosOf(v)] = val
-				expand(split)
-			}
-			return
+	} else {
+		var inst *trans.Instance
+		if inst, err = trans.NewImageInstance(c, init); err != nil {
+			return nil, set, err
 		}
-		sc := stateSpace.FullCube()
-		for i, v := range nextVars {
-			sc[i] = cb[projSpace.PosOf(v)]
-		}
-		states.Add(sc)
+		projSpace := cube.NewSpace(trans.DedupVars(inst.NextVars))
+		run := satRun{f: inst.F, proj: projSpace, pos: latchPositions(inst.NextVars, projSpace)}
+		res, set, err = run.solve(StateSpace(c), opts, share)
 	}
-	for _, cb := range cover.Cubes() {
-		expand(cb)
+	if err != nil {
+		return nil, set, err
 	}
-	return states
+	recordStats(opts.Stats, res, time.Since(start))
+	return res, set, nil
 }
 
 // imageBDD computes the forward image symbolically: the next-state

@@ -2,6 +2,7 @@ package preimage
 
 import (
 	"fmt"
+	"time"
 
 	"allsatpre/internal/circuit"
 	"allsatpre/internal/cnf"
@@ -22,6 +23,7 @@ import (
 // The projection is the frame-0 state vector.
 func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) (*Result, error) {
 	opts.Budget = opts.Budget.Materialize()
+	start := time.Now()
 	if opts.Engine == EngineBDD {
 		return nil, fmt.Errorf("preimage: KStepPreimage supports only the SAT engines")
 	}
@@ -32,9 +34,23 @@ func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) 
 		return nil, fmt.Errorf("preimage: target has %d positions, circuit has %d latches",
 			target.Space().Size(), len(c.Latches))
 	}
+	var res *Result
+	var err error
 	if useIncremental(opts) {
-		return kstepWalk(c, target, k, opts)
+		res, err = kstepWalk(c, target, k, opts)
+	} else {
+		res, err = kstepUnrolled(c, target, k, opts)
 	}
+	if err != nil {
+		return nil, err
+	}
+	recordStats(opts.Stats, res, time.Since(start))
+	return res, nil
+}
+
+// kstepUnrolled is KStepPreimage as one SAT run over the unrolled
+// formula, projected onto the frame-0 state vector.
+func kstepUnrolled(c *circuit.Circuit, target *cube.Cover, k int, opts Options) (*Result, error) {
 	enc, err := tseitin.EncodeCached(c)
 	if err != nil {
 		return nil, err
@@ -111,26 +127,8 @@ func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) 
 	}
 	projSpace := cube.NewNamedSpace(state0, names)
 
-	res, err := runSATEngine(f, projSpace, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	states := canonicalize(stateSpace, res.Cover)
-	states.Reduce()
-	out := &Result{
-		States:      states,
-		StateSpace:  stateSpace,
-		Stats:       res.Stats,
-		BDDNodes:    res.Stats.BDDNodes,
-		Engine:      opts.Engine,
-		Aborted:     res.Aborted,
-		AbortReason: res.Reason,
-	}
-	// The projection space is exactly the frame-0 state vector, so the
-	// engine's minterm count is already the state count.
-	out.Count = res.Count
-	return out, nil
+	res, _, err := satRun{f: f, proj: projSpace, pos: latchPositions(state0, projSpace)}.solve(stateSpace, opts, nil)
+	return res, err
 }
 
 // kstepWalk is KStepPreimage as the union of the first k+1 layers of a

@@ -4,38 +4,8 @@ import (
 	"testing"
 
 	"allsatpre/internal/gen"
-	"allsatpre/internal/lit"
 	"allsatpre/internal/trans"
 )
-
-func TestRestrictIntersectsPreimage(t *testing.T) {
-	c := gen.Counter(4, true, false)
-	target := trans.TargetFromPatterns(4, "1010") // preimage {4, 5}
-	sp := StateSpace(c)
-	for _, eng := range allEngines {
-		// Restrict to states with s0 = 0: only state 4 (0010) survives.
-		r, err := Compute(c, target, Options{Engine: eng, Restrict: sp.CubeOf("0XXX")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := coverSet(t, r.States)
-		if len(got) != 1 || !got[4] {
-			t.Fatalf("engine %v: restricted preimage %v, want {4}", eng, got)
-		}
-	}
-}
-
-func TestRestrictWidthError(t *testing.T) {
-	c := gen.Counter(3, true, false)
-	target := trans.TargetFromPatterns(3, "000")
-	bad := make([]lit.Tern, 2)
-	if _, err := Compute(c, target, Options{Restrict: bad}); err == nil {
-		t.Fatal("expected width error (SAT path)")
-	}
-	if _, err := Compute(c, target, Options{Engine: EngineBDD, Restrict: bad}); err == nil {
-		t.Fatal("expected width error (BDD path)")
-	}
-}
 
 func TestParallelEqualsSerial(t *testing.T) {
 	for _, nc := range []gen.NamedCircuit{
@@ -49,7 +19,7 @@ func TestParallelEqualsSerial(t *testing.T) {
 			pat[i] = "01X"[i%3]
 		}
 		target := trans.TargetFromPatterns(nL, string(pat))
-		for _, eng := range []Engine{EngineSuccessDriven, EngineLifting} {
+		for _, eng := range []Engine{EngineSuccessDriven, EngineLifting, EngineBDD} {
 			serial, err := Compute(nc.Circuit, target, Options{Engine: eng})
 			if err != nil {
 				t.Fatal(err)
@@ -68,25 +38,5 @@ func TestParallelEqualsSerial(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestParallelWithCallerRestriction(t *testing.T) {
-	// Parallel splitting must compose with a caller Restrict that fixes
-	// one of the splitting bits.
-	c := gen.Counter(5, true, false)
-	target := trans.TargetFromPatterns(5, "XX1X1")
-	sp := StateSpace(c)
-	restrict := sp.CubeOf("1XXXX")
-	serial, err := Compute(c, target, Options{Restrict: restrict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Compute(c, target, Options{Restrict: restrict, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Count.Cmp(serial.Count) != 0 || !par.States.Equal(serial.States) {
-		t.Fatalf("parallel+restrict mismatch: %v vs %v", par.Count, serial.Count)
 	}
 }

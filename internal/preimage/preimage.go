@@ -20,6 +20,12 @@
 //
 // All engines return covers over the canonical state space (position k =
 // latch k in declaration order), so results are directly comparable.
+//
+// Compute, Image and the unrolled KStepPreimage differ only in the
+// instance they build: each hands its formula, its projection space and
+// the projection position of every latch to one SAT run (satRun), which
+// simplifies, enumerates, projects the cubes onto the latches and counts
+// the states. The BDD engine computes the same sets symbolically.
 package preimage
 
 import (
@@ -71,12 +77,27 @@ func (e Engine) String() string {
 	}
 }
 
+// CubeEngine maps a blocking, lifting or disjoint engine onto its allsat
+// cube stream; ok is false for the success-driven and BDD engines.
+func (e Engine) CubeEngine() (eng allsat.Engine, ok bool) {
+	switch e {
+	case EngineBlocking:
+		return allsat.Blocking, true
+	case EngineLifting:
+		return allsat.Lifting, true
+	case EngineDisjoint:
+		return allsat.Disjoint, true
+	}
+	return 0, false
+}
+
 // Options configures a preimage computation.
 type Options struct {
 	// Engine selects the strategy (default EngineSuccessDriven).
 	Engine Engine
-	// WithInputs also reports the input assignments: the SAT engines then
-	// enumerate over (state, input) and InputsCover is populated.
+	// WithInputs also reports the input assignments: Compute's SAT
+	// engines then keep their (state, input) cubes as Result.Pairs.
+	// Image and KStepPreimage ignore it.
 	WithInputs bool
 	// Core selects the success-driven enumerator's memo and learning
 	// switches; with neither set, both are on (core.DefaultOptions). Only
@@ -104,11 +125,6 @@ type Options struct {
 	// default off (the session retargets the clause database in place);
 	// pass On to opt in there, see Options.Incremental.
 	Simplify simplify.Mode
-	// Restrict, when non-nil, intersects the preimage with the given
-	// present-state cube (one position per latch): only predecessors
-	// inside the cube are enumerated. It is also the splitting mechanism
-	// behind the BDD engine's Parallel path.
-	Restrict cube.Cube
 	// Parallel, when > 1, computes the preimage with that many workers.
 	// The success-driven engine partitions the projection space into
 	// guiding-path subcubes run as scheduler jobs by internal/pool,
@@ -116,7 +132,7 @@ type Options struct {
 	// the sequential run; the blocking/lifting engines
 	// fan guiding-path subcubes over per-subcube solvers
 	// (allsat.Options.Workers); the BDD engine computes disjoint
-	// Restrict slices of the present-state space concurrently. All
+	// slices of the present-state space concurrently. All
 	// engines return the same solution set as the sequential run for
 	// every worker count.
 	Parallel int
@@ -130,19 +146,10 @@ type Options struct {
 	// Frontiers, counts, and verdicts are bit-identical to the fresh
 	// source; only the resource accounting differs (budgets are
 	// session-global instead of per-step, see DESIGN.md §10). It applies
-	// to the success-driven engine without Restrict; other
-	// configurations fall back to the fresh source. Single-step Compute
-	// ignores it, and CheckReachable extracts its trace on one persistent
-	// solver either way.
+	// to the success-driven engine; the other engines fall back to the
+	// fresh source. Single-step Compute ignores it, and CheckReachable
+	// extracts its trace on one persistent solver either way.
 	Incremental bool
-	// ShareManager, when non-nil, asks the success-driven engine to also
-	// export the state projection of its solution set into this manager
-	// (Result.Set/HasSet), skipping the cover→BDD re-import for callers
-	// that keep their own visited set — the frontier walk. The set is
-	// renamed onto the canonical state space (variable k = latch k), so
-	// the manager must be ordered over those variables — typically
-	// bdd.NewOrdered(StateSpace(c).Vars()).
-	ShareManager *bdd.Manager
 	// Budget imposes resource limits (deadline, context cancellation,
 	// decision/conflict/cube caps, BDD node cap) on the whole computation,
 	// shared by every engine it drives. A relative Timeout is resolved to
@@ -192,12 +199,6 @@ type Result struct {
 	// missing. AbortReason says which limit tripped.
 	Aborted     bool
 	AbortReason budget.Reason
-	// Set, valid when HasSet, is the state set as a BDD over the
-	// canonical state space in the manager the caller passed via
-	// Options.ShareManager — the same set States covers, without the
-	// cover→BDD re-import.
-	Set    bdd.Ref
-	HasSet bool
 }
 
 // StateSpace builds the canonical state space of a circuit: position k is
@@ -227,85 +228,48 @@ func canonicalize(space *cube.Space, cv *cube.Cover) *cube.Cover {
 // and a States cover that under-approximates the preimage; the error
 // return is reserved for malformed inputs.
 func Compute(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, error) {
+	res, _, err := compute(c, target, opts, nil)
+	return res, err
+}
+
+// compute is Compute for the frontier walk's fresh layer source: when
+// share is non-nil it also returns the preimage as a set in share, a
+// manager ordered over the canonical state space (variable k = latch k).
+// The SAT engines run one satRun over the (state, input) projection.
+func compute(c *circuit.Circuit, target *cube.Cover, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	opts.Budget = opts.Budget.Materialize()
 	start := time.Now()
 	var res *Result
+	set := bdd.False
 	var err error
 	switch {
 	case opts.Engine == EngineBDD && opts.Parallel > 1 && len(c.Latches) > 0:
 		res, err = computeBDDParallel(c, target, opts)
 	case opts.Engine == EngineBDD:
-		res, err = computeBDD(c, target, opts)
+		res, err = computeBDD(c, target, opts, nil)
 	default:
-		res, err = computeSAT(c, target, opts)
+		var inst *trans.Instance
+		if inst, err = trans.NewInstance(c, target); err != nil {
+			return nil, set, err
+		}
+		projVars, projNames := projectionOrder(inst, opts)
+		projSpace := cube.NewNamedSpace(projVars, projNames)
+		run := satRun{f: inst.F, proj: projSpace, pos: latchPositions(inst.StateVars, projSpace), pairs: inst}
+		res, set, err = run.solve(StateSpace(c), opts, share)
 	}
-	if err == nil {
-		recordStats(opts.Stats, res, time.Since(start))
+	if err != nil {
+		return nil, set, err
 	}
-	return res, err
-}
-
-// applySimplify preprocesses f in place when opts.Simplify resolves to
-// enabled, freezing the projection variables so the projected solution
-// set — and therefore every engine's cover — is unchanged. Every caller
-// passes an instance-local formula (trans.NewInstance copies the cached
-// encoding's cone clauses; KStepPreimage builds a private unrolling), so
-// mutating in place is safe. The decision is made once at this layer:
-// the mode is flipped to Off so inner layers never re-run (or
-// independently enable) the pass.
-func applySimplify(f *cnf.Formula, projSpace *cube.Space, opts *Options) simplify.Stats {
-	enabled := opts.Simplify.Enabled(true)
-	opts.Simplify = simplify.Off
-	if !enabled {
-		return simplify.Stats{}
+	if share != nil && opts.Engine == EngineBDD {
+		set = share.FromCover(res.States)
 	}
-	return simplify.RunFrozen(f, projSpace.Vars()).Stats
-}
-
-// runSATEngine dispatches one all-SAT enumeration for the selected SAT
-// engine under the computation budget. The formula is simplified first
-// (see applySimplify) unless the caller opted out. Image and KStepPreimage
-// use it because they read the result's Count; computeSAT streams the
-// cubes instead.
-func runSATEngine(f *cnf.Formula, projSpace *cube.Space, opts Options) (*allsat.Result, error) {
-	if r := opts.Budget.Start().Now(); r != budget.None {
-		// Dead budget: abort before preprocessing (see computeSAT).
-		return &allsat.Result{
-			Space:   projSpace,
-			Cover:   cube.NewCover(projSpace),
-			Count:   new(big.Int),
-			Aborted: true,
-			Reason:  r,
-		}, nil
-	}
-	sstats := applySimplify(f, projSpace, &opts)
-	ar, err := runSATEngineSimplified(f, projSpace, opts)
-	if ar != nil && sstats.Applied {
-		ar.Stats.Simplify = sstats
-	}
-	return ar, err
-}
-
-func runSATEngineSimplified(f *cnf.Formula, projSpace *cube.Space, opts Options) (*allsat.Result, error) {
-	switch opts.Engine {
-	case EngineSuccessDriven:
-		pr, ar := runSuccessDriven(f, projSpace, opts)
-		pr.Release() // the cover/count are extracted; the manager can go back warm
-		return ar, nil
-	case EngineBlocking:
-		return allsat.EnumerateBlocking(f, projSpace, allsatOptions(opts)), nil
-	case EngineLifting:
-		return allsat.EnumerateLifting(f, projSpace, allsatOptions(opts)), nil
-	case EngineDisjoint:
-		return allsat.EnumerateDisjoint(f, projSpace, allsatOptions(opts)), nil
-	default:
-		return nil, fmt.Errorf("preimage: unknown engine %v", opts.Engine)
-	}
+	recordStats(opts.Stats, res, time.Since(start))
+	return res, set, nil
 }
 
 // allsatOptions derives the blocking/lifting/disjoint engine options from
-// the run's budget, runtime and worker count. The caller has already run
-// applySimplify, so the engines never preprocess again.
+// the run's budget, runtime and worker count. satRun has already
+// simplified the formula, so the engines never preprocess again.
 func allsatOptions(opts Options) allsat.Options {
 	as := allsat.Options{Budget: opts.Budget, Simplify: simplify.Off, Runtime: opts.Runtime}
 	if opts.Parallel > 1 {
@@ -408,8 +372,8 @@ func recordStats(reg *stats.Registry, r *Result, elapsed time.Duration) {
 // computeBDDParallel splits the present-state space into disjoint slices
 // on the leading latches and runs computeBDD per slice as runtime.Group
 // jobs on opts.Runtime (a private scheduler with opts.Parallel executors
-// without one), each slice on its own (single-threaded) manager via
-// Restrict. The slices share the group context: the first slice to fail
+// without one), each slice on its own (single-threaded) manager,
+// restricted to its slice's present-state cube. The slices share the group context: the first slice to fail
 // or abort cancels the rest, so an error does not leave sibling slices
 // burning CPU to completion, and the result reports the first abort
 // reason. The SAT engines do not come through here — they parallelize
@@ -433,25 +397,10 @@ func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 			sub.Stats = nil // the caller records the merged totals once
 			sub.Budget.Ctx = g.Ctx()
 			restrict := stateSpace.FullCube()
-			if opts.Restrict != nil {
-				copy(restrict, opts.Restrict)
-			}
 			for b := 0; b < bits; b++ {
-				want := lit.TernOf(slice&(1<<b) != 0)
-				if restrict[b] != lit.Unknown && restrict[b] != want {
-					// Slice contradicts the caller's restriction: empty.
-					results[slice] = &Result{
-						States:     cube.NewCover(stateSpace),
-						StateSpace: stateSpace,
-						Count:      new(big.Int),
-						Engine:     opts.Engine,
-					}
-					return
-				}
-				restrict[b] = want
+				restrict[b] = lit.TernOf(slice&(1<<b) != 0)
 			}
-			sub.Restrict = restrict
-			results[slice], errs[slice] = computeBDD(c, target, sub)
+			results[slice], errs[slice] = computeBDD(c, target, sub, restrict)
 			switch {
 			case errs[slice] != nil:
 				g.Abort(budget.Cancelled) // stop the siblings; the error is returned below
@@ -475,9 +424,6 @@ func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 		Engine:     opts.Engine,
 	}
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
 		for _, cb := range r.States.Cubes() {
 			out.States.Add(cb)
 		}
@@ -497,206 +443,4 @@ func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 // SAT engines from the instance according to the ablation options.
 func projectionOrder(inst *trans.Instance, opts Options) ([]lit.Var, []string) {
 	return inst.OrderedProjection(opts.InputFirstOrder, opts.Interleave)
-}
-
-func computeSAT(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, error) {
-	// Poll once up front: an already-expired deadline or cancelled context
-	// aborts before any encoding or preprocessing effort is spent. (The
-	// engines poll too, but preprocessing can solve small instances
-	// outright, in zero decisions — without this check such a run would
-	// look complete despite the dead budget.)
-	if r := opts.Budget.Start().Now(); r != budget.None {
-		stateSpace := StateSpace(c)
-		return &Result{
-			States:      cube.NewCover(stateSpace),
-			StateSpace:  stateSpace,
-			Count:       new(big.Int),
-			Engine:      opts.Engine,
-			Aborted:     true,
-			AbortReason: r,
-		}, nil
-	}
-	inst, err := trans.NewInstance(c, target)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Restrict != nil {
-		if len(opts.Restrict) != len(inst.StateVars) {
-			return nil, fmt.Errorf("preimage: Restrict has %d positions, circuit has %d latches",
-				len(opts.Restrict), len(inst.StateVars))
-		}
-		for pos, t := range opts.Restrict {
-			if t == lit.Unknown {
-				continue
-			}
-			inst.F.Add(lit.New(inst.StateVars[pos], t == lit.False))
-		}
-	}
-	projVars, projNames := projectionOrder(inst, opts)
-	projSpace := cube.NewNamedSpace(projVars, projNames)
-
-	sstats := applySimplify(inst.F, projSpace, &opts)
-
-	stateSpace := StateSpace(c)
-	proj := newStateProjector(inst, projSpace, stateSpace)
-	out := &Result{StateSpace: stateSpace, Engine: opts.Engine}
-	// raw keeps the projection-space cubes only when Pairs needs them.
-	var raw []cube.Cube
-	if opts.Engine == EngineSuccessDriven {
-		pr, res := runSuccessDriven(inst.F, projSpace, opts)
-		for _, cb := range res.Cover.Cubes() {
-			proj.add(cb)
-		}
-		raw = res.Cover.Cubes()
-		out.Stats, out.BDDNodes = res.Stats, res.Stats.BDDNodes
-		out.Aborted, out.AbortReason = res.Aborted, res.Reason
-		// The engine handed back its merged BDD: the state count and (when
-		// requested) the state set come straight from it — no third
-		// manager, no cover round-trip. ∃x·set counted over the state
-		// variables equals the minterm count of the projected cover.
-		stateSet := pr.Manager.ExistsVars(pr.Set, inst.InputVars)
-		out.Count = pr.Manager.SatCountIn(stateSet, inst.StateVars)
-		if opts.ShareManager != nil {
-			// Rename CNF state vars to canonical positions; the relative
-			// order is the latch order in both managers, so the import
-			// stays on the fast structural path.
-			sub := make(map[lit.Var]lit.Var, len(inst.StateVars))
-			for i, v := range inst.StateVars {
-				sub[v] = lit.Var(i)
-			}
-			snap := pr.Manager.Export(stateSet).Rename(sub)
-			out.Set = opts.ShareManager.Import(snap)
-			out.HasSet = true
-		}
-		pr.Release()
-	} else {
-		eng, ok := allsatEngine(opts.Engine)
-		if !ok {
-			return nil, fmt.Errorf("preimage: unknown engine %v", opts.Engine)
-		}
-		// The cubes stream straight into the state projection: the
-		// (state, input) cover is never counted, and it is kept only for
-		// Pairs.
-		if r := opts.Budget.Start().Now(); r != budget.None {
-			// The deadline passed during preprocessing (see above).
-			out.Aborted, out.AbortReason = true, r
-		} else {
-			as := allsatOptions(opts)
-			it := allsat.NewEngineIterator(inst.F, projSpace, as, eng)
-			for {
-				cb, ok := it.Next()
-				if !ok {
-					break
-				}
-				proj.add(cb)
-				if opts.WithInputs {
-					raw = append(raw, cb)
-				}
-			}
-			out.AbortReason = it.Reason()
-			out.Aborted = out.AbortReason != budget.None
-			out.Stats = it.Stats()
-			it.Close()
-			allsat.SortBySubcube(raw, projSpace, as.Workers)
-		}
-	}
-	proj.states.Reduce()
-	out.States = proj.states
-	if out.Count == nil {
-		// The allsat engines' count: the reduced state cover's minterms.
-		out.Count = countStates(out.States, opts.Runtime)
-	}
-	out.Stats.Simplify = sstats
-	if opts.WithInputs {
-		// Re-express the projection cubes over (state ++ input) order.
-		pairSpace := pairSpace(inst)
-		pairs := cube.NewCover(pairSpace)
-		fullVars := inst.FullSpace.Vars()
-		for _, cb := range raw {
-			pc := pairSpace.FullCube()
-			for i, v := range fullVars {
-				pc[i] = cb[projSpace.PosOf(v)]
-			}
-			pairs.Add(pc)
-		}
-		out.Pairs = pairs
-	}
-	return out, nil
-}
-
-// allsatEngine maps a preimage engine onto its allsat cube stream.
-func allsatEngine(e Engine) (allsat.Engine, bool) {
-	switch e {
-	case EngineBlocking:
-		return allsat.Blocking, true
-	case EngineLifting:
-		return allsat.Lifting, true
-	case EngineDisjoint:
-		return allsat.Disjoint, true
-	}
-	return 0, false
-}
-
-// stateProjector folds projection-space cubes into a state cover as they
-// arrive: each cube is cut down to the latch positions, and a projection
-// equal to the previous one is skipped. The engines decide states
-// before inputs, so the many input-level cubes of one state cube arrive
-// back to back and the skip drops them before Reduce sees them; Reduce
-// drops whatever duplicates remain, so the reduced cover is the same
-// either way.
-type stateProjector struct {
-	pos    []int // projection-space position of each latch
-	states *cube.Cover
-	last   cube.Cube
-}
-
-func newStateProjector(inst *trans.Instance, projSpace, stateSpace *cube.Space) *stateProjector {
-	pos := make([]int, len(inst.StateVars))
-	for i, v := range inst.StateVars {
-		pos[i] = projSpace.PosOf(v)
-	}
-	return &stateProjector{pos: pos, states: cube.NewCover(stateSpace)}
-}
-
-func (p *stateProjector) add(cb cube.Cube) {
-	if p.last != nil && p.repeats(cb) {
-		return
-	}
-	sc := p.states.Space().FullCube()
-	for i, pos := range p.pos {
-		sc[i] = cb[pos]
-	}
-	p.states.Add(sc)
-	p.last = sc
-}
-
-// repeats reports whether cb projects onto the last added state cube.
-func (p *stateProjector) repeats(cb cube.Cube) bool {
-	for i, pos := range p.pos {
-		if p.last[i] != cb[pos] {
-			return false
-		}
-	}
-	return true
-}
-
-func pairSpace(inst *trans.Instance) *cube.Space {
-	n := inst.FullSpace.Size()
-	vars := make([]lit.Var, n)
-	names := make([]string, n)
-	for i := 0; i < n; i++ {
-		vars[i] = lit.Var(i)
-		names[i] = inst.FullSpace.Name(i)
-	}
-	return cube.NewNamedSpace(vars, names)
-}
-
-// countStates counts the minterms of a state cover exactly via a BDD,
-// borrowing the counting manager from the runtime pool when one is
-// available (r may be nil).
-func countStates(cv *cube.Cover, r *rt.Runtime) *big.Int {
-	m := r.P().AcquireManager(cv.Space().Vars(), 0)
-	n := m.SatCount(m.FromCover(cv))
-	r.P().ReleaseManager(m)
-	return n
 }

@@ -4,18 +4,20 @@ import (
 	"fmt"
 	"testing"
 
+	"allsatpre/internal/allsat"
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
+	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/trans"
 )
 
 // enumerateReference computes a blocking, lifting or disjoint preimage
-// the way computeSAT did before the engines' cubes streamed into the
-// state projection: allsat.Enumerate* builds and counts the whole
-// (state, input) cover, which is then projected onto the latches,
+// without the streamed state projection: allsat.Enumerate* simplifies
+// the instance with the projection frozen and builds and counts the
+// whole (state, input) cover, which is then projected onto the latches,
 // reduced, and counted through a BDD.
 func enumerateReference(t *testing.T, c *circuit.Circuit, target *cube.Cover, opts Options) *Result {
 	t.Helper()
@@ -26,10 +28,16 @@ func enumerateReference(t *testing.T, c *circuit.Circuit, target *cube.Cover, op
 	}
 	projVars, projNames := projectionOrder(inst, opts)
 	projSpace := cube.NewNamedSpace(projVars, projNames)
-	ar, err := runSATEngine(inst.F, projSpace, opts)
-	if err != nil {
-		t.Fatal(err)
+	as := allsat.Options{Budget: opts.Budget, Runtime: opts.Runtime}
+	if opts.Parallel > 1 {
+		as.Workers = opts.Parallel
 	}
+	enumerate := map[Engine]func(*cnf.Formula, *cube.Space, allsat.Options) *allsat.Result{
+		EngineBlocking: allsat.EnumerateBlocking,
+		EngineLifting:  allsat.EnumerateLifting,
+		EngineDisjoint: allsat.EnumerateDisjoint,
+	}[opts.Engine]
+	ar := enumerate(inst.F, projSpace, as)
 	stateSpace := StateSpace(c)
 	states := cube.NewCover(stateSpace)
 	pairSp := pairSpace(inst)

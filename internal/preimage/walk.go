@@ -76,10 +76,9 @@ type layerSource interface {
 }
 
 // useIncremental reports whether the session layer source applies: it
-// implements only the success-driven engine, and Restrict (a per-step
-// unit constraint) does not compose with a persistent solver.
+// implements only the success-driven engine.
 func useIncremental(opts Options) bool {
-	return opts.Incremental && opts.Engine == EngineSuccessDriven && opts.Restrict == nil
+	return opts.Incremental && opts.Engine == EngineSuccessDriven
 }
 
 // incrOptions translates preimage options into session options.
@@ -120,12 +119,10 @@ func newWalk(c *circuit.Circuit, start *cube.Cover, forward bool, opts Options) 
 	}
 	canon := StateSpace(c)
 	man := bdd.NewOrdered(canon.Vars())
-	if opts.Engine == EngineSuccessDriven && !forward {
-		// Let Compute export each layer's state set straight into the
-		// walk's manager instead of round-tripping it through a cover.
-		opts.ShareManager = man
+	src := &freshSource{c: c, opts: opts, step: compute, man: man}
+	if forward {
+		src.step = image
 	}
-	src := &freshSource{c: c, opts: opts, forward: forward, man: man}
 	return startWalk(src, man, canon, canon, nil, start), nil
 }
 
@@ -272,12 +269,13 @@ func (w *Walk) result() *ReachResult {
 	return res
 }
 
-// freshSource computes each layer with a fresh Compute (or Image).
+// freshSource computes each layer with a fresh compute (or image),
+// which hands the layer's state set straight to the walk's manager.
 type freshSource struct {
-	c       *circuit.Circuit
-	opts    Options
-	forward bool
-	man     *bdd.Manager
+	c    *circuit.Circuit
+	opts Options
+	step func(*circuit.Circuit, *cube.Cover, Options, *bdd.Manager) (*Result, bdd.Ref, error)
+	man  *bdd.Manager
 }
 
 func (s *freshSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer, error) {
@@ -285,17 +283,9 @@ func (s *freshSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer, e
 	if reg != nil {
 		opts.Stats = reg
 	}
-	step := Compute
-	if s.forward {
-		step = Image
-	}
-	r, err := step(s.c, frontier, opts)
+	r, set, err := s.step(s.c, frontier, opts, s.man)
 	if err != nil {
 		return layer{}, err
-	}
-	set := r.Set
-	if !r.HasSet {
-		set = s.man.FromCover(r.States)
 	}
 	return layer{set, r.Stats, r.BDDNodes, r.Aborted, r.AbortReason}, nil
 }
@@ -304,8 +294,8 @@ func (s *freshSource) close() {}
 
 // sessionSource computes each layer on one persistent incr session. A
 // forward session's images range over the deduplicated next-state
-// variables; they are expanded onto the latch order and imported into
-// man, the walk's canonical-space manager.
+// variables; they go through the run's state projector onto the latch
+// order and are imported into man, the walk's canonical-space manager.
 type sessionSource struct {
 	sess  *incr.Session
 	man   *bdd.Manager // forward only
@@ -333,26 +323,21 @@ func (s *sessionSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer,
 		return l, nil
 	}
 	proj := s.sess.ProjSpace()
-	img := expandNextCover(s.sess.Instance().NextVars, proj, s.sess.Manager().ISOP(st.Set, proj), s.canon)
-	img.Reduce()
-	l.set = s.man.FromCover(img)
+	p := newStateProjector(latchPositions(s.sess.Instance().NextVars, proj), s.canon)
+	for _, cb := range s.sess.Manager().ISOP(st.Set, proj).Cubes() {
+		p.add(cb)
+	}
+	p.states.Reduce()
+	l.set = s.man.FromCover(p.states)
 	return l, nil
 }
 
 func (s *sessionSource) close() { s.sess.Close() }
 
+// accumulate folds one run's stats into a multi-run total: counters
+// sum, kernel gauges merge, and BDDNodes keeps the peak.
 func accumulate(dst *allsat.Stats, s allsat.Stats) {
-	dst.Solutions += s.Solutions
-	dst.Cubes += s.Cubes
-	dst.BlockingClauses += s.BlockingClauses
-	dst.BlockingLits += s.BlockingLits
-	dst.LiftedFree += s.LiftedFree
-	dst.Decisions += s.Decisions
-	dst.Propagations += s.Propagations
-	dst.Conflicts += s.Conflicts
-	dst.CacheLookups += s.CacheLookups
-	dst.CacheHits += s.CacheHits
-	dst.CacheClears += s.CacheClears
+	dst.Add(s)
 	dst.Kernel.Merge(s.Kernel)
 	if s.BDDNodes > dst.BDDNodes {
 		dst.BDDNodes = s.BDDNodes

@@ -131,11 +131,12 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	if engine == "" {
 		engine = "disjoint"
 	}
-	switch engine {
-	case "disjoint", "blocking", "lifting", "success":
-	default:
-		httpError(w, http.StatusBadRequest,
-			"unknown engine %q (want disjoint, blocking, lifting, or success)", engine)
+	eng, err := genspec.Engine(engine)
+	if err == nil && eng == preimage.EngineBDD {
+		err = fmt.Errorf("engine %q cannot enumerate raw CNF (want disjoint, blocking, lifting, or success)", engine)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	f, fileProj, err := cnf.ParseDimacs(bytes.NewReader(data))
@@ -185,7 +186,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 
 	opts := allsat.Options{Budget: bud, Workers: workers, Simplify: smode, Runtime: run}
 	var summary summaryEvent
-	if engine == "success" {
+	if eng == preimage.EngineSuccessDriven {
 		// The success-driven enumerator stores solutions as an ROBDD, so
 		// there is no cube iterator to drain: run to completion, then
 		// stream the resulting cover. The pool entry point handles every
@@ -212,14 +213,8 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		summary = s.summarize(res.Stats, sw.sent, res.Reason, time.Since(start).Milliseconds())
 		summary.Count = res.Count.String()
 	} else {
-		eng := allsat.Disjoint
-		switch engine {
-		case "blocking":
-			eng = allsat.Blocking
-		case "lifting":
-			eng = allsat.Lifting
-		}
-		it := allsat.NewEngineIterator(f, space, opts, eng)
+		ae, _ := eng.CubeEngine()
+		it := allsat.NewEngineIterator(f, space, opts, ae)
 		reason := s.streamCubes(ctx, sw, it, bud.MaxCubes, cancel)
 		it.Close() // release workers; pooled solvers go back warm
 		summary = s.summarize(it.Stats(), sw.sent, reason, time.Since(start).Milliseconds())
@@ -267,7 +262,11 @@ func (s *Server) handlePreimage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	eng, err := parseEngine(q.Get("engine"))
+	name := q.Get("engine")
+	if name == "" {
+		name = "success"
+	}
+	eng, err := genspec.Engine(name)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -569,25 +568,6 @@ func targetCover(c *circuit.Circuit, raw []string) (*cube.Cover, error) {
 		}
 	}
 	return trans.TargetFromPatterns(n, patterns...), nil
-}
-
-// parseEngine maps the engine query parameter for circuit endpoints
-// (all five engines apply there).
-func parseEngine(name string) (preimage.Engine, error) {
-	switch name {
-	case "", "success":
-		return preimage.EngineSuccessDriven, nil
-	case "blocking":
-		return preimage.EngineBlocking, nil
-	case "lifting":
-		return preimage.EngineLifting, nil
-	case "disjoint":
-		return preimage.EngineDisjoint, nil
-	case "bdd":
-		return preimage.EngineBDD, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want success, blocking, lifting, disjoint, or bdd)", name)
-	}
 }
 
 // dimacsVars renders variables as 1-based DIMACS numbers.

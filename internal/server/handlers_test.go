@@ -30,6 +30,7 @@ func TestHandlerRejections(t *testing.T) {
 	}{
 		{"malformed dimacs", "POST", "/v1/enumerate", "p cnf oops\n", 400, "malformed DIMACS"},
 		{"unknown enumerate engine", "POST", "/v1/enumerate?engine=magic", goodDimacs, 400, "unknown engine"},
+		{"bdd enumerate engine", "POST", "/v1/enumerate?engine=bdd", goodDimacs, 400, "cannot enumerate raw CNF"},
 		{"bad projection", "POST", "/v1/enumerate?proj=0", goodDimacs, 400, "projection"},
 		{"bad timeout", "POST", "/v1/enumerate?timeout=fast", goodDimacs, 400, "timeout"},
 		{"bad workers", "POST", "/v1/enumerate?workers=-2", goodDimacs, 400, "workers"},

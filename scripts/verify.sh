@@ -66,6 +66,14 @@ done
 go run ./cmd/allsat -engine blocking -max-cubes 1 testdata/parity5.cnf | grep -q 'TRUNCATED (cube-limit)'
 go run ./cmd/allsat -engine success -max-cubes 1 testdata/parity5.cnf | grep -q 'TRUNCATED (cube-limit)'
 
+# Unrolled k-step smoke: every SAT engine finds the ten states of
+# counter:4 that reach XXX1 within two steps, and -stats records the
+# run's search counters in the [preimage] registry.
+for engine in success blocking lifting disjoint; do
+    go run ./cmd/preimage -kstep 2 -engine $engine counter:4 XXX1 | grep -q '^preimage states: 10$'
+done
+go run ./cmd/preimage -stats -kstep 2 -engine blocking counter:4 XXX1 | grep -q '^  decisions  *[1-9]'
+
 # Service smoke test: boot cmd/serve on a random port, stream a small
 # enumeration, create/step/evict a session, and drain on SIGTERM. This
 # exercises the daemon wiring (listener, mux, shutdown order) that the
