@@ -65,7 +65,7 @@ func (it *DisjointIterator) Next() (cube.Cube, bool) {
 	case sat.Sat:
 		c := it.space.FullCube()
 		for _, l := range it.ch.Cube() {
-			c[it.space.PosOf(l.Var())] = lit.TernOf(!l.Sign())
+			c[it.ch.ProjPos(l.Var())] = lit.TernOf(!l.Sign())
 		}
 		it.stats.Solutions++
 		it.stats.Cubes++

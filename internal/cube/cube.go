@@ -122,18 +122,23 @@ func (c Cube) Clone() Cube {
 
 // String renders the cube as a 01X pattern.
 func (c Cube) String() string {
-	var sb strings.Builder
+	return string(c.AppendPattern(make([]byte, 0, len(c))))
+}
+
+// AppendPattern appends the cube's 01X pattern to b and returns the
+// extended slice.
+func (c Cube) AppendPattern(b []byte) []byte {
 	for _, t := range c {
 		switch t {
 		case lit.True:
-			sb.WriteByte('1')
+			b = append(b, '1')
 		case lit.False:
-			sb.WriteByte('0')
+			b = append(b, '0')
 		default:
-			sb.WriteByte('X')
+			b = append(b, 'X')
 		}
 	}
-	return sb.String()
+	return b
 }
 
 // FreeVars returns the number of free (don't-care) positions.

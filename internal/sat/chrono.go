@@ -43,7 +43,9 @@ type ChronoEnum struct {
 	s    *Solver
 	proj []lit.Var
 
-	isProj []bool // by var, sized at creation (no new vars appear)
+	// pos maps a variable to its position in proj, -1 for auxiliaries;
+	// sized at creation (no new vars appear).
+	pos []int32
 
 	// Satisfaction bookkeeping over the problem clauses at creation time.
 	// satBy[ci] is the trail index of the first (hence lowest-level)
@@ -89,9 +91,12 @@ func NewChronoEnum(s *Solver, proj []lit.Var) *ChronoEnum {
 		proj:  append([]lit.Var(nil), proj...),
 		learn: true,
 	}
-	e.isProj = make([]bool, s.NumVars())
-	for _, v := range proj {
-		e.isProj[v] = true
+	e.pos = make([]int32, s.NumVars())
+	for v := range e.pos {
+		e.pos[v] = -1
+	}
+	for i, v := range proj {
+		e.pos[v] = int32(i)
 	}
 	e.clauses = s.clauses
 	e.occ = make([][]int32, 2*s.NumVars())
@@ -187,9 +192,16 @@ func (e *ChronoEnum) Cube() []lit.Lit { return e.cube }
 // StopReason reports why Next returned Unknown (budget.None otherwise).
 func (e *ChronoEnum) StopReason() budget.Reason { return e.s.stopReason }
 
-func (e *ChronoEnum) projVar(v lit.Var) bool {
-	return int(v) < len(e.isProj) && e.isProj[v]
+// ProjPos returns the position of v in the projection the enumerator was
+// built over, or -1 when v is not a projection variable.
+func (e *ChronoEnum) ProjPos(v lit.Var) int {
+	if int(v) < len(e.pos) {
+		return int(e.pos[v])
+	}
+	return -1
 }
+
+func (e *ChronoEnum) projVar(v lit.Var) bool { return e.ProjPos(v) >= 0 }
 
 // pickDecision decides the first unassigned projection variable (saved
 // phase), falling back to VSIDS over the auxiliaries once the projection

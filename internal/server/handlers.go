@@ -179,6 +179,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 
 	start := time.Now()
 	sw := newStreamWriter(w)
+	defer sw.close()
 	sw.emit(headerEvent{
 		Type: "header", Engine: engine, Vars: f.NumVars,
 		Projection: dimacsVars(proj), Workers: workers,
@@ -205,7 +206,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 			Stats: s.reg, Runtime: run,
 		})
 		for _, c := range res.Cover.Cubes() {
-			sw.cube(c.String())
+			sw.cube(c)
 			if sw.failed() {
 				break
 			}
@@ -221,7 +222,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 	}
 	sw.emit(summary)
 	s.reg.Counter("server.streamed-cubes").Add(sw.sent)
-	s.reg.Histogram("server.latency." + engine).Observe(time.Since(start))
+	s.reg.Histogram("server.latency." + eng.String()).Observe(time.Since(start))
 	if summary.Reason == "shutdown" {
 		s.reg.Counter("server.shutdown-truncated").Inc()
 	}
@@ -243,7 +244,7 @@ func (s *Server) streamCubes(ctx context.Context, sw *streamWriter,
 		if !ok {
 			return it.Reason()
 		}
-		sw.cube(c.String())
+		sw.cube(c)
 		if sw.failed() || ctx.Err() != nil {
 			cancel()
 			return budget.Cancelled
@@ -311,12 +312,13 @@ func (s *Server) handlePreimage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sw := newStreamWriter(w)
+	defer sw.close()
 	sw.emit(headerEvent{
 		Type: "header", Engine: eng.String(), Vars: len(c.Latches),
 		Projection: seq(1, len(c.Latches)), Workers: workers,
 	})
 	for _, cb := range res.States.Cubes() {
-		sw.cube(cb.String())
+		sw.cube(cb)
 		if sw.failed() {
 			break
 		}

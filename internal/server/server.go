@@ -6,8 +6,9 @@
 //
 //   - Streaming, not batching. One-shot enumeration requests run the
 //     existing allsat iterators (sequential, disjoint, or the parallel
-//     worker pool) and write each cube as one NDJSON line the moment
-//     the iterator produces it. The disjoint engine's cubes are
+//     worker pool) and write each cube as one NDJSON line, flushed to
+//     the client at once for the first cube and within a few
+//     milliseconds for the rest. The disjoint engine's cubes are
 //     pairwise disjoint by construction, so a consumer can fold the
 //     stream incrementally with no post-hoc dedup; every stream ends
 //     with a summary line that carries the truncation verdict, so a

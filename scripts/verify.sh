@@ -37,9 +37,11 @@ GOMAXPROCS=4 go test -race -run 'TestSimplify' ./internal/preimage/
 # Multi-worker streams arrive in scheduling order; the server's
 # pooled-vs-fresh stream equivalence and the allsat parallel suites
 # must hold on one thread and under real preemption alike, so a failure
-# that only shows on multi-core hosts fails here on any runner.
-GOMAXPROCS=1 go test -count=1 -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify' ./internal/server/
-GOMAXPROCS=4 go test -count=1 -race -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify' ./internal/server/
+# that only shows on multi-core hosts fails here on any runner. The
+# stream writer's timer flush races the handler's writes by design: its
+# stall, disconnect and shutdown-drain tests run on both schedules too.
+GOMAXPROCS=1 go test -count=1 -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify|TestStream|TestEnumerateStreamsIncrementallyAndDisconnectAborts|TestShutdownDrainsStreamWithTruncatedSummary' ./internal/server/
+GOMAXPROCS=4 go test -count=1 -race -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify|TestStream|TestEnumerateStreamsIncrementallyAndDisconnectAborts|TestShutdownDrainsStreamWithTruncatedSummary' ./internal/server/
 GOMAXPROCS=1 go test -count=1 -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
 GOMAXPROCS=4 go test -count=1 -race -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
 go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -benchtime=1x -benchmem .
