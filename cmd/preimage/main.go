@@ -23,7 +23,7 @@ import (
 
 func main() {
 	engine := flag.String("engine", "success", "engine: success | blocking | lifting | disjoint | bdd")
-	withInputs := flag.Bool("inputs", false, "also report witness input assignments")
+	withInputs := flag.Bool("inputs", false, "also report witness input assignments (the blocking, lifting and disjoint engines then search over (state, input) pairs instead of the states alone)")
 	showCubes := flag.Bool("cubes", false, "print the preimage cubes")
 	kstep := flag.Int("kstep", 0, "with k > 0, enumerate all states reaching the target within k steps (one unrolled all-SAT call; SAT engines only)")
 	bf := genspec.AddBudgetFlags(flag.CommandLine)

@@ -567,8 +567,10 @@ func (e *Enumerator) residualSAT() bool {
 // reachability loop feeds back as its next target. Extract is also where
 // the budget's cube cap applies to this engine: with maxCubes > 0 only the
 // first maxCubes cubes are kept, r.Set is narrowed to the states they
-// cover (so the count is the kept states'), and r is marked Aborted with
-// budget.Cubes unless an earlier limit already stopped the search.
+// cover, and r is marked Aborted with budget.Cubes unless an earlier
+// limit already stopped the search. Extract leaves Count nil: callers
+// that report it count r.Set (see EnumerateToResult), the preimage runs
+// count their own projection of it.
 func (r *Result) Extract(space *cube.Space, maxCubes uint64) *allsat.Result {
 	cv := r.Manager.ISOP(r.Set, space)
 	if maxCubes > 0 && uint64(cv.Len()) > maxCubes {
@@ -584,7 +586,6 @@ func (r *Result) Extract(space *cube.Space, maxCubes uint64) *allsat.Result {
 	out := &allsat.Result{
 		Space:   space,
 		Cover:   cv,
-		Count:   r.Manager.SatCount(r.Set),
 		Stats:   r.Stats,
 		Aborted: r.Aborted,
 		Reason:  r.Reason,
@@ -594,7 +595,11 @@ func (r *Result) Extract(space *cube.Space, maxCubes uint64) *allsat.Result {
 }
 
 // EnumerateToResult runs the engine and converts to the shared allsat
-// result shape (see Extract), honoring opts.Budget's cube cap.
+// result shape (see Extract), honoring opts.Budget's cube cap, with
+// Count the minterm count of the (possibly narrowed) set.
 func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.Result {
-	return New(nil, f, space, opts).Enumerate().Extract(space, opts.Budget.MaxCubes)
+	r := New(nil, f, space, opts).Enumerate()
+	out := r.Extract(space, opts.Budget.MaxCubes)
+	out.Count = r.Manager.SatCount(r.Set)
+	return out
 }

@@ -245,7 +245,9 @@ func Table1() (*stats.Table, []Row) {
 			preimage.EngineBlocking, preimage.EngineLifting, preimage.EngineDisjoint,
 			preimage.EngineSuccessDriven,
 		} {
-			row := run(nc.Circuit, target, preimage.Options{Engine: eng})
+			// The paper's engine comparison searches (state, input)
+			// for every engine.
+			row := run(nc.Circuit, target, preimage.Options{Engine: eng, WithInputs: true})
 			rows = append(rows, row)
 			tb.AddRow(row.Circuit, row.Engine.String(), truncMark(row.Count.String(), row),
 				row.Cubes, row.Decisions, row.Conflicts, row.Time)
@@ -350,7 +352,8 @@ func Fig1(freeBits []int, width int) (*stats.Table, []Row) {
 		}
 		target := trans.TargetFromPatterns(width, string(pat))
 		for _, eng := range []preimage.Engine{preimage.EngineBlocking, preimage.EngineSuccessDriven} {
-			row := run(c, target, preimage.Options{Engine: eng})
+			// Solutions over (state, input), as in the paper's plot.
+			row := run(c, target, preimage.Options{Engine: eng, WithInputs: true})
 			row.Extra = float64(k)
 			rows = append(rows, row)
 			tb.AddRow(k, eng.String(), truncMark(row.Count.String(), row), row.Cubes, row.Time)

@@ -197,10 +197,11 @@ func newEnumerator(r *rt.Runtime, f *cnf.Formula, space *cube.Space, co core.Opt
 
 // EnumerateToResult converts a pooled run to the shared allsat result
 // shape, extracting the cover from the merged set under the budget's cube
-// cap exactly like the sequential core.EnumerateToResult.
+// cap and counting it exactly like the sequential core.EnumerateToResult.
 func EnumerateToResult(f *cnf.Formula, space *cube.Space, opts Options) *allsat.Result {
 	r := Enumerate(f, space, opts)
 	out := r.Extract(space, opts.Budget.MaxCubes)
+	out.Count = r.Manager.SatCount(r.Set)
 	r.Release()
 	return out
 }

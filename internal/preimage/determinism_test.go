@@ -1,12 +1,14 @@
 package preimage
 
 import (
+	"fmt"
 	"testing"
 
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/gen"
+	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/trans"
 )
 
@@ -236,4 +238,78 @@ func TestDeterministicCoverBDDEngine(t *testing.T) {
 			t.Fatalf("bdd/p%d: parallel state set differs", workers)
 		}
 	}
+}
+
+// TestDeterministicStateCoverCubeEngines pins the state-only covers of
+// the blocking, lifting and disjoint engines over the determinism suite
+// at Parallel 1/2/4: every engine's Count equals the BDD engine's and
+// its state set equals the success-driven engine's; the blocking and
+// disjoint covers, which skip Reduce, are pairwise disjoint; and a run
+// on warm pooled solvers returns the fresh run's cover cube for cube.
+func TestDeterministicStateCoverCubeEngines(t *testing.T) {
+	sched := rt.NewScheduler(4, nil)
+	defer sched.Close()
+	shared := &rt.Runtime{Pool: rt.NewPool(rt.PoolOptions{}), Sched: sched}
+	for _, nc := range determinismSuite() {
+		target := wideTarget(len(nc.Circuit.Latches))
+		sd, err := Compute(nc.Circuit, target, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd, err := Compute(nc.Circuit, target, Options{Engine: EngineBDD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := bdd.NewOrdered(sd.StateSpace.Vars())
+		sdSet := m.FromCover(sd.States)
+		for _, eng := range []Engine{EngineBlocking, EngineLifting, EngineDisjoint} {
+			for _, workers := range []int{1, 2, 4} {
+				tag := fmt.Sprintf("%s/%v/p%d", nc.Name, eng, workers)
+				fresh, err := Compute(nc.Circuit, target, Options{Engine: eng, Parallel: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fresh.Aborted {
+					t.Fatalf("%s: spurious abort (%v)", tag, fresh.AbortReason)
+				}
+				if fresh.Count.Cmp(bd.Count) != 0 {
+					t.Fatalf("%s: count %v, BDD engine %v", tag, fresh.Count, bd.Count)
+				}
+				if m.FromCover(fresh.States) != sdSet {
+					t.Fatalf("%s: state set differs from the success-driven engine's", tag)
+				}
+				if eng != EngineLifting {
+					if i, j, ok := overlap(fresh.States); ok {
+						t.Fatalf("%s: cubes %d (%s) and %d (%s) overlap", tag,
+							i, fresh.States.Cubes()[i], j, fresh.States.Cubes()[j])
+					}
+				}
+				for round := 0; round < 2; round++ {
+					warm, err := Compute(nc.Circuit, target, Options{
+						Engine: eng, Parallel: workers, Runtime: shared.WithTenant(nc.Name),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if warm.States.String() != fresh.States.String() || warm.Count.Cmp(fresh.Count) != 0 {
+						t.Fatalf("%s: warm cover (round %d) differs from fresh\nfresh: %s\nwarm:  %s",
+							tag, round, fresh.States, warm.States)
+					}
+				}
+			}
+		}
+	}
+}
+
+// overlap returns the first pair of intersecting cubes of cv.
+func overlap(cv *cube.Cover) (int, int, bool) {
+	cubes := cv.Cubes()
+	for i := range cubes {
+		for j := i + 1; j < len(cubes); j++ {
+			if !cubes[i].Disjoint(cubes[j]) {
+				return i, j, true
+			}
+		}
+	}
+	return 0, 0, false
 }

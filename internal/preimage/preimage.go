@@ -97,7 +97,11 @@ type Options struct {
 	Engine Engine
 	// WithInputs also reports the input assignments: Compute's SAT
 	// engines then keep their (state, input) cubes as Result.Pairs.
-	// Image and KStepPreimage ignore it.
+	// It also selects the search projection of the blocking, lifting
+	// and disjoint engines: with it they enumerate (state, input)
+	// cubes, without it state cubes only (the success-driven engine
+	// always searches over (state, input)). Image and KStepPreimage
+	// ignore it.
 	WithInputs bool
 	// Core selects the success-driven enumerator's memo and learning
 	// switches; with neither set, both are on (core.DefaultOptions). Only
@@ -106,9 +110,11 @@ type Options struct {
 	Core core.Options
 	// InputFirstOrder makes the SAT engines decide input variables before
 	// state variables (the default is state-first) — the decision-order
-	// ablation.
+	// ablation. It applies to runs that search over (state, input): the
+	// success-driven engine, and the other SAT engines with WithInputs.
 	InputFirstOrder bool
-	// Interleave uses an s,x-interleaved order (ablation).
+	// Interleave uses an s,x-interleaved order (ablation; as
+	// InputFirstOrder, only where the search covers the inputs).
 	Interleave bool
 	// BDDSegregatedOrder makes the BDD engine place all present-state
 	// variables before all next-state variables instead of interleaving
@@ -235,7 +241,7 @@ func Compute(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, err
 // compute is Compute for the frontier walk's fresh layer source: when
 // share is non-nil it also returns the preimage as a set in share, a
 // manager ordered over the canonical state space (variable k = latch k).
-// The SAT engines run one satRun over the (state, input) projection.
+// The SAT engines run one satRun over projectionOrder's projection.
 func compute(c *circuit.Circuit, target *cube.Cover, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	opts.Budget = opts.Budget.Materialize()
 	start := time.Now()
@@ -440,7 +446,19 @@ func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 }
 
 // projectionOrder builds the decision/projection variable order for the
-// SAT engines from the instance according to the ablation options.
+// SAT engines from the instance. The blocking, lifting and disjoint
+// engines without WithInputs decide only the preimage's own variables,
+// the latches in declaration order: Pre(N)(s) = ∃x. T(s,x,s′) ∧ N(s′)
+// needs no input witness, and a projected enumeration never branches on
+// x. Every other run projects onto (state, input) in the order the
+// ablation options ask for.
 func projectionOrder(inst *trans.Instance, opts Options) ([]lit.Var, []string) {
+	if _, cubes := opts.Engine.CubeEngine(); cubes && !opts.WithInputs {
+		names := make([]string, len(inst.StateVars))
+		for i := range names {
+			names[i] = inst.StateSpace.Name(i)
+		}
+		return inst.StateVars, names
+	}
 	return inst.OrderedProjection(opts.InputFirstOrder, opts.Interleave)
 }

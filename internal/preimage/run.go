@@ -18,7 +18,9 @@ import (
 // satRun is one projected all-solutions run, the paper's
 // Pre(N)(s) = ∃x. T(s,x,s′) ∧ N(s′) and its variants: the models of f
 // projected onto proj, read back as states. Compute projects onto
-// (state, input), Image onto the next-state variables, the unrolled
+// projectionOrder's variables (the latches alone for the blocking,
+// lifting and disjoint engines without WithInputs, (state, input)
+// otherwise), Image onto the next-state variables, the unrolled
 // KStepPreimage onto the frame-0 state vector.
 type satRun struct {
 	f    *cnf.Formula
@@ -45,9 +47,12 @@ func latchPositions(vars []lit.Var, proj *cube.Space) []int {
 // solve polls the budget, simplifies f in place with the projection
 // frozen (every caller passes an instance-local formula), polls again,
 // runs the engine, streams each projection cube through one state
-// projector and counts the reduced state cover (DESIGN.md §7). When
-// share is non-nil it also returns the state set in share, a manager
-// ordered over the canonical state space. The caller records the stats.
+// projector and counts the state cover (DESIGN.md §7): a pairwise
+// disjoint one (blocking and disjoint engines over a state-only
+// projection) by the sum of its cube sizes, in engine order, any other
+// after Reduce. When share is non-nil it also returns the state set in
+// share, a manager ordered over the canonical state space. The caller
+// records the stats.
 func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	eng, streams := opts.Engine.CubeEngine()
 	if !streams && opts.Engine != EngineSuccessDriven {
@@ -57,7 +62,8 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 	p := newStateProjector(r.pos, stateSpace)
 	set := bdd.False
 	var count *big.Int
-	var raw []cube.Cube // projection cubes, kept only for Pairs
+	var raw []cube.Cube // projection cubes, kept for Pairs and parallel runs
+	disjoint := false   // the state cover is pairwise disjoint
 	var sstats simplify.Stats
 
 	// An already-expired deadline or cancelled context aborts before any
@@ -99,27 +105,43 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 	default:
 		as := allsatOptions(opts)
 		it := allsat.NewEngineIterator(r.f, r.proj, as, eng)
+		// A sequential stream is projected as it arrives, in engine
+		// order. A parallel one arrives in scheduling order: it is
+		// collected and put back into subcube order first, so a fixed
+		// worker count gives one cover.
+		parallel := as.Workers > 1
 		for {
 			cb, ok := it.Next()
 			if !ok {
 				break
 			}
-			p.add(cb)
-			if opts.WithInputs {
+			if !parallel {
+				p.add(cb)
+			}
+			if parallel || opts.WithInputs {
 				raw = append(raw, cb)
 			}
 		}
 		out.AbortReason, out.Stats = it.Reason(), it.Stats()
 		it.Close()
-		allsat.SortBySubcube(raw, r.proj, as.Workers)
-		if eng != allsat.Lifting && r.stateOnly() {
-			// Blocking and disjoint cubes are pairwise disjoint, and
-			// over a state-only projection so are their projections.
-			count = p.states.DisjointCount()
+		if parallel {
+			allsat.SortBySubcube(raw, r.proj, as.Workers)
+			for _, cb := range raw {
+				p.add(cb)
+			}
 		}
+		// Blocking and disjoint cubes are pairwise disjoint, and over a
+		// state-only projection so are their projections: the sum of
+		// their sizes counts them, and Reduce would find nothing to
+		// remove.
+		disjoint = eng != allsat.Lifting && r.stateOnly()
 	}
 	out.Aborted = out.AbortReason != budget.None
-	p.states.Reduce()
+	if disjoint {
+		count = p.states.DisjointCount()
+	} else {
+		p.states.Reduce()
+	}
 	out.States = p.states
 	if count == nil {
 		count = countStates(out.States, opts.Runtime)

@@ -117,7 +117,11 @@ func NewChronoEnum(s *Solver, proj []lit.Var) *ChronoEnum {
 // so far are exactly the projection); Unknown means a resource limit
 // tripped (StopReason tells which) and the cubes so far under-approximate
 // the projection.
-func (e *ChronoEnum) Next() Status {
+func (e *ChronoEnum) Next() Status { return e.next((*ChronoEnum).satLevel) }
+
+// next is Next with the emitted cube's b_raw taken from rawLevel, which
+// is satLevel outside tests.
+func (e *ChronoEnum) next(rawLevel func(*ChronoEnum) int) Status {
 	s := e.s
 	if !s.okay || e.exhausted {
 		return Unsat
@@ -166,7 +170,7 @@ func (e *ChronoEnum) Next() Status {
 		}
 		e.syncSat()
 		if e.unsatCnt == 0 {
-			e.emit()
+			e.emit(rawLevel(e))
 			return Sat
 		}
 		if s.limitExceeded() {
@@ -277,23 +281,29 @@ func (e *ChronoEnum) advance() bool {
 	return true
 }
 
+// satLevel is b_raw, the deepest decision level holding some clause's
+// first satisfying literal, for a trail that satisfies every clause. It
+// is always the current level d: a level is opened only over a prefix
+// that leaves some clause unsatisfied, either by a fresh decision, which
+// Next makes only when unsatCnt > 0 at the previous level's fixpoint, or
+// by a flip, which keeps that prefix. That clause's first satisfying
+// literal therefore sits at level d. (At level 0 the answer is 0.) So
+// b_raw costs nothing, where a scan over every clause cost O(clauses)
+// per cube.
+func (e *ChronoEnum) satLevel() int { return e.s.DecisionLevel() }
+
 // emit shrinks the current (all-clauses-satisfied) trail into a cube and
-// advances past the region it covers. Soundness: every clause holds a
-// satisfying literal at level ≤ b, so any completion of the level-≤b
-// prefix — in particular any projection extending the cube completed with
-// the prefix's auxiliary literals — is a model. Disjointness: the cube
+// advances past the region it covers; b is b_raw (satLevel). Soundness:
+// every clause holds a satisfying literal at level ≤ b, so any
+// completion of the level-≤b prefix — in particular any projection
+// extending the cube completed with the prefix's auxiliary literals — is
+// a model. Disjointness: the cube
 // retains every flipped projection decision, and each future region
 // carries the negation of the decision flipped here, so no later cube can
 // intersect this one.
-func (e *ChronoEnum) emit() {
+func (e *ChronoEnum) emit(b int) {
 	s := e.s
 	d := s.DecisionLevel()
-	b := 0
-	for ci := range e.clauses {
-		if lv := s.level[s.trail[e.satBy[ci]].Var()]; lv > b {
-			b = lv
-		}
-	}
 	p, fproj := 0, 0
 	for l := 1; l <= d; l++ {
 		if !e.projVar(s.trail[s.trailLim[l-1]].Var()) {

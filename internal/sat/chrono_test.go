@@ -1,12 +1,18 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"allsatpre/internal/budget"
+	"allsatpre/internal/circuit"
 	"allsatpre/internal/cnf"
+	"allsatpre/internal/gen"
 	"allsatpre/internal/lit"
+	"allsatpre/internal/simplify"
+	"allsatpre/internal/trans"
 )
 
 func randomCNF(rng *rand.Rand, nVars, nClauses, k int) *cnf.Formula {
@@ -332,5 +338,113 @@ func TestChronoReduceDBMidEnumerationExact(t *testing.T) {
 				t.Fatalf("trial %d: minterm %s missing under forced reduceDB", trial, m)
 			}
 		}
+	}
+}
+
+// scanSatLevel is b_raw computed the way emit did before the per-level
+// counts: a scan over every problem clause for the deepest level of its
+// first satisfying literal.
+func scanSatLevel(e *ChronoEnum) int {
+	s := e.s
+	b := 0
+	for ci := range e.clauses {
+		if lv := s.level[s.trail[e.satBy[ci]].Var()]; lv > b {
+			b = lv
+		}
+	}
+	return b
+}
+
+// chronoStream drains a chronological enumeration of f's projection
+// onto proj, taking each cube's b_raw from rawLevel, and returns the
+// cubes in emission order.
+func chronoStream(t *testing.T, f *cnf.Formula, proj []lit.Var, rawLevel func(*ChronoEnum) int) []string {
+	t.Helper()
+	e := NewChronoEnum(FromFormula(f, Options{}), proj)
+	var out []string
+	for {
+		switch e.next(rawLevel) {
+		case Unsat:
+			return out
+		case Unknown:
+			t.Fatalf("unexpected budget stop (%v)", e.StopReason())
+		}
+		out = append(out, fmt.Sprint(e.Cube()))
+	}
+}
+
+// TestChronoSatLevelMatchesScan pins satLevel, which takes b_raw to be
+// the current decision level, to the per-clause scan emit used to run:
+// on random CNFs and on the preimage instances of the determinism
+// circuits (state-only projections raw and simplified, (state, input)
+// projections simplified), both give the same level at every cube, so
+// the emitted streams are identical cube for cube.
+func TestChronoSatLevelMatchesScan(t *testing.T) {
+	cubes := 0
+	check := func(tag string, f *cnf.Formula, proj []lit.Var) {
+		t.Helper()
+		checked := func(e *ChronoEnum) int {
+			got, want := e.satLevel(), scanSatLevel(e)
+			if got != want {
+				t.Fatalf("%s: satLevel %d, clause scan %d", tag, got, want)
+			}
+			return want
+		}
+		fast := chronoStream(t, f, proj, (*ChronoEnum).satLevel)
+		scan := chronoStream(t, f, proj, checked)
+		if strings.Join(fast, "\n") != strings.Join(scan, "\n") {
+			t.Fatalf("%s: %d cubes differ from the clause scan's %d", tag, len(fast), len(scan))
+		}
+		cubes += len(fast)
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		nVars := 6 + rng.Intn(12)
+		f := randomCNF(rng, nVars, 2+rng.Intn(3*nVars), 3)
+		proj := make([]lit.Var, 1+rng.Intn(nVars))
+		for i, v := range rng.Perm(nVars)[:len(proj)] {
+			proj[i] = lit.Var(v)
+		}
+		check(fmt.Sprintf("random %d", trial), f, proj)
+	}
+
+	for _, nc := range []struct {
+		name string
+		c    *circuit.Circuit
+	}{
+		{"counter8", gen.Counter(8, true, false)},
+		{"shift8", gen.ShiftRegister(8)},
+		{"lfsr8", gen.LFSR(8, 0, 3, 4, 5)},
+		{"gray6", gen.GrayCounter(6)},
+		{"traffic", gen.TrafficLight()},
+		{"slike1", gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
+		{"slike2", gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})},
+	} {
+		pat := []byte(strings.Repeat("X", len(nc.c.Latches)))
+		pat[1] = '1'
+		if len(pat) > 4 {
+			pat[4] = '0'
+		}
+		inst, err := trans.NewInstance(nc.c, trans.TargetFromPatterns(len(pat), string(pat)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _ := inst.OrderedProjection(false, false)
+		for _, proj := range [][]lit.Var{inst.StateVars, full} {
+			simplified := inst.F.Clone()
+			simplify.RunFrozen(simplified, proj)
+			tag := fmt.Sprintf("%s/%d-var projection", nc.name, len(proj))
+			check(tag+"/simplified", simplified, proj)
+			if len(proj) == len(inst.StateVars) {
+				// The raw (state, input) streams run to tens of
+				// thousands of cubes; the simplified one is what the
+				// engines enumerate.
+				check(tag, inst.F, proj)
+			}
+		}
+	}
+	if cubes < 1000 {
+		t.Fatalf("only %d cubes compared", cubes)
 	}
 }

@@ -76,6 +76,15 @@ for engine in success blocking lifting disjoint; do
 done
 go run ./cmd/preimage -stats -kstep 2 -engine blocking counter:4 XXX1 | grep -q '^  decisions  *[1-9]'
 
+# State-only projection smoke: every SAT engine finds the 48 preimage
+# states of slike:3,60,6,4 under 1XXXXX, and the blocking engine reaches
+# them in 48 solutions, one per state, because it searches over the
+# latches alone; a search over (state, input) pairs would need 384.
+for engine in success blocking lifting disjoint; do
+    go run ./cmd/preimage -engine $engine slike:3,60,6,4 1XXXXX | grep -q '^preimage states: 48$'
+done
+go run ./cmd/preimage -stats -engine blocking slike:3,60,6,4 1XXXXX | grep -q 'solutions: 48$'
+
 # Service smoke test: boot cmd/serve on a random port, stream a small
 # enumeration, create/step/evict a session, and drain on SIGTERM. This
 # exercises the daemon wiring (listener, mux, shutdown order) that the
