@@ -11,7 +11,7 @@
 //     satisfies the formula), so one blocking clause removes 2^k
 //     projections at once.
 //   - EnumerateDisjoint — blocking-clause-free enumeration by
-//     chronological backtracking with implicant shrinking (sat.ChronoEnum):
+//     chronological backtracking with early emission (sat.ChronoEnum):
 //     pairwise-disjoint cubes and O(1) clause-database growth — one
 //     in-place flip per region instead of one blocking clause per cube.
 //
@@ -45,7 +45,7 @@ type Stats struct {
 	BlockingClauses, BlockingLits uint64
 	// LiftedFree is the total count of projection variables freed by
 	// lifting (or by early cutoff in the success-driven engine, or by
-	// implicant shrinking in the disjoint engine).
+	// early emission in the disjoint engine).
 	LiftedFree uint64
 	// PeakLearnts is the high-water count of learnt clauses held by the
 	// underlying CDCL solver (summed across parallel workers, which run
@@ -263,7 +263,7 @@ func EnumerateLifting(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 }
 
 // EnumerateDisjoint runs the blocking-clause-free engine: chronological
-// backtracking with implicant shrinking yields pairwise-disjoint cubes
+// backtracking with early emission yields pairwise-disjoint cubes
 // whose union is the exact projection, while the clause database stays
 // O(1) in the number of solutions (Stats.BlockingClauses is always zero).
 func EnumerateDisjoint(f *cnf.Formula, space *cube.Space, opts Options) *Result {

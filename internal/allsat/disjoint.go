@@ -12,9 +12,10 @@ import (
 
 // DisjointIterator streams the pairwise-disjoint solution cubes of the
 // blocking-clause-free engine (sat.ChronoEnum): chronological
-// backtracking advances enumeration by flipping decisions in place, and
-// implicant shrinking generalizes each model into a short cube, so the
-// clause database never grows with the number of solutions. It mirrors
+// backtracking advances enumeration by flipping decisions in place, so
+// the clause database never grows with the number of solutions, and a
+// cube is emitted as soon as every clause is satisfied, with the
+// projection variables not yet decided free in it. It mirrors
 // the Iterator surface, so the same drivers (sequential loop, parallel
 // workers) run either engine.
 type DisjointIterator struct {

@@ -103,11 +103,13 @@ type Enumerator struct {
 
 	// orig holds the normalized original clauses; a clause's index is its
 	// id in the residual signature. occ[l] lists the clauses containing
-	// literal l. satBy[ci] is the trail position of the literal that
-	// satisfied clause ci, -1 while none; synced is the trail prefix
-	// already folded into satBy and the signature.
+	// literal l, and occKey[l], parallel to it, the falsity key of l in
+	// each (falseKey, computed once). satBy[ci] is the trail position of
+	// the literal that satisfied clause ci, -1 while none; synced is the
+	// trail prefix already folded into satBy and the signature.
 	orig     [][]lit.Lit
 	occ      [][]int32
+	occKey   [][]sig128
 	satBy    []int32
 	synced   int
 	unsatCnt int
@@ -177,6 +179,7 @@ func New(s *sat.Solver, f *cnf.Formula, space *cube.Space, opts Options) *Enumer
 		opts:      opts,
 		s:         s,
 		occ:       make([][]int32, 2*n),
+		occKey:    make([][]sig128, 2*n),
 		proj:      space.Vars(),
 		isProj:    make([]bool, n),
 		man:       man,
@@ -216,11 +219,13 @@ func New(s *sat.Solver, f *cnf.Formula, space *cube.Space, opts Options) *Enumer
 		}
 	}
 	occBack := make([]int32, len(litBack))
+	keyBack := make([]sig128, len(litBack))
 	pos := 0
 	for l, cnt := range occCnt {
 		// Three-index caps keep a list that later outgrows its chunk from
 		// stomping its neighbour: the overflowing append reallocates.
 		e.occ[l] = occBack[pos : pos : pos+int(cnt)]
+		e.occKey[l] = keyBack[pos : pos : pos+int(cnt)]
 		pos += int(cnt)
 	}
 	e.satBy = make([]int32, len(e.orig))
@@ -232,7 +237,7 @@ func New(s *sat.Solver, f *cnf.Formula, space *cube.Space, opts Options) *Enumer
 		e.contrib[ci] = base
 		e.resid.xor(base)
 		for _, l := range cl {
-			e.occ[l] = append(e.occ[l], int32(ci))
+			e.addOcc(l, int32(ci))
 		}
 	}
 	e.unsatCnt = len(e.orig)
@@ -266,8 +271,8 @@ func (e *Enumerator) sync() {
 		}
 		// Clauses containing ¬l lose a literal: fold the falsity key in.
 		nl := l.Not()
-		for _, ci := range e.occ[nl] {
-			k := falseKey(ci, nl)
+		for i, ci := range e.occ[nl] {
+			k := e.occKey[nl][i]
 			e.contrib[ci].xor(k)
 			if e.satBy[ci] < 0 {
 				e.resid.xor(k)
@@ -288,8 +293,8 @@ func (e *Enumerator) backtrack(lvl int) {
 	for i := e.synced - 1; i >= bound; i-- {
 		l := trail[i]
 		nl := l.Not()
-		for _, ci := range e.occ[nl] {
-			k := falseKey(ci, nl)
+		for j, ci := range e.occ[nl] {
+			k := e.occKey[nl][j]
 			e.contrib[ci].xor(k)
 			if e.satBy[ci] < 0 {
 				e.resid.xor(k)
@@ -334,7 +339,7 @@ func (s *sig128) xor(o sig128) {
 }
 
 // splitmix64 is the SplitMix64 finalizer, used to derive Zobrist keys
-// deterministically from clause ids and literals (no key tables needed).
+// deterministically from clause ids and literals.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x ^= x >> 30
@@ -350,6 +355,12 @@ func splitmix64(x uint64) uint64 {
 func clauseBase(ci int32) sig128 {
 	a := splitmix64(uint64(ci)*2 + 1)
 	return sig128{a: a, b: splitmix64(a ^ 0xd1b54a32d192ed03)}
+}
+
+// addOcc lists clause ci in l's occurrence list, with its falsity key.
+func (e *Enumerator) addOcc(l lit.Lit, ci int32) {
+	e.occ[l] = append(e.occ[l], ci)
+	e.occKey[l] = append(e.occKey[l], falseKey(ci, l))
 }
 
 // falseKey is the Zobrist key of literal l of clause ci being falsified.

@@ -64,6 +64,7 @@ func (e *Enumerator) LearnedCount() int {
 func (e *Enumerator) NewVar() lit.Var {
 	e.isProj = append(e.isProj, false)
 	e.occ = append(e.occ, nil, nil)
+	e.occKey = append(e.occKey, nil, nil)
 	return e.s.NewVar()
 }
 
@@ -142,7 +143,7 @@ func (e *Enumerator) addDynamic(ls []lit.Lit, group int32) bool {
 		}
 	}
 	for _, l := range nc {
-		e.occ[l] = append(e.occ[l], ci)
+		e.addOcc(l, ci)
 	}
 	if group != 0 {
 		e.groupClauses = append(e.groupClauses, ci)
@@ -205,15 +206,17 @@ func (e *Enumerator) RetireGroup(unit lit.Lit, vars []lit.Var) RetireStats {
 	return out
 }
 
-// removeOcc swap-removes clause ci from l's occurrence list. Occurrence
-// order does not influence results (sync/backtrack visit all entries),
-// so the in-place shrink is safe.
+// removeOcc swap-removes clause ci from l's occurrence list and its key
+// from the parallel key list. Occurrence order does not influence
+// results (sync/backtrack visit all entries), so the in-place shrink is
+// safe.
 func (e *Enumerator) removeOcc(l lit.Lit, ci int32) {
-	occ := e.occ[l]
+	occ, keys := e.occ[l], e.occKey[l]
 	for i, x := range occ {
 		if x == ci {
-			occ[i] = occ[len(occ)-1]
-			e.occ[l] = occ[:len(occ)-1]
+			last := len(occ) - 1
+			occ[i], keys[i] = occ[last], keys[last]
+			e.occ[l], e.occKey[l] = occ[:last], keys[:last]
 			return
 		}
 	}

@@ -73,8 +73,8 @@ func AddIncrementalFlag(fs *flag.FlagSet) *bool {
 
 // AddSimplifyFlag registers -simplify on fs as a tri-state string
 // (auto|on|off). Parse the value with SimplifyMode after fs.Parse. Auto
-// follows each entry point's default: on for one-shot enumeration, off
-// for incremental sessions.
+// follows each entry point's default, which is on for every SAT run,
+// incremental sessions included.
 func AddSimplifyFlag(fs *flag.FlagSet) *string {
 	return fs.String("simplify", "auto",
 		"projection-safe CNF preprocessing before enumeration: auto, on, or off (the enumerated state set is identical either way)")

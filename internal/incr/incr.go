@@ -2,7 +2,10 @@
 // is Tseitin-encoded once, one persistent set of success-driven
 // enumerators (internal/pool.Session) and one shared BDD manager stay
 // alive across every reachability step, and each step's frontier cover
-// is encoded under a fresh activation literal (trans.Step). Retiring a
+// is encoded under a fresh activation literal (trans.Step). A backward
+// session searches over the state variables alone, a forward one over
+// the next-state variables: a step's set is a state set, with no input
+// to quantify out. Retiring a
 // step is one unit clause plus garbage collection — learned clauses not
 // mentioning the step's selector/activation variables survive into the
 // next step, and the success-driven memo survives with invalidation only
@@ -38,21 +41,18 @@ type Options struct {
 	// decision cap is enforced session-globally, unlike the fresh path's
 	// per-step enumerators (a budget is a resource allowance, not a
 	// semantic knob; see DESIGN.md §10). The cube cap bounds each step's
-	// (state, input) cover, as it bounds each fresh Compute's.
+	// state cover (the ISOP of its set), as it bounds a fresh walk
+	// layer's.
 	Budget budget.Budget
-	// InputFirst / Interleave select the projection-order ablations,
-	// matching preimage.Options.
-	InputFirst bool
-	Interleave bool
-	// Simplify opts the base transition CNF into the projection-safe
-	// preprocessing pass (internal/simplify) before the persistent
-	// solvers are built. Off by default — an explicit opt-in, unlike the
-	// one-shot paths: the session retargets the clause database in place,
-	// so the frozen set must cover everything future steps constrain.
-	// State, input, and next-state variables are frozen, which is exactly
-	// that set (Retarget/RetargetInit clauses touch only next-state or
-	// state variables plus fresh activation/selector variables allocated
-	// after the pass, so they can never be eliminated).
+	// Simplify runs the projection-safe preprocessing pass
+	// (internal/simplify) over the base transition CNF before the
+	// persistent solvers are built. The session retargets the clause
+	// database in place, so the frozen set must cover everything a step
+	// constrains or projects: the state and next-state variables.
+	// Retarget and RetargetInit clauses touch only those plus fresh
+	// activation/selector variables allocated after the pass, so they
+	// can never be eliminated; the inputs, which no step mentions, may
+	// be.
 	Simplify bool
 	// Stats, when non-nil, receives the incr.* counters.
 	Stats *stats.Registry
@@ -102,9 +102,7 @@ type Session struct {
 	backward bool
 	closed   bool
 
-	projSpace *cube.Space // ordered (state, input) projection, CNF var ids
-	stateVars []lit.Var   // enc.StateVars (backward) / dedup NextVars (forward)
-	quantVars []lit.Var   // projection vars to ∃-quantify for StateSet
+	projSpace *cube.Space // StateSpace (backward) / dedup NextVars (forward), CNF var ids
 
 	cur        *trans.Step // open step's gated group, nil before first Step
 	maxCubes   uint64      // Budget.MaxCubes, applied per step
@@ -115,8 +113,8 @@ type Session struct {
 
 // NewBackward opens a backward-reachability session: each Step(cover)
 // enumerates the one-step preimage of the cover. The projection space is
-// the ordered (state, input) space of the fresh path, so covers and
-// counts are directly comparable.
+// the instance's state space, the latches in declaration order, as in a
+// fresh walk layer, so covers and counts are directly comparable.
 func NewBackward(c *circuit.Circuit, opts Options) (*Session, error) {
 	t0 := time.Now()
 	inst, err := trans.NewBaseInstance(c)
@@ -125,13 +123,10 @@ func NewBackward(c *circuit.Circuit, opts Options) (*Session, error) {
 	}
 	simplifyBase(inst, opts)
 	encodeTime := time.Since(t0)
-	projVars, projNames := inst.OrderedProjection(opts.InputFirst, opts.Interleave)
 	s := &Session{
 		inst:       inst,
 		backward:   true,
-		projSpace:  cube.NewNamedSpace(projVars, projNames),
-		stateVars:  inst.StateVars,
-		quantVars:  inst.InputVars,
+		projSpace:  inst.StateSpace,
 		maxCubes:   opts.Budget.MaxCubes,
 		encodeTime: encodeTime,
 		reg:        opts.Stats,
@@ -143,8 +138,8 @@ func NewBackward(c *circuit.Circuit, opts Options) (*Session, error) {
 // NewForward opens a forward-image session: each Step(cover) enumerates
 // the image of the cover. The projection space is the deduplicated
 // next-state variable space (several latches may share one D signal);
-// StateSet is the identity — expansion back to per-latch positions is
-// the caller's job (preimage.ForwardReach).
+// expansion back to per-latch positions is the caller's job
+// (preimage.ForwardReach).
 func NewForward(c *circuit.Circuit, opts Options) (*Session, error) {
 	t0 := time.Now()
 	inst, err := trans.NewBaseInstance(c)
@@ -158,7 +153,6 @@ func NewForward(c *circuit.Circuit, opts Options) (*Session, error) {
 		inst:       inst,
 		backward:   false,
 		projSpace:  cube.NewSpace(next),
-		stateVars:  next,
 		maxCubes:   opts.Budget.MaxCubes,
 		encodeTime: encodeTime,
 		reg:        opts.Stats,
@@ -169,14 +163,14 @@ func NewForward(c *circuit.Circuit, opts Options) (*Session, error) {
 
 // simplifyBase preprocesses the session's base CNF in place (it is a
 // private clone, see trans.NewBaseInstance) when the caller opted in,
-// freezing every variable a future Retarget step may constrain. The
+// freezing every variable a step may constrain or project. The
 // preprocessing cost is folded into the session's encode time — it is
 // paid once and amortized over every step, like the encoding itself.
 func simplifyBase(inst *trans.Instance, opts Options) {
 	if !opts.Simplify {
 		return
 	}
-	res := simplify.RunFrozen(inst.F, inst.StateVars, inst.InputVars, inst.NextVars)
+	res := simplify.RunFrozen(inst.F, inst.StateVars, inst.NextVars)
 	if reg := opts.Stats; reg != nil && res.Stats.Applied {
 		reg.Counter("incr.simplify-vars-eliminated").Add(uint64(res.Stats.VarsEliminated))
 		reg.Counter("incr.simplify-clauses-subsumed").Add(uint64(res.Stats.ClausesSubsumed))
@@ -235,7 +229,7 @@ func (s *Session) ProjSpace() *cube.Space { return s.projSpace }
 func (s *Session) StateSpace() *cube.Space { return s.inst.StateSpace }
 
 // StateVars are the projection variables a state set ranges over.
-func (s *Session) StateVars() []lit.Var { return s.stateVars }
+func (s *Session) StateVars() []lit.Var { return s.projSpace.Vars() }
 
 // Instance exposes the underlying base instance.
 func (s *Session) Instance() *trans.Instance { return s.inst }
@@ -292,15 +286,9 @@ func (s *Session) Step(cover *cube.Cover) (*StepResult, error) {
 	return out, nil
 }
 
-// StateSet projects a Step set onto the state variables: backward
-// sessions quantify out the input variables; forward sessions return the
-// set unchanged (it already ranges over next-state variables only).
-func (s *Session) StateSet(set bdd.Ref) bdd.Ref {
-	if !s.backward {
-		return set
-	}
-	return s.Manager().ExistsVars(set, s.quantVars)
-}
+// StateSet returns a Step set as a state set: the set itself, since
+// both directions search over state variables only.
+func (s *Session) StateSet(set bdd.Ref) bdd.Ref { return set }
 
 // publish mirrors the per-step bookkeeping into the stats registry under
 // the incr.* keys.

@@ -16,7 +16,7 @@ import (
 func TestSuccessCoverMatchesFullNetlist(t *testing.T) {
 	for _, nc := range determinismSuite() {
 		c := nc.Circuit
-		target := wideTarget(len(c.Latches))
+		target := nc.Target
 		got, err := Compute(c, target, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -31,7 +31,7 @@ func TestSuccessCoverMatchesFullNetlist(t *testing.T) {
 		for _, cl := range inst.F.Clauses[len(inst.Enc.NextStateCone()):] {
 			full.AddClause(cl.Clone())
 		}
-		projVars, projNames := projectionOrder(inst, Options{})
+		projVars, projNames := projectionOrder(inst, Options{}, false)
 		projSpace := cube.NewNamedSpace(projVars, projNames)
 		run := satRun{f: full, proj: projSpace, pos: latchPositions(inst.StateVars, projSpace)}
 		ref, _, err := run.solve(StateSpace(c), Options{}, nil)

@@ -2,41 +2,65 @@ package preimage
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
+	"allsatpre/internal/circuit"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/gen"
 	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/trans"
 )
 
+// suiteCircuit is a determinism-suite circuit with the target its
+// sweeps compute preimages of.
+type suiteCircuit struct {
+	gen.NamedCircuit
+	Target *cube.Cover
+}
+
 // determinismSuite is the seed-circuit subset the worker-count
 // determinism tests sweep (the larger Suite members are exercised by the
 // benchmarks; here runtime matters because every circuit runs at four
-// worker counts).
-func determinismSuite() []gen.NamedCircuit {
-	return []gen.NamedCircuit{
-		{Name: "counter8", Circuit: gen.Counter(8, true, false)},
-		{Name: "shift8", Circuit: gen.ShiftRegister(8)},
-		{Name: "lfsr8", Circuit: gen.LFSR(8, 0, 3, 4, 5)},
-		{Name: "gray6", Circuit: gen.GrayCounter(6)},
-		{Name: "traffic", Circuit: gen.TrafficLight()},
-		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
-		{Name: "slike2", Circuit: gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})},
+// worker counts). Every target has a non-empty, proper preimage: most
+// circuits take wideTarget's pattern, but latch 1 of slike1 is never 1,
+// so that pattern's preimage is empty there and slike1 fixes latch 0
+// instead.
+func determinismSuite() []suiteCircuit {
+	wide := func(name string, c *circuit.Circuit) suiteCircuit {
+		return suiteCircuit{gen.NamedCircuit{Name: name, Circuit: c}, wideTarget(len(c.Latches))}
+	}
+	slike1 := wide("slike1", gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60}))
+	slike1.Target = trans.TargetFromPatterns(6, "1XXX0X")
+	return []suiteCircuit{
+		wide("counter8", gen.Counter(8, true, false)),
+		wide("shift8", gen.ShiftRegister(8)),
+		wide("lfsr8", gen.LFSR(8, 0, 3, 4, 5)),
+		wide("gray6", gen.GrayCounter(6)),
+		wide("traffic", gen.TrafficLight()),
+		slike1,
+		wide("slike2", gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})),
 	}
 }
 
-// TestDeterministicCoverAcrossWorkers is the parallel-enumeration
-// determinism contract: for every seed circuit the merged success-driven
-// preimage cover must be bit-identical — same sorted cube list, same
-// model count, same canonical BDD — across workers ∈ {1, 2, 4, 8} and
-// equal to the sequential enumerator's cover.
+// suiteMembers returns the named determinismSuite circuits, in suite
+// order.
+func suiteMembers(names ...string) []suiteCircuit {
+	var out []suiteCircuit
+	for _, sc := range determinismSuite() {
+		if slices.Contains(names, sc.Name) {
+			out = append(out, sc)
+		}
+	}
+	return out
+}
+
 // wideTarget builds a mostly-free target pattern (two fixed bits) so the
-// preimage is non-trivial on every suite circuit — fully fixed patterns
-// propagate to empty or tiny preimages on the slike instances, which
-// would let the sweep pass vacuously.
+// preimage is non-trivial — fully fixed patterns propagate to empty or
+// tiny preimages on the slike instances, which would let a sweep pass
+// vacuously.
 func wideTarget(nL int) *cube.Cover {
 	pat := make([]byte, nL)
 	for i := range pat {
@@ -49,14 +73,39 @@ func wideTarget(nL int) *cube.Cover {
 	return trans.TargetFromPatterns(nL, string(pat))
 }
 
+// reference computes the preimage a sweep compares against. It fails
+// the test when that preimage is empty or was cut short: any cover
+// agrees with an empty reference, so the sweep would check nothing.
+func reference(t *testing.T, name string, c *circuit.Circuit, target *cube.Cover, opts Options) *Result {
+	t.Helper()
+	ref, err := Compute(c, target, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNonEmpty(t, name, ref)
+	return ref
+}
+
+// requireNonEmpty fails the test on an empty or aborted reference.
+func requireNonEmpty(t *testing.T, name string, ref *Result) {
+	t.Helper()
+	if ref.Aborted {
+		t.Fatalf("%s: reference aborted (%v)", name, ref.AbortReason)
+	}
+	if ref.Count.Sign() == 0 {
+		t.Fatalf("%s: the reference preimage is empty; pick a target with predecessors", name)
+	}
+}
+
+// TestDeterministicCoverAcrossWorkers is the parallel-enumeration
+// determinism contract: for every seed circuit the merged success-driven
+// preimage cover must be bit-identical — same sorted cube list, same
+// model count, same canonical BDD — across workers ∈ {1, 2, 4, 8} and
+// equal to the sequential enumerator's cover.
 func TestDeterministicCoverAcrossWorkers(t *testing.T) {
 	for _, nc := range determinismSuite() {
-		target := wideTarget(len(nc.Circuit.Latches))
-
-		seq, err := Compute(nc.Circuit, target, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		target := nc.Target
+		seq := reference(t, nc.Name, nc.Circuit, target, Options{})
 		seqKeys := seq.States.SortedKeys()
 		m := bdd.NewOrdered(seq.StateSpace.Vars())
 		seqSet := m.FromCover(seq.States)
@@ -136,16 +185,10 @@ func TestAbortSoundnessAcrossWorkers(t *testing.T) {
 // parallel (per-subcube solvers lift differently), so the contract is
 // set-level — identical canonical BDD and count at every worker count.
 func TestDeterministicCoverBlockingEngines(t *testing.T) {
-	for _, nc := range []gen.NamedCircuit{
-		{Name: "gray6", Circuit: gen.GrayCounter(6)},
-		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
-	} {
-		target := wideTarget(len(nc.Circuit.Latches))
+	for _, nc := range suiteMembers("gray6", "slike1") {
+		target := nc.Target
 		for _, eng := range []Engine{EngineBlocking, EngineLifting} {
-			seq, err := Compute(nc.Circuit, target, Options{Engine: eng})
-			if err != nil {
-				t.Fatal(err)
-			}
+			seq := reference(t, nc.Name, nc.Circuit, target, Options{Engine: eng})
 			m := bdd.NewOrdered(seq.StateSpace.Vars())
 			seqSet := m.FromCover(seq.States)
 			for _, workers := range []int{2, 4, 8} {
@@ -167,16 +210,9 @@ func TestDeterministicCoverBlockingEngines(t *testing.T) {
 // reference — and as the blocking baseline on one circuit — at every
 // worker count, while adding zero blocking clauses.
 func TestDeterministicCoverDisjointEngine(t *testing.T) {
-	for _, nc := range []gen.NamedCircuit{
-		{Name: "gray6", Circuit: gen.GrayCounter(6)},
-		{Name: "counter8", Circuit: gen.Counter(8, true, false)},
-		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
-	} {
-		target := wideTarget(len(nc.Circuit.Latches))
-		ref, err := Compute(nc.Circuit, target, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, nc := range suiteMembers("gray6", "counter8", "slike1") {
+		target := nc.Target
+		ref := reference(t, nc.Name, nc.Circuit, target, Options{})
 		m := bdd.NewOrdered(ref.StateSpace.Vars())
 		refSet := m.FromCover(ref.States)
 
@@ -251,15 +287,9 @@ func TestDeterministicStateCoverCubeEngines(t *testing.T) {
 	defer sched.Close()
 	shared := &rt.Runtime{Pool: rt.NewPool(rt.PoolOptions{}), Sched: sched}
 	for _, nc := range determinismSuite() {
-		target := wideTarget(len(nc.Circuit.Latches))
-		sd, err := Compute(nc.Circuit, target, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		bd, err := Compute(nc.Circuit, target, Options{Engine: EngineBDD})
-		if err != nil {
-			t.Fatal(err)
-		}
+		target := nc.Target
+		sd := reference(t, nc.Name, nc.Circuit, target, Options{})
+		bd := reference(t, nc.Name, nc.Circuit, target, Options{Engine: EngineBDD})
 		m := bdd.NewOrdered(sd.StateSpace.Vars())
 		sdSet := m.FromCover(sd.States)
 		for _, eng := range []Engine{EngineBlocking, EngineLifting, EngineDisjoint} {

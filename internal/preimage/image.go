@@ -32,7 +32,10 @@ func Image(c *circuit.Circuit, init *cube.Cover, opts Options) (*Result, error) 
 // as in compute. The SAT engines project onto the next-state variables
 // in latch order, deduplicated (latches may share a next-state gate).
 // They are internal gate variables of the Tseitin CNF, which the
-// enumerators handle like any other projection set.
+// enumerators handle like any other projection set. With share, a
+// success-driven run whose latches each own a next-state variable
+// returns the set only, as compute does; shared next-state gates need
+// the state projector's split and keep the cover path.
 func image(c *circuit.Circuit, init *cube.Cover, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	opts.Budget = opts.Budget.Materialize()
 	start := time.Now()

@@ -65,7 +65,7 @@ func compareReach(t *testing.T, label string, inc, ref *ReachResult) {
 // Reach bit-for-bit.
 func TestIncrementalReachMatchesFresh(t *testing.T) {
 	for _, nc := range determinismSuite() {
-		target := wideTarget(len(nc.Circuit.Latches))
+		target := nc.Target
 		ref, err := Reach(nc.Circuit, target, 4, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -84,8 +84,8 @@ func TestIncrementalReachMatchesFresh(t *testing.T) {
 // option axes that change the projection order or the frontier handed to
 // the next step.
 func TestIncrementalReachAblationsMatchFresh(t *testing.T) {
-	c := gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})
-	target := wideTarget(6)
+	slike1 := suiteMembers("slike1")[0]
+	c, target := slike1.Circuit, slike1.Target
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -129,13 +129,8 @@ func TestIncrementalReachEmptyTarget(t *testing.T) {
 // reproduce the unrolled-formula KStepPreimage exactly on unbudgeted
 // runs — same state cover, same count.
 func TestIncrementalKStepMatchesFresh(t *testing.T) {
-	suite := []gen.NamedCircuit{
-		{Name: "counter8", Circuit: gen.Counter(8, true, false)},
-		{Name: "traffic", Circuit: gen.TrafficLight()},
-		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
-	}
-	for _, nc := range suite {
-		target := wideTarget(len(nc.Circuit.Latches))
+	for _, nc := range suiteMembers("counter8", "traffic", "slike1") {
+		target := nc.Target
 		for _, k := range []int{0, 1, 3} {
 			ref, err := KStepPreimage(nc.Circuit, target, k, Options{})
 			if err != nil {

@@ -13,7 +13,7 @@
 //   - EngineLifting: all-SAT with greedily lifted (shortened) blocking
 //     clauses.
 //   - EngineDisjoint: blocking-clause-free disjoint enumeration via
-//     chronological backtracking with implicant shrinking — pairwise
+//     chronological backtracking with early emission — pairwise
 //     disjoint cubes, O(1) clause growth per solution.
 //   - EngineBDD: symbolic relational product with partitioned transition
 //     relations and early quantification (the paper's BDD baseline).
@@ -98,10 +98,11 @@ type Options struct {
 	// WithInputs also reports the input assignments: Compute's SAT
 	// engines then keep their (state, input) cubes as Result.Pairs.
 	// It also selects the search projection of the blocking, lifting
-	// and disjoint engines: with it they enumerate (state, input)
-	// cubes, without it state cubes only (the success-driven engine
-	// always searches over (state, input)). Image and KStepPreimage
-	// ignore it.
+	// and disjoint engines, and of the success-driven engine's fresh
+	// backward walk layers (Reach, CheckReachable): with it they
+	// enumerate (state, input) cubes, without it state cubes only. The
+	// success-driven Compute always searches over (state, input);
+	// Image, KStepPreimage and incremental sessions ignore it.
 	WithInputs bool
 	// Core selects the success-driven enumerator's memo and learning
 	// switches; with neither set, both are on (core.DefaultOptions). Only
@@ -111,7 +112,8 @@ type Options struct {
 	// InputFirstOrder makes the SAT engines decide input variables before
 	// state variables (the default is state-first) — the decision-order
 	// ablation. It applies to runs that search over (state, input): the
-	// success-driven engine, and the other SAT engines with WithInputs.
+	// success-driven Compute, and the other SAT engines and the fresh
+	// walk layers with WithInputs.
 	InputFirstOrder bool
 	// Interleave uses an s,x-interleaved order (ablation; as
 	// InputFirstOrder, only where the search covers the inputs).
@@ -126,10 +128,11 @@ type Options struct {
 	// instance CNF before a SAT engine runs, with the projection
 	// variables frozen. The enumerated cover is identical with or
 	// without it — the pass preserves the projected solution set
-	// exactly. Auto resolves to on for the one-shot SAT engines;
-	// the BDD engine has no CNF and ignores it. Incremental sessions
-	// default off (the session retargets the clause database in place);
-	// pass On to opt in there, see Options.Incremental.
+	// exactly. Auto resolves to on for every SAT run, fresh or
+	// incremental; the BDD engine has no CNF and ignores it. An
+	// incremental session simplifies its base transition CNF once, with
+	// the state and next-state variables frozen, since it retargets the
+	// clause database in place (see Options.Incremental).
 	Simplify simplify.Mode
 	// Parallel, when > 1, computes the preimage with that many workers.
 	// The success-driven engine partitions the projection space into
@@ -149,8 +152,9 @@ type Options struct {
 	// a fresh Compute or Image per layer. The circuit is encoded once,
 	// each step's target is gated on a fresh activation literal, and
 	// learned clauses plus the success-driven memo survive retargeting.
-	// Frontiers, counts, and verdicts are bit-identical to the fresh
-	// source; only the resource accounting differs (budgets are
+	// Like a fresh layer, a backward session searches over the latches
+	// alone. Frontiers, counts, and verdicts are bit-identical to the
+	// fresh source; only the resource accounting differs (budgets are
 	// session-global instead of per-step, see DESIGN.md §10). It applies
 	// to the success-driven engine; the other engines fall back to the
 	// fresh source. Single-step Compute ignores it, and CheckReachable
@@ -241,7 +245,10 @@ func Compute(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, err
 // compute is Compute for the frontier walk's fresh layer source: when
 // share is non-nil it also returns the preimage as a set in share, a
 // manager ordered over the canonical state space (variable k = latch k).
-// The SAT engines run one satRun over projectionOrder's projection.
+// The SAT engines run one satRun over projectionOrder's projection. With
+// share and without WithInputs the success-driven engine, too, searches
+// over the latches alone and returns the set only: Result.States and
+// Count stay nil, since the walk extracts and counts its layers itself.
 func compute(c *circuit.Circuit, target *cube.Cover, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	opts.Budget = opts.Budget.Materialize()
 	start := time.Now()
@@ -258,7 +265,7 @@ func compute(c *circuit.Circuit, target *cube.Cover, opts Options, share *bdd.Ma
 		if inst, err = trans.NewInstance(c, target); err != nil {
 			return nil, set, err
 		}
-		projVars, projNames := projectionOrder(inst, opts)
+		projVars, projNames := projectionOrder(inst, opts, share != nil)
 		projSpace := cube.NewNamedSpace(projVars, projNames)
 		run := satRun{f: inst.F, proj: projSpace, pos: latchPositions(inst.StateVars, projSpace), pairs: inst}
 		res, set, err = run.solve(StateSpace(c), opts, share)
@@ -286,23 +293,22 @@ func allsatOptions(opts Options) allsat.Options {
 
 // runSuccessDriven runs the success-driven engine — pooled for any worker
 // count (one worker short-circuits to the plain sequential enumerator
-// inside the pool) — and returns both the merged BDD (manager + set) and
-// the allsat-shaped result extracted from it. The run budget is enforced
-// by the pool, its cube cap by the extraction, which then narrows the
-// merged set to the kept cubes.
-func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) (*pool.Result, *allsat.Result) {
+// inside the pool) — and returns the merged BDD (manager + set). The run
+// budget is enforced by the pool; its cube cap applies when the caller
+// extracts a cover (core.Result.Extract), which then narrows the merged
+// set to the kept cubes.
+func runSuccessDriven(f *cnf.Formula, projSpace *cube.Space, opts Options) *pool.Result {
 	workers := opts.Parallel
 	if workers < 1 {
 		workers = 1
 	}
-	pr := pool.Enumerate(f, projSpace, pool.Options{
+	return pool.Enumerate(f, projSpace, pool.Options{
 		Workers: workers,
 		Core:    coreOptions(opts),
 		Budget:  opts.Budget,
 		Stats:   opts.Stats,
 		Runtime: opts.Runtime,
 	})
-	return pr, pr.Extract(projSpace, opts.Budget.MaxCubes)
 }
 
 // coreOptions is the success-driven enumerator's tuning: the memo and
@@ -446,14 +452,15 @@ func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*
 }
 
 // projectionOrder builds the decision/projection variable order for the
-// SAT engines from the instance. The blocking, lifting and disjoint
-// engines without WithInputs decide only the preimage's own variables,
-// the latches in declaration order: Pre(N)(s) = ∃x. T(s,x,s′) ∧ N(s′)
-// needs no input witness, and a projected enumeration never branches on
-// x. Every other run projects onto (state, input) in the order the
-// ablation options ask for.
-func projectionOrder(inst *trans.Instance, opts Options) ([]lit.Var, []string) {
-	if _, cubes := opts.Engine.CubeEngine(); cubes && !opts.WithInputs {
+// SAT engines from the instance. Without WithInputs, the blocking,
+// lifting and disjoint engines, and the success-driven engine of a walk
+// layer (layer: the run hands its state set to a walk's manager), decide
+// only the preimage's own variables, the latches in declaration order:
+// Pre(N)(s) = ∃x. T(s,x,s′) ∧ N(s′) needs no input witness, and a
+// projected enumeration never branches on x. Every other run projects
+// onto (state, input) in the order the ablation options ask for.
+func projectionOrder(inst *trans.Instance, opts Options, layer bool) ([]lit.Var, []string) {
+	if _, cubes := opts.Engine.CubeEngine(); (cubes || layer) && !opts.WithInputs {
 		names := make([]string, len(inst.StateVars))
 		for i := range names {
 			names[i] = inst.StateSpace.Name(i)

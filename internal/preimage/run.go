@@ -51,8 +51,11 @@ func latchPositions(vars []lit.Var, proj *cube.Space) []int {
 // disjoint one (blocking and disjoint engines over a state-only
 // projection) by the sum of its cube sizes, in engine order, any other
 // after Reduce. When share is non-nil it also returns the state set in
-// share, a manager ordered over the canonical state space. The caller
-// records the stats.
+// share, a manager ordered over the canonical state space. A
+// success-driven run over the latches alone, one per latch, hands its
+// merged BDD straight to share and builds no cover: its Result then
+// carries no States and no Count (see compute). The caller records the
+// stats.
 func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	eng, streams := opts.Engine.CubeEngine()
 	if !streams && opts.Engine != EngineSuccessDriven {
@@ -64,6 +67,7 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 	var count *big.Int
 	var raw []cube.Cube // projection cubes, kept for Pairs and parallel runs
 	disjoint := false   // the state cover is pairwise disjoint
+	setOnly := false    // the run produced share's set and no cover
 	var sstats simplify.Stats
 
 	// An already-expired deadline or cancelled context aborts before any
@@ -81,17 +85,30 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 	case reason != budget.None:
 		out.AbortReason, count = reason, new(big.Int)
 	case !streams:
-		pr, res := runSuccessDriven(r.f, r.proj, opts)
-		for _, cb := range res.Cover.Cubes() {
-			p.add(cb)
+		pr := runSuccessDriven(r.f, r.proj, opts)
+		setOnly = share != nil && r.stateOnly() && !p.splits()
+		if setOnly && opts.Budget.MaxCubes == 0 {
+			out.Stats, out.AbortReason = pr.Stats, pr.Reason
+		} else {
+			// Extract applies the cube cap: it keeps the first ISOP
+			// cubes and narrows the merged set to them.
+			res := pr.Extract(r.proj, opts.Budget.MaxCubes)
+			out.Stats, out.AbortReason = res.Stats, res.Reason
+			if !setOnly {
+				for _, cb := range res.Cover.Cubes() {
+					p.add(cb)
+				}
+				raw = res.Cover.Cubes()
+			}
 		}
-		raw = res.Cover.Cubes()
-		out.Stats, out.AbortReason = res.Stats, res.Reason
-		// The merged BDD gives the count, and the state set, without a
-		// cover round-trip: ∃(non-state)·set counted over the state
-		// variables equals the minterm count of the projected cover.
-		stateSet := pr.Manager.ExistsVars(pr.Set, r.nonStateVars())
-		count = pr.Manager.SatCountIn(stateSet, r.stateVars())
+		stateSet := pr.Set
+		if !setOnly {
+			// The merged BDD gives the count, and the state set, without
+			// a cover round-trip: ∃(non-state)·set counted over the state
+			// variables equals the minterm count of the projected cover.
+			stateSet = pr.Manager.ExistsVars(pr.Set, r.nonStateVars())
+			count = pr.Manager.SatCountIn(stateSet, r.stateVars())
+		}
 		if share != nil && !p.splits() {
 			// Projection and latch order agree, so the renamed import
 			// stays on the fast structural path.
@@ -101,7 +118,7 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 			}
 			set = share.Import(pr.Manager.Export(stateSet).Rename(sub))
 		}
-		pr.Release() // the cover and count are extracted; the manager goes back warm
+		pr.Release() // the set is exported; the manager goes back warm
 	default:
 		as := allsatOptions(opts)
 		it := allsat.NewEngineIterator(r.f, r.proj, as, eng)
@@ -137,6 +154,11 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		disjoint = eng != allsat.Lifting && r.stateOnly()
 	}
 	out.Aborted = out.AbortReason != budget.None
+	out.Stats.Simplify = sstats
+	out.BDDNodes = out.Stats.BDDNodes
+	if setOnly {
+		return out, set, nil
+	}
 	if disjoint {
 		count = p.states.DisjointCount()
 	} else {
@@ -147,8 +169,6 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		count = countStates(out.States, opts.Runtime)
 	}
 	out.Count = count
-	out.Stats.Simplify = sstats
-	out.BDDNodes = out.Stats.BDDNodes
 	if opts.WithInputs && r.pairs != nil {
 		out.Pairs = pairCover(r.pairs, r.proj, raw)
 	}

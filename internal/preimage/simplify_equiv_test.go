@@ -30,7 +30,7 @@ func TestSimplifyEquivalenceAllEngines(t *testing.T) {
 		EngineSuccessDriven, EngineBlocking, EngineLifting, EngineDisjoint, EngineBDD,
 	}
 	for _, nc := range determinismSuite() {
-		target := wideTarget(len(nc.Circuit.Latches))
+		target := nc.Target
 		for _, eng := range engines {
 			if (eng == EngineBlocking || eng == EngineLifting) && nc.Name == "slike2" {
 				// The per-minterm baselines need minutes on the widest
@@ -38,10 +38,7 @@ func TestSimplifyEquivalenceAllEngines(t *testing.T) {
 				// engine×simplify contract is covered by the six others.
 				continue
 			}
-			ref, err := Compute(nc.Circuit, target, Options{Engine: eng, Simplify: simplify.Off})
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := reference(t, nc.Name, nc.Circuit, target, Options{Engine: eng, Simplify: simplify.Off})
 			m := bdd.NewOrdered(ref.StateSpace.Vars())
 			refSet := m.FromCover(ref.States)
 			for _, workers := range []int{1, 2, 4, 8} {

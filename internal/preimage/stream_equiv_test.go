@@ -105,8 +105,9 @@ func TestStreamedProjectionEquivalence(t *testing.T) {
 	aborts := map[budget.Reason]int{}
 	stateAborts := map[budget.Reason]int{}
 	for _, nc := range determinismSuite() {
-		target := wideTarget(len(nc.Circuit.Latches))
+		target := nc.Target
 		full := enumerateReference(t, nc.Circuit, target, Options{Engine: EngineDisjoint})
+		requireNonEmpty(t, nc.Name, full)
 		m := bdd.NewOrdered(full.States.Space().Vars())
 		fullSet := m.FromCover(full.States)
 		for _, eng := range []Engine{EngineBlocking, EngineLifting, EngineDisjoint} {

@@ -12,7 +12,6 @@ import (
 	"allsatpre/internal/cube"
 	"allsatpre/internal/incr"
 	"allsatpre/internal/lit"
-	"allsatpre/internal/simplify"
 	"allsatpre/internal/stats"
 )
 
@@ -88,15 +87,10 @@ func incrOptions(opts Options) incr.Options {
 		workers = 1
 	}
 	return incr.Options{
-		Workers:    workers,
-		Core:       coreOptions(opts),
-		Budget:     opts.Budget,
-		InputFirst: opts.InputFirstOrder,
-		Interleave: opts.Interleave,
-		// Sessions default off regardless of the one-shot default: only an
-		// explicit On opts in (Auto means "context default", and the
-		// incremental context's default is no preprocessing).
-		Simplify: opts.Simplify == simplify.On,
+		Workers:  workers,
+		Core:     coreOptions(opts),
+		Budget:   opts.Budget,
+		Simplify: opts.Simplify.Enabled(true),
 		Stats:    opts.Stats,
 	}
 }
@@ -317,9 +311,8 @@ func (s *sessionSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer,
 			AbortReason: st.Reason,
 		}, time.Since(start))
 	}
-	l := layer{stats: st.Stats, bddNodes: st.Stats.BDDNodes, aborted: st.Aborted, reason: st.Reason}
+	l := layer{st.Set, st.Stats, st.Stats.BDDNodes, st.Aborted, st.Reason}
 	if s.sess.Backward() {
-		l.set = s.sess.StateSet(st.Set)
 		return l, nil
 	}
 	proj := s.sess.ProjSpace()

@@ -2,12 +2,15 @@ package preimage
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
+	"allsatpre/internal/cube"
 	"allsatpre/internal/gen"
+	"allsatpre/internal/stats"
 	"allsatpre/internal/trans"
 )
 
@@ -120,6 +123,95 @@ func TestWalkAbortContract(t *testing.T) {
 	for _, bud := range budgets[1:] {
 		if aborts[bud.name] == 0 {
 			t.Errorf("budget %s truncated no walk; the case is vacuous", bud.name)
+		}
+	}
+}
+
+// recordingSource remembers the frontier each layer was solved from and
+// the layer's state set, before the walk diffs it against visited.
+type recordingSource struct {
+	layerSource
+	frontiers []*cube.Cover
+	sets      []bdd.Ref
+}
+
+func (r *recordingSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer, error) {
+	l, err := r.layerSource.layer(frontier, reg)
+	r.frontiers = append(r.frontiers, frontier)
+	r.sets = append(r.sets, l.set)
+	return l, err
+}
+
+// TestWalkSuccessMatchesBDD pins the success engine's walks, whose
+// layers search over the latches alone, to the BDD engine's walks on
+// the determinism suite, on the fresh and the session layer source,
+// backward (Reach, CheckReachable) and forward (ForwardReach): every
+// layer's count and frontier cover, the fixpoint and the verdict must
+// be the BDD walk's. Each fresh layer hands its merged BDD to the walk
+// without a cover, so its state set must also equal the cover Compute
+// (or Image) returns for the same frontier.
+func TestWalkSuccessMatchesBDD(t *testing.T) {
+	for _, nc := range determinismSuite() {
+		c := nc.Circuit
+		zero := trans.TargetFromPatterns(len(c.Latches), strings.Repeat("0", len(c.Latches)))
+		for _, forward := range []bool{false, true} {
+			start, step := nc.Target, Compute
+			if forward {
+				start, step = zero, Image
+			}
+			ref, err := walkResult(c, start, forward, 0, Options{Engine: EngineBDD})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, incremental := range []bool{false, true} {
+				label := fmt.Sprintf("%s/forward=%v/incremental=%v", nc.Name, forward, incremental)
+				w, err := newWalk(c, start, forward, Options{Incremental: incremental})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := &recordingSource{layerSource: w.src}
+				w.src = rec
+				if err := w.run(0); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				compareReach(t, label, w.result(), ref)
+				for k, frontier := range rec.frontiers {
+					if incremental {
+						break
+					}
+					want, err := step(c, frontier, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := rec.sets[k]; got != w.man.FromCover(want.States) || w.man.SatCount(got).Cmp(want.Count) != 0 {
+						t.Fatalf("%s: layer %d differs from the one-shot run on its frontier", label, k+1)
+					}
+				}
+				w.close()
+			}
+		}
+		if r, _, err := compute(c, nc.Target, Options{}, bdd.NewOrdered(StateSpace(c).Vars())); err != nil || r.States != nil {
+			t.Fatalf("%s: a fresh backward layer built a state cover (err %v)", nc.Name, err)
+		}
+
+		want, err := CheckReachable(c, zero, nc.Target, 0, Options{Engine: EngineBDD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, incremental := range []bool{false, true} {
+			label := fmt.Sprintf("%s/check/incremental=%v", nc.Name, incremental)
+			got, err := CheckReachable(c, zero, nc.Target, 0, Options{Incremental: incremental})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Reachable != want.Reachable || got.Complete != want.Complete || got.Steps != want.Steps || got.Aborted {
+				t.Fatalf("%s: verdict %+v, BDD engine %+v", label, got, want)
+			}
+			if got.Reachable {
+				validateTrace(t, c, zero, nc.Target, got.Trace)
+			} else if got.Invariant.String() != want.Invariant.String() {
+				t.Fatalf("%s: invariant\n%v\nBDD engine\n%v", label, got.Invariant, want.Invariant)
+			}
 		}
 	}
 }

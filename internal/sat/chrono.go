@@ -23,17 +23,12 @@ import (
 //     replaces a decision with its negation at the same level, levels
 //     1..p always carry projection decisions and levels p+1..d auxiliary
 //     ones — the projection-prefix invariant.
-//   - When every problem clause is satisfied by the current trail, the
-//     model is shrunk to an implicant: b_raw is the deepest level any
-//     clause needs for a satisfying literal (tracked by a per-clause
-//     occurrence index, the lifting idea applied during search). The
-//     emitted cube keeps the projection literals at levels ≤ b where
-//     b = min(max(b_raw, fproj), p), fproj being the deepest flipped
-//     projection level: clamping up to fproj keeps cubes disjoint (a cube
-//     may never free a literal whose negation separates it from an
-//     already-emitted region), clamping down to p drops the auxiliary
-//     suffix (one witness per projection region suffices).
-//   - Advancing pops to level b, discards flipped levels, and flips the
+//   - A cube is emitted as soon as every problem clause is satisfied by
+//     the current trail (tracked by a per-clause occurrence index), so
+//     the projection variables still unassigned are free in it. The
+//     cube keeps the projection literals of levels 1..p and drops the
+//     auxiliary suffix (one witness per projection region suffices).
+//   - Advancing pops to level p, discards flipped levels, and flips the
 //     deepest unflipped decision; when none remains the space is
 //     exhausted.
 //
@@ -117,11 +112,11 @@ func NewChronoEnum(s *Solver, proj []lit.Var) *ChronoEnum {
 // so far are exactly the projection); Unknown means a resource limit
 // tripped (StopReason tells which) and the cubes so far under-approximate
 // the projection.
-func (e *ChronoEnum) Next() Status { return e.next((*ChronoEnum).satLevel) }
+func (e *ChronoEnum) Next() Status { return e.next(nil) }
 
-// next is Next with the emitted cube's b_raw taken from rawLevel, which
-// is satLevel outside tests.
-func (e *ChronoEnum) next(rawLevel func(*ChronoEnum) int) Status {
+// next is Next with a hook that sees the enumerator at every emission,
+// before the cube is cut; atEmit is nil outside tests.
+func (e *ChronoEnum) next(atEmit func(*ChronoEnum)) Status {
 	s := e.s
 	if !s.okay || e.exhausted {
 		return Unsat
@@ -170,7 +165,10 @@ func (e *ChronoEnum) next(rawLevel func(*ChronoEnum) int) Status {
 		}
 		e.syncSat()
 		if e.unsatCnt == 0 {
-			e.emit(rawLevel(e))
+			if atEmit != nil {
+				atEmit(e)
+			}
+			e.emit()
 			return Sat
 		}
 		if s.limitExceeded() {
@@ -281,48 +279,30 @@ func (e *ChronoEnum) advance() bool {
 	return true
 }
 
-// satLevel is b_raw, the deepest decision level holding some clause's
-// first satisfying literal, for a trail that satisfies every clause. It
-// is always the current level d: a level is opened only over a prefix
-// that leaves some clause unsatisfied, either by a fresh decision, which
-// Next makes only when unsatCnt > 0 at the previous level's fixpoint, or
-// by a flip, which keeps that prefix. That clause's first satisfying
-// literal therefore sits at level d. (At level 0 the answer is 0.) So
-// b_raw costs nothing, where a scan over every clause cost O(clauses)
-// per cube.
-func (e *ChronoEnum) satLevel() int { return e.s.DecisionLevel() }
-
-// emit shrinks the current (all-clauses-satisfied) trail into a cube and
-// advances past the region it covers; b is b_raw (satLevel). Soundness:
-// every clause holds a satisfying literal at level ≤ b, so any
-// completion of the level-≤b prefix — in particular any projection
-// extending the cube completed with the prefix's auxiliary literals — is
-// a model. Disjointness: the cube
-// retains every flipped projection decision, and each future region
-// carries the negation of the decision flipped here, so no later cube can
-// intersect this one.
-func (e *ChronoEnum) emit(b int) {
+// emit cuts the current (all-clauses-satisfied) trail into a cube and
+// advances past the region it covers. The cube is the projection
+// literals of the projection prefix, levels 1..p; the auxiliary levels
+// p+1..d are dropped. The cube cannot be cut above p: a level is
+// opened only over a prefix that leaves some clause unsatisfied, either
+// by a fresh decision, which Next makes only when unsatCnt > 0 at the
+// previous level's fixpoint, or by a flip, which keeps that prefix, so
+// at emission some clause is first satisfied at level d. Soundness: auxiliary decisions start only once every
+// projection variable is assigned, so with d > p the cube fixes the
+// projection of the trail's model; with d = p the trail satisfies every
+// clause, and what it leaves free is a don't-care. Disjointness: the
+// cube retains every projection decision, and each future region
+// carries the negation of one of them (the one advance flips, or a
+// shallower one), so no later cube can intersect this one.
+func (e *ChronoEnum) emit() {
 	s := e.s
 	d := s.DecisionLevel()
-	p, fproj := 0, 0
-	for l := 1; l <= d; l++ {
-		if !e.projVar(s.trail[s.trailLim[l-1]].Var()) {
-			break // auxiliary suffix starts here (prefix invariant)
-		}
-		p = l
-		if e.flipped[l-1] {
-			fproj = l
-		}
-	}
-	if b < fproj {
-		b = fproj
-	}
-	if b > p {
-		b = p
+	p := 0
+	for p < d && e.projVar(s.trail[s.trailLim[p]].Var()) {
+		p++ // auxiliary levels follow the projection prefix (prefix invariant)
 	}
 	end := len(s.trail)
-	if b < d {
-		end = s.trailLim[b]
+	if p < d {
+		end = s.trailLim[p]
 	}
 	e.cube = e.cube[:0]
 	for _, l := range s.trail[:end] {
@@ -330,7 +310,7 @@ func (e *ChronoEnum) emit(b int) {
 			e.cube = append(e.cube, l)
 		}
 	}
-	e.cancelToLevel(b)
+	e.cancelToLevel(p)
 	if !e.advance() {
 		e.exhausted = true
 	}

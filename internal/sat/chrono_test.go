@@ -3,7 +3,6 @@ package sat
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"allsatpre/internal/budget"
@@ -341,9 +340,10 @@ func TestChronoReduceDBMidEnumerationExact(t *testing.T) {
 	}
 }
 
-// scanSatLevel is b_raw computed the way emit did before the per-level
-// counts: a scan over every problem clause for the deepest level of its
-// first satisfying literal.
+// scanSatLevel is the deepest decision level holding some clause's
+// first satisfying literal, by a scan over every problem clause: the
+// reference TestChronoSatLevelMatchesScan checks the decision level
+// against.
 func scanSatLevel(e *ChronoEnum) int {
 	s := e.s
 	b := 0
@@ -356,14 +356,14 @@ func scanSatLevel(e *ChronoEnum) int {
 }
 
 // chronoStream drains a chronological enumeration of f's projection
-// onto proj, taking each cube's b_raw from rawLevel, and returns the
-// cubes in emission order.
-func chronoStream(t *testing.T, f *cnf.Formula, proj []lit.Var, rawLevel func(*ChronoEnum) int) []string {
+// onto proj, calling atEmit at every emission, and returns the cubes in
+// emission order.
+func chronoStream(t *testing.T, f *cnf.Formula, proj []lit.Var, atEmit func(*ChronoEnum)) []string {
 	t.Helper()
 	e := NewChronoEnum(FromFormula(f, Options{}), proj)
 	var out []string
 	for {
-		switch e.next(rawLevel) {
+		switch e.next(atEmit) {
 		case Unsat:
 			return out
 		case Unknown:
@@ -373,29 +373,24 @@ func chronoStream(t *testing.T, f *cnf.Formula, proj []lit.Var, rawLevel func(*C
 	}
 }
 
-// TestChronoSatLevelMatchesScan pins satLevel, which takes b_raw to be
-// the current decision level, to the per-clause scan emit used to run:
-// on random CNFs and on the preimage instances of the determinism
-// circuits (state-only projections raw and simplified, (state, input)
-// projections simplified), both give the same level at every cube, so
-// the emitted streams are identical cube for cube.
+// TestChronoSatLevelMatchesScan pins the premise emit rests on when it
+// keeps the whole projection prefix: at every cube, the deepest level
+// any clause needs for a satisfying literal (the per-clause scan) is the
+// current decision level, so no cut above the prefix was ever possible.
+// It runs on random CNFs and on the preimage instances of the
+// determinism circuits (state-only projections raw and simplified,
+// (state, input) projections simplified).
 func TestChronoSatLevelMatchesScan(t *testing.T) {
 	cubes := 0
-	check := func(tag string, f *cnf.Formula, proj []lit.Var) {
+	check := func(tag string, f *cnf.Formula, proj []lit.Var) int {
 		t.Helper()
-		checked := func(e *ChronoEnum) int {
-			got, want := e.satLevel(), scanSatLevel(e)
-			if got != want {
-				t.Fatalf("%s: satLevel %d, clause scan %d", tag, got, want)
+		n := len(chronoStream(t, f, proj, func(e *ChronoEnum) {
+			if got, want := e.s.DecisionLevel(), scanSatLevel(e); got != want {
+				t.Fatalf("%s: decision level %d, clause scan %d", tag, got, want)
 			}
-			return want
-		}
-		fast := chronoStream(t, f, proj, (*ChronoEnum).satLevel)
-		scan := chronoStream(t, f, proj, checked)
-		if strings.Join(fast, "\n") != strings.Join(scan, "\n") {
-			t.Fatalf("%s: %d cubes differ from the clause scan's %d", tag, len(fast), len(scan))
-		}
-		cubes += len(fast)
+		}))
+		cubes += n
+		return n
 	}
 
 	rng := rand.New(rand.NewSource(11))
@@ -410,23 +405,19 @@ func TestChronoSatLevelMatchesScan(t *testing.T) {
 	}
 
 	for _, nc := range []struct {
-		name string
-		c    *circuit.Circuit
+		name   string
+		c      *circuit.Circuit
+		target string // a target with a non-empty preimage
 	}{
-		{"counter8", gen.Counter(8, true, false)},
-		{"shift8", gen.ShiftRegister(8)},
-		{"lfsr8", gen.LFSR(8, 0, 3, 4, 5)},
-		{"gray6", gen.GrayCounter(6)},
-		{"traffic", gen.TrafficLight()},
-		{"slike1", gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
-		{"slike2", gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})},
+		{"counter8", gen.Counter(8, true, false), "X1XX0XXX"},
+		{"shift8", gen.ShiftRegister(8), "X1XX0XXX"},
+		{"lfsr8", gen.LFSR(8, 0, 3, 4, 5), "X1XX0XXX"},
+		{"gray6", gen.GrayCounter(6), "X1XX0X"},
+		{"traffic", gen.TrafficLight(), "X1XX0"},
+		{"slike1", gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60}), "1XXX0X"},
+		{"slike2", gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120}), "X1XX0XXX"},
 	} {
-		pat := []byte(strings.Repeat("X", len(nc.c.Latches)))
-		pat[1] = '1'
-		if len(pat) > 4 {
-			pat[4] = '0'
-		}
-		inst, err := trans.NewInstance(nc.c, trans.TargetFromPatterns(len(pat), string(pat)))
+		inst, err := trans.NewInstance(nc.c, trans.TargetFromPatterns(len(nc.target), nc.target))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,7 +426,9 @@ func TestChronoSatLevelMatchesScan(t *testing.T) {
 			simplified := inst.F.Clone()
 			simplify.RunFrozen(simplified, proj)
 			tag := fmt.Sprintf("%s/%d-var projection", nc.name, len(proj))
-			check(tag+"/simplified", simplified, proj)
+			if check(tag+"/simplified", simplified, proj) == 0 {
+				t.Fatalf("%s: empty preimage, nothing compared", tag)
+			}
 			if len(proj) == len(inst.StateVars) {
 				// The raw (state, input) streams run to tens of
 				// thousands of cubes; the simplified one is what the
@@ -445,6 +438,6 @@ func TestChronoSatLevelMatchesScan(t *testing.T) {
 		}
 	}
 	if cubes < 1000 {
-		t.Fatalf("only %d cubes compared", cubes)
+		t.Fatalf("only %d cubes checked", cubes)
 	}
 }

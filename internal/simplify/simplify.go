@@ -36,9 +36,10 @@ import (
 // structs whose zero value must mean "use the context's default".
 type Mode int
 
-// Modes. Auto resolves per call site: on for one-shot enumeration, off
-// where the clause database must stay stable (incremental sessions,
-// proof-logging solvers).
+// Modes. Auto resolves per call site: on for enumeration, one-shot or
+// incremental (a session simplifies its base CNF once, before its first
+// step), off where the clause database must stay as given
+// (proof-logging solvers).
 const (
 	Auto Mode = iota
 	On

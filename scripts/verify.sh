@@ -16,12 +16,14 @@ go vet ./...
 go test ./...
 go test -race -short ./...
 # The parallel-enumeration determinism suite, the equivalence of the
-# streamed state projection with enumerate-then-project, and the frontier
-# walk's Aborted contract over every layer source must hold regardless
-# of how the Go scheduler interleaves workers: exercise them both pinned
-# to one OS thread and with real preemption under the race detector.
-GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract' ./internal/preimage/
-GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract' ./internal/preimage/
+# streamed state projection with enumerate-then-project, the frontier
+# walk's Aborted contract over every layer source, and the success
+# engine's state-only walk layers against the BDD engine's walks must
+# hold regardless of how the Go scheduler interleaves workers: exercise
+# them both pinned to one OS thread and with real preemption under the
+# race detector.
+GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract|TestWalkSuccessMatchesBDD' ./internal/preimage/
+GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract|TestWalkSuccessMatchesBDD' ./internal/preimage/
 # Every fan-out runs as runtime.Group jobs on a scheduler: the pool, the
 # incremental sessions and the parallel BMC sweep must hold pinned and
 # preempted alike, and so must the success-driven enumerator the pooled
@@ -84,6 +86,12 @@ for engine in success blocking lifting disjoint; do
     go run ./cmd/preimage -engine $engine slike:3,60,6,4 1XXXXX | grep -q '^preimage states: 48$'
 done
 go run ./cmd/preimage -stats -engine blocking slike:3,60,6,4 1XXXXX | grep -q 'solutions: 48$'
+
+# Reach smoke: backward reachability on the success engine searches each
+# layer over the latches alone, fresh and on one incremental session;
+# both reach the 64 states of arbiter:4 that can reach 1XXXXX.
+go run ./cmd/reach -workers 1 arbiter:4 1XXXXX | grep -q 'total states: 64   fixpoint: true'
+go run ./cmd/reach -workers 1 -incremental arbiter:4 1XXXXX | grep -q 'total states: 64   fixpoint: true'
 
 # Service smoke test: boot cmd/serve on a random port, stream a small
 # enumeration, create/step/evict a session, and drain on SIGTERM. This
