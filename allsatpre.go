@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"allsatpre/internal/aig"
 	"allsatpre/internal/allsat"
@@ -41,7 +42,6 @@ import (
 	"allsatpre/internal/core"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/gen"
-	"allsatpre/internal/lit"
 	"allsatpre/internal/pool"
 	"allsatpre/internal/preimage"
 	"allsatpre/internal/simplify"
@@ -171,21 +171,11 @@ func LoadAiger(path string) (*Circuit, error) {
 // Target builds a target state set for a circuit from "01X" patterns, one
 // character per latch in declaration order.
 func Target(c *Circuit, patterns ...string) (*Cover, error) {
-	n := len(c.Latches)
-	for _, p := range patterns {
-		if len(p) != n {
-			return nil, fmt.Errorf("allsatpre: pattern %q has %d positions, circuit has %d latches",
-				p, len(p), n)
-		}
-		for _, r := range p {
-			switch r {
-			case '0', '1', 'X', 'x', '-':
-			default:
-				return nil, fmt.Errorf("allsatpre: pattern %q: invalid character %q (want 0, 1, X)", p, r)
-			}
-		}
+	cv, err := trans.ParseTarget(len(c.Latches), patterns...)
+	if err != nil {
+		return nil, fmt.Errorf("allsatpre: %w", err)
 	}
-	return trans.TargetFromPatterns(n, patterns...), nil
+	return cv, nil
 }
 
 // Preimage computes the one-step preimage of the target patterns. If
@@ -372,26 +362,14 @@ func EnumerateDimacs(r io.Reader, engine Engine, projDimacs []int) (*allsat.Resu
 
 // EnumerateDimacsOpts is EnumerateDimacs with the full option set.
 func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
-	engine, projDimacs := o.Engine, o.Proj
+	start := time.Now()
 	f, fileProj, err := cnf.ParseDimacs(r)
 	if err != nil {
 		return nil, err
 	}
-	var proj []lit.Var
-	switch {
-	case projDimacs != nil:
-		for _, d := range projDimacs {
-			if d <= 0 || d > f.NumVars {
-				return nil, fmt.Errorf("allsatpre: projection variable %d out of range", d)
-			}
-			proj = append(proj, lit.Var(d-1))
-		}
-	case len(fileProj) > 0:
-		proj = fileProj
-	default:
-		for v := 0; v < f.NumVars; v++ {
-			proj = append(proj, lit.Var(v))
-		}
+	proj, err := cnf.Projection(o.Proj, fileProj, f.NumVars)
+	if err != nil {
+		return nil, fmt.Errorf("allsatpre: %w", err)
 	}
 	space := cube.NewSpace(proj)
 
@@ -410,7 +388,7 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 		Simplify: simplify.Off,
 	}
 	var res *allsat.Result
-	switch engine {
+	switch o.Engine {
 	case EngineSuccessDriven:
 		// The pool reads 0 workers as GOMAXPROCS; the facade default is one.
 		res = pool.EnumerateToResult(f, space, pool.Options{
@@ -426,29 +404,15 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 	case EngineDisjoint:
 		res = allsat.EnumerateDisjoint(f, space, asOpts)
 	default:
-		return nil, fmt.Errorf("allsatpre: engine %v cannot enumerate raw CNF", engine)
+		return nil, fmt.Errorf("allsatpre: engine %v cannot enumerate raw CNF", o.Engine)
 	}
 	res.Stats.Simplify = sstats
-	if o.Stats != nil {
-		o.Stats.Counter("decisions").Add(res.Stats.Decisions)
-		o.Stats.Counter("propagations").Add(res.Stats.Propagations)
-		o.Stats.Counter("conflicts").Add(res.Stats.Conflicts)
-		o.Stats.Counter("solutions").Add(res.Stats.Solutions)
-		o.Stats.Counter("cubes").Add(res.Stats.Cubes)
-		o.Stats.MaxGauge("bdd-nodes", int64(res.Stats.BDDNodes))
-		if sstats.Applied {
-			o.Stats.Counter("simplify-runs").Inc()
-			o.Stats.Counter("simplify-vars-eliminated").Add(uint64(sstats.VarsEliminated))
-			o.Stats.Counter("simplify-clauses-subsumed").Add(uint64(sstats.ClausesSubsumed))
-			o.Stats.Counter("simplify-lits-strengthened").Add(uint64(sstats.LitsStrengthened))
-			o.Stats.Counter("simplify-resolvents-added").Add(uint64(sstats.ResolventsAdded))
-			o.Stats.Counter("simplify-probe-failures").Add(uint64(sstats.ProbeFailures))
-		}
-		if res.Aborted {
-			o.Stats.Counter("aborts").Inc()
-			o.Stats.Counter("abort-" + res.Reason.String()).Inc()
-		}
-	}
+	preimage.RecordStats(o.Stats, &preimage.Result{
+		Stats:       res.Stats,
+		BDDNodes:    res.Stats.BDDNodes,
+		Aborted:     res.Aborted,
+		AbortReason: res.Reason,
+	}, time.Since(start))
 	return res, nil
 }
 

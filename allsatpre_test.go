@@ -1,6 +1,7 @@
 package allsatpre
 
 import (
+	"fmt"
 	"math/big"
 	"os"
 	"strings"
@@ -373,5 +374,56 @@ func TestGeneratorsExported(t *testing.T) {
 	}
 	if StateSpace(NewCounter(4, true, false)).Size() != 4 {
 		t.Fatal("StateSpace export")
+	}
+}
+
+// TestEnumerateDimacsRejectsRepeatedProjection: a projection variable
+// listed twice, explicitly or on the file's "c proj" line, is an error,
+// not a panic in the cube space.
+func TestEnumerateDimacsRejectsRepeatedProjection(t *testing.T) {
+	const dimacs = "p cnf 3 1\n1 2 3 0\n"
+	for _, tc := range []struct {
+		name, src string
+		proj      []int
+	}{
+		{"explicit", dimacs, []int{1, 1, 2}},
+		{"file line", "c proj 1 1 2\n" + dimacs, nil},
+		{"out of range", dimacs, []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := EnumerateDimacsOpts(strings.NewReader(tc.src), DimacsOptions{Engine: EngineBlocking, Proj: tc.proj})
+			if err == nil || !strings.Contains(err.Error(), "projection variable") {
+				t.Fatalf("err = %v, want a projection error", err)
+			}
+		})
+	}
+}
+
+// TestEnumerateDimacsPublishesRunStats: the DIMACS facade publishes the
+// same counters as the preimage entry points, memo, kernel, simplify
+// and time included.
+func TestEnumerateDimacsPublishesRunStats(t *testing.T) {
+	data, err := os.ReadFile("testdata/parity5.cnf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewStatsRegistry("allsat")
+	res, err := EnumerateDimacsOpts(strings.NewReader(string(data)), DimacsOptions{
+		Engine: EngineSuccessDriven, Workers: 1, Stats: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	published := map[string]string{}
+	for _, kv := range reg.Snapshot().Metrics {
+		published[kv.Key] = kv.Value
+	}
+	if got, want := published["cache-lookups"], fmt.Sprint(res.Stats.CacheLookups); got != want || want == "0" {
+		t.Errorf("cache-lookups = %q, want the run's %s", got, want)
+	}
+	for _, key := range []string{"time", "simplify-units-fixed", "simplify-probes", "kernel-unique-lookups", "kernel-cache-lookups"} {
+		if _, ok := published[key]; !ok {
+			t.Errorf("%q not published", key)
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 	"allsatpre/internal/preimage"
 	"allsatpre/internal/sat"
 	"allsatpre/internal/simplify"
-	"allsatpre/internal/tseitin"
+	"allsatpre/internal/trans"
 )
 
 // Options configures a BMC run.
@@ -72,12 +72,10 @@ type Result struct {
 // Checker incrementally unrolls a circuit. Create with New, then call
 // CheckTo with growing bounds; frames and learnt clauses persist.
 type Checker struct {
-	c   *circuit.Circuit
-	enc *tseitin.Encoding
-	// frame is the transition logic each unrolled frame instantiates,
-	// over enc's variables.
-	frame *cnf.Formula
-	s     *sat.Solver
+	// inst's formula is the transition logic each unrolled frame
+	// instantiates (trans.Instance.Frame).
+	inst *trans.Instance
+	s    *sat.Solver
 
 	// frameState[k] holds the state variables of frame k; frameInput[k]
 	// the input variables of frame k (frames 0..unrolled-1 exist).
@@ -85,12 +83,12 @@ type Checker struct {
 	frameInput [][]lit.Var
 	unrolled   int
 
-	// activators[k] is the selector literal that turns on the bad-state
+	// activators[k] is the activation literal of the bad-state
 	// constraint at frame k (assumption-based, so each Solve checks
 	// exactly one frame).
 	activators []lit.Lit
 
-	init, bad *cube.Cover
+	bad *cube.Cover
 }
 
 // New prepares a checker for the circuit with an initial-state cover and
@@ -104,95 +102,40 @@ func NewOpts(c *circuit.Circuit, init, bad *cube.Cover, opts Options) (*Checker,
 	if init.Space().Size() != len(c.Latches) || bad.Space().Size() != len(c.Latches) {
 		return nil, fmt.Errorf("bmc: init/bad space width must equal the latch count")
 	}
-	enc, err := tseitin.EncodeCached(c)
+	// Each frame instantiates the next-state cone: the rest of the netlist
+	// never constrains a state or an input. The base instance's formula
+	// is a private copy, so it is simplified in place.
+	inst, err := trans.NewBaseInstance(c)
 	if err != nil {
 		return nil, err
 	}
-	// Each frame instantiates the next-state cone: the rest of the netlist
-	// never constrains a state or an input.
-	frame := &cnf.Formula{NumVars: enc.F.NumVars, Clauses: enc.NextStateCone()}
 	if opts.Simplify.Enabled(true) {
-		// EncodeCached returns a shared, memoized encoding — simplify a
-		// private copy, never the cache entry other checkers see.
-		frame = frame.Clone()
-		simplify.RunFrozen(frame, enc.StateVars, enc.InputVars, enc.NextStateVars)
+		simplify.RunFrozen(inst.F, inst.StateVars, inst.InputVars, inst.NextVars)
 	}
-	ck := &Checker{c: c, enc: enc, frame: frame, s: sat.New(sat.Options{Budget: opts.Budget.Materialize()}),
-		init: init, bad: bad}
+	ck := &Checker{inst: inst, s: sat.New(sat.Options{Budget: opts.Budget.Materialize()}), bad: bad}
 
 	// Frame 0 state variables are fresh solver variables constrained to
-	// the initial cover.
-	n := len(c.Latches)
-	st0 := make([]lit.Var, n)
+	// the initial cover (an empty one leaves the solver UNSAT).
+	st0 := make([]lit.Var, len(c.Latches))
 	for i := range st0 {
 		st0[i] = ck.s.NewVar()
 	}
 	ck.frameState = append(ck.frameState, st0)
-	if !ck.addCoverConstraint(st0, init) {
-		// Empty or contradictory initial set: the solver is already UNSAT.
-		return ck, nil
-	}
+	trans.EncodeCover(init, st0, false, ck.s.NewVar, ck.add)
 	return ck, nil
 }
 
-// addCoverConstraint asserts "state vector ∈ cover" over the given state
-// variables using one selector per cube. Returns the solver's okay state.
-func (ck *Checker) addCoverConstraint(stateVars []lit.Var, cv *cube.Cover) bool {
-	if cv.Len() == 0 {
-		return ck.s.AddClause() // empty clause: unsatisfiable
-	}
-	var any []lit.Lit
-	for _, cb := range cv.Cubes() {
-		sel := ck.s.NewVar()
-		any = append(any, lit.Pos(sel))
-		for pos, t := range cb {
-			if t == lit.Unknown {
-				continue
-			}
-			if !ck.s.AddClause(lit.Neg(sel), lit.New(stateVars[pos], t == lit.False)) {
-				return false
-			}
-		}
-	}
-	return ck.s.AddClause(any...)
-}
+// add adds a clause to the solver.
+func (ck *Checker) add(cl cnf.Clause) { ck.s.AddClause(cl...) }
 
 // ensureFrames unrolls transition logic until `frames` transitions exist.
 func (ck *Checker) ensureFrames(frames int) {
 	for ck.unrolled < frames {
-		k := ck.unrolled
-		// Instantiate a fresh copy of the combinational logic: variable
-		// v of the encoding maps to base+v in the solver, except the
-		// state variables, which alias frame k's state vector.
 		base := ck.s.NumVars()
-		mapVar := make([]lit.Var, ck.frame.NumVars)
-		for v := 0; v < ck.frame.NumVars; v++ {
-			mapVar[v] = lit.Var(base + v)
-		}
-		for i, sv := range ck.enc.StateVars {
-			mapVar[sv] = ck.frameState[k][i]
-		}
-		ck.s.EnsureVars(base + ck.frame.NumVars)
-		remap := func(l lit.Lit) lit.Lit {
-			return lit.New(mapVar[l.Var()], l.Sign())
-		}
-		for _, cl := range ck.frame.Clauses {
-			lits := make([]lit.Lit, len(cl))
-			for i, l := range cl {
-				lits[i] = remap(l)
-			}
-			ck.s.AddClause(lits...)
-		}
-		inputs := make([]lit.Var, len(ck.enc.InputVars))
-		for i, iv := range ck.enc.InputVars {
-			inputs[i] = mapVar[iv]
-		}
-		nextState := make([]lit.Var, len(ck.enc.NextStateVars))
-		for i, nv := range ck.enc.NextStateVars {
-			nextState[i] = mapVar[nv]
-		}
+		ck.s.EnsureVars(base + ck.inst.F.NumVars)
+		inputs, next := ck.inst.Frame(ck.frameState[ck.unrolled], base, ck.add)
 		ck.frameInput = append(ck.frameInput, inputs)
-		ck.frameState = append(ck.frameState, nextState)
+		ck.frameState = append(ck.frameState, next)
 		ck.unrolled++
 	}
 }
@@ -201,26 +144,7 @@ func (ck *Checker) ensureFrames(frames int) {
 // enables the bad-state constraint at frame k.
 func (ck *Checker) badActivator(k int) lit.Lit {
 	for len(ck.activators) <= k {
-		frame := len(ck.activators)
-		act := lit.Pos(ck.s.NewVar())
-		// act → (state_k ∈ bad): per cube, a selector implied chain.
-		if ck.bad.Len() == 0 {
-			ck.s.AddClause(act.Not())
-		} else {
-			var any []lit.Lit
-			any = append(any, act.Not())
-			for _, cb := range ck.bad.Cubes() {
-				sel := ck.s.NewVar()
-				any = append(any, lit.Pos(sel))
-				for pos, t := range cb {
-					if t == lit.Unknown {
-						continue
-					}
-					ck.s.AddClause(lit.Neg(sel), lit.New(ck.frameState[frame][pos], t == lit.False))
-				}
-			}
-			ck.s.AddClause(any...)
-		}
+		act, _ := trans.EncodeCover(ck.bad, ck.frameState[len(ck.activators)], true, ck.s.NewVar, ck.add)
 		ck.activators = append(ck.activators, act)
 	}
 	return ck.activators[k]

@@ -2,6 +2,7 @@ package cnf
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -221,5 +222,41 @@ func TestNormalizeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestProjection resolves the explicit list first, then the file's
+// line, then every variable, and rejects out-of-range and repeated
+// variables from either source.
+func TestProjection(t *testing.T) {
+	file := []lit.Var{2, 0}
+	for _, tc := range []struct {
+		name     string
+		explicit []int
+		file     []lit.Var
+		want     []lit.Var
+		err      string
+	}{
+		{"explicit wins", []int{3, 1}, file, []lit.Var{2, 0}, ""},
+		{"explicit empty", []int{}, file, []lit.Var{}, ""},
+		{"file line", nil, file, file, ""},
+		{"all variables", nil, nil, []lit.Var{0, 1, 2}, ""},
+		{"explicit zero", []int{0}, nil, nil, "out of range"},
+		{"explicit too large", []int{4}, nil, nil, "out of range"},
+		{"explicit repeated", []int{1, 1, 2}, nil, nil, "listed twice"},
+		{"file repeated", nil, []lit.Var{0, 0, 1}, nil, "listed twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := Projection(tc.explicit, tc.file, 3)
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("err = %v, want %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil || !slices.Equal(got, tc.want) {
+				t.Fatalf("Projection = %v, %v; want %v", got, err, tc.want)
+			}
+		})
 	}
 }

@@ -93,6 +93,40 @@ func ParseDimacs(r io.Reader) (*Formula, []lit.Var, error) {
 	return f, proj, nil
 }
 
+// Projection resolves the variables an enumeration projects onto: the
+// explicit 1-based DIMACS list when it is non-nil, else the file's
+// "c proj" line, else every variable. Each must lie in 1..numVars and be
+// listed once, since a cube space holds a variable at one position.
+func Projection(explicit []int, fileProj []lit.Var, numVars int) ([]lit.Var, error) {
+	proj := fileProj
+	switch {
+	case explicit != nil:
+		proj = make([]lit.Var, len(explicit))
+		for i, d := range explicit {
+			if d <= 0 || d > numVars {
+				return nil, fmt.Errorf("projection variable %d out of range 1..%d", d, numVars)
+			}
+			proj[i] = lit.Var(d - 1)
+		}
+	case len(fileProj) == 0:
+		proj = make([]lit.Var, numVars)
+		for v := range proj {
+			proj[v] = lit.Var(v)
+		}
+	}
+	seen := make([]bool, numVars)
+	for _, v := range proj {
+		if v < 0 || int(v) >= numVars {
+			return nil, fmt.Errorf("projection variable %d out of range 1..%d", int(v)+1, numVars)
+		}
+		if seen[v] {
+			return nil, fmt.Errorf("projection variable %d listed twice", int(v)+1)
+		}
+		seen[v] = true
+	}
+	return proj, nil
+}
+
 // ParseDimacsString parses a DIMACS formula from a string.
 func ParseDimacsString(s string) (*Formula, []lit.Var, error) {
 	return ParseDimacs(strings.NewReader(s))

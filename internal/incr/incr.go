@@ -2,7 +2,7 @@
 // is Tseitin-encoded once, one persistent set of success-driven
 // enumerators (internal/pool.Session) and one shared BDD manager stay
 // alive across every reachability step, and each step's frontier cover
-// is encoded under a fresh activation literal (trans.Step). A backward
+// is encoded under a fresh activation literal (trans.Group). A backward
 // session searches over the state variables alone, a forward one over
 // the next-state variables: a step's set is a state set, with no input
 // to quantify out. Retiring a
@@ -104,58 +104,44 @@ type Session struct {
 
 	projSpace *cube.Space // StateSpace (backward) / dedup NextVars (forward), CNF var ids
 
-	cur        *trans.Step // open step's gated group, nil before first Step
-	maxCubes   uint64      // Budget.MaxCubes, applied per step
+	cur        *trans.Group // open step's gated group, nil before first Step
+	maxCubes   uint64       // Budget.MaxCubes, applied per step
 	steps      int
 	encodeTime time.Duration
 	reg        *stats.Registry
 }
 
-// NewBackward opens a backward-reachability session: each Step(cover)
-// enumerates the one-step preimage of the cover. The projection space is
-// the instance's state space, the latches in declaration order, as in a
-// fresh walk layer, so covers and counts are directly comparable.
+// NewBackward opens a backward-reachability session: Open with forward
+// unset.
 func NewBackward(c *circuit.Circuit, opts Options) (*Session, error) {
-	t0 := time.Now()
-	inst, err := trans.NewBaseInstance(c)
-	if err != nil {
-		return nil, err
-	}
-	simplifyBase(inst, opts)
-	encodeTime := time.Since(t0)
-	s := &Session{
-		inst:       inst,
-		backward:   true,
-		projSpace:  inst.StateSpace,
-		maxCubes:   opts.Budget.MaxCubes,
-		encodeTime: encodeTime,
-		reg:        opts.Stats,
-	}
-	s.ps = newPoolSession(inst, s.projSpace, opts)
-	return s, nil
+	return Open(c, false, opts)
 }
 
-// NewForward opens a forward-image session: each Step(cover) enumerates
-// the image of the cover. The projection space is the deduplicated
-// next-state variable space (several latches may share one D signal);
-// expansion back to per-latch positions is the caller's job
-// (preimage.ForwardReach).
-func NewForward(c *circuit.Circuit, opts Options) (*Session, error) {
+// Open opens a session in either direction. A backward session's
+// Step(cover) enumerates the one-step preimage of the cover over the
+// instance's state space, the latches in declaration order, as in a
+// fresh walk layer, so covers and counts are directly comparable. A
+// forward session's Step(cover) enumerates the image of the cover over
+// the deduplicated next-state variable space (several latches may share
+// one D signal); expansion back to per-latch positions is the caller's
+// job (preimage.ForwardReach).
+func Open(c *circuit.Circuit, forward bool, opts Options) (*Session, error) {
 	t0 := time.Now()
 	inst, err := trans.NewBaseInstance(c)
 	if err != nil {
 		return nil, err
 	}
 	simplifyBase(inst, opts)
-	encodeTime := time.Since(t0)
-	next := trans.DedupVars(inst.NextVars)
 	s := &Session{
 		inst:       inst,
-		backward:   false,
-		projSpace:  cube.NewSpace(next),
+		backward:   !forward,
+		projSpace:  inst.StateSpace,
 		maxCubes:   opts.Budget.MaxCubes,
-		encodeTime: encodeTime,
+		encodeTime: time.Since(t0),
 		reg:        opts.Stats,
+	}
+	if forward {
+		s.projSpace = cube.NewSpace(trans.DedupVars(inst.NextVars))
 	}
 	s.ps = newPoolSession(inst, s.projSpace, opts)
 	return s, nil
@@ -211,8 +197,8 @@ func (s *Session) Close() {
 	s.ps.Close()
 }
 
-// Backward reports whether Step computes preimages (NewBackward) rather
-// than images (NewForward).
+// Backward reports whether Step computes preimages rather than images
+// (see Open).
 func (s *Session) Backward() bool { return s.backward }
 
 // Closed reports whether Close has been called.
@@ -249,7 +235,7 @@ func (s *Session) Step(cover *cube.Cover) (*StepResult, error) {
 		out.Retire = s.ps.RetireGroup(s.cur.Act.Not(), s.cur.Vars)
 		s.cur = nil
 	}
-	var st *trans.Step
+	var st *trans.Group
 	var err error
 	if s.backward {
 		st, err = s.inst.Retarget(cover, s.ps.NewVar)

@@ -107,7 +107,7 @@ func TestForwardSessionStepMatchesFreshImage(t *testing.T) {
 	c := gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})
 	inits := []string{"000000", "X1XXXX", "10XXXX"}
 
-	sess, err := incr.NewForward(c, incr.Options{Workers: 1})
+	sess, err := incr.Open(c, true, incr.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func image(c *circuit.Circuit, init *cube.Cover, opts Options, share *bdd.Manage
 	if err != nil {
 		return nil, set, err
 	}
-	recordStats(opts.Stats, res, time.Since(start))
+	RecordStats(opts.Stats, res, time.Since(start))
 	return res, set, nil
 }
 

@@ -8,7 +8,7 @@ import (
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/lit"
-	"allsatpre/internal/tseitin"
+	"allsatpre/internal/trans"
 )
 
 // KStepPreimage computes, in a single all-SAT enumeration over an
@@ -17,9 +17,10 @@ import (
 // layers, obtained without iterating preimages. Only the SAT engines
 // apply (the BDD engine has no unrolled formulation here).
 //
-// The unrolling chains k copies of the combinational next-state logic;
-// a per-frame selector asserts "the state at frame i is in the target",
-// and the disjunction of the selectors requires some frame to hit it.
+// The unrolling chains k copies of the combinational next-state logic
+// (trans.Instance.Frame); a per-frame activation literal gates "the
+// state at frame i is in the target" (trans.EncodeCover), and the
+// disjunction of the activations requires some frame to hit it.
 // The projection is the frame-0 state vector.
 func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) (*Result, error) {
 	opts.Budget = opts.Budget.Materialize()
@@ -44,84 +45,44 @@ func KStepPreimage(c *circuit.Circuit, target *cube.Cover, k int, opts Options) 
 	if err != nil {
 		return nil, err
 	}
-	recordStats(opts.Stats, res, time.Since(start))
+	RecordStats(opts.Stats, res, time.Since(start))
 	return res, nil
 }
 
 // kstepUnrolled is KStepPreimage as one SAT run over the unrolled
 // formula, projected onto the frame-0 state vector.
 func kstepUnrolled(c *circuit.Circuit, target *cube.Cover, k int, opts Options) (*Result, error) {
-	enc, err := tseitin.EncodeCached(c)
+	// Each frame instantiates the next-state cone, the only part of the
+	// netlist that constrains a state.
+	inst, err := trans.NewBaseInstance(c)
 	if err != nil {
 		return nil, err
 	}
-
 	f := cnf.New(0)
-	nL := len(c.Latches)
 	// Frame-0 state variables come first so the enumerators decide them
 	// at the top of the search (and of the solution BDD).
-	state0 := make([]lit.Var, nL)
+	state0 := make([]lit.Var, len(c.Latches))
 	for i := range state0 {
 		state0[i] = f.NewVar()
 	}
-
-	// Unroll k frames of the transition logic: the next-state cone, the
-	// only part of the netlist that constrains a state.
 	frameState := [][]lit.Var{state0}
-	cur := state0
 	for frame := 0; frame < k; frame++ {
 		base := f.NumVars
-		mapVar := make([]lit.Var, enc.F.NumVars)
-		for v := 0; v < enc.F.NumVars; v++ {
-			mapVar[v] = lit.Var(base + v)
-		}
-		for i, sv := range enc.StateVars {
-			mapVar[sv] = cur[i]
-		}
-		f.NumVars = base + enc.F.NumVars
-		for _, cl := range enc.NextStateCone() {
-			lits := make([]lit.Lit, len(cl))
-			for i, l := range cl {
-				lits[i] = lit.New(mapVar[l.Var()], l.Sign())
-			}
-			f.AddClause(lits)
-		}
-		next := make([]lit.Var, nL)
-		for i, nv := range enc.NextStateVars {
-			next[i] = mapVar[nv]
-		}
+		_, next := inst.Frame(frameState[frame], base, f.AddClause)
+		f.NumVars = base + inst.F.NumVars
 		frameState = append(frameState, next)
-		cur = next
 	}
 
-	// "Some frame's state is in the target": one activator per frame,
-	// cube selectors beneath each.
-	if target.Len() == 0 {
-		f.AddClause(cnf.Clause{})
-	} else {
-		var hit []lit.Lit
-		for _, st := range frameState {
-			u := f.NewVar()
-			hit = append(hit, lit.Pos(u))
-			var any []lit.Lit
-			any = append(any, lit.Neg(u))
-			for _, cb := range target.Cubes() {
-				sel := f.NewVar()
-				any = append(any, lit.Pos(sel))
-				for pos, t := range cb {
-					if t == lit.Unknown {
-						continue
-					}
-					f.Add(lit.Neg(sel), lit.New(st[pos], t == lit.False))
-				}
-			}
-			f.AddClause(any)
-		}
-		f.AddClause(hit)
+	// "Some frame's state is in the target": the target gated per frame,
+	// and the disjunction of the gates.
+	hit := make(cnf.Clause, len(frameState))
+	for i, st := range frameState {
+		hit[i], _ = trans.EncodeCover(target, st, true, f.NewVar, f.AddClause)
 	}
+	f.AddClause(hit)
 
 	stateSpace := StateSpace(c)
-	names := make([]string, nL)
+	names := make([]string, len(state0))
 	for i := range names {
 		names[i] = stateSpace.Name(i)
 	}

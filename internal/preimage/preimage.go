@@ -180,8 +180,9 @@ type Options struct {
 	// engine's slices) run their jobs on the server-wide executor pool
 	// under the runtime's tenant label. Results are bit-identical either
 	// way; nil means fresh construction and a private scheduler for each
-	// parallel call. Incremental sessions ignore it (their solvers
-	// persist across steps by design).
+	// parallel call. Incremental sessions run their multi-worker steps'
+	// jobs on its scheduler too, but keep their own solvers and managers,
+	// which persist across steps by design.
 	Runtime *rt.Runtime
 }
 
@@ -276,7 +277,7 @@ func compute(c *circuit.Circuit, target *cube.Cover, opts Options, share *bdd.Ma
 	if share != nil && opts.Engine == EngineBDD {
 		set = share.FromCover(res.States)
 	}
-	recordStats(opts.Stats, res, time.Since(start))
+	RecordStats(opts.Stats, res, time.Since(start))
 	return res, set, nil
 }
 
@@ -322,8 +323,11 @@ func coreOptions(opts Options) core.Options {
 	return co
 }
 
-// recordStats publishes a result's counters into the run registry.
-func recordStats(reg *stats.Registry, r *Result, elapsed time.Duration) {
+// RecordStats publishes a result's counters into the run registry. It
+// owns the counter names of every -stats block and run registry: the
+// preimage entry points, the walks' layers and the DIMACS facade all
+// publish through it.
+func RecordStats(reg *stats.Registry, r *Result, elapsed time.Duration) {
 	if reg == nil || r == nil {
 		return
 	}

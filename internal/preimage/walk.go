@@ -80,7 +80,9 @@ func useIncremental(opts Options) bool {
 	return opts.Incremental && opts.Engine == EngineSuccessDriven
 }
 
-// incrOptions translates preimage options into session options.
+// incrOptions translates preimage options into session options. It is
+// the one translation: the walks and the server's sessions (through
+// OpenSession) both open their sessions with it.
 func incrOptions(opts Options) incr.Options {
 	workers := opts.Parallel
 	if workers < 1 {
@@ -92,7 +94,14 @@ func incrOptions(opts Options) incr.Options {
 		Budget:   opts.Budget,
 		Simplify: opts.Simplify.Enabled(true),
 		Stats:    opts.Stats,
+		Runtime:  opts.Runtime,
 	}
+}
+
+// OpenSession opens an incremental session on c, backward or forward,
+// under the session options opts translates to.
+func OpenSession(c *circuit.Circuit, forward bool, opts Options) (*incr.Session, error) {
+	return incr.Open(c, forward, incrOptions(opts))
 }
 
 // newWalk starts a walk from start (backward by preimages, or forward by
@@ -101,11 +110,7 @@ func incrOptions(opts Options) incr.Options {
 // per layer. The caller closes the walk.
 func newWalk(c *circuit.Circuit, start *cube.Cover, forward bool, opts Options) (*Walk, error) {
 	if useIncremental(opts) {
-		open := incr.NewBackward
-		if forward {
-			open = incr.NewForward
-		}
-		sess, err := open(c, incrOptions(opts))
+		sess, err := OpenSession(c, forward, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -303,7 +308,7 @@ func (s *sessionSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer,
 		return layer{}, err
 	}
 	if reg != nil {
-		recordStats(reg, &Result{
+		RecordStats(reg, &Result{
 			Stats:       st.Stats,
 			BDDNodes:    st.Stats.BDDNodes,
 			Engine:      EngineSuccessDriven,

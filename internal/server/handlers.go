@@ -144,7 +144,18 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "malformed DIMACS: %v", err)
 		return
 	}
-	proj, err := parseProjection(q.Get("proj"), fileProj, f.NumVars)
+	var explicit []int
+	if v := q.Get("proj"); v != "" {
+		for _, tok := range strings.Split(v, ",") {
+			d, err := strconv.Atoi(strings.TrimSpace(tok))
+			if err != nil {
+				httpError(w, http.StatusBadRequest, "bad projection variable %q (want a DIMACS number)", tok)
+				return
+			}
+			explicit = append(explicit, d)
+		}
+	}
+	proj, err := cnf.Projection(explicit, fileProj, f.NumVars)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -407,8 +418,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		id = fmt.Sprintf("s%d", sessionSeq.Add(1))
 	}
 
-	isess, err := incr.NewBackward(c, incr.Options{
-		Workers: workers, Budget: bud, Stats: s.reg, Runtime: s.runtimeFor(r),
+	isess, err := preimage.OpenSession(c, false, preimage.Options{
+		Incremental: true, Parallel: workers, Budget: bud, Stats: s.reg, Runtime: s.runtimeFor(r),
 	})
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "encoding circuit: %v", err)
@@ -516,34 +527,9 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(s.store.list())
 }
 
-// parseProjection resolves the projection variable set: the proj query
-// parameter (comma-separated 1-based DIMACS numbers) wins, then the
-// file's "c proj" line, then all variables.
-func parseProjection(q string, fileProj []lit.Var, numVars int) ([]lit.Var, error) {
-	if q != "" {
-		var out []lit.Var
-		for _, tok := range strings.Split(q, ",") {
-			d, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil || d <= 0 || d > numVars {
-				return nil, fmt.Errorf("bad projection variable %q (want 1..%d)", tok, numVars)
-			}
-			out = append(out, lit.Var(d-1))
-		}
-		return out, nil
-	}
-	if len(fileProj) > 0 {
-		return fileProj, nil
-	}
-	out := make([]lit.Var, numVars)
-	for v := range out {
-		out[v] = lit.Var(v)
-	}
-	return out, nil
-}
-
-// targetCover validates 01X patterns against the circuit's latch count
-// and builds the target cover. Patterns may arrive as repeated values
-// or comma-separated.
+// targetCover builds the target cover from 01X patterns, checked by
+// trans.ParseTarget. Patterns may arrive as repeated values or
+// comma-separated.
 func targetCover(c *circuit.Circuit, raw []string) (*cube.Cover, error) {
 	var patterns []string
 	for _, r := range raw {
@@ -556,20 +542,7 @@ func targetCover(c *circuit.Circuit, raw []string) (*cube.Cover, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("no target patterns given")
 	}
-	n := len(c.Latches)
-	for _, p := range patterns {
-		if len(p) != n {
-			return nil, fmt.Errorf("target pattern %q has %d positions, circuit has %d latches", p, len(p), n)
-		}
-		for _, r := range p {
-			switch r {
-			case '0', '1', 'X', 'x', '-':
-			default:
-				return nil, fmt.Errorf("target pattern %q: invalid character %q (want 0, 1, X)", p, r)
-			}
-		}
-	}
-	return trans.TargetFromPatterns(n, patterns...), nil
+	return trans.ParseTarget(len(c.Latches), patterns...)
 }
 
 // dimacsVars renders variables as 1-based DIMACS numbers.

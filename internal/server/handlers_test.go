@@ -32,6 +32,8 @@ func TestHandlerRejections(t *testing.T) {
 		{"unknown enumerate engine", "POST", "/v1/enumerate?engine=magic", goodDimacs, 400, "unknown engine"},
 		{"bdd enumerate engine", "POST", "/v1/enumerate?engine=bdd", goodDimacs, 400, "cannot enumerate raw CNF"},
 		{"bad projection", "POST", "/v1/enumerate?proj=0", goodDimacs, 400, "projection"},
+		{"repeated projection", "POST", "/v1/enumerate?proj=1,1", goodDimacs, 400, "listed twice"},
+		{"repeated file projection", "POST", "/v1/enumerate", "c proj 2 1 2\n" + goodDimacs, 400, "listed twice"},
 		{"bad timeout", "POST", "/v1/enumerate?timeout=fast", goodDimacs, 400, "timeout"},
 		{"bad workers", "POST", "/v1/enumerate?workers=-2", goodDimacs, 400, "workers"},
 		{"bad max-conflicts", "POST", "/v1/enumerate?max-conflicts=-1", goodDimacs, 400, "max-conflicts"},

@@ -654,3 +654,43 @@ func TestSessionTruncatedLayerEndsWalk(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionPreprocessesLikeReach: /v1/sessions opens its session
+// through preimage's one session translation, so the base CNF is
+// preprocessed as an incremental preimage.Reach's is, and every step
+// finds the states that Reach's layer at the same depth finds.
+func TestSessionPreprocessesLikeReach(t *testing.T) {
+	c := gen.SLike(gen.SLikeParams{Seed: 5, Inputs: 8, Latches: 10, Gates: 200})
+	const target = "XXXXXXXXX1"
+	reg := stats.NewRegistry("test")
+	srv := New(Config{Stats: reg})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+
+	body := map[string]any{"name": "simp", "bench": circuit.BenchString(c), "target": []string{target}}
+	if code := postJSON(t, ts.URL+"/v1/sessions", body, nil); code != http.StatusCreated {
+		t.Fatalf("create: status %d", code)
+	}
+	if n := reg.Counter("incr.simplify-vars-eliminated").Load(); n == 0 {
+		t.Fatal("incr.simplify-vars-eliminated is 0: the session's base CNF was not preprocessed")
+	}
+	steps := walkToFixpoint(t, ts.URL, "simp")
+	ref, err := preimage.Reach(c, trans.TargetFromPatterns(len(c.Latches), target), 0,
+		preimage.Options{Incremental: true})
+	if err != nil || !ref.Fixpoint {
+		t.Fatalf("reference Reach: fixpoint %v, err %v", ref != nil && ref.Fixpoint, err)
+	}
+	if len(steps) != len(ref.FrontierCounts) {
+		t.Fatalf("session took %d steps, Reach has %d frontiers", len(steps), len(ref.FrontierCounts))
+	}
+	for i, s := range steps {
+		want := "0"
+		if i+1 < len(ref.FrontierCounts) {
+			want = ref.FrontierCounts[i+1].String()
+		}
+		if s.NewStates != want {
+			t.Fatalf("step %d: %s new states, Reach's layer has %s", i+1, s.NewStates, want)
+		}
+	}
+}

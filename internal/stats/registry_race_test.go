@@ -76,7 +76,7 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 // reports stats at the end, so a lock-coverage regression on these keys
 // surfaces here under -race before it corrupts a real run's report.
 // TestRegistrySimplifyKeysHammer hammers the exact metric keys the
-// projection-safe preprocessor publishes (preimage.recordStats and the
+// projection-safe preprocessor publishes (preimage.RecordStats and the
 // incr session's incr.simplify-* variants), concurrently with snapshot
 // readers — the preimage path records them from whichever goroutine
 // finishes a parallel run, so the same lock-coverage guarantee applies.
@@ -127,7 +127,7 @@ func TestRegistryIncrKeysHammer(t *testing.T) {
 	gauges := []string{
 		"incr.learned-kept", "incr.learned-live", "incr.learned-live-lits",
 		"incr.memo-size",
-		// The sat.* arena/tier keys are recorded by preimage.recordStats
+		// The sat.* arena/tier keys are recorded by preimage.RecordStats
 		// from whichever goroutine finishes a parallel run, like the
 		// simplify keys above.
 		"sat.learnts-core", "sat.learnts-tier2", "sat.learnts-local",

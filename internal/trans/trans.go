@@ -2,7 +2,9 @@
 // sequential circuits: the Tseitin CNF of the next-state logic conjoined
 // with a target-set constraint over the next-state variables, together
 // with the variable spaces (present state, primary input) the all-SAT
-// engines project onto.
+// engines project onto. It owns every target and frame encoding: the
+// 01X pattern parser (ParseTarget), the cover encoder (EncodeCover) and
+// the time-frame unroller (Instance.Frame).
 package trans
 
 import (
@@ -37,9 +39,6 @@ type Instance struct {
 	StateSpace *cube.Space
 	// FullSpace is the cube space over StateVars followed by InputVars.
 	FullSpace *cube.Space
-	// SelectorVars are the auxiliary cube-selector variables added for
-	// the target cover (one per target cube), for diagnostics.
-	SelectorVars []lit.Var
 }
 
 // DedupVars drops repeated variables, keeping first occurrences: latches
@@ -90,40 +89,11 @@ func NewBaseInstance(c *circuit.Circuit) (*Instance, error) {
 	return inst, nil
 }
 
-// addCoverConstraint encodes "the valuation of vars lies in cv" into
-// in.F with one selector variable per cube:
-//
-//	sel_i → (literals of cube i),  sel_1 ∨ … ∨ sel_k
-//
-// An empty cover yields an empty clause (unsatisfiable instance).
-func (in *Instance) addCoverConstraint(cv *cube.Cover, vars []lit.Var) {
-	if cv.Len() == 0 {
-		in.F.Add()
-		return
-	}
-	var any []lit.Lit
-	for _, cb := range cv.Cubes() {
-		sel := in.F.NewVar()
-		in.SelectorVars = append(in.SelectorVars, sel)
-		any = append(any, lit.Pos(sel))
-		for pos, t := range cb {
-			if t == lit.Unknown {
-				continue
-			}
-			in.F.Add(lit.Neg(sel), lit.New(vars[pos], t == lit.False))
-		}
-	}
-	in.F.Add(any...)
-}
-
 // NewInstance builds the preimage instance for the circuit and a target
 // cover over the state space (one position per latch, in declaration
-// order). The target constraint "next-state ∈ target" is encoded with one
-// selector variable per cube:
-//
-//	sel_i → (next-state literals of cube i),  sel_1 ∨ … ∨ sel_k
-//
-// An empty target cover yields an unsatisfiable instance (empty preimage).
+// order): the base instance plus "next-state ∈ target", encoded by
+// EncodeCover. An empty target cover yields an unsatisfiable instance
+// (empty preimage).
 func NewInstance(c *circuit.Circuit, target *cube.Cover) (*Instance, error) {
 	if target.Space().Size() != len(c.Latches) {
 		return nil, fmt.Errorf("trans: target space has %d positions, circuit has %d latches",
@@ -133,7 +103,7 @@ func NewInstance(c *circuit.Circuit, target *cube.Cover) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst.addCoverConstraint(target, inst.NextVars)
+	EncodeCover(target, inst.NextVars, false, inst.F.NewVar, inst.F.AddClause)
 	return inst, nil
 }
 
@@ -150,80 +120,149 @@ func NewImageInstance(c *circuit.Circuit, init *cube.Cover) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst.addCoverConstraint(init, inst.StateVars)
+	EncodeCover(init, inst.StateVars, false, inst.F.NewVar, inst.F.AddClause)
 	return inst, nil
 }
 
-// Step is one activation-gated target encoding produced by Retarget or
-// RetargetInit, for feeding a persistent solver: add every clause in
-// Clauses (each contains ¬Act), solve/enumerate under the assumption
-// Act, then retire the step with the unit ¬Act and garbage-collect
-// everything mentioning Vars.
-type Step struct {
-	// Act is the activation literal (positive polarity).
-	Act lit.Lit
-	// Vars are the variables private to the step — the activation
-	// variable and the cube selectors — to retire with it.
-	Vars []lit.Var
-	// Clauses is the gated constraint: sel_i → cube_i literals and the
-	// selector disjunction, every clause gated on ¬Act. An empty cover
-	// encodes as the single clause {¬Act}, making the step UNSAT under
-	// the assumption Act without touching the base formula.
-	Clauses [][]lit.Lit
-}
-
-// gateCover builds the activation-gated clause set constraining vars to
-// lie in cv. newVar allocates fresh solver variables (the caller keeps
-// every participating solver's variable counts in sync).
-func gateCover(cv *cube.Cover, vars []lit.Var, newVar func() lit.Var) *Step {
-	act := newVar()
-	st := &Step{Act: lit.Pos(act), Vars: []lit.Var{act}}
-	nact := lit.Neg(act)
-	if cv.Len() == 0 {
-		st.Clauses = append(st.Clauses, []lit.Lit{nact})
-		return st
+// EncodeCover encodes "the valuation of vars lies in cv" with one
+// selector variable per cube, cube positions mapping to vars by index:
+//
+//	sel_i → (literals of cube i),  sel_1 ∨ … ∨ sel_k
+//
+// It passes the clauses to add cube by cube, one per fixed position,
+// and the selector disjunction last; add may keep them (they share one
+// literal arena, each capped so that appending to one never writes into
+// another). newVar allocates the variables, which EncodeCover returns in
+// allocation order; a caller feeding several solvers keeps their
+// variable counts in sync. When gated, the first variable is the
+// activation variable and act its positive literal: every clause also
+// carries ¬act, so the constraint binds only under the assumption act
+// and the unit ¬act retires it. Otherwise act is lit.UndefLit. An empty
+// cover encodes as the single clause {¬act}, or as the empty clause
+// when not gated: unsatisfiable either way.
+func EncodeCover(cv *cube.Cover, vars []lit.Var, gated bool, newVar func() lit.Var, add func(cnf.Clause)) (act lit.Lit, private []lit.Var) {
+	cubes := cv.Cubes()
+	act = lit.UndefLit
+	var gate []lit.Lit // the clause prefix: {¬act} when gated
+	private = make([]lit.Var, 0, 1+len(cubes))
+	if gated {
+		v := newVar()
+		act = lit.Pos(v)
+		private = append(private, v)
+		gate = []lit.Lit{lit.Neg(v)}
 	}
-	any := []lit.Lit{nact}
-	for _, cb := range cv.Cubes() {
+	fixed := 0
+	for _, cb := range cubes {
+		for _, t := range cb {
+			if t != lit.Unknown {
+				fixed++
+			}
+		}
+	}
+	lits := make([]lit.Lit, 0, fixed*(len(gate)+2)+len(gate)+len(cubes))
+	for _, cb := range cubes {
 		sel := newVar()
-		st.Vars = append(st.Vars, sel)
-		any = append(any, lit.Pos(sel))
+		private = append(private, sel)
 		for pos, t := range cb {
 			if t == lit.Unknown {
 				continue
 			}
-			st.Clauses = append(st.Clauses,
-				[]lit.Lit{nact, lit.Neg(sel), lit.New(vars[pos], t == lit.False)})
+			start := len(lits)
+			lits = append(append(lits, gate...), lit.Neg(sel), lit.New(vars[pos], t == lit.False))
+			add(lits[start:len(lits):len(lits)])
 		}
 	}
-	st.Clauses = append(st.Clauses, any)
-	return st
+	start := len(lits)
+	lits = append(lits, gate...)
+	for _, sel := range private[len(gate):] {
+		lits = append(lits, lit.Pos(sel))
+	}
+	add(lits[start:len(lits):len(lits)])
+	return act, private
+}
+
+// Group is an activation-gated cover constraint for a persistent solver,
+// built by Retarget or RetargetInit: add every clause in Clauses (each
+// contains ¬Act), solve or enumerate under the assumption Act, then
+// retire the group with the unit ¬Act and garbage-collect everything
+// mentioning Vars.
+type Group struct {
+	// Act is the activation literal (positive polarity).
+	Act lit.Lit
+	// Vars are the variables private to the group: the activation
+	// variable and the cube selectors.
+	Vars []lit.Var
+	// Clauses is the gated constraint, in EncodeCover's order.
+	Clauses []cnf.Clause
+}
+
+// gate encodes "vars ∈ cv" as a gated group.
+func gate(cv *cube.Cover, vars []lit.Var, newVar func() lit.Var) *Group {
+	g := &Group{}
+	g.Act, g.Vars = EncodeCover(cv, vars, true, newVar, func(cl cnf.Clause) {
+		g.Clauses = append(g.Clauses, cl)
+	})
+	return g
 }
 
 // Retarget encodes a new target cover over the next-state variables as
-// an activation-gated step for an incremental backward-reachability
+// an activation-gated group for an incremental backward-reachability
 // session. The cover may live in any space of the right width (cube
 // positions map to latches by index, as in RetargetCover).
-func (in *Instance) Retarget(cv *cube.Cover, newVar func() lit.Var) (*Step, error) {
+func (in *Instance) Retarget(cv *cube.Cover, newVar func() lit.Var) (*Group, error) {
 	if cv.Space().Size() != len(in.NextVars) {
 		return nil, fmt.Errorf("trans: cover has %d positions, circuit has %d latches",
 			cv.Space().Size(), len(in.NextVars))
 	}
-	return gateCover(cv, in.NextVars, newVar), nil
+	return gate(cv, in.NextVars, newVar), nil
 }
 
-// RetargetInit encodes a present-state cover as an activation-gated step,
-// the forward-image analogue of Retarget.
-func (in *Instance) RetargetInit(cv *cube.Cover, newVar func() lit.Var) (*Step, error) {
+// RetargetInit encodes a present-state cover as an activation-gated
+// group, the forward-image analogue of Retarget.
+func (in *Instance) RetargetInit(cv *cube.Cover, newVar func() lit.Var) (*Group, error) {
 	if cv.Space().Size() != len(in.StateVars) {
 		return nil, fmt.Errorf("trans: cover has %d positions, circuit has %d latches",
 			cv.Space().Size(), len(in.StateVars))
 	}
-	return gateCover(cv, in.StateVars, newVar), nil
+	return gate(cv, in.StateVars, newVar), nil
+}
+
+// Frame instantiates F as one time frame of an unrolling: variable v
+// becomes base+v, except the state variables, which alias state (the
+// frame-0 vector, or the previous frame's next state). It passes the
+// remapped clauses to add, which may keep them, and returns the frame's
+// input and next-state variables. The caller reserves the variables
+// base .. base+F.NumVars-1 (the slots of the aliased state variables
+// stay unused).
+func (in *Instance) Frame(state []lit.Var, base int, add func(cnf.Clause)) (inputs, next []lit.Var) {
+	mapVar := make([]lit.Var, in.F.NumVars)
+	for v := range mapVar {
+		mapVar[v] = lit.Var(base + v)
+	}
+	for i, sv := range in.StateVars {
+		mapVar[sv] = state[i]
+	}
+	lits := make([]lit.Lit, 0, in.F.NumLits())
+	for _, cl := range in.F.Clauses {
+		start := len(lits)
+		for _, l := range cl {
+			lits = append(lits, lit.New(mapVar[l.Var()], l.Sign()))
+		}
+		add(lits[start:len(lits):len(lits)])
+	}
+	remap := func(vars []lit.Var) []lit.Var {
+		out := make([]lit.Var, len(vars))
+		for i, v := range vars {
+			out[i] = mapVar[v]
+		}
+		return out
+	}
+	return remap(in.InputVars), remap(in.NextVars)
 }
 
 // TargetFromPatterns builds a cover over a fresh state-shaped space from
-// "01X" pattern strings (one position per latch).
+// "01X" pattern strings (one position per latch). The patterns must be
+// valid (cube.Space.CubeOf panics otherwise); ParseTarget checks them.
 func TargetFromPatterns(nLatches int, patterns ...string) *cube.Cover {
 	vars := make([]lit.Var, nLatches)
 	for i := range vars {
@@ -235,6 +274,26 @@ func TargetFromPatterns(nLatches int, patterns ...string) *cube.Cover {
 		cv.Add(sp.CubeOf(p))
 	}
 	return cv
+}
+
+// ParseTarget is TargetFromPatterns for patterns from a user: each must
+// have exactly nLatches characters, each 0, 1, or a free mark (X, x or
+// -). It is the one place the patterns of the facade, the commands and
+// the server are checked.
+func ParseTarget(nLatches int, patterns ...string) (*cube.Cover, error) {
+	for _, p := range patterns {
+		if len(p) != nLatches {
+			return nil, fmt.Errorf("target pattern %q has %d positions, circuit has %d latches", p, len(p), nLatches)
+		}
+		for _, r := range p {
+			switch r {
+			case '0', '1', 'X', 'x', '-':
+			default:
+				return nil, fmt.Errorf("target pattern %q: invalid character %q (want 0, 1, X)", p, r)
+			}
+		}
+	}
+	return TargetFromPatterns(nLatches, patterns...), nil
 }
 
 // RetargetCover rebuilds a cover (over any space of the right width) onto

@@ -37,12 +37,20 @@ func TestInstanceSpaces(t *testing.T) {
 	if inst.StateSpace.Name(0) != "G5" {
 		t.Errorf("latch name = %q, want G5", inst.StateSpace.Name(0))
 	}
-	if len(inst.SelectorVars) != 1 {
-		t.Errorf("selector count = %d", len(inst.SelectorVars))
+	if n := selectors(t, c, inst); n != 1 {
+		t.Errorf("selector count = %d", n)
 	}
-	if inst.StateSpace.Size() != 3 || inst.FullSpace.Size() != 7 {
-		t.Errorf("state/full space sizes %d/%d, want 3/7", inst.StateSpace.Size(), inst.FullSpace.Size())
+}
+
+// selectors counts the variables the target constraint added to the base
+// instance's formula: one selector per cube.
+func selectors(t *testing.T, c *circuit.Circuit, inst *Instance) int {
+	t.Helper()
+	base, err := NewBaseInstance(c)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return inst.F.NumVars - base.F.NumVars
 }
 
 func TestTargetWidthMismatch(t *testing.T) {
@@ -100,8 +108,8 @@ func TestMultiCubeTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inst.SelectorVars) != 2 {
-		t.Fatalf("want 2 selectors, got %d", len(inst.SelectorVars))
+	if n := selectors(t, c, inst); n != 2 {
+		t.Fatalf("want 2 selectors, got %d", n)
 	}
 	s := sat.FromFormula(inst.F, sat.DefaultOptions())
 	for sv := 0; sv < 8; sv++ {
@@ -136,8 +144,8 @@ func TestImageInstanceSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inst.SelectorVars) != 1 {
-		t.Fatalf("selector count %d", len(inst.SelectorVars))
+	if n := selectors(t, c, inst); n != 1 {
+		t.Fatalf("selector count %d", n)
 	}
 	s := sat.FromFormula(inst.F, sat.DefaultOptions())
 	for sv := 0; sv < 8; sv++ {
@@ -178,7 +186,7 @@ func TestImageInstanceMultiCube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inst.SelectorVars) != 2 || inst.StateSpace.Size() != 3 || inst.FullSpace.Size() != 7 {
+	if selectors(t, c, inst) != 2 || inst.StateSpace.Size() != 3 || inst.FullSpace.Size() != 7 {
 		t.Fatal("instance shape")
 	}
 	s := sat.FromFormula(inst.F, sat.DefaultOptions())

@@ -57,6 +57,9 @@ go test -run '^$' -fuzz '^FuzzParseBenchDifferential$' -fuzztime=5000x ./interna
 # The projection-safe preprocessor must keep the frozen projection, its
 # UNSAT claims and its witness reconstruction exact on random small CNFs.
 go test -run '^$' -fuzz '^FuzzRunFrozen$' -fuzztime=5000x ./internal/simplify/
+# The one 01X pattern parser must never panic and must accept exactly
+# the patterns a cube space accepts.
+go test -run '^$' -fuzz '^FuzzParseTarget$' -fuzztime=5000x ./internal/trans/
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
 # in the pooled-vs-fresh server benchmark without paying for 64x2 runs.
@@ -69,6 +72,22 @@ for engine in success blocking lifting disjoint; do
 done
 go run ./cmd/allsat -engine blocking -max-cubes 1 testdata/parity5.cnf | grep -q 'TRUNCATED (cube-limit)'
 go run ./cmd/allsat -engine success -max-cubes 1 testdata/parity5.cnf | grep -q 'TRUNCATED (cube-limit)'
+# -stats publishes the same counters as the preimage tools (the memo's
+# 15 lookups among them), and a repeated projection variable is an
+# error, not a panic.
+go run ./cmd/allsat -workers 1 -stats -engine success testdata/parity5.cnf | grep -q '^  cache-lookups  *15$'
+go run ./cmd/allsat -proj 1,1,2 testdata/parity5.cnf 2>&1 | grep -q 'projection variable 1 listed twice'
+
+# BMC smoke: counter:4 runs from 0000 to 1111 in 15 transitions, found
+# by the sequential and the parallel depth sweep alike; within bound 10
+# there is no counterexample, which exits 3.
+BMC_DIR=$(mktemp -d)
+go build -o "$BMC_DIR/bmc" ./cmd/bmc
+"$BMC_DIR/bmc" counter:4 0000 1111 | grep -q '^COUNTEREXAMPLE of length 15 '
+"$BMC_DIR/bmc" -workers 2 counter:4 0000 1111 | grep -q '^COUNTEREXAMPLE of length 15 '
+if "$BMC_DIR/bmc" -bound 10 counter:4 0000 1111 > "$BMC_DIR/out"; then exit 1; else test $? = 3; fi
+grep -q '^NO counterexample within bound 10 ' "$BMC_DIR/out"
+rm -rf "$BMC_DIR"
 
 # Unrolled k-step smoke: every SAT engine finds the ten states of
 # counter:4 that reach XXX1 within two steps, and -stats records the
@@ -113,6 +132,8 @@ curl -sfN --data-binary @"$SERVE_DIR/f.cnf" "http://$ADDR/v1/enumerate?engine=di
 grep -q '"type":"header"' "$SERVE_DIR/stream"
 grep -q '"type":"cube"' "$SERVE_DIR/stream"
 grep -q '"truncated":false' "$SERVE_DIR/stream"
+# A repeated projection variable is a client error, answered with 400.
+test "$(curl -s -o /dev/null -w '%{http_code}' --data-binary @"$SERVE_DIR/f.cnf" "http://$ADDR/v1/enumerate?proj=1,1")" = 400
 go run ./cmd/benchgen counter:3 > "$SERVE_DIR/counter.bench"
 BENCH=$(awk '{printf "%s\\n", $0}' "$SERVE_DIR/counter.bench" | sed 's/"/\\"/g')
 curl -sf "http://$ADDR/v1/sessions" \

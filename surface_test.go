@@ -21,6 +21,7 @@ import (
 // calling, or whose export is gone, fails the test so the list stays exact.
 var surfaceOracles = map[string]string{
 	"cnf.Formula.CountModels":        "brute-force model count, the reference for circuit, sat, simplify and tseitin tests",
+	"cnf.Formula.Add":                "copying clause add, the fixture tests across packages build small formulas with",
 	"core.EnumerateToResult":         "sequential success-driven run, the reference the pool tests compare worker counts against",
 	"cnf.Formula.ProjectedModels":    "brute-force projected models, the reference for allsat, core, sat and simplify tests",
 	"sat.NewDefault":                 "default-options solver, the fixture of the sat tests",
