@@ -303,7 +303,7 @@ func BenchmarkFig4(b *testing.B) {
 // pool (internal/pool) behind the success-driven engine: the same
 // preimage enumerated with 1/2/4/8 workers. The merged cover is
 // bit-identical across worker counts (see internal/preimage's
-// determinism suite), so ns/op differences are pure scheduling cost or
+// differential oracle), so ns/op differences are pure scheduling cost or
 // speedup. On a single-core host the sweep measures the pool's overhead
 // rather than parallel speedup; BENCH_2.json records which one it was.
 func BenchmarkParallelEnumerate(b *testing.B) {
@@ -326,8 +326,8 @@ func BenchmarkParallelEnumerate(b *testing.B) {
 // BenchmarkSimplify — the projection-safe preprocessor on vs off for all
 // five engines over the Table 1 suite (one-step preimage) and, under
 // /reach, the Table 3 reachability workloads with the success-driven
-// engine. Covers are identical either way (internal/preimage's simplify
-// equivalence suite pins this), so the on/off ns/op ratio is the pure
+// engine. Covers are identical either way (internal/preimage's
+// differential oracle pins this), so the on/off ns/op ratio is the pure
 // win (or cost) of eliminating auxiliary variables before enumeration.
 // The BDD engine never consumes the CNF; its pair is a no-op control.
 func BenchmarkSimplify(b *testing.B) {

@@ -145,8 +145,8 @@ type Options struct {
 	Simplify simplify.Mode
 	// Runtime, when non-nil, attaches the pooled execution substrate:
 	// solvers and BDD managers come warm from Runtime.Pool (Reset instead
-	// of reconstructed — bit-identical results, pinned by the reuse
-	// equivalence suite), and parallel subcube jobs run on Runtime.Sched's
+	// of reconstructed — bit-identical results, pinned by the preimage
+	// oracle), and parallel subcube jobs run on Runtime.Sched's
 	// shared fair-share executors. Nil (or a nil Sched) means a private
 	// scheduler with Workers executors for the call; nil Pool means fresh
 	// construction.

@@ -18,7 +18,7 @@ import (
 // no nodes (every constituent is already interned), so a Reset-reused
 // manager yields bit-identical Refs to a fresh one for the same
 // operation sequence. Unique-table size affects probe/rehash counters
-// only. The reuse equivalence suite pins this contract.
+// only. The preimage oracle's warm runs pin this contract.
 func (m *Manager) Reset(order []lit.Var) {
 	m.order = append(m.order[:0], order...)
 

@@ -159,12 +159,13 @@ func TestParseDimacsErrors(t *testing.T) {
 	cases := []string{
 		"p cnf x 3\n1 0\n",
 		"p dnf 2 1\n1 0\n",
-		"p cnf 2 5\n1 0\n",       // clause count mismatch
-		"1 2 z 0\n",              // bad literal
-		"c proj 0\np cnf 1 0\n",  // bad projection var
-		"c proj 9\np cnf 2 0\n",  // projection out of range
-		"c proj -2\np cnf 3 0\n", // negative projection var
-		"7000000000000000000\n",  // literal overflowing the encoding
+		"p cnf 2 5\n1 0\n",         // clause count mismatch
+		"1 2 z 0\n",                // bad literal
+		"c proj 0\np cnf 1 0\n",    // bad projection var
+		"c proj 9\np cnf 2 0\n",    // projection out of range
+		"c proj -2\np cnf 3 0\n",   // negative projection var
+		"7000000000000000000\n",    // literal overflowing the encoding
+		"p cnf 1000000000000000 0", // variable count overflowing the encoding
 	}
 	for _, s := range cases {
 		if _, _, err := ParseDimacsString(s); err == nil {

@@ -56,6 +56,12 @@ func ParseDimacs(r io.Reader) (*Formula, []lit.Var, error) {
 			if err1 != nil || err2 != nil || declaredVars < 0 || declaredClauses < 0 {
 				return nil, nil, fmt.Errorf("dimacs line %d: malformed problem line %q", lineNo, line)
 			}
+			// Variables past the literal encoding's range are rejected
+			// here, as in a clause: the header count sizes per-variable
+			// arrays.
+			if declaredVars > math.MaxInt32 {
+				return nil, nil, fmt.Errorf("dimacs line %d: %d variables exceed the limit of %d", lineNo, declaredVars, math.MaxInt32)
+			}
 			continue
 		}
 		for _, tok := range strings.Fields(line) {

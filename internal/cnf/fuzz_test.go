@@ -15,7 +15,8 @@ func FuzzParseDimacs(f *testing.F) {
 		"p cnf 2 9\n1 0\n", // count mismatch
 		"zz\n",
 		"c only a comment\n",
-		"p cnf 1 1\n0\n", // empty clause
+		"p cnf 1 1\n0\n",           // empty clause
+		"p cnf 1000000000000000 0", // variable count past the literal encoding
 	}
 	for _, s := range seeds {
 		f.Add(s)

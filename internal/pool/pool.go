@@ -122,7 +122,7 @@ func (r *Result) Release() {
 // Enumerate runs the pooled enumeration and merges the per-subcube sets
 // into a fresh parent manager. With one worker (or an empty projection
 // space, where there is nothing to partition) it degrades to the plain
-// sequential enumerator — the reference the determinism tests compare
+// sequential enumerator — the reference the preimage oracle compares
 // every other worker count against.
 func Enumerate(f *cnf.Formula, space *cube.Space, opts Options) *Result {
 	return enumerate(f, space, opts, 0, DefaultSplitThreshold)

@@ -11,66 +11,6 @@ import (
 	"allsatpre/internal/trans"
 )
 
-// bruteImage computes the ground-truth forward image by simulation.
-func bruteImage(t *testing.T, c *circuit.Circuit, init *cube.Cover) map[int]bool {
-	t.Helper()
-	sim, err := circuit.NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nL, nI := len(c.Latches), len(c.Inputs)
-	out := map[int]bool{}
-	for sv := 0; sv < 1<<uint(nL); sv++ {
-		st := make([]bool, nL)
-		for i := range st {
-			st[i] = sv&(1<<uint(i)) != 0
-		}
-		if !init.Contains(st) {
-			continue
-		}
-		for iv := 0; iv < 1<<uint(nI); iv++ {
-			in := make([]bool, nI)
-			for i := range in {
-				in[i] = iv&(1<<uint(i)) != 0
-			}
-			_, next := sim.Step(st, in)
-			nv := 0
-			for i, b := range next {
-				if b {
-					nv |= 1 << uint(i)
-				}
-			}
-			out[nv] = true
-		}
-	}
-	return out
-}
-
-func checkImageEngines(t *testing.T, tag string, c *circuit.Circuit, init *cube.Cover) {
-	t.Helper()
-	want := bruteImage(t, c, init)
-	for _, eng := range allEngines {
-		r, err := Image(c, init, Options{Engine: eng})
-		if err != nil {
-			t.Fatalf("%s/%v: %v", tag, eng, err)
-		}
-		got := coverSet(t, r.States)
-		for x := range want {
-			if !got[x] {
-				t.Fatalf("%s/%v: image missing state %b", tag, eng, x)
-			}
-		}
-		for x := range got {
-			if !want[x] {
-				t.Fatalf("%s/%v: image has spurious state %b", tag, eng, x)
-			}
-		}
-		if r.Count.Cmp(big.NewInt(int64(len(want)))) != 0 {
-			t.Fatalf("%s/%v: count %v, want %d", tag, eng, r.Count, len(want))
-		}
-	}
-}
-
 func TestImageCounterClosedForm(t *testing.T) {
 	// Image of {k} under the enabled counter is {k, k+1}.
 	c := gen.Counter(4, true, false)
@@ -83,28 +23,6 @@ func TestImageCounterClosedForm(t *testing.T) {
 		got := coverSet(t, r.States)
 		if len(got) != 2 || !got[5] || !got[6] {
 			t.Fatalf("engine %v: image %v, want {5,6}", eng, got)
-		}
-	}
-}
-
-func TestImageAgainstBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	cases := []*circuit.Circuit{
-		gen.Counter(5, true, false),
-		gen.ShiftRegister(5),
-		gen.Johnson(5),
-		gen.TrafficLight(),
-		gen.SLike(gen.SLikeParams{Seed: 41, Inputs: 4, Latches: 5, Gates: 30}),
-	}
-	for _, c := range cases {
-		nL := len(c.Latches)
-		for rep := 0; rep < 2; rep++ {
-			pat := make([]byte, nL)
-			for i := range pat {
-				pat[i] = "01X"[rng.Intn(3)]
-			}
-			init := trans.TargetFromPatterns(nL, string(pat))
-			checkImageEngines(t, c.Name, c, init)
 		}
 	}
 }
@@ -176,8 +94,7 @@ func TestImageSharedNextStateGate(t *testing.T) {
 	c.Gates[s1].Fanins[0] = g
 	c.MarkOutput(g)
 	_ = s1
-	init := trans.TargetFromPatterns(2, "XX")
-	checkImageEngines(t, "shared", c, init)
+	newOracle(t, c, trans.TargetFromPatterns(2, "XX"), nil).run("shared")
 }
 
 func TestForwardReachCounter(t *testing.T) {

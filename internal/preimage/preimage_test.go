@@ -2,7 +2,6 @@ package preimage
 
 import (
 	"math/big"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -30,39 +29,6 @@ func loadS27(t *testing.T) *circuit.Circuit {
 
 var allEngines = []Engine{EngineSuccessDriven, EngineBlocking, EngineLifting, EngineBDD}
 
-// brutePreimage computes the ground-truth preimage by exhaustive
-// simulation over all (state, input) pairs. Only usable for small L+I.
-func brutePreimage(t *testing.T, c *circuit.Circuit, target *cube.Cover) map[int]bool {
-	t.Helper()
-	sim, err := circuit.NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nL, nI := len(c.Latches), len(c.Inputs)
-	if nL+nI > 22 {
-		t.Fatalf("brutePreimage: %d+%d too large", nL, nI)
-	}
-	out := map[int]bool{}
-	for sv := 0; sv < 1<<uint(nL); sv++ {
-		st := make([]bool, nL)
-		for i := range st {
-			st[i] = sv&(1<<uint(i)) != 0
-		}
-		for iv := 0; iv < 1<<uint(nI); iv++ {
-			in := make([]bool, nI)
-			for i := range in {
-				in[i] = iv&(1<<uint(i)) != 0
-			}
-			_, next := sim.Step(st, in)
-			if target.Contains(next) {
-				out[sv] = true
-				break
-			}
-		}
-	}
-	return out
-}
-
 func coverSet(t *testing.T, cv *cube.Cover) map[int]bool {
 	t.Helper()
 	n := cv.Space().Size()
@@ -77,34 +43,6 @@ func coverSet(t *testing.T, cv *cube.Cover) map[int]bool {
 		}
 	}
 	return out
-}
-
-func checkEngines(t *testing.T, tag string, c *circuit.Circuit, target *cube.Cover) {
-	t.Helper()
-	want := brutePreimage(t, c, target)
-	for _, eng := range allEngines {
-		r, err := Compute(c, target, Options{Engine: eng})
-		if err != nil {
-			t.Fatalf("%s/%v: %v", tag, eng, err)
-		}
-		got := coverSet(t, r.States)
-		for x := range want {
-			if !got[x] {
-				t.Fatalf("%s/%v: missing state %b", tag, eng, x)
-			}
-		}
-		for x := range got {
-			if !want[x] {
-				t.Fatalf("%s/%v: spurious state %b", tag, eng, x)
-			}
-		}
-		if r.Count.Cmp(big.NewInt(int64(len(want)))) != 0 {
-			t.Fatalf("%s/%v: count %v, want %d", tag, eng, r.Count, len(want))
-		}
-		if r.Engine != eng {
-			t.Fatalf("%s: result engine mismatch", tag)
-		}
-	}
 }
 
 func TestCounterPreimageClosedForm(t *testing.T) {
@@ -134,46 +72,6 @@ func TestCounterPreimageClosedForm(t *testing.T) {
 			if !got[prev] || !got[k] {
 				t.Fatalf("engine %v target %d: preimage %v, want {%d,%d}", eng, k, got, prev, k)
 			}
-		}
-	}
-}
-
-func TestS27AllEnginesAgainstBruteForce(t *testing.T) {
-	c := loadS27(t)
-	targets := []*cube.Cover{
-		trans.TargetFromPatterns(3, "1XX"),
-		trans.TargetFromPatterns(3, "111"),
-		trans.TargetFromPatterns(3, "000", "110"),
-		trans.TargetFromPatterns(3, "X0X"),
-		trans.TargetFromPatterns(3, "XXX"),
-	}
-	for i, target := range targets {
-		checkEngines(t, "s27-"+string(rune('a'+i)), c, target)
-	}
-}
-
-func TestSuiteCircuitsAllEngines(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	cases := []*circuit.Circuit{
-		gen.Counter(5, true, false),
-		gen.ShiftRegister(5),
-		gen.LFSR(5, 0, 2),
-		gen.Johnson(5),
-		gen.GrayCounter(4),
-		gen.TrafficLight(),
-		gen.SLike(gen.SLikeParams{Seed: 11, Inputs: 4, Latches: 5, Gates: 30}),
-		gen.SLike(gen.SLikeParams{Seed: 12, Inputs: 5, Latches: 6, Gates: 50, XorFraction: 0.4}),
-	}
-	for _, c := range cases {
-		nL := len(c.Latches)
-		// Two random targets per circuit.
-		for rep := 0; rep < 2; rep++ {
-			pat := make([]byte, nL)
-			for i := range pat {
-				pat[i] = "01X"[rng.Intn(3)]
-			}
-			target := trans.TargetFromPatterns(nL, string(pat))
-			checkEngines(t, c.Name, c, target)
 		}
 	}
 }

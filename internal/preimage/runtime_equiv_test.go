@@ -1,117 +1,15 @@
 package preimage
 
 import (
-	"math/rand"
 	goruntime "runtime"
 	"testing"
 	"time"
 
-	"allsatpre/internal/budget"
-	"allsatpre/internal/circuit"
 	"allsatpre/internal/gen"
 	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/stats"
 	"allsatpre/internal/trans"
 )
-
-// equivEngines is every engine, including the disjoint one missing from
-// allEngines (it postdates that list).
-var equivEngines = []Engine{
-	EngineSuccessDriven, EngineBlocking, EngineLifting, EngineDisjoint, EngineBDD,
-}
-
-// TestRuntimeReuseBitIdentical is the reuse-correctness contract of the
-// pooled runtime: for every engine and worker count, a computation on
-// warm Reset solvers and managers (shared pool + shared scheduler,
-// reused across all the runs of this test) returns a cover bit-identical
-// to the classic build-from-scratch path — same cubes, same order, same
-// count. Run it under -race: the scheduler interleaves the runs' jobs on
-// shared executors.
-func TestRuntimeReuseBitIdentical(t *testing.T) {
-	reg := stats.NewRegistry("equiv")
-	sched := rt.NewScheduler(4, reg)
-	defer sched.Close()
-	shared := &rt.Runtime{Pool: rt.NewPool(rt.PoolOptions{Stats: reg}), Sched: sched}
-
-	rng := rand.New(rand.NewSource(321))
-	circuits := []*circuit.Circuit{
-		gen.Counter(5, true, false),
-		gen.LFSR(5, 0, 2),
-		gen.SLike(gen.SLikeParams{Seed: 31, Inputs: 4, Latches: 5, Gates: 30}),
-	}
-	for _, c := range circuits {
-		nL := len(c.Latches)
-		pat := make([]byte, nL)
-		for i := range pat {
-			pat[i] = "01X"[rng.Intn(3)]
-		}
-		target := trans.TargetFromPatterns(nL, string(pat))
-		for _, eng := range equivEngines {
-			for _, workers := range []int{1, 2, 4, 8} {
-				fresh, err := Compute(c, target, Options{Engine: eng, Parallel: workers})
-				if err != nil {
-					t.Fatalf("%s/%v/w%d fresh: %v", c.Name, eng, workers, err)
-				}
-				warm, err := Compute(c, target, Options{
-					Engine: eng, Parallel: workers,
-					Runtime: shared.WithTenant(c.Name),
-				})
-				if err != nil {
-					t.Fatalf("%s/%v/w%d warm: %v", c.Name, eng, workers, err)
-				}
-				if fresh.Count.Cmp(warm.Count) != 0 {
-					t.Fatalf("%s/%v/w%d: warm count %v, fresh %v",
-						c.Name, eng, workers, warm.Count, fresh.Count)
-				}
-				if fs, ws := fresh.States.String(), warm.States.String(); fs != ws {
-					t.Fatalf("%s/%v/w%d: warm cover differs\nfresh: %s\nwarm:  %s",
-						c.Name, eng, workers, fs, ws)
-				}
-			}
-		}
-	}
-	if got := poolMetric(t, reg, "runtime.solver-hits"); got == 0 {
-		t.Fatal("equivalence suite never reused a warm solver")
-	}
-	if got := poolMetric(t, reg, "runtime.manager-hits"); got == 0 {
-		t.Fatal("equivalence suite never reused a warm manager")
-	}
-}
-
-// TestRuntimeReuseAfterAbort releases aborted solvers/managers into the
-// pool and checks the next (warm) computation is still bit-identical to
-// fresh: Reset must scrub abort state — stop reasons, partial trails,
-// node caps — along with everything else.
-func TestRuntimeReuseAfterAbort(t *testing.T) {
-	shared := &rt.Runtime{Pool: rt.NewPool(rt.PoolOptions{})}
-	c := gen.SLike(gen.SLikeParams{Seed: 33, Inputs: 5, Latches: 8, Gates: 60})
-	target := trans.TargetFromPatterns(len(c.Latches), "1XXXXXX0")
-
-	for _, eng := range []Engine{EngineSuccessDriven, EngineBlocking, EngineDisjoint} {
-		aborted, err := Compute(c, target, Options{
-			Engine:  eng,
-			Budget:  budget.Budget{MaxDecisions: 3},
-			Runtime: shared,
-		})
-		if err != nil {
-			t.Fatalf("%v aborted run: %v", eng, err)
-		}
-		if !aborted.Aborted {
-			t.Fatalf("%v: MaxDecisions=3 did not abort", eng)
-		}
-		fresh, err := Compute(c, target, Options{Engine: eng})
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, err := Compute(c, target, Options{Engine: eng, Runtime: shared})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fresh.States.String() != warm.States.String() || fresh.Count.Cmp(warm.Count) != 0 {
-			t.Fatalf("%v: cover after aborted reuse differs from fresh", eng)
-		}
-	}
-}
 
 // TestRuntimeSchedulerNoGoroutineLeak checks scheduler-mode runs leave
 // no stragglers: after Close the goroutine count returns to (about) the
@@ -140,23 +38,4 @@ func TestRuntimeSchedulerNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines: %d before, %d after close", before, goruntime.NumGoroutine())
-}
-
-// poolMetric reads one runtime.* counter from a registry snapshot.
-func poolMetric(t *testing.T, reg *stats.Registry, key string) uint64 {
-	t.Helper()
-	snap := reg.Snapshot()
-	for _, kv := range snap.Metrics {
-		if kv.Key == key {
-			var n uint64
-			for _, r := range kv.Value {
-				if r < '0' || r > '9' {
-					return n
-				}
-				n = n*10 + uint64(r-'0')
-			}
-			return n
-		}
-	}
-	return 0
 }

@@ -1,115 +1,21 @@
 package preimage
 
-// Equivalence suite for the projection-safe preprocessor: with Simplify
-// on, every engine must produce exactly the state set it produces with
-// the pass off — same SatCount, same canonical BDD — at every worker
-// count, aborted runs must stay subset-sound, and the frozen projection
-// variables must never be eliminated. These tests are the CI gate behind
-// the simplifier's central claim ("covers are identical either way").
+// The projection-safe preprocessor on real transition instances: the
+// frozen projection variables must never be eliminated, and witnesses
+// must extend to models of the original formula. That the pass leaves
+// every engine's state set unchanged is the oracle's check
+// (oracle_test.go), which runs every cell with Simplify on and off.
 
 import (
 	"math/rand"
 	"testing"
 
-	"allsatpre/internal/bdd"
-	"allsatpre/internal/budget"
 	"allsatpre/internal/gen"
 	"allsatpre/internal/lit"
 	"allsatpre/internal/sat"
 	"allsatpre/internal/simplify"
 	"allsatpre/internal/trans"
 )
-
-// TestSimplifyEquivalenceAllEngines sweeps all five engines over the
-// determinism suite at workers ∈ {1, 2, 4, 8}: the simplified cover must
-// denote the same state set (canonical BDD) with the same model count as
-// the unsimplified reference. The BDD engine never sees the CNF, so its
-// rows double as a no-op check of the option plumbing.
-func TestSimplifyEquivalenceAllEngines(t *testing.T) {
-	engines := []Engine{
-		EngineSuccessDriven, EngineBlocking, EngineLifting, EngineDisjoint, EngineBDD,
-	}
-	for _, nc := range determinismSuite() {
-		target := nc.Target
-		for _, eng := range engines {
-			if (eng == EngineBlocking || eng == EngineLifting) && nc.Name == "slike2" {
-				// The per-minterm baselines need minutes on the widest
-				// random workload (the blowup the paper measures); the
-				// engine×simplify contract is covered by the six others.
-				continue
-			}
-			ref := reference(t, nc.Name, nc.Circuit, target, Options{Engine: eng, Simplify: simplify.Off})
-			m := bdd.NewOrdered(ref.StateSpace.Vars())
-			refSet := m.FromCover(ref.States)
-			for _, workers := range []int{1, 2, 4, 8} {
-				got, err := Compute(nc.Circuit, target,
-					Options{Engine: eng, Simplify: simplify.On, Parallel: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Aborted {
-					t.Fatalf("%s/%v/p%d: spurious abort (%v)", nc.Name, eng, workers, got.AbortReason)
-				}
-				if got.Count.Cmp(ref.Count) != 0 {
-					t.Fatalf("%s/%v/p%d: simplified count %v, want %v",
-						nc.Name, eng, workers, got.Count, ref.Count)
-				}
-				if m.FromCover(got.States) != refSet {
-					t.Fatalf("%s/%v/p%d: simplified cover denotes a different state set",
-						nc.Name, eng, workers)
-				}
-			}
-		}
-	}
-}
-
-// TestSimplifyAbortSubsetSound injects decision budgets that trip after
-// preprocessing: an aborted simplified run must report the abort and its
-// partial cover must be a subset of the true (unsimplified) preimage at
-// every worker count. A pre-expired budget (cancelled context) must
-// abort at the entry point with an empty — vacuously sound — cover.
-func TestSimplifyAbortSubsetSound(t *testing.T) {
-	c := gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})
-	target := trans.TargetFromPatterns(8, "X1XXXXXX")
-
-	full, err := Compute(c, target, Options{Simplify: simplify.Off})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := bdd.NewOrdered(full.StateSpace.Vars())
-	fullSet := m.FromCover(full.States)
-
-	sawAbort := false
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, maxDecisions := range []uint64{1, 5, 20} {
-			par, err := Compute(c, target, Options{
-				Simplify: simplify.On,
-				Parallel: workers,
-				Budget:   budget.Budget{MaxDecisions: maxDecisions},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Aborted {
-				sawAbort = true
-				if par.AbortReason != budget.Decisions {
-					t.Fatalf("p%d/d%d: abort reason %v, want decisions",
-						workers, maxDecisions, par.AbortReason)
-				}
-			} else if par.Count.Cmp(full.Count) != 0 {
-				t.Fatalf("p%d/d%d: un-aborted run with wrong count %v, want %v",
-					workers, maxDecisions, par.Count, full.Count)
-			}
-			if extra := m.Diff(m.FromCover(par.States), fullSet); extra != bdd.False {
-				t.Fatalf("p%d/d%d: aborted simplified cover is not a subset of the preimage",
-					workers, maxDecisions)
-			}
-		}
-	}
-	if !sawAbort {
-		t.Fatal("no decision budget ever aborted the simplified 8-latch instance")
-	}
-}
 
 // TestSimplifyFrozenProjectionVarsSurvive is the frozen-set regression:
 // on a real transition instance with every projection-relevant variable

@@ -15,7 +15,7 @@ import "allsatpre/internal/budget"
 // order is determined by the attach/propagate sequence (not capacity),
 // activities restart at zero, and the RNG is reseeded from opts.Seed —
 // so loading the same formula yields bit-identical Solve trajectories.
-// The reuse equivalence suite pins this contract.
+// The preimage oracle's warm runs pin this contract.
 func (s *Solver) Reset(opts Options) {
 	if opts.VarDecay == 0 {
 		bud := opts.Budget

@@ -209,7 +209,7 @@ func (s *Solver) removeLearnt(c cref) {
 //     assignment) or recently used.
 //
 // The sort key is (activity, cref) — a total order, so reduction is
-// deterministic and the worker-count equivalence suite stays bit-exact.
+// deterministic and the oracle's worker-count covers stay bit-exact.
 // Compaction runs afterwards when the tombstoned words pass the arena's
 // waste threshold.
 func (s *Solver) reduceDB() {

@@ -29,6 +29,7 @@ func TestHandlerRejections(t *testing.T) {
 		wantErr                  string
 	}{
 		{"malformed dimacs", "POST", "/v1/enumerate", "p cnf oops\n", 400, "malformed DIMACS"},
+		{"oversized dimacs header", "POST", "/v1/enumerate", "p cnf 1000000000000000 0", 400, "exceed the limit"},
 		{"unknown enumerate engine", "POST", "/v1/enumerate?engine=magic", goodDimacs, 400, "unknown engine"},
 		{"bdd enumerate engine", "POST", "/v1/enumerate?engine=bdd", goodDimacs, 400, "cannot enumerate raw CNF"},
 		{"bad projection", "POST", "/v1/enumerate?proj=0", goodDimacs, 400, "projection"},

@@ -15,27 +15,24 @@ go vet ./...
 (cd perfbench && GOWORK=off go vet ./...)
 go test ./...
 go test -race -short ./...
-# The parallel-enumeration determinism suite, the equivalence of the
-# streamed state projection with enumerate-then-project, the frontier
-# walk's Aborted contract over every layer source, and the success
-# engine's state-only walk layers against the BDD engine's walks must
-# hold regardless of how the Go scheduler interleaves workers: exercise
-# them both pinned to one OS thread and with real preemption under the
-# race detector.
-GOMAXPROCS=1 go test -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract|TestWalkSuccessMatchesBDD' ./internal/preimage/
-GOMAXPROCS=4 go test -race -run 'TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestWalkAbortContract|TestWalkSuccessMatchesBDD' ./internal/preimage/
+# The differential oracle (every engine, worker count, simplify mode and
+# runtime checked against exhaustive simulation, and against each other
+# cube for cube), the frontier walk's Aborted contract over every layer
+# source, and the success engine's state-only walk layers against the
+# BDD engine's walks must hold regardless of how the Go scheduler
+# interleaves workers: exercise them both pinned to one OS thread and
+# with real preemption under the race detector. Both sweep the oracle's
+# -short corpus, one circuit that takes every path (go test above sweeps
+# the whole corpus once; under the race detector that takes half a
+# minute).
+GOMAXPROCS=1 go test -short -run 'TestOracle|TestWalkAbortContract|TestWalkSuccessMatchesBDD' ./internal/preimage/
+GOMAXPROCS=4 go test -race -short -run 'TestOracle|TestWalkAbortContract|TestWalkSuccessMatchesBDD' ./internal/preimage/
 # Every fan-out runs as runtime.Group jobs on a scheduler: the pool, the
 # incremental sessions and the parallel BMC sweep must hold pinned and
 # preempted alike, and so must the success-driven enumerator the pooled
 # jobs run on the shared sat kernel.
 GOMAXPROCS=1 go test -count=1 ./internal/core/ ./internal/pool/ ./internal/incr/ ./internal/bmc/
 GOMAXPROCS=4 go test -count=1 -race ./internal/core/ ./internal/pool/ ./internal/incr/ ./internal/bmc/
-# The simplify equivalence suite is the CI gate for the preprocessor: if
-# -simplify changes any engine's enumerated state set on the determinism
-# circuits, this fails the build. Run it pinned and preempted like the
-# sweep above.
-GOMAXPROCS=1 go test -run 'TestSimplify' ./internal/preimage/
-GOMAXPROCS=4 go test -race -run 'TestSimplify' ./internal/preimage/
 # Multi-worker streams arrive in scheduling order; the server's
 # pooled-vs-fresh stream equivalence and the allsat parallel suites
 # must hold on one thread and under real preemption alike, so a failure
@@ -60,6 +57,15 @@ go test -run '^$' -fuzz '^FuzzRunFrozen$' -fuzztime=5000x ./internal/simplify/
 # The one 01X pattern parser must never panic and must accept exactly
 # the patterns a cube space accepts.
 go test -run '^$' -fuzz '^FuzzParseTarget$' -fuzztime=5000x ./internal/trans/
+# The oracle's matrix on random small SLike circuits and targets past
+# its seed corpus, and hostile request bodies, queries and fence specs
+# against the daemon: no panic, no 5xx, no stream without its summary.
+# A FuzzOracle input sweeps the whole matrix, so its inputs are not
+# minimized.
+go test -run '^$' -fuzz '^FuzzOracle$' -fuzztime=4x -fuzzminimizetime=0 ./internal/preimage/
+go test -run '^$' -fuzz '^FuzzEnumerateRequest$' -fuzztime=500x ./internal/server/
+go test -run '^$' -fuzz '^FuzzPreimageRequest$' -fuzztime=500x ./internal/server/
+go test -run '^$' -fuzz '^FuzzParseFenceSpec$' -fuzztime=2000x ./internal/server/
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
 # in the pooled-vs-fresh server benchmark without paying for 64x2 runs.
