@@ -94,7 +94,7 @@ func TestImageSharedNextStateGate(t *testing.T) {
 	c.Gates[s1].Fanins[0] = g
 	c.MarkOutput(g)
 	_ = s1
-	newOracle(t, c, trans.TargetFromPatterns(2, "XX"), nil).run("shared")
+	checkOracle(t, c, trans.TargetFromPatterns(2, "XX"), "shared")
 }
 
 func TestForwardReachCounter(t *testing.T) {

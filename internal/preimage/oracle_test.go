@@ -21,6 +21,10 @@ package preimage
 // three runtimes; a WithInputs run of a cube engine equals the
 // enumerate-then-project reference cube for cube; and blocking and
 // disjoint covers over the latches are pairwise disjoint.
+//
+// The tests at the end of the file split the determinism suite's matrix
+// among them, each cell in one, and sweep the whole matrix on the
+// brute-force corpora.
 
 import (
 	"bytes"
@@ -194,12 +198,14 @@ func minterm(m, n int) string {
 }
 
 // oracleTally counts outcomes across a sweep, so the sweep can show it
-// took both sides of every abort path. Parallel subtests share one.
+// took both sides of every abort path it swept. Parallel subtests may
+// share one.
 type oracleTally struct {
 	mu sync.Mutex
 	// runs counts capped runs by cap, projection and outcome.
 	runs map[tallyKey]int
-	// preAborts counts, per engine, the pre-abort runs that did abort.
+	// preAborts counts, per swept engine, the pre-abort runs that did
+	// abort.
 	preAborts map[Engine]int
 }
 
@@ -212,9 +218,9 @@ func newOracleTally() *oracleTally {
 	return &oracleTally{runs: map[tallyKey]int{}, preAborts: map[Engine]int{}}
 }
 
-// requireBothSides fails unless every cap aborted some runs and left
-// others complete on both projections, and every engine's pre-abort run
-// aborted at least once.
+// requireBothSides fails unless every cap the sweep ran aborted some
+// runs and left others complete on each projection it ran, and every
+// swept engine's pre-abort run aborted at least once.
 func (ta *oracleTally) requireBothSides(t *testing.T) {
 	t.Helper()
 	ta.mu.Lock()
@@ -222,36 +228,88 @@ func (ta *oracleTally) requireBothSides(t *testing.T) {
 	for _, cp := range oracleCaps[1:] {
 		for _, inputs := range []bool{false, true} {
 			aborted, complete := ta.runs[tallyKey{cp.name, inputs, true}], ta.runs[tallyKey{cp.name, inputs, false}]
-			if aborted == 0 || complete == 0 {
+			if aborted+complete > 0 && (aborted == 0 || complete == 0) {
 				t.Errorf("%s/inputs=%v: %d aborted and %d complete runs; the cap must take both paths",
 					cp.name, inputs, aborted, complete)
 			}
 		}
 	}
 	for _, eng := range oracleEngines {
-		if ta.preAborts[eng] == 0 {
+		if n, swept := ta.preAborts[eng]; swept && n == 0 {
 			t.Errorf("%v: no pre-abort run aborted, so no warm run followed an abort", eng)
+		}
+	}
+}
+
+// oracleEnv is what the warm runs of one sweep share across its
+// circuits: a pool and a four-executor scheduler publishing to one
+// registry, and a one-executor scheduler for capped parallel cells.
+type oracleEnv struct {
+	reg            *stats.Registry
+	pool           *rt.Pool
+	shared, serial *rt.Scheduler
+	tally          *oracleTally
+	swept          map[Engine]bool
+}
+
+// newOracleEnv returns an env counting into tally (a fresh one when
+// nil); its schedulers close when tb ends.
+func newOracleEnv(tb testing.TB, tally *oracleTally) *oracleEnv {
+	if tally == nil {
+		tally = newOracleTally()
+	}
+	reg := stats.NewRegistry("oracle")
+	env := &oracleEnv{reg: reg, pool: rt.NewPool(rt.PoolOptions{Stats: reg}),
+		shared: rt.NewScheduler(4, reg), serial: rt.NewScheduler(1, nil),
+		tally: tally, swept: map[Engine]bool{}}
+	tb.Cleanup(func() {
+		env.shared.Close()
+		env.serial.Close()
+	})
+	return env
+}
+
+// requireReuse fails unless the warm runs reused the pool: every SAT
+// engine takes solvers from it, and all but the disjoint one, which
+// counts without a BDD, take managers too. The BDD engine builds its own
+// manager.
+func (env *oracleEnv) requireReuse(tb testing.TB) {
+	tb.Helper()
+	var solvers, managers bool
+	for eng := range env.swept {
+		solvers = solvers || eng != EngineBDD
+		managers = managers || eng != EngineBDD && eng != EngineDisjoint
+	}
+	for key, want := range map[string]bool{"runtime.solver-hits": solvers, "runtime.manager-hits": managers} {
+		if want && env.reg.Counter(key).Load() == 0 {
+			tb.Fatalf("%s is 0, so no warm run reused the pool", key)
 		}
 	}
 }
 
 // oracle checks every engine on one circuit and target.
 type oracle struct {
-	tb     testing.TB
-	c      *circuit.Circuit
-	target *cube.Cover
-	truth  *truth
-	tally  *oracleTally
-	memo   map[string]denotation // by truth set and cover text
+	tb      testing.TB
+	c       *circuit.Circuit
+	target  *cube.Cover
+	truth   *truth
+	env     *oracleEnv
+	memo    map[string]denotation // by truth set and cover text
+	success map[bool]string       // the reference success-driven keys, by WithInputs
 }
 
-func newOracle(tb testing.TB, c *circuit.Circuit, target *cube.Cover, tally *oracleTally) *oracle {
+func newOracle(tb testing.TB, c *circuit.Circuit, target *cube.Cover, env *oracleEnv) *oracle {
 	tb.Helper()
-	if tally == nil {
-		tally = newOracleTally()
-	}
 	return &oracle{tb: tb, c: c, target: target, truth: simulate(tb, c, target),
-		tally: tally, memo: map[string]denotation{}}
+		env: env, memo: map[string]denotation{}, success: map[bool]string{}}
+}
+
+// checkOracle sweeps the whole matrix on one circuit and target.
+func checkOracle(tb testing.TB, c *circuit.Circuit, target *cube.Cover, name string) {
+	tb.Helper()
+	env := newOracleEnv(tb, nil)
+	newOracle(tb, c, target, env).run(name, everyCell)
+	env.requireReuse(tb)
 }
 
 // denote reads cv against the named truth set, once per distinct cover.
@@ -326,9 +384,9 @@ func (o *oracle) compute(tag string, opts Options, cp oracleCap) *Result {
 		o.tb.Fatalf("%s: Pairs set without WithInputs", tag)
 	}
 	if cp.name != "none" {
-		o.tally.mu.Lock()
-		o.tally.runs[tallyKey{cp.name, opts.WithInputs, res.Aborted}]++
-		o.tally.mu.Unlock()
+		o.env.tally.mu.Lock()
+		o.env.tally.runs[tallyKey{cp.name, opts.WithInputs, res.Aborted}]++
+		o.env.tally.mu.Unlock()
 	}
 	return res
 }
@@ -352,80 +410,130 @@ func (o *oracle) sameRun(tag string, got, want *Result) {
 	}
 }
 
+// cell is one point of the matrix.
+type cell struct {
+	eng     Engine
+	inputs  bool
+	cp      oracleCap
+	workers int
+	mode    simplify.Mode
+}
+
+// slice is the part of the matrix a sweep runs: the cells keep accepts
+// (every cell when keep is nil) at the listed worker counts (1, 2, 4 and
+// 8 when none are listed), and Image when image is set.
+type slice struct {
+	keep    func(cell) bool
+	workers []int
+	image   bool
+}
+
+// everyCell is the whole matrix, Image included.
+var everyCell = slice{image: true}
+
 // skip reports the cells the sweep leaves out: the BDD engine's cells
 // with WithInputs or without Simplify, which repeat its other cells (it
 // has no CNF to simplify and reports no Pairs), and the cells
 // oraclePairLimit skips.
-func (o *oracle) skip(eng Engine, inputs bool, mode simplify.Mode, cp oracleCap) bool {
-	if eng == EngineBDD {
-		return inputs || mode == simplify.Off
+func (o *oracle) skip(c cell) bool {
+	if c.eng == EngineBDD {
+		return c.inputs || c.mode == simplify.Off
 	}
-	_, cubes := eng.CubeEngine()
-	return cubes && inputs && cp.b.IsZero() && o.truth.nPairs > oraclePairLimit
+	_, cubes := c.eng.CubeEngine()
+	return cubes && c.inputs && c.cp.b.IsZero() && o.truth.nPairs > oraclePairLimit
 }
 
-// run sweeps the matrix. A capped parallel run is cut wherever its
-// scheduler happens to be, so capped parallel cells run on a
-// one-executor scheduler: it runs the subcube jobs in split order, the
-// cut is fixed, and the runtimes and the reference must agree cube for
-// cube. Unbudgeted cells run with real concurrency.
-func (o *oracle) run(name string) {
+// run sweeps slice s of the matrix.
+func (o *oracle) run(name string, s slice) {
 	o.tb.Helper()
-	reg := stats.NewRegistry("oracle")
-	pool := rt.NewPool(rt.PoolOptions{Stats: reg})
-	shared := rt.NewScheduler(4, reg)
-	defer shared.Close()
-	serial := rt.NewScheduler(1, nil)
-	defer serial.Close()
-
-	successCover := map[bool]string{} // by WithInputs
+	workerCounts := s.workers
+	if len(workerCounts) == 0 {
+		workerCounts = []int{1, 2, 4, 8}
+	}
 	for _, eng := range oracleEngines {
 		for _, inputs := range []bool{false, true} {
 			for _, cp := range oracleCaps {
-				for _, workers := range []int{1, 2, 4, 8} {
+				for _, workers := range workerCounts {
 					for _, mode := range []simplify.Mode{simplify.On, simplify.Off} {
-						if o.skip(eng, inputs, mode, cp) {
+						c := cell{eng, inputs, cp, workers, mode}
+						if o.skip(c) || s.keep != nil && !s.keep(c) {
 							continue
 						}
-						tag := fmt.Sprintf("%s/%v/inputs=%v/%s/p%d/simplify=%v", name, eng, inputs, cp.name, workers, mode)
-						opts := Options{Engine: eng, WithInputs: inputs, Parallel: workers, Simplify: mode}
-						var fresh *rt.Runtime
-						warm := &rt.Runtime{Pool: pool, Sched: shared}
-						if workers > 1 && !cp.b.IsZero() {
-							fresh = &rt.Runtime{Sched: serial}
-							warm = &rt.Runtime{Pool: pool, Sched: serial}
-						}
-						opts.Runtime = fresh
-						first := o.compute(tag+"/fresh", opts, cp)
-						opts.Runtime = warm
-						o.sameRun(tag+"/warm", o.compute(tag+"/warm", opts, cp), first)
-						// The aborted run is sequential: the solver or
-						// manager it releases is the next one handed out.
-						preOpts := opts
-						preOpts.Parallel = 1
-						if o.compute(tag+"/pre-abort", preOpts, preAbort(eng)).Aborted {
-							o.tally.mu.Lock()
-							o.tally.preAborts[eng]++
-							o.tally.mu.Unlock()
-						}
-						o.sameRun(tag+"/warm-after-abort", o.compute(tag+"/warm-after-abort", opts, cp), first)
-
-						if _, cubes := eng.CubeEngine(); cubes && inputs {
-							opts.Runtime, opts.Budget = fresh, cp.b
-							o.sameRun(tag+"/reference", first, enumerateReference(o.tb, o.c, o.target, opts))
-						}
-						if eng == EngineSuccessDriven && cp.b.IsZero() {
-							keys := strings.Join(first.States.SortedKeys(), " ")
-							if want, ok := successCover[inputs]; ok && keys != want {
-								o.tb.Fatalf("%s: success-driven cover\n%s\ndiffers from p1/simplify=on's\n%s", tag, keys, want)
-							}
-							successCover[inputs] = keys
-						}
+						o.env.swept[eng] = true
+						o.cell(name, c)
 					}
 				}
 			}
 		}
 	}
+	if s.image {
+		o.image(name)
+	}
+}
+
+// cell runs one cell fresh, warm, and warm right after an aborted run.
+// A capped parallel run is cut wherever its scheduler happens to be, so
+// capped parallel cells run on a one-executor scheduler: it runs the
+// subcube jobs in split order, the cut is fixed, and the runtimes and
+// the reference must agree cube for cube. Unbudgeted cells run with
+// real concurrency.
+func (o *oracle) cell(name string, c cell) {
+	o.tb.Helper()
+	env := o.env
+	tag := fmt.Sprintf("%s/%v/inputs=%v/%s/p%d/simplify=%v", name, c.eng, c.inputs, c.cp.name, c.workers, c.mode)
+	opts := Options{Engine: c.eng, WithInputs: c.inputs, Parallel: c.workers, Simplify: c.mode}
+	var fresh *rt.Runtime
+	warm := (&rt.Runtime{Pool: env.pool, Sched: env.shared}).WithTenant(name)
+	if c.workers > 1 && !c.cp.b.IsZero() {
+		fresh = &rt.Runtime{Sched: env.serial}
+		warm = &rt.Runtime{Pool: env.pool, Sched: env.serial}
+	}
+	opts.Runtime = fresh
+	first := o.compute(tag+"/fresh", opts, c.cp)
+	opts.Runtime = warm
+	o.sameRun(tag+"/warm", o.compute(tag+"/warm", opts, c.cp), first)
+	// The aborted run is sequential: the solver or manager it releases
+	// is the next one handed out.
+	preOpts := opts
+	preOpts.Parallel = 1
+	n := 0
+	if o.compute(tag+"/pre-abort", preOpts, preAbort(c.eng)).Aborted {
+		n = 1
+	}
+	env.tally.mu.Lock()
+	env.tally.preAborts[c.eng] += n
+	env.tally.mu.Unlock()
+	o.sameRun(tag+"/warm-after-abort", o.compute(tag+"/warm-after-abort", opts, c.cp), first)
+
+	if _, cubes := c.eng.CubeEngine(); cubes && c.inputs {
+		opts.Runtime, opts.Budget = fresh, c.cp.b
+		o.sameRun(tag+"/reference", first, enumerateReference(o.tb, o.c, o.target, opts))
+	}
+	if c.eng == EngineSuccessDriven && c.cp.b.IsZero() {
+		if keys, want := strings.Join(first.States.SortedKeys(), " "), o.successKeys(name, c.inputs); keys != want {
+			o.tb.Fatalf("%s: success-driven cover\n%s\ndiffers from p1/simplify=on's\n%s", tag, keys, want)
+		}
+	}
+}
+
+// successKeys returns the sorted keys of the unbudgeted success-driven
+// cover at Parallel 1 with Simplify on, which every other worker count
+// and simplify mode must reproduce.
+func (o *oracle) successKeys(name string, inputs bool) string {
+	o.tb.Helper()
+	if keys, ok := o.success[inputs]; ok {
+		return keys
+	}
+	tag := fmt.Sprintf("%s/%v/inputs=%v/reference", name, EngineSuccessDriven, inputs)
+	opts := Options{Engine: EngineSuccessDriven, WithInputs: inputs, Parallel: 1, Simplify: simplify.On}
+	keys := strings.Join(o.compute(tag, opts, oracleCaps[0]).States.SortedKeys(), " ")
+	o.success[inputs] = keys
+	return keys
+}
+
+// image checks Image of every engine at Parallel 1 and 4.
+func (o *oracle) image(name string) {
+	o.tb.Helper()
 	for _, eng := range oracleEngines {
 		for _, workers := range []int{1, 4} {
 			tag := fmt.Sprintf("%s/image/%v/p%d", name, eng, workers)
@@ -437,11 +545,6 @@ func (o *oracle) run(name string) {
 			if res.Aborted {
 				o.tb.Fatalf("%s: unbudgeted image aborted (%v)", tag, res.AbortReason)
 			}
-		}
-	}
-	for _, key := range []string{"runtime.solver-hits", "runtime.manager-hits"} {
-		if reg.Counter(key).Load() == 0 {
-			o.tb.Fatalf("%s: %s is 0, so no warm run reused the pool", name, key)
 		}
 	}
 }
@@ -566,35 +669,40 @@ func randomTargets(rng *rand.Rand, n int, circuits ...*circuit.Circuit) []suiteC
 	return out
 }
 
-// oracleCorpus is TestOracle's input: the determinism suite, the s27
-// targets, and the random targets the brute-force preimage and image
-// checks drew from their fixed seeds.
-func oracleCorpus(t *testing.T) map[string][]suiteCircuit {
+// s27Targets are the s27 targets the brute-force checks used.
+func s27Targets(t *testing.T) []suiteCircuit {
 	s27 := loadS27(t)
-	var s27Targets []suiteCircuit
+	var out []suiteCircuit
 	for _, pats := range [][]string{{"1XX"}, {"111"}, {"000", "110"}, {"X0X"}, {"XXX"}} {
-		s27Targets = append(s27Targets, suiteCircuit{gen.NamedCircuit{Name: strings.Join(pats, "+"), Circuit: s27},
+		out = append(out, suiteCircuit{gen.NamedCircuit{Name: strings.Join(pats, "+"), Circuit: s27},
 			trans.TargetFromPatterns(3, pats...)})
 	}
-	return map[string][]suiteCircuit{
-		"determinism": determinismSuite(),
-		"s27":         s27Targets,
-		"suite": randomTargets(rand.New(rand.NewSource(77)), 2,
-			gen.Counter(5, true, false),
-			gen.ShiftRegister(5),
-			gen.LFSR(5, 0, 2),
-			gen.Johnson(5),
-			gen.GrayCounter(4),
-			gen.TrafficLight(),
-			gen.SLike(gen.SLikeParams{Seed: 11, Inputs: 4, Latches: 5, Gates: 30}),
-			gen.SLike(gen.SLikeParams{Seed: 12, Inputs: 5, Latches: 6, Gates: 50, XorFraction: 0.4})),
-		"image": randomTargets(rand.New(rand.NewSource(88)), 2,
-			gen.Counter(5, true, false),
-			gen.ShiftRegister(5),
-			gen.Johnson(5),
-			gen.TrafficLight(),
-			gen.SLike(gen.SLikeParams{Seed: 41, Inputs: 4, Latches: 5, Gates: 30})),
-	}
+	return out
+}
+
+// suiteTargets are the random targets the brute-force preimage check
+// drew from its fixed seed.
+func suiteTargets() []suiteCircuit {
+	return randomTargets(rand.New(rand.NewSource(77)), 2,
+		gen.Counter(5, true, false),
+		gen.ShiftRegister(5),
+		gen.LFSR(5, 0, 2),
+		gen.Johnson(5),
+		gen.GrayCounter(4),
+		gen.TrafficLight(),
+		gen.SLike(gen.SLikeParams{Seed: 11, Inputs: 4, Latches: 5, Gates: 30}),
+		gen.SLike(gen.SLikeParams{Seed: 12, Inputs: 5, Latches: 6, Gates: 50, XorFraction: 0.4}))
+}
+
+// imageTargets are the random initial sets the brute-force image check
+// drew from its fixed seed.
+func imageTargets() []suiteCircuit {
+	return randomTargets(rand.New(rand.NewSource(88)), 2,
+		gen.Counter(5, true, false),
+		gen.ShiftRegister(5),
+		gen.Johnson(5),
+		gen.TrafficLight(),
+		gen.SLike(gen.SLikeParams{Seed: 41, Inputs: 4, Latches: 5, Gates: 30}))
 }
 
 // noPredecessors names the brute-force targets no state reaches in one
@@ -602,11 +710,199 @@ func oracleCorpus(t *testing.T) map[string][]suiteCircuit {
 // answer empty, and every other target must have predecessors.
 var noPredecessors = map[string]bool{"111": true, "lfsr5#0": true, "slike_s12_g50_l6#0": true}
 
-// TestOracle sweeps the oracle's matrix over its corpus, one parallel
-// subtest per group. Every truth but noPredecessors' is non-empty, and
-// across the corpus every cap aborts some runs and leaves others
-// complete, so no check passes vacuously. With -short it sweeps the
-// determinism suite's traffic light alone, which takes every path.
+// oracleCase builds the oracle of sc, whose truth must be empty exactly
+// when noPredecessors names it.
+func oracleCase(t *testing.T, sc suiteCircuit, env *oracleEnv) *oracle {
+	t.Helper()
+	o := newOracle(t, sc.Circuit, sc.Target, env)
+	if (o.truth.nPre == 0) != noPredecessors[sc.Name] {
+		t.Fatalf("%s: %d predecessors; noPredecessors must list exactly the targets with none", sc.Name, o.truth.nPre)
+	}
+	return o
+}
+
+// sweepOracle runs slice s on every circuit of corpus with one env, so
+// the warm runs share a pool and scheduler across circuits. Every cap it
+// runs must abort some runs and leave others complete, and the warm runs
+// must reuse the pool, so no check passes vacuously.
+func sweepOracle(t *testing.T, corpus []suiteCircuit, s slice) {
+	t.Helper()
+	env := newOracleEnv(t, nil)
+	for _, sc := range corpus {
+		oracleCase(t, sc, env).run(sc.Name, s)
+	}
+	env.tally.requireBothSides(t)
+	env.requireReuse(t)
+}
+
+// determinismCircuits is the determinism suite, or with -short its
+// traffic light alone.
+func determinismCircuits() []suiteCircuit {
+	if testing.Short() {
+		return suiteMembers("traffic")
+	}
+	return determinismSuite()
+}
+
+// shortPick is corpus, or with -short its named target alone, one whose
+// sweep takes every path: swept whole, the corpora take half a minute
+// under the race detector.
+func shortPick(corpus []suiteCircuit, name string) []suiteCircuit {
+	if !testing.Short() {
+		return corpus
+	}
+	for _, sc := range corpus {
+		if sc.Name == name {
+			return []suiteCircuit{sc}
+		}
+	}
+	panic("no target " + name)
+}
+
+func cubeEngine(eng Engine) bool {
+	_, cubes := eng.CubeEngine()
+	return cubes
+}
+
+// The tests from here to TestDeterministicCoverBDDEngine split the
+// determinism suite's matrix among them, each cell in exactly one.
+
+// TestDeterministicCoverAcrossWorkers sweeps the success-driven engine's
+// unbudgeted cells. Its cover has the same sorted keys at every worker
+// count and simplify mode, over the latches and WithInputs.
+func TestDeterministicCoverAcrossWorkers(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return c.eng == EngineSuccessDriven && c.cp.b.IsZero()
+	}})
+}
+
+// TestDeterministicCoverBlockingEngines sweeps the blocking and lifting
+// engines' unbudgeted cells over the latches with Simplify on.
+func TestDeterministicCoverBlockingEngines(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return (c.eng == EngineBlocking || c.eng == EngineLifting) &&
+			!c.inputs && c.cp.b.IsZero() && c.mode == simplify.On
+	}})
+}
+
+// TestDeterministicCoverDisjointEngine sweeps the disjoint engine's
+// unbudgeted cells over the latches with Simplify on: pairwise disjoint
+// covers, exact at every worker count, with no blocking clause.
+func TestDeterministicCoverDisjointEngine(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return c.eng == EngineDisjoint && !c.inputs && c.cp.b.IsZero() && c.mode == simplify.On
+	}})
+}
+
+// TestSimplifyEquivalenceAllEngines sweeps the cube engines' unbudgeted
+// cells over the latches with Simplify off; their Simplify on cells are
+// in the two tests above, the success-driven engine's in
+// TestDeterministicCoverAcrossWorkers, and the BDD engine has no CNF to
+// simplify.
+func TestSimplifyEquivalenceAllEngines(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return cubeEngine(c.eng) && !c.inputs && c.cp.b.IsZero() && c.mode == simplify.Off
+	}})
+}
+
+// TestDeterministicStateCoverCubeEngines sweeps every engine's cells
+// over the latches under the cube cap, with Simplify on and off. Only
+// the cube engines' covers are wide enough for the cap to cut; the
+// others must stay complete under it.
+func TestDeterministicStateCoverCubeEngines(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return !c.inputs && c.cp.reason == budget.Cubes
+	}})
+}
+
+// TestAbortSoundnessAcrossWorkers sweeps every engine's cells over the
+// latches under the decision cap with Simplify off.
+func TestAbortSoundnessAcrossWorkers(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return !c.inputs && c.cp.reason == budget.Decisions && c.mode == simplify.Off
+	}})
+}
+
+// TestSimplifyAbortSubsetSound sweeps every engine's cells over the
+// latches under the decision cap with Simplify on. The BDD engine makes
+// no decisions and must stay complete under it.
+func TestSimplifyAbortSubsetSound(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return !c.inputs && c.cp.reason == budget.Decisions && c.mode == simplify.On
+	}})
+}
+
+// TestStreamedProjectionEquivalence sweeps the WithInputs cells: every
+// one of the cube engines, each of which must equal the
+// enumerate-then-project reference cube for cube, and the success-driven
+// engine's capped ones.
+func TestStreamedProjectionEquivalence(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return c.inputs && (cubeEngine(c.eng) || !c.cp.b.IsZero())
+	}})
+}
+
+// TestDeterministicCoverBDDEngine sweeps the BDD engine's unbudgeted
+// cells: the monolithic and the parallel builds both equal the
+// simulated preimage.
+func TestDeterministicCoverBDDEngine(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+		return c.eng == EngineBDD && c.cp.b.IsZero()
+	}})
+}
+
+// TestParallelEqualsSerial runs every engine's unbudgeted cells over the
+// latches at 7 workers, a count that splits no guiding path evenly, and
+// Image at Parallel 1 and 4, on the determinism suite.
+func TestParallelEqualsSerial(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, determinismCircuits(), slice{workers: []int{7}, image: true, keep: func(c cell) bool {
+		return !c.inputs && c.cp.b.IsZero() && c.mode == simplify.On
+	}})
+}
+
+// TestRuntimeReuseBitIdentical sweeps the whole matrix on three small
+// circuits with one pool and scheduler shared across them, so a warm
+// solver or manager comes back for a different formula.
+func TestRuntimeReuseBitIdentical(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, shortPick(randomTargets(rand.New(rand.NewSource(321)), 1,
+		gen.Counter(5, true, false),
+		gen.LFSR(5, 0, 2),
+		gen.SLike(gen.SLikeParams{Seed: 31, Inputs: 4, Latches: 5, Gates: 30})), "slike_s31_g30_l5#0"), everyCell)
+}
+
+// TestRuntimeReuseAfterAbort sweeps the sequential cells over the
+// latches on an 8-latch SLike circuit, where the pre-abort runs cut
+// deeper searches than on the determinism suite before their warm runs.
+func TestRuntimeReuseAfterAbort(t *testing.T) {
+	t.Parallel()
+	c := gen.SLike(gen.SLikeParams{Seed: 33, Inputs: 5, Latches: 8, Gates: 60})
+	sweepOracle(t, []suiteCircuit{{gen.NamedCircuit{Name: c.Name, Circuit: c},
+		trans.TargetFromPatterns(len(c.Latches), "1XXXXXX0")}}, slice{workers: []int{1}, keep: func(c cell) bool {
+		return !c.inputs
+	}})
+}
+
+// TestSuiteCircuitsAllEngines sweeps the whole matrix on the random
+// targets of eight small circuits.
+func TestSuiteCircuitsAllEngines(t *testing.T) {
+	t.Parallel()
+	sweepOracle(t, shortPick(suiteTargets(), "lfsr5#1"), everyCell)
+}
+
+// TestOracle sweeps the whole matrix on the s27 targets and on the image
+// check's initial sets, one parallel subtest each; across the two every
+// cap aborts some runs and leaves others complete.
 func TestOracle(t *testing.T) {
 	tally := newOracleTally()
 	t.Cleanup(func() {
@@ -614,21 +910,17 @@ func TestOracle(t *testing.T) {
 			tally.requireBothSides(t)
 		}
 	})
-	corpus := oracleCorpus(t)
-	groups := []string{"determinism", "s27", "suite", "image"}
-	if testing.Short() {
-		groups, corpus["determinism"] = groups[:1], suiteMembers("traffic")
-	}
-	for _, group := range groups {
-		t.Run(group, func(t *testing.T) {
+	for _, group := range []struct {
+		name   string
+		corpus []suiteCircuit
+	}{{"s27", shortPick(s27Targets(t), "1XX")}, {"image", shortPick(imageTargets(), "johnson5#0")}} {
+		t.Run(group.name, func(t *testing.T) {
 			t.Parallel()
-			for _, sc := range corpus[group] {
-				o := newOracle(t, sc.Circuit, sc.Target, tally)
-				if (o.truth.nPre == 0) != noPredecessors[sc.Name] {
-					t.Fatalf("%s: %d predecessors; noPredecessors must list exactly the targets with none", sc.Name, o.truth.nPre)
-				}
-				o.run(sc.Name)
+			env := newOracleEnv(t, tally)
+			for _, sc := range group.corpus {
+				oracleCase(t, sc, env).run(sc.Name, everyCell)
 			}
+			env.requireReuse(t)
 		})
 	}
 }
@@ -636,14 +928,14 @@ func TestOracle(t *testing.T) {
 // FuzzOracle runs the oracle's matrix on random SLike circuits of up to
 // six latches and five inputs, with a fuzzed target pattern (one byte
 // per latch, read mod 3 as 0, 1 or X; missing bytes are X). Its seeds
-// are skipped with -short, whose TestOracle sweep takes every path.
+// are skipped with -short, whose determinism sweeps take every path.
 func FuzzOracle(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(20), "2\x010")
 	f.Add(int64(7), uint8(5), uint8(4), uint8(40), "\x01")
 	f.Add(int64(13), uint8(1), uint8(0), uint8(5), "")
 	f.Fuzz(func(t *testing.T, seed int64, latches, inputs, gates uint8, pattern string) {
 		if testing.Short() {
-			t.Skip("the -short TestOracle sweep stands in for the seed corpus")
+			t.Skip("the -short determinism sweeps stand in for the seed corpus")
 		}
 		p := gen.SLikeParams{Seed: seed, Latches: 1 + int(latches)%6, Inputs: 1 + int(inputs)%5, Gates: 1 + int(gates)%64}
 		c := gen.SLike(p)
@@ -654,7 +946,7 @@ func FuzzOracle(f *testing.F) {
 				pat[i] = "01X"[pattern[i]%3]
 			}
 		}
-		newOracle(t, c, trans.TargetFromPatterns(p.Latches, string(pat)), nil).run(c.Name + "/" + string(pat))
+		checkOracle(t, c, trans.TargetFromPatterns(p.Latches, string(pat)), c.Name+"/"+string(pat))
 	})
 }
 

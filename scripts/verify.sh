@@ -15,18 +15,18 @@ go vet ./...
 (cd perfbench && GOWORK=off go vet ./...)
 go test ./...
 go test -race -short ./...
-# The differential oracle (every engine, worker count, simplify mode and
-# runtime checked against exhaustive simulation, and against each other
-# cube for cube), the frontier walk's Aborted contract over every layer
-# source, and the success engine's state-only walk layers against the
-# BDD engine's walks must hold regardless of how the Go scheduler
-# interleaves workers: exercise them both pinned to one OS thread and
-# with real preemption under the race detector. Both sweep the oracle's
-# -short corpus, one circuit that takes every path (go test above sweeps
-# the whole corpus once; under the race detector that takes half a
-# minute).
-GOMAXPROCS=1 go test -short -run 'TestOracle|TestWalkAbortContract|TestWalkSuccessMatchesBDD' ./internal/preimage/
-GOMAXPROCS=4 go test -race -short -run 'TestOracle|TestWalkAbortContract|TestWalkSuccessMatchesBDD' ./internal/preimage/
+# The differential oracle's sweeps of the determinism suite (every
+# engine, worker count, simplify mode and runtime checked against
+# exhaustive simulation, and against each other cube for cube), the
+# frontier walk's Aborted contract over every layer source, and the
+# success engine's state-only walk layers against the BDD engine's walks
+# must hold regardless of how the Go scheduler interleaves workers:
+# exercise them both pinned to one OS thread and with real preemption
+# under the race detector. Both sweep the -short suite, one circuit that
+# takes every path (go test above sweeps the whole suite once).
+ORACLE='TestDeterministic|TestAbortSoundness|TestStreamedProjection|TestParallelEqualsSerial|TestSimplifyEquivalence|TestSimplifyAbort'
+GOMAXPROCS=1 go test -short -run "$ORACLE|TestWalkAbortContract|TestWalkSuccessMatchesBDD" ./internal/preimage/
+GOMAXPROCS=4 go test -race -short -run "$ORACLE|TestWalkAbortContract|TestWalkSuccessMatchesBDD" ./internal/preimage/
 # Every fan-out runs as runtime.Group jobs on a scheduler: the pool, the
 # incremental sessions and the parallel BMC sweep must hold pinned and
 # preempted alike, and so must the success-driven enumerator the pooled
