@@ -62,11 +62,6 @@ const oracleMaxVars = 20
 // capped runs still run.
 const oraclePairLimit = 4096
 
-// oracleEngines is every engine.
-var oracleEngines = []Engine{
-	EngineSuccessDriven, EngineBlocking, EngineLifting, EngineDisjoint, EngineBDD,
-}
-
 // oracleCap is a budget a matrix cell runs under, with the reason an
 // abort under it must name.
 type oracleCap struct {
@@ -202,7 +197,8 @@ func minterm(m, n int) string {
 // share one.
 type oracleTally struct {
 	mu sync.Mutex
-	// runs counts capped runs by cap, projection and outcome.
+	// runs counts capped runs by cap, projection, concurrency and
+	// outcome.
 	runs map[tallyKey]int
 	// preAborts counts, per swept engine, the pre-abort runs that did
 	// abort.
@@ -210,8 +206,8 @@ type oracleTally struct {
 }
 
 type tallyKey struct {
-	cap             string
-	inputs, aborted bool
+	cap                         string
+	inputs, concurrent, aborted bool
 }
 
 func newOracleTally() *oracleTally {
@@ -219,22 +215,26 @@ func newOracleTally() *oracleTally {
 }
 
 // requireBothSides fails unless every cap the sweep ran aborted some
-// runs and left others complete on each projection it ran, and every
-// swept engine's pre-abort run aborted at least once.
+// runs and left others complete on each projection it ran, both with its
+// workers concurrent and not, and every swept engine's pre-abort run
+// aborted at least once.
 func (ta *oracleTally) requireBothSides(t *testing.T) {
 	t.Helper()
 	ta.mu.Lock()
 	defer ta.mu.Unlock()
 	for _, cp := range oracleCaps[1:] {
 		for _, inputs := range []bool{false, true} {
-			aborted, complete := ta.runs[tallyKey{cp.name, inputs, true}], ta.runs[tallyKey{cp.name, inputs, false}]
-			if aborted+complete > 0 && (aborted == 0 || complete == 0) {
-				t.Errorf("%s/inputs=%v: %d aborted and %d complete runs; the cap must take both paths",
-					cp.name, inputs, aborted, complete)
+			for _, concurrent := range []bool{false, true} {
+				aborted := ta.runs[tallyKey{cp.name, inputs, concurrent, true}]
+				complete := ta.runs[tallyKey{cp.name, inputs, concurrent, false}]
+				if aborted+complete > 0 && (aborted == 0 || complete == 0) {
+					t.Errorf("%s/inputs=%v/concurrent=%v: %d aborted and %d complete runs; the cap must take both paths",
+						cp.name, inputs, concurrent, aborted, complete)
+				}
 			}
 		}
 	}
-	for _, eng := range oracleEngines {
+	for _, eng := range allEngines {
 		if n, swept := ta.preAborts[eng]; swept && n == 0 {
 			t.Errorf("%v: no pre-abort run aborted, so no warm run followed an abort", eng)
 		}
@@ -384,8 +384,11 @@ func (o *oracle) compute(tag string, opts Options, cp oracleCap) *Result {
 		o.tb.Fatalf("%s: Pairs set without WithInputs", tag)
 	}
 	if cp.name != "none" {
+		// A parallel run on no runtime gets a scheduler with an executor
+		// per worker.
+		concurrent := opts.Parallel > 1 && opts.Runtime == nil
 		o.env.tally.mu.Lock()
-		o.env.tally.runs[tallyKey{cp.name, opts.WithInputs, res.Aborted}]++
+		o.env.tally.runs[tallyKey{cp.name, opts.WithInputs, concurrent, res.Aborted}]++
 		o.env.tally.mu.Unlock()
 	}
 	return res
@@ -421,15 +424,24 @@ type cell struct {
 
 // slice is the part of the matrix a sweep runs: the cells keep accepts
 // (every cell when keep is nil) at the listed worker counts (1, 2, 4 and
-// 8 when none are listed), and Image when image is set.
+// 8 when none are listed), and Image when image is set. With -short only
+// the cells short also accepts run: it trims the matrix's axes, never the
+// sweep's circuits.
 type slice struct {
-	keep    func(cell) bool
-	workers []int
-	image   bool
+	keep, short func(cell) bool
+	workers     []int
+	image       bool
 }
 
 // everyCell is the whole matrix, Image included.
 var everyCell = slice{image: true}
+
+// simplifyOn accepts the cells with Simplify on, the mode every SAT
+// engine runs by default.
+func simplifyOn(c cell) bool { return c.mode == simplify.On }
+
+// sequentialOn accepts the sequential cells with Simplify on.
+func sequentialOn(c cell) bool { return c.workers == 1 && c.mode == simplify.On }
 
 // skip reports the cells the sweep leaves out: the BDD engine's cells
 // with WithInputs or without Simplify, which repeat its other cells (it
@@ -450,13 +462,14 @@ func (o *oracle) run(name string, s slice) {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1, 2, 4, 8}
 	}
-	for _, eng := range oracleEngines {
+	for _, eng := range allEngines {
 		for _, inputs := range []bool{false, true} {
 			for _, cp := range oracleCaps {
 				for _, workers := range workerCounts {
 					for _, mode := range []simplify.Mode{simplify.On, simplify.Off} {
 						c := cell{eng, inputs, cp, workers, mode}
-						if o.skip(c) || s.keep != nil && !s.keep(c) {
+						if o.skip(c) || s.keep != nil && !s.keep(c) ||
+							testing.Short() && s.short != nil && !s.short(c) {
 							continue
 						}
 						o.env.swept[eng] = true
@@ -475,8 +488,9 @@ func (o *oracle) run(name string, s slice) {
 // A capped parallel run is cut wherever its scheduler happens to be, so
 // capped parallel cells run on a one-executor scheduler: it runs the
 // subcube jobs in split order, the cut is fixed, and the runtimes and
-// the reference must agree cube for cube. Unbudgeted cells run with
-// real concurrency.
+// the reference must agree cube for cube. Such a cell also runs once
+// with its workers really concurrent, a cut checked against the truth
+// alone. Unbudgeted cells run with real concurrency.
 func (o *oracle) cell(name string, c cell) {
 	o.tb.Helper()
 	env := o.env
@@ -487,11 +501,15 @@ func (o *oracle) cell(name string, c cell) {
 	if c.workers > 1 && !c.cp.b.IsZero() {
 		fresh = &rt.Runtime{Sched: env.serial}
 		warm = &rt.Runtime{Pool: env.pool, Sched: env.serial}
+		o.compute(tag+"/concurrent", opts, c.cp)
 	}
 	opts.Runtime = fresh
 	first := o.compute(tag+"/fresh", opts, c.cp)
 	opts.Runtime = warm
-	o.sameRun(tag+"/warm", o.compute(tag+"/warm", opts, c.cp), first)
+	// With -short only the warm run after the abort runs.
+	if !testing.Short() {
+		o.sameRun(tag+"/warm", o.compute(tag+"/warm", opts, c.cp), first)
+	}
 	// The aborted run is sequential: the solver or manager it releases
 	// is the next one handed out.
 	preOpts := opts
@@ -534,7 +552,7 @@ func (o *oracle) successKeys(name string, inputs bool) string {
 // image checks Image of every engine at Parallel 1 and 4.
 func (o *oracle) image(name string) {
 	o.tb.Helper()
-	for _, eng := range oracleEngines {
+	for _, eng := range allEngines {
 		for _, workers := range []int{1, 4} {
 			tag := fmt.Sprintf("%s/image/%v/p%d", name, eng, workers)
 			res, err := Image(o.c, o.target, Options{Engine: eng, Parallel: workers})
@@ -735,30 +753,6 @@ func sweepOracle(t *testing.T, corpus []suiteCircuit, s slice) {
 	env.requireReuse(t)
 }
 
-// determinismCircuits is the determinism suite, or with -short its
-// traffic light alone.
-func determinismCircuits() []suiteCircuit {
-	if testing.Short() {
-		return suiteMembers("traffic")
-	}
-	return determinismSuite()
-}
-
-// shortPick is corpus, or with -short its named target alone, one whose
-// sweep takes every path: swept whole, the corpora take half a minute
-// under the race detector.
-func shortPick(corpus []suiteCircuit, name string) []suiteCircuit {
-	if !testing.Short() {
-		return corpus
-	}
-	for _, sc := range corpus {
-		if sc.Name == name {
-			return []suiteCircuit{sc}
-		}
-	}
-	panic("no target " + name)
-}
-
 func cubeEngine(eng Engine) bool {
 	_, cubes := eng.CubeEngine()
 	return cubes
@@ -772,7 +766,7 @@ func cubeEngine(eng Engine) bool {
 // count and simplify mode, over the latches and WithInputs.
 func TestDeterministicCoverAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{keep: func(c cell) bool {
 		return c.eng == EngineSuccessDriven && c.cp.b.IsZero()
 	}})
 }
@@ -781,7 +775,7 @@ func TestDeterministicCoverAcrossWorkers(t *testing.T) {
 // engines' unbudgeted cells over the latches with Simplify on.
 func TestDeterministicCoverBlockingEngines(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{keep: func(c cell) bool {
 		return (c.eng == EngineBlocking || c.eng == EngineLifting) &&
 			!c.inputs && c.cp.b.IsZero() && c.mode == simplify.On
 	}})
@@ -792,7 +786,7 @@ func TestDeterministicCoverBlockingEngines(t *testing.T) {
 // covers, exact at every worker count, with no blocking clause.
 func TestDeterministicCoverDisjointEngine(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{keep: func(c cell) bool {
 		return c.eng == EngineDisjoint && !c.inputs && c.cp.b.IsZero() && c.mode == simplify.On
 	}})
 }
@@ -804,18 +798,18 @@ func TestDeterministicCoverDisjointEngine(t *testing.T) {
 // simplify.
 func TestSimplifyEquivalenceAllEngines(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{keep: func(c cell) bool {
 		return cubeEngine(c.eng) && !c.inputs && c.cp.b.IsZero() && c.mode == simplify.Off
 	}})
 }
 
 // TestDeterministicStateCoverCubeEngines sweeps every engine's cells
-// over the latches under the cube cap, with Simplify on and off. Only
-// the cube engines' covers are wide enough for the cap to cut; the
-// others must stay complete under it.
+// over the latches under the cube cap, with Simplify on and off (with
+// -short, on alone). Only the cube engines' covers are wide enough for
+// the cap to cut; the others must stay complete under it.
 func TestDeterministicStateCoverCubeEngines(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{short: simplifyOn, keep: func(c cell) bool {
 		return !c.inputs && c.cp.reason == budget.Cubes
 	}})
 }
@@ -824,7 +818,7 @@ func TestDeterministicStateCoverCubeEngines(t *testing.T) {
 // latches under the decision cap with Simplify off.
 func TestAbortSoundnessAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{keep: func(c cell) bool {
 		return !c.inputs && c.cp.reason == budget.Decisions && c.mode == simplify.Off
 	}})
 }
@@ -834,7 +828,7 @@ func TestAbortSoundnessAcrossWorkers(t *testing.T) {
 // no decisions and must stay complete under it.
 func TestSimplifyAbortSubsetSound(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{keep: func(c cell) bool {
 		return !c.inputs && c.cp.reason == budget.Decisions && c.mode == simplify.On
 	}})
 }
@@ -842,10 +836,10 @@ func TestSimplifyAbortSubsetSound(t *testing.T) {
 // TestStreamedProjectionEquivalence sweeps the WithInputs cells: every
 // one of the cube engines, each of which must equal the
 // enumerate-then-project reference cube for cube, and the success-driven
-// engine's capped ones.
+// engine's capped ones. With -short it runs Simplify on alone.
 func TestStreamedProjectionEquivalence(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{short: simplifyOn, keep: func(c cell) bool {
 		return c.inputs && (cubeEngine(c.eng) || !c.cp.b.IsZero())
 	}})
 }
@@ -855,7 +849,7 @@ func TestStreamedProjectionEquivalence(t *testing.T) {
 // simulated preimage.
 func TestDeterministicCoverBDDEngine(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{keep: func(c cell) bool {
 		return c.eng == EngineBDD && c.cp.b.IsZero()
 	}})
 }
@@ -865,20 +859,21 @@ func TestDeterministicCoverBDDEngine(t *testing.T) {
 // Image at Parallel 1 and 4, on the determinism suite.
 func TestParallelEqualsSerial(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, determinismCircuits(), slice{workers: []int{7}, image: true, keep: func(c cell) bool {
+	sweepOracle(t, determinismSuite(), slice{workers: []int{7}, image: true, keep: func(c cell) bool {
 		return !c.inputs && c.cp.b.IsZero() && c.mode == simplify.On
 	}})
 }
 
-// TestRuntimeReuseBitIdentical sweeps the whole matrix on three small
-// circuits with one pool and scheduler shared across them, so a warm
-// solver or manager comes back for a different formula.
+// TestRuntimeReuseBitIdentical sweeps the whole matrix (with -short, its
+// Simplify on cells) on three small circuits with one pool and scheduler
+// shared across them, so a warm solver or manager comes back for a
+// different formula.
 func TestRuntimeReuseBitIdentical(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, shortPick(randomTargets(rand.New(rand.NewSource(321)), 1,
+	sweepOracle(t, randomTargets(rand.New(rand.NewSource(321)), 1,
 		gen.Counter(5, true, false),
 		gen.LFSR(5, 0, 2),
-		gen.SLike(gen.SLikeParams{Seed: 31, Inputs: 4, Latches: 5, Gates: 30})), "slike_s31_g30_l5#0"), everyCell)
+		gen.SLike(gen.SLikeParams{Seed: 31, Inputs: 4, Latches: 5, Gates: 30})), slice{image: true, short: simplifyOn})
 }
 
 // TestRuntimeReuseAfterAbort sweeps the sequential cells over the
@@ -893,16 +888,18 @@ func TestRuntimeReuseAfterAbort(t *testing.T) {
 	}})
 }
 
-// TestSuiteCircuitsAllEngines sweeps the whole matrix on the random
-// targets of eight small circuits.
+// TestSuiteCircuitsAllEngines sweeps the whole matrix (with -short, its
+// sequential Simplify on cells) on the random targets of eight small
+// circuits.
 func TestSuiteCircuitsAllEngines(t *testing.T) {
 	t.Parallel()
-	sweepOracle(t, shortPick(suiteTargets(), "lfsr5#1"), everyCell)
+	sweepOracle(t, suiteTargets(), slice{image: true, short: sequentialOn})
 }
 
-// TestOracle sweeps the whole matrix on the s27 targets and on the image
-// check's initial sets, one parallel subtest each; across the two every
-// cap aborts some runs and leaves others complete.
+// TestOracle sweeps the whole matrix (with -short, its sequential
+// Simplify on cells) on the s27 targets and on the image check's initial
+// sets, one parallel subtest each; across the two every cap aborts some
+// runs and leaves others complete.
 func TestOracle(t *testing.T) {
 	tally := newOracleTally()
 	t.Cleanup(func() {
@@ -913,12 +910,12 @@ func TestOracle(t *testing.T) {
 	for _, group := range []struct {
 		name   string
 		corpus []suiteCircuit
-	}{{"s27", shortPick(s27Targets(t), "1XX")}, {"image", shortPick(imageTargets(), "johnson5#0")}} {
+	}{{"s27", s27Targets(t)}, {"image", imageTargets()}} {
 		t.Run(group.name, func(t *testing.T) {
 			t.Parallel()
 			env := newOracleEnv(t, tally)
 			for _, sc := range group.corpus {
-				oracleCase(t, sc, env).run(sc.Name, everyCell)
+				oracleCase(t, sc, env).run(sc.Name, slice{image: true, short: sequentialOn})
 			}
 			env.requireReuse(t)
 		})

@@ -27,7 +27,10 @@ func loadS27(t *testing.T) *circuit.Circuit {
 	return c
 }
 
-var allEngines = []Engine{EngineSuccessDriven, EngineBlocking, EngineLifting, EngineBDD}
+// allEngines is every engine.
+var allEngines = []Engine{
+	EngineSuccessDriven, EngineBlocking, EngineLifting, EngineDisjoint, EngineBDD,
+}
 
 func coverSet(t *testing.T, cv *cube.Cover) map[int]bool {
 	t.Helper()
