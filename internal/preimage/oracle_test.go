@@ -203,6 +203,11 @@ type oracleTally struct {
 	// preAborts counts, per swept engine, the pre-abort runs that did
 	// abort.
 	preAborts map[Engine]int
+	// widened counts the blocking runs over the latches alone by
+	// whether a state cube came back with a free latch. Blocking
+	// decides every latch it searches, so a free one is a latch the run
+	// dropped from its search space and widened back.
+	widened map[bool]int
 }
 
 type tallyKey struct {
@@ -211,13 +216,14 @@ type tallyKey struct {
 }
 
 func newOracleTally() *oracleTally {
-	return &oracleTally{runs: map[tallyKey]int{}, preAborts: map[Engine]int{}}
+	return &oracleTally{runs: map[tallyKey]int{}, preAborts: map[Engine]int{}, widened: map[bool]int{}}
 }
 
 // requireBothSides fails unless every cap the sweep ran aborted some
 // runs and left others complete on each projection it ran, both with its
-// workers concurrent and not, and every swept engine's pre-abort run
-// aborted at least once.
+// workers concurrent and not, every swept engine's pre-abort run
+// aborted at least once, and, if the sweep ran the blocking engine over
+// the latches alone, some such run dropped a latch from its search.
 func (ta *oracleTally) requireBothSides(t *testing.T) {
 	t.Helper()
 	ta.mu.Lock()
@@ -238,6 +244,9 @@ func (ta *oracleTally) requireBothSides(t *testing.T) {
 		if n, swept := ta.preAborts[eng]; swept && n == 0 {
 			t.Errorf("%v: no pre-abort run aborted, so no warm run followed an abort", eng)
 		}
+	}
+	if ta.widened[false] > 0 && ta.widened[true] == 0 {
+		t.Errorf("none of %d state-only blocking runs dropped a latch, so no run widened a cube", ta.widened[false])
 	}
 }
 
@@ -383,13 +392,16 @@ func (o *oracle) compute(tag string, opts Options, cp oracleCap) *Result {
 	case res.Pairs != nil:
 		o.tb.Fatalf("%s: Pairs set without WithInputs", tag)
 	}
+	o.env.tally.mu.Lock()
+	defer o.env.tally.mu.Unlock()
 	if cp.name != "none" {
 		// A parallel run on no runtime gets a scheduler with an executor
 		// per worker.
 		concurrent := opts.Parallel > 1 && opts.Runtime == nil
-		o.env.tally.mu.Lock()
 		o.env.tally.runs[tallyKey{cp.name, opts.WithInputs, concurrent, res.Aborted}]++
-		o.env.tally.mu.Unlock()
+	}
+	if eng == EngineBlocking && !opts.WithInputs {
+		o.env.tally.widened[slices.ContainsFunc(res.States.Cubes(), func(cb cube.Cube) bool { return cb.FreeVars() > 0 })]++
 	}
 	return res
 }
@@ -865,15 +877,19 @@ func TestParallelEqualsSerial(t *testing.T) {
 }
 
 // TestRuntimeReuseBitIdentical sweeps the whole matrix (with -short, its
-// Simplify on cells) on three small circuits with one pool and scheduler
-// shared across them, so a warm solver or manager comes back for a
-// different formula.
+// Simplify on cells and its capped cells over the latches) on three
+// small circuits with one pool and scheduler shared across them, so a
+// warm solver or manager comes back for a different formula. With
+// Simplify on, every search over the latches here stays under both caps,
+// so -short keeps the Simplify off ones, which the caps cut.
 func TestRuntimeReuseBitIdentical(t *testing.T) {
 	t.Parallel()
 	sweepOracle(t, randomTargets(rand.New(rand.NewSource(321)), 1,
 		gen.Counter(5, true, false),
 		gen.LFSR(5, 0, 2),
-		gen.SLike(gen.SLikeParams{Seed: 31, Inputs: 4, Latches: 5, Gates: 30})), slice{image: true, short: simplifyOn})
+		gen.SLike(gen.SLikeParams{Seed: 31, Inputs: 4, Latches: 5, Gates: 30})), slice{image: true, short: func(c cell) bool {
+		return simplifyOn(c) || !c.inputs && !c.cp.b.IsZero()
+	}})
 }
 
 // TestRuntimeReuseAfterAbort sweeps the sequential cells over the

@@ -198,6 +198,9 @@ type Result struct {
 	// cover over (state ++ input) of all witness pairs; nil otherwise.
 	Pairs *cube.Cover
 	// Stats carries search counters (SAT engines) or is zero (BDD).
+	// The blocking, lifting and disjoint engines count LiftedFree on
+	// the widened cubes (DESIGN.md §7), so a latch the search dropped
+	// counts as free in every cube.
 	Stats allsat.Stats
 	// BDDNodes is the peak node count of the engine's manager.
 	BDDNodes int

@@ -110,6 +110,59 @@ func TestFullTargetFullPreimage(t *testing.T) {
 	}
 }
 
+// TestFullTargetDropsEveryLatch runs the cube engines where no clause
+// of the simplified formula mentions a latch: the preimage of an all-X
+// target, and the image of all states under a shift register, whose
+// next-state variables are its input and present-state variables. The
+// search space is then empty, and the one cube it finds widens to the
+// all-X cube of all 2^n states.
+func TestFullTargetDropsEveryLatch(t *testing.T) {
+	counter, shift := gen.Counter(4, true, false), gen.ShiftRegister(4)
+	all := trans.TargetFromPatterns(4, "XXXX")
+	for _, eng := range []Engine{EngineBlocking, EngineLifting, EngineDisjoint} {
+		for _, workers := range []int{1, 2} {
+			opts := Options{Engine: eng, Parallel: workers}
+			for name, run := range map[string]func() (*Result, error){
+				"compute": func() (*Result, error) { return Compute(counter, all, opts) },
+				"image":   func() (*Result, error) { return Image(shift, all, opts) },
+			} {
+				r, err := run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.States.Len() != 1 || r.States.Cubes()[0].String() != "XXXX" ||
+					r.Count.Cmp(big.NewInt(16)) != 0 || r.Stats.Solutions != 1 {
+					t.Fatalf("%s/%v/p%d: %d solutions, count %v, cover\n%v\nwant one XXXX cube and 16",
+						name, eng, workers, r.Stats.Solutions, r.Count, r.States)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockingSearchesLiveLatches pins the live-space search on
+// slike:3,60,6,4 under 1XXXXX: three latches occur in no clause of the
+// simplified formula, so the blocking engine finds the 48 preimage
+// states in 6 solutions, each widened to 8 states, and counts the three
+// as free in each.
+func TestBlockingSearchesLiveLatches(t *testing.T) {
+	c := gen.SLike(gen.SLikeParams{Seed: 3, Gates: 60, Latches: 6, Inputs: 4})
+	target := trans.TargetFromPatterns(6, "1XXXXX")
+	for _, workers := range []int{1, 2} {
+		r, err := Compute(c, target, Options{Engine: EngineBlocking, Parallel: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Count.Cmp(big.NewInt(48)) != 0 || r.Stats.Solutions != 6 || r.States.Len() != 6 {
+			t.Fatalf("p%d: %v states in %d solutions and %d cubes, want 48 in 6 and 6",
+				workers, r.Count, r.Stats.Solutions, r.States.Len())
+		}
+		if r.Stats.LiftedFree != 18 {
+			t.Fatalf("p%d: %d free positions, want 3 in each of 6 cubes", workers, r.Stats.LiftedFree)
+		}
+	}
+}
+
 func TestWithInputsPairs(t *testing.T) {
 	// Counter: target {s'=5}; the witness pairs are (4, en=1) and (5, en=0).
 	c := gen.Counter(3, true, false)

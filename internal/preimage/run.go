@@ -47,15 +47,17 @@ func latchPositions(vars []lit.Var, proj *cube.Space) []int {
 // solve polls the budget, simplifies f in place with the projection
 // frozen (every caller passes an instance-local formula), polls again,
 // runs the engine, streams each projection cube through one state
-// projector and counts the state cover (DESIGN.md §7): a pairwise
-// disjoint one (blocking and disjoint engines over a state-only
-// projection) by the sum of its cube sizes, in engine order, any other
-// after Reduce. When share is non-nil it also returns the state set in
-// share, a manager ordered over the canonical state space. A
-// success-driven run over the latches alone, one per latch, hands its
-// merged BDD straight to share and builds no cover: its Result then
-// carries no States and no Count (see compute). The caller records the
-// stats.
+// projector and counts the state cover (DESIGN.md §7). A blocking,
+// lifting or disjoint run over a state-only projection that reports no
+// Pairs searches only the live space (liveSpace) and widens each cube
+// back before projecting it. A pairwise disjoint state cover (blocking
+// and disjoint engines over a state-only projection) is counted by the
+// sum of its cube sizes, in engine order, any other after Reduce. When
+// share is non-nil it also returns the state set in share, a manager
+// ordered over the canonical state space. A success-driven run over the
+// latches alone, one per latch, hands its merged BDD straight to share
+// and builds no cover: its Result then carries no States and no Count
+// (see compute). The caller records the stats.
 func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	eng, streams := opts.Engine.CubeEngine()
 	if !streams && opts.Engine != EngineSuccessDriven {
@@ -66,8 +68,9 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 	set := bdd.False
 	var count *big.Int
 	var raw []cube.Cube // projection cubes, kept for Pairs and parallel runs
-	disjoint := false   // the state cover is pairwise disjoint
-	setOnly := false    // the run produced share's set and no cover
+	withPairs := opts.WithInputs && r.pairs != nil
+	disjoint := false // the state cover is pairwise disjoint
+	setOnly := false  // the run produced share's set and no cover
 	var sstats simplify.Stats
 
 	// An already-expired deadline or cancelled context aborts before any
@@ -120,8 +123,15 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		}
 		pr.Release() // the set is exported; the manager goes back warm
 	default:
+		// A state-only run that reports no Pairs searches only the
+		// projection variables some clause still mentions (the live
+		// space); widen puts X back at the others.
+		space, widen := r.proj, func(cb cube.Cube) cube.Cube { return cb }
+		if r.stateOnly() && !withPairs {
+			space, widen = r.liveSpace()
+		}
 		as := allsatOptions(opts)
-		it := allsat.NewEngineIterator(r.f, r.proj, as, eng)
+		it := allsat.NewEngineIterator(r.f, space, as, eng)
 		// A sequential stream is projected as it arrives, in engine
 		// order. A parallel one arrives in scheduling order: it is
 		// collected and put back into subcube order first, so a fixed
@@ -133,20 +143,23 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 				break
 			}
 			if !parallel {
-				p.add(cb)
+				p.add(widen(cb))
 			}
-			if parallel || opts.WithInputs {
+			if parallel || withPairs {
 				raw = append(raw, cb)
 			}
 		}
 		out.AbortReason, out.Stats = it.Reason(), it.Stats()
 		it.Close()
 		if parallel {
-			allsat.SortBySubcube(raw, r.proj, as.Workers)
+			allsat.SortBySubcube(raw, space, as.Workers)
 			for _, cb := range raw {
-				p.add(cb)
+				p.add(widen(cb))
 			}
 		}
+		// Free positions are counted on the widened cubes: each carries
+		// an X at every dropped position.
+		out.Stats.LiftedFree += uint64(r.proj.Size()-space.Size()) * out.Stats.Cubes
 		// Blocking and disjoint cubes are pairwise disjoint, and over a
 		// state-only projection so are their projections: the sum of
 		// their sizes counts them, and Reduce would find nothing to
@@ -169,7 +182,7 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		count = countStates(out.States, opts.Runtime)
 	}
 	out.Count = count
-	if opts.WithInputs && r.pairs != nil {
+	if withPairs {
 		out.Pairs = pairCover(r.pairs, r.proj, raw)
 	}
 	if share != nil && set == bdd.False {
@@ -177,6 +190,37 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		set = share.FromCover(out.States)
 	}
 	return out, set, nil
+}
+
+// liveSpace returns the projection variables some clause of r.f still
+// mentions, in projection order, and the function that widens a cube
+// over them back to the whole projection, with X at every dropped
+// position. The dropped variables are don't-cares: the clauses are
+// satisfied whatever their values, which is the paper's cube
+// enlargement rule for decision variables left unassigned (DESIGN.md
+// §2), applied before the search.
+func (r satRun) liveSpace() (*cube.Space, func(cube.Cube) cube.Cube) {
+	occurs := make([]bool, r.f.NumVars)
+	for _, c := range r.f.Clauses {
+		for _, l := range c {
+			occurs[l.Var()] = true
+		}
+	}
+	var vars []lit.Var
+	var at []int // the projection position of each live variable
+	for pos, v := range r.proj.Vars() {
+		if int(v) < len(occurs) && occurs[v] {
+			vars = append(vars, v)
+			at = append(at, pos)
+		}
+	}
+	return cube.NewSpace(vars), func(cb cube.Cube) cube.Cube {
+		w := r.proj.FullCube()
+		for i, q := range at {
+			w[q] = cb[i]
+		}
+		return w
+	}
 }
 
 // stateVars returns the distinct projection variables latches sit on.

@@ -108,13 +108,21 @@ done
 go run ./cmd/preimage -stats -kstep 2 -engine blocking counter:4 XXX1 | grep -q '^  decisions  *[1-9]'
 
 # State-only projection smoke: every SAT engine finds the 48 preimage
-# states of slike:3,60,6,4 under 1XXXXX, and the blocking engine reaches
-# them in 48 solutions, one per state, because it searches over the
-# latches alone; a search over (state, input) pairs would need 384.
+# states of slike:3,60,6,4 under 1XXXXX. The blocking engine searches
+# over the latches alone, and only over the three that a clause of the
+# simplified formula still mentions: it reaches the 48 states in 6
+# solutions, each widened to 8 states over the three dropped latches,
+# sequentially and with two workers splitting the live latches. A search
+# over every latch needs 48 solutions, one per state; one over
+# (state, input) pairs needs 384.
 for engine in success blocking lifting disjoint; do
     go run ./cmd/preimage -engine $engine slike:3,60,6,4 1XXXXX | grep -q '^preimage states: 48$'
 done
-go run ./cmd/preimage -stats -engine blocking slike:3,60,6,4 1XXXXX | grep -q 'solutions: 48$'
+for workers in 1 2; do
+    OUT=$(go run ./cmd/preimage -workers $workers -stats -engine blocking slike:3,60,6,4 1XXXXX)
+    echo "$OUT" | grep -q '^preimage states: 48$'
+    echo "$OUT" | grep -q 'solutions: 6$'
+done
 
 # Reach smoke: backward reachability on the success engine searches each
 # layer over the latches alone, fresh and on one incremental session;
