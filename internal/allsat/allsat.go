@@ -127,7 +127,8 @@ type Options struct {
 	// sat.DefaultOptions under it. The zero Budget is unbounded.
 	// Budget.MaxCubes is exact for every worker count: a parallel run's
 	// merged cover contains exactly min(MaxCubes, |full cover|) cubes —
-	// workers claim cap slots atomically, so the cap is never overshot.
+	// workers claim cap slots atomically, so the cap is never overshot —
+	// and the run reports budget.Cubes only when the full cover is larger.
 	Budget budget.Budget
 	// Workers > 1 fans the enumeration out over guiding-path subcubes of
 	// the projection space, one fresh solver per subcube (see parallel.go).
@@ -220,16 +221,18 @@ type CubeIterator interface {
 	Close()
 }
 
-// capReached reports whether an iterator that has emitted n cubes is at
-// its cube cap (0 = none). It records budget.Cubes as the stop reason
-// unless an earlier limit already ended the iteration.
+// capReached reports whether an iterator that has emitted n cubes and
+// just found one more is at its cube cap (0 = none), and if so records
+// budget.Cubes as the stop reason. The iterators ask for the next
+// solution before they check the cap, so a run whose cap equals its
+// exact cube count ends complete: the cap cut it only if another cube
+// exists. The solution found past the cap is neither emitted nor
+// counted.
 func capReached(maxCubes, n uint64, reason *budget.Reason) bool {
 	if maxCubes == 0 || n < maxCubes {
 		return false
 	}
-	if *reason == budget.None {
-		*reason = budget.Cubes
-	}
+	*reason = budget.Cubes
 	return true
 }
 

@@ -207,6 +207,37 @@ func TestMaxCubesAborts(t *testing.T) {
 	}
 }
 
+// TestCubeCapAtExactCount: a cube cap equal to a run's exact cube count
+// ends the run complete, and one cube less cuts it, for every cube
+// engine and worker count, and the counters count the kept cubes alone.
+// (x1 ∨ x2) ∧ (¬x1 ∨ x3) has four solutions over three variables.
+func TestCubeCapAtExactCount(t *testing.T) {
+	f := cnf.New(3)
+	f.Add(lit.Pos(0), lit.Pos(1))
+	f.Add(lit.Neg(0), lit.Pos(2))
+	space := projSpace(0, 1, 2)
+	for _, eng := range []Engine{Blocking, Lifting, Disjoint} {
+		for _, workers := range []int{1, 2} {
+			full := enumerate(f.Clone(), space, Options{Workers: workers}, eng)
+			total := uint64(full.Cover.Len())
+			if full.Aborted || total < 2 {
+				t.Fatalf("engine %d workers %d: uncut run of %d cubes aborted=%v", eng, workers, total, full.Aborted)
+			}
+			for _, cap := range []uint64{total, total - 1} {
+				r := enumerate(f.Clone(), space, Options{Workers: workers, Budget: budget.Budget{MaxCubes: cap}}, eng)
+				wantCut := cap < total
+				if r.Aborted != wantCut || uint64(r.Cover.Len()) != cap || r.Stats.Cubes != cap || r.Stats.Solutions != cap {
+					t.Fatalf("engine %d workers %d cap %d of %d: %d cubes (stats: %d cubes, %d solutions), aborted=%v (%v), want aborted=%v",
+						eng, workers, cap, total, r.Cover.Len(), r.Stats.Cubes, r.Stats.Solutions, r.Aborted, r.Reason, wantCut)
+				}
+				if wantCut && r.Reason != budget.Cubes {
+					t.Fatalf("engine %d workers %d cap %d: reason %v, want the cube cap", eng, workers, cap, r.Reason)
+				}
+			}
+		}
+	}
+}
+
 func TestLiftOrderLastToFirst(t *testing.T) {
 	// f = (x0 ∨ x1) under the model x0 = x1 = 1: either variable alone
 	// can be freed, not both. Lifting tries positions from the last to

@@ -56,14 +56,14 @@ func NewDisjointIterator(f *cnf.Formula, space *cube.Space, opts Options) *Disjo
 // is exhausted or a budget tripped. Returned cubes are pairwise disjoint;
 // their union converges to the exact projection.
 func (it *DisjointIterator) Next() (cube.Cube, bool) {
-	if capReached(it.maxCubes, it.stats.Cubes, &it.reason) {
-		it.done = true
-	}
 	if it.done {
 		return nil, false
 	}
 	switch it.ch.Next() {
 	case sat.Sat:
+		if capReached(it.maxCubes, it.stats.Cubes, &it.reason) {
+			break
+		}
 		c := it.space.FullCube()
 		for _, l := range it.ch.Cube() {
 			c[it.ch.ProjPos(l.Var())] = lit.TernOf(!l.Sign())

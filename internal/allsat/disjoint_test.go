@@ -79,7 +79,10 @@ func TestDisjointParallelWorkerSweep(t *testing.T) {
 // TestDisjointMaxCubes: the cube cap aborts the disjoint enumeration with
 // the cap respected exactly, like the other engines.
 func TestDisjointMaxCubes(t *testing.T) {
-	f := cnf.New(5) // tautology: 32 minterms, many cubes
+	// (x0 ∨ x1): two disjoint cubes, 1XXXX and 01XXX. The tautology is
+	// one cube, XXXXX, which a cap of 1 keeps whole.
+	f := cnf.New(5)
+	f.Add(lit.Pos(0), lit.Pos(1))
 	r := EnumerateDisjoint(f.Clone(), projSpace(0, 1, 2, 3, 4), Options{Budget: budget.Budget{MaxCubes: 1}})
 	if !r.Aborted || r.Reason != budget.Cubes {
 		t.Fatalf("aborted=%v reason=%v, want cube-cap abort", r.Aborted, r.Reason)

@@ -56,14 +56,11 @@ func NewIterator(f *cnf.Formula, space *cube.Space, opts Options, lift bool) *It
 // is exhausted. Cubes may overlap when lifting; their union converges to
 // the exact projection.
 func (it *Iterator) Next() (cube.Cube, bool) {
-	if capReached(it.maxCubes, it.stats.Cubes, &it.reason) {
-		it.done = true
-	}
 	if it.done {
 		return nil, false
 	}
 	st := it.s.Solve()
-	if st != sat.Sat {
+	if st != sat.Sat || capReached(it.maxCubes, it.stats.Cubes, &it.reason) {
 		it.done = true
 		if st == sat.Unknown {
 			it.reason = it.s.StopReason()

@@ -123,8 +123,11 @@ func newParallelIterator(f *cnf.Formula, space *cube.Space, opts Options, eng En
 			var st Stats
 			if g.Ctx().Err() == nil {
 				it := NewEngineIterator(restrictFormula(f, space, subs[i]), space, wopts, eng)
-				slots.drain(it, g, p.push)
+				dropped := slots.drain(it, g, p.push)
 				st = it.Stats()
+				if dropped != nil {
+					st.uncount(dropped, eng)
+				}
 				it.Close()
 			}
 			p.mu.Lock()
@@ -163,24 +166,38 @@ type cubeSlots struct {
 // cubes plus transient over-claims that are immediately returned, so the
 // run keeps exactly min(max, |full cover|) cubes — checking before
 // claiming would let two jobs pass at max-1 and overshoot by up to
-// workers-1.
-func (cs *cubeSlots) drain(it CubeIterator, g *rt.Group, keep func(cube.Cube)) {
+// workers-1. Only a cube that finds no slot records budget.Cubes, so a
+// run whose cap equals its exact cube count ends complete. drain returns
+// that cube, which the iterator emitted and counted but the run drops.
+func (cs *cubeSlots) drain(it CubeIterator, g *rt.Group, keep func(cube.Cube)) cube.Cube {
 	for {
-		if cs.max > 0 && cs.n.Load() >= cs.max {
-			g.Abort(budget.Cubes)
-			return
-		}
 		c, ok := it.Next()
 		if !ok {
 			g.Abort(it.Reason())
-			return
+			return nil
 		}
 		if cs.max > 0 && cs.n.Add(1) > cs.max {
 			cs.n.Add(^uint64(0)) // unclaim
 			g.Abort(budget.Cubes)
-			return
+			return c
 		}
 		keep(c)
+	}
+}
+
+// uncount takes back the per-cube counters of a cube the engine's
+// iterator emitted but the run dropped, so the counters describe the
+// kept cubes as a sequential run's do; the search counters keep the
+// work spent finding it.
+func (st *Stats) uncount(c cube.Cube, eng Engine) {
+	st.Solutions--
+	st.Cubes--
+	if eng != Blocking {
+		st.LiftedFree -= uint64(c.FreeVars())
+	}
+	if eng != Disjoint {
+		st.BlockingClauses--
+		st.BlockingLits -= uint64(len(c) - c.FreeVars())
 	}
 }
 

@@ -72,7 +72,7 @@ type oracleCap struct {
 
 var oracleCaps = []oracleCap{
 	{"none", budget.Budget{}, budget.None},
-	{"max-cubes", budget.Budget{MaxCubes: 7}, budget.Cubes},
+	{"max-cubes", budget.Budget{MaxCubes: 6}, budget.Cubes},
 	{"max-decisions", budget.Budget{MaxDecisions: 40}, budget.Decisions},
 }
 

@@ -57,7 +57,9 @@ func latchPositions(vars []lit.Var, proj *cube.Space) []int {
 // ordered over the canonical state space. A success-driven run over the
 // latches alone, one per latch, hands its merged BDD straight to share
 // and builds no cover: its Result then carries no States and no Count
-// (see compute). The caller records the stats.
+// (see compute). A run whose state cover is final as it grows hands
+// each state cube to Options.StateSink as well. The caller records the
+// stats.
 func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	eng, streams := opts.Engine.CubeEngine()
 	if !streams && opts.Engine != EngineSuccessDriven {
@@ -137,6 +139,16 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		// collected and put back into subcube order first, so a fixed
 		// worker count gives one cover.
 		parallel := as.Workers > 1
+		// Blocking and disjoint cubes are pairwise disjoint, and over a
+		// state-only projection so are their projections: the sum of
+		// their sizes counts them, and Reduce would find nothing to
+		// remove.
+		disjoint = eng != allsat.Lifting && r.stateOnly()
+		if disjoint && !parallel && !withPairs && !p.splits() && share == nil {
+			// Neither Reduce nor a subcube sort follows: each state
+			// cube is final as the projector appends it.
+			p.sink = opts.StateSink
+		}
 		for {
 			cb, ok := it.Next()
 			if !ok {
@@ -160,11 +172,6 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		// Free positions are counted on the widened cubes: each carries
 		// an X at every dropped position.
 		out.Stats.LiftedFree += uint64(r.proj.Size()-space.Size()) * out.Stats.Cubes
-		// Blocking and disjoint cubes are pairwise disjoint, and over a
-		// state-only projection so are their projections: the sum of
-		// their sizes counts them, and Reduce would find nothing to
-		// remove.
-		disjoint = eng != allsat.Lifting && r.stateOnly()
 	}
 	out.Aborted = out.AbortReason != budget.None
 	out.Stats.Simplify = sstats
@@ -289,6 +296,7 @@ type stateProjector struct {
 	shared []int // positions repeated in pos, in first-latch order
 	states *cube.Cover
 	last   cube.Cube
+	sink   func(cube.Cube) // Options.StateSink, where the cover is final as it grows
 }
 
 func newStateProjector(pos []int, stateSpace *cube.Space) *stateProjector {
@@ -329,6 +337,9 @@ func (p *stateProjector) add(cb cube.Cube) {
 	}
 	p.states.Add(sc)
 	p.last = sc
+	if p.sink != nil {
+		p.sink(sc)
+	}
 }
 
 // repeats reports whether cb projects onto the last added state cube.

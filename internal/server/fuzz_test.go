@@ -54,14 +54,19 @@ func serveFuzzed(t *testing.T, h http.Handler, path, query, body string) {
 	case http.StatusOK:
 		checkFuzzedStream(t, rec.Body.Bytes())
 	case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
-			t.Fatalf("status %d with body %q: want a JSON error", code, rec.Body.String())
-		}
+		checkFuzzedError(t, code, rec.Body.Bytes())
 	default:
 		t.Fatalf("status %d for query %q body %q", code, query, body)
+	}
+}
+
+// checkFuzzedError checks a 4xx body is a JSON error.
+func checkFuzzedError(t *testing.T, code int, body []byte) {
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Fatalf("status %d with body %q: want a JSON error", code, body)
 	}
 }
 
@@ -138,6 +143,51 @@ func FuzzPreimageRequest(f *testing.F) {
 	h := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, body, query string) {
 		serveFuzzed(t, h, "/v1/preimage", query, body)
+	})
+}
+
+// FuzzSessionRequest drives POST /v1/sessions with a fuzzed JSON body.
+// A session is created (201, naming its id), refused for a name already
+// in use (409), or the body is rejected with a JSON error; the server
+// keeps at most its LRU capacity of sessions open.
+func FuzzSessionRequest(f *testing.F) {
+	bench := circuit.BenchString(gen.Counter(3, true, false))
+	for _, req := range []sessionRequest{
+		{Name: "a", Bench: bench, Target: []string{"XX1"}},
+		{Bench: bench, Target: []string{"1X0", "000"}, Workers: 8, Timeout: "1ns"},
+		{Bench: bench, Target: []string{"XX1"}, MaxCubes: 1, MaxDecisions: 2, MaxBDDNodes: -1},
+		{Bench: bench, Target: []string{"11"}},
+		{Bench: bench, Target: []string{"1Z0"}, Timeout: "soon"},
+		{Bench: "INPUT(broken\n", Target: []string{"0"}},
+		{Bench: bench},
+	} {
+		data, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	f.Add(`{"bench":`)
+	f.Add(`{"workers":"two"}`)
+	f.Add("")
+	h := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, body string) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch code := rec.Code; code {
+		case http.StatusCreated:
+			var reply struct {
+				ID string `json:"id"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.ID == "" {
+				t.Fatalf("201 with body %q: want the session id", rec.Body.String())
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusConflict, http.StatusUnprocessableEntity:
+			checkFuzzedError(t, code, rec.Body.Bytes())
+		default:
+			t.Fatalf("status %d for body %q", code, body)
+		}
 	})
 }
 

@@ -240,33 +240,53 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamCubes drains an iterator into the stream, enforcing the
-// (already fenced) cube cap handler-side — it fires before the
-// iterator's own cap and cancels the request context, so parallel jobs
-// stop at once — and aborting the solve the moment the client stops
-// reading.
+// (already fenced) cube cap handler-side — a cube past the cap cancels
+// the request context, so parallel jobs stop at once, and a run whose
+// cap equals its exact cube count ends complete — and aborting the
+// solve the moment the client stops reading.
 func (s *Server) streamCubes(ctx context.Context, sw *streamWriter,
 	it allsat.CubeIterator, maxCubes uint64, cancel func()) budget.Reason {
 	for {
-		if maxCubes > 0 && sw.sent >= maxCubes {
-			cancel() // parallel workers keep enumerating otherwise
-			return budget.Cubes
-		}
 		c, ok := it.Next()
 		if !ok {
 			return it.Reason()
 		}
-		sw.cube(c)
-		if sw.failed() || ctx.Err() != nil {
+		if maxCubes > 0 && sw.sent >= maxCubes {
+			cancel() // parallel workers keep enumerating otherwise
+			return budget.Cubes
+		}
+		if !sendCube(sw, c, cancel) || ctx.Err() != nil {
 			cancel()
 			return budget.Cancelled
 		}
 	}
 }
 
+// sendCube writes one cube to the stream and reports whether the client
+// still reads it. A failed write (the client went away) cancels the
+// request context, which aborts the solve still producing cubes.
+func sendCube(sw *streamWriter, c cube.Cube, cancel func()) bool {
+	sw.cube(c)
+	if sw.failed() {
+		cancel()
+		return false
+	}
+	return true
+}
+
 // handlePreimage computes the one-step preimage of a target state set
 // of a BENCH circuit with any of the five engines, streaming the cover.
 //
 //	POST /v1/preimage?target=1X0&engine=bdd   (body: ISCAS-89 BENCH text)
+//
+// The blocking and disjoint engines at one worker stream each state cube
+// the moment the search finds it: their cover is pairwise disjoint and
+// final as it grows (preimage.Options.StateSink). The lifting, success
+// and BDD engines, and runs on more workers, stream their cover once
+// Compute returns, since it is reduced or reordered first. The bytes
+// are the same either way, apart from elapsed_ms. The header goes out
+// with the first cube or once Compute returns, so a Compute error still
+// answers 422 with no stream.
 func (s *Server) handlePreimage(w http.ResponseWriter, r *http.Request) {
 	s.reg.Counter("server.requests").Inc()
 	data, ok := s.readBody(w, r)
@@ -314,24 +334,44 @@ func (s *Server) handlePreimage(w http.ResponseWriter, r *http.Request) {
 	bud := s.fenceFor(r).Clamp(ctx, reqBudget)
 
 	start := time.Now()
-	res, err := preimage.Compute(c, target, preimage.Options{
+	// The stream opens lazily, at the first cube a streaming run sinks
+	// or once Compute returns, so a Compute error still answers 422.
+	var sw *streamWriter
+	open := func() {
+		sw = newStreamWriter(w)
+		sw.emit(headerEvent{
+			Type: "header", Engine: eng.String(), Vars: len(c.Latches),
+			Projection: seq(1, len(c.Latches)), Workers: workers,
+		})
+	}
+	defer func() {
+		if sw != nil {
+			sw.close() // also when Compute panics mid-stream
+		}
+	}()
+	res, err := s.compute(c, target, preimage.Options{
 		Engine: eng, Parallel: workers, Budget: bud, Stats: s.reg,
 		Runtime: s.runtimeFor(r),
+		StateSink: func(cb cube.Cube) {
+			if sw == nil {
+				open()
+			}
+			sendCube(sw, cb, cancel)
+		},
 	})
 	if err != nil {
+		// Compute reports errors before its search starts, so no cube
+		// has been sunk and no stream opened.
 		httpError(w, http.StatusUnprocessableEntity, "preimage: %v", err)
 		return
 	}
-	sw := newStreamWriter(w)
-	defer sw.close()
-	sw.emit(headerEvent{
-		Type: "header", Engine: eng.String(), Vars: len(c.Latches),
-		Projection: seq(1, len(c.Latches)), Workers: workers,
-	})
-	for _, cb := range res.States.Cubes() {
-		sw.cube(cb)
-		if sw.failed() {
-			break
+	if sw == nil {
+		// The run sank no cube: its cover, if any, goes out now.
+		open()
+		for _, cb := range res.States.Cubes() {
+			if !sendCube(sw, cb, cancel) {
+				break
+			}
 		}
 	}
 	summary := s.summarize(res.Stats, sw.sent, res.AbortReason, time.Since(start).Milliseconds())

@@ -6,9 +6,11 @@
 //
 //   - Streaming, not batching. One-shot enumeration requests run the
 //     existing allsat iterators (sequential, disjoint, or the parallel
-//     worker pool) and write each cube as one NDJSON line, flushed to
-//     the client at once for the first cube and within a few
-//     milliseconds for the rest. The disjoint engine's cubes are
+//     worker pool), and one-step preimages run on the blocking or
+//     disjoint engine at one worker hand over each state cube as the
+//     search finds it; each cube is one NDJSON line, flushed to the
+//     client at once for the first cube and within a few milliseconds
+//     for the rest. The disjoint engine's cubes are
 //     pairwise disjoint by construction, so a consumer can fold the
 //     stream incrementally with no post-hoc dedup; every stream ends
 //     with a summary line that carries the truncation verdict, so a
@@ -37,6 +39,9 @@ import (
 	"time"
 
 	"allsatpre/internal/budget"
+	"allsatpre/internal/circuit"
+	"allsatpre/internal/cube"
+	"allsatpre/internal/preimage"
 	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/stats"
 )
@@ -138,6 +143,9 @@ type Server struct {
 	rt       *rt.Runtime     // never nil; Pool is nil when pooling is disabled
 	reg      *stats.Registry // never nil; a discard registry when unset
 	shutdown chan struct{}
+	// compute is preimage.Compute. No request that parses makes Compute
+	// fail, so tests replace it to reach handlePreimage's 422 path.
+	compute func(*circuit.Circuit, *cube.Cover, preimage.Options) (*preimage.Result, error)
 }
 
 // New builds a Server from the config.
@@ -151,6 +159,7 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      reg,
 		shutdown: make(chan struct{}),
+		compute:  preimage.Compute,
 	}
 	s.adm = newAdmission(cfg.MaxConcurrent, cfg.AdmissionWait, cfg.AdmissionQueue, reg)
 	s.store = newSessionStore(cfg.MaxSessions, reg)

@@ -14,14 +14,19 @@ import (
 // The NDJSON stream protocol: one JSON object per line. A stream is
 //
 //	{"type":"header", ...}        exactly once, first
-//	{"type":"cube","cube":"01X"}  zero or more, as the iterator produces them
+//	{"type":"cube","cube":"01X"}  zero or more, as the search produces them
 //	{"type":"summary", ...}       exactly once, last
 //
-// The summary's truncated/reason pair is the HTTP spelling of the
-// repository-wide Aborted contract: a stream without truncated=true is
-// the complete projection; with it, the cubes seen are a sound
-// under-approximation and reason says which limit (or "shutdown", or
-// "cancelled") cut it short.
+// /v1/enumerate writes each cube as its iterator produces it (the
+// success engine's once its cover is built); /v1/preimage writes the
+// blocking and disjoint engines' state cubes as the search finds them at
+// one worker, and every other run's cover once Compute returns (see
+// handlePreimage). The summary's truncated/reason pair is the HTTP
+// spelling of the repository-wide Aborted contract: a stream without
+// truncated=true is the complete projection; with it, the cubes seen
+// are a sound under-approximation and reason says which limit (or
+// "shutdown", or "cancelled") cut it short. A cube cap cuts a stream
+// only if another cube exists beyond it.
 
 type headerEvent struct {
 	Type       string `json:"type"` // "header"

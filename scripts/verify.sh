@@ -42,9 +42,11 @@ GOMAXPROCS=4 go test -count=1 -race ./internal/core/ ./internal/pool/ ./internal
 # must hold on one thread and under real preemption alike, so a failure
 # that only shows on multi-core hosts fails here on any runner. The
 # stream writer's timer flush races the handler's writes by design: its
-# stall, disconnect and shutdown-drain tests run on both schedules too.
-GOMAXPROCS=1 go test -count=1 -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify|TestStream|TestEnumerateStreamsIncrementallyAndDisconnectAborts|TestShutdownDrainsStreamWithTruncatedSummary' ./internal/server/
-GOMAXPROCS=4 go test -count=1 -race -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify|TestStream|TestEnumerateStreamsIncrementallyAndDisconnectAborts|TestShutdownDrainsStreamWithTruncatedSummary' ./internal/server/
+# stall, disconnect and shutdown-drain tests run on both schedules too,
+# and so do the /v1/preimage streams that write cubes while the search
+# runs.
+GOMAXPROCS=1 go test -count=1 -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify|TestStream|TestEnumerateStreamsIncrementallyAndDisconnectAborts|TestShutdownDrainsStreamWithTruncatedSummary|TestPreimageStreams|TestPreimageComputeError' ./internal/server/
+GOMAXPROCS=4 go test -count=1 -race -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify|TestStream|TestEnumerateStreamsIncrementallyAndDisconnectAborts|TestShutdownDrainsStreamWithTruncatedSummary|TestPreimageStreams|TestPreimageComputeError' ./internal/server/
 GOMAXPROCS=1 go test -count=1 -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
 GOMAXPROCS=4 go test -count=1 -race -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
 go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -benchtime=1x -benchmem .
@@ -62,13 +64,15 @@ go test -run '^$' -fuzz '^FuzzRunFrozen$' -fuzztime=5000x ./internal/simplify/
 # the patterns a cube space accepts.
 go test -run '^$' -fuzz '^FuzzParseTarget$' -fuzztime=5000x ./internal/trans/
 # The oracle's matrix on random small SLike circuits and targets past
-# its seed corpus, and hostile request bodies, queries and fence specs
-# against the daemon: no panic, no 5xx, no stream without its summary.
+# its seed corpus, and hostile request bodies (session JSON among them),
+# queries and fence specs against the daemon: no panic, no 5xx, no
+# stream without its summary.
 # A FuzzOracle input sweeps the whole matrix, so its inputs are not
 # minimized.
 go test -run '^$' -fuzz '^FuzzOracle$' -fuzztime=4x -fuzzminimizetime=0 ./internal/preimage/
 go test -run '^$' -fuzz '^FuzzEnumerateRequest$' -fuzztime=500x ./internal/server/
 go test -run '^$' -fuzz '^FuzzPreimageRequest$' -fuzztime=500x ./internal/server/
+go test -run '^$' -fuzz '^FuzzSessionRequest$' -fuzztime=500x ./internal/server/
 go test -run '^$' -fuzz '^FuzzParseFenceSpec$' -fuzztime=2000x ./internal/server/
 # Loadbench smoke: one request per mode through BenchmarkServerLoad
 # (scripts/loadbench.sh runs the real measurement). Catches harness rot
