@@ -120,9 +120,9 @@ const (
 	AbortNodes     = budget.Nodes     // BDD node cap exhausted
 )
 
-// Simplify modes for SimplifyMode fields: Auto follows each entry
-// point's default (on for one-shot enumeration, off for incremental
-// sessions), On forces the pass, Off disables it.
+// Simplify modes for SimplifyMode fields: Auto and On run the pass at
+// every entry point, one-shot and incremental sessions alike (a session
+// simplifies its base CNF once); Off disables it.
 const (
 	SimplifyAuto = simplify.Auto
 	SimplifyOn   = simplify.On
@@ -378,7 +378,7 @@ func EnumerateDimacsOpts(r io.Reader, o DimacsOptions) (*allsat.Result, error) {
 	// preprocessing of its own — so the allsat layer is told not to
 	// repeat it.
 	var sstats simplify.Stats
-	if o.Simplify.Enabled(true) {
+	if o.Simplify.Enabled() {
 		sstats = simplify.RunFrozen(f, proj).Stats
 	}
 	bud := o.Budget.Materialize()

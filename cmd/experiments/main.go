@@ -21,13 +21,12 @@ import (
 
 	"allsatpre/internal/experiments"
 	"allsatpre/internal/genspec"
-	"allsatpre/internal/stats"
 )
 
 func main() {
 	only := flag.String("only", "", "comma-separated subset: table1..table7, fig1..fig4")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	steps := flag.Int("steps", 6, "step cap for table3 reachability")
+	steps := flag.Int("steps", experiments.ReachSteps, "step cap for table3 reachability")
 	bf := genspec.AddBudgetFlags(flag.CommandLine)
 	incremental := genspec.AddIncrementalFlag(flag.CommandLine)
 	simplifyFlag := genspec.AddSimplifyFlag(flag.CommandLine)
@@ -54,9 +53,12 @@ func main() {
 			want[strings.TrimSpace(tok)] = true
 		}
 	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
 
-	emit := func(tb *stats.Table) {
+	for _, t := range experiments.Tables(*steps) {
+		if len(want) > 0 && !want[t.Name] {
+			continue
+		}
+		tb, _ := t.Run()
 		if *csv {
 			fmt.Printf("# %s\n", tb.Title)
 			tb.RenderCSV(os.Stdout)
@@ -64,51 +66,6 @@ func main() {
 			tb.Render(os.Stdout)
 		}
 		fmt.Println()
-	}
-
-	if sel("table1") {
-		tb, _ := experiments.Table1()
-		emit(tb)
-	}
-	if sel("table2") {
-		tb, _ := experiments.Table2()
-		emit(tb)
-	}
-	if sel("table3") {
-		tb, _ := experiments.Table3(*steps)
-		emit(tb)
-	}
-	if sel("fig1") {
-		tb, _ := experiments.Fig1([]int{2, 4, 6, 8, 10, 12}, 16)
-		emit(tb)
-	}
-	if sel("fig2") {
-		tb, _ := experiments.Fig2([]int{40, 80, 160, 320})
-		emit(tb)
-	}
-	if sel("fig3") {
-		tb, _ := experiments.Fig3()
-		emit(tb)
-	}
-	if sel("fig4") {
-		tb, _ := experiments.Fig4([]float64{0.01, 0.1, 0.25, 0.4, 0.6})
-		emit(tb)
-	}
-	if sel("table4") {
-		tb, _ := experiments.Table4()
-		emit(tb)
-	}
-	if sel("table5") {
-		tb, _ := experiments.Table5()
-		emit(tb)
-	}
-	if sel("table6") {
-		tb, _ := experiments.Table6()
-		emit(tb)
-	}
-	if sel("table7") {
-		tb, _ := experiments.Table7()
-		emit(tb)
 	}
 	bf.Report(os.Stdout, reg)
 }

@@ -160,7 +160,7 @@ type Options struct {
 // (parallel fallback, per-worker iterators) never re-run the pass on the
 // already-simplified formula.
 func maybeSimplify(f *cnf.Formula, space *cube.Space, opts *Options) (*cnf.Formula, simplify.Stats) {
-	if !opts.Simplify.Enabled(true) {
+	if !opts.Simplify.Enabled() {
 		return f, simplify.Stats{}
 	}
 	opts.Simplify = simplify.Off

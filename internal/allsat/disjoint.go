@@ -76,7 +76,7 @@ func (it *DisjointIterator) Next() (cube.Cube, bool) {
 		it.reason = it.ch.StopReason()
 	}
 	it.done = true
-	it.captureStats()
+	captureSolverStats(&it.stats, it.s)
 	return nil, false
 }
 
@@ -87,7 +87,7 @@ func (it *DisjointIterator) Reason() budget.Reason { return it.reason }
 // Stats returns the counters accumulated so far. BlockingClauses is zero
 // by construction — the engine's defining property.
 func (it *DisjointIterator) Stats() Stats {
-	it.captureStats()
+	captureSolverStats(&it.stats, it.s)
 	return it.stats
 }
 
@@ -99,26 +99,10 @@ func (it *DisjointIterator) Close() {
 	if it.s == nil {
 		return
 	}
-	it.captureStats()
+	captureSolverStats(&it.stats, it.s)
 	it.done = true
 	s := it.s
 	it.s = nil
 	it.ch = nil
 	it.rt.P().ReleaseSolver(s)
-}
-
-func (it *DisjointIterator) captureStats() {
-	if it.s == nil {
-		return
-	}
-	ss := it.s.Stats()
-	it.stats.Decisions = ss.Decisions
-	it.stats.Propagations = ss.Propagations
-	it.stats.Conflicts = ss.Conflicts
-	it.stats.PeakLearnts = uint64(ss.PeakLearnts)
-	it.stats.PeakLearntBytes = ss.PeakLearntBytes
-	it.stats.ArenaBytes = ss.ArenaBytes
-	it.stats.LearntsCore = uint64(ss.LearntsCore)
-	it.stats.LearntsTier2 = uint64(ss.LearntsTier2)
-	it.stats.LearntsLocal = uint64(ss.LearntsLocal)
 }

@@ -65,7 +65,7 @@ func (it *Iterator) Next() (cube.Cube, bool) {
 		if st == sat.Unknown {
 			it.reason = it.s.StopReason()
 		}
-		it.captureStats()
+		captureSolverStats(&it.stats, it.s)
 		return nil, false
 	}
 	it.stats.Solutions++
@@ -91,7 +91,7 @@ func (it *Iterator) Next() (cube.Cube, bool) {
 	it.stats.BlockingLits += uint64(len(blocking))
 	if len(blocking) == 0 || !it.s.AddClause(blocking...) {
 		it.done = true
-		it.captureStats()
+		captureSolverStats(&it.stats, it.s)
 	}
 	return c, true
 }
@@ -104,7 +104,7 @@ func (it *Iterator) Reason() budget.Reason { return it.reason }
 
 // Stats returns the counters accumulated so far.
 func (it *Iterator) Stats() Stats {
-	it.captureStats()
+	captureSolverStats(&it.stats, it.s)
 	return it.stats
 }
 
@@ -115,25 +115,27 @@ func (it *Iterator) Close() {
 	if it.s == nil {
 		return
 	}
-	it.captureStats()
+	captureSolverStats(&it.stats, it.s)
 	it.done = true
 	s := it.s
 	it.s = nil
 	it.rt.P().ReleaseSolver(s)
 }
 
-func (it *Iterator) captureStats() {
-	if it.s == nil {
+// captureSolverStats copies the solver's search counters into st. A nil
+// solver (the iterator was closed) leaves st as it was captured last.
+func captureSolverStats(st *Stats, s *sat.Solver) {
+	if s == nil {
 		return
 	}
-	ss := it.s.Stats()
-	it.stats.Decisions = ss.Decisions
-	it.stats.Propagations = ss.Propagations
-	it.stats.Conflicts = ss.Conflicts
-	it.stats.PeakLearnts = uint64(ss.PeakLearnts)
-	it.stats.PeakLearntBytes = ss.PeakLearntBytes
-	it.stats.ArenaBytes = ss.ArenaBytes
-	it.stats.LearntsCore = uint64(ss.LearntsCore)
-	it.stats.LearntsTier2 = uint64(ss.LearntsTier2)
-	it.stats.LearntsLocal = uint64(ss.LearntsLocal)
+	ss := s.Stats()
+	st.Decisions = ss.Decisions
+	st.Propagations = ss.Propagations
+	st.Conflicts = ss.Conflicts
+	st.PeakLearnts = uint64(ss.PeakLearnts)
+	st.PeakLearntBytes = ss.PeakLearntBytes
+	st.ArenaBytes = ss.ArenaBytes
+	st.LearntsCore = uint64(ss.LearntsCore)
+	st.LearntsTier2 = uint64(ss.LearntsTier2)
+	st.LearntsLocal = uint64(ss.LearntsLocal)
 }

@@ -109,7 +109,7 @@ func NewOpts(c *circuit.Circuit, init, bad *cube.Cover, opts Options) (*Checker,
 	if err != nil {
 		return nil, err
 	}
-	if opts.Simplify.Enabled(true) {
+	if opts.Simplify.Enabled() {
 		simplify.RunFrozen(inst.F, inst.StateVars, inst.InputVars, inst.NextVars)
 	}
 	ck := &Checker{inst: inst, s: sat.New(sat.Options{Budget: opts.Budget.Materialize()}), bad: bad}

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the
 // evaluation (see DESIGN.md §4 for the per-experiment index). Each
-// function runs one experiment and returns both the rendered table and
-// the raw measurements, so cmd/experiments can print them and the root
-// benchmarks can assert on their shapes.
+// table is defined once, as a Table: its cells (one workload run under
+// one variant each) and how a measured cell renders. cmd/experiments
+// runs Tables and prints them; the root benchmarks run the same cells
+// as sub-benchmarks, so both harnesses measure the same instances.
 //
 // The original paper's ISCAS-89 workloads are replaced by the seeded
 // synthetic suite in internal/gen (see the substitution note in
@@ -13,10 +14,12 @@ package experiments
 import (
 	"fmt"
 	"math/big"
+	"strings"
 	"time"
 
 	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
+	"allsatpre/internal/core"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/gen"
 	"allsatpre/internal/preimage"
@@ -117,16 +120,16 @@ func truncMark(count string, row Row) string {
 	return ">" + count + " TRUNCATED(" + row.Reason.String() + ")"
 }
 
-// BlockingCubeCap bounds the blocking/lifting baselines in the harness.
+// blockingCubeCap bounds the blocking/lifting baselines in the harness.
 // On the largest workloads classical blocking needs minutes (its blowup is
 // the paper's motivation); capped rows are reported as aborted, the way
 // papers mark timeouts, so the harness stays interactive.
-const BlockingCubeCap = 5000
+const blockingCubeCap = 5000
 
 // targetFor builds the standard experiment target for a circuit: the cube
 // around a state that is provably producible in one step (obtained by
 // simulating one transition from a deterministic seed state), with every
-// third position freed. This guarantees a non-empty preimage on every
+// fifth position freed. This guarantees a non-empty preimage on every
 // workload — a random pattern would leave the random-logic circuits with
 // empty, uninformative rows — while still being a proper subset of the
 // state space.
@@ -175,49 +178,75 @@ func targetFor(c *circuit.Circuit) *cube.Cover {
 	return trans.TargetFromPatterns(n, string(pat))
 }
 
-func run(c *circuit.Circuit, target *cube.Cover, opts preimage.Options) Row {
+// Cell is one measured row of a table: one workload run under one
+// variant of the table's options. The root benchmarks run it as the
+// sub-benchmark <Workload>/<Variant>, so `go test -bench` and
+// cmd/experiments measure the same run.
+type Cell struct {
+	Workload, Variant string
+	Circuit           *circuit.Circuit
+	Target            *cube.Cover
+	// Opts are the table's options for the run; Run fills the settings
+	// they leave unset from the Run* globals.
+	Opts preimage.Options
+	// Reach makes the cell a backward reachability run of at most Steps
+	// preimage steps (Steps <= 0 runs to fixpoint) instead of a one-step
+	// preimage (Table 3).
+	Reach bool
+	Steps int
+	// Extra is the sweep's x-axis value (Figs. 1, 2 and 4), copied into
+	// Row.Extra.
+	Extra float64
+}
+
+// Run measures the cell once. A zero Opts.Budget takes RunBudget, and a
+// one-step blocking or lifting run is capped at blockingCubeCap cubes on
+// top; an unset Parallel takes RunWorkers, an unset Stats a RunStats
+// phase, and Simplify Auto the harness's mode (see RunSimplify).
+// RunIncremental turns Incremental on.
+func (c Cell) Run() Row {
+	opts := c.Opts
 	if opts.Budget.IsZero() {
 		opts.Budget = RunBudget
 	}
-	switch opts.Engine {
-	case preimage.EngineBlocking, preimage.EngineLifting:
-		if opts.Budget.MaxCubes == 0 || opts.Budget.MaxCubes > BlockingCubeCap {
-			opts.Budget.MaxCubes = BlockingCubeCap
-		}
+	if !c.Reach && (opts.Engine == preimage.EngineBlocking || opts.Engine == preimage.EngineLifting) &&
+		(opts.Budget.MaxCubes == 0 || opts.Budget.MaxCubes > blockingCubeCap) {
+		opts.Budget.MaxCubes = blockingCubeCap
 	}
 	if opts.Parallel == 0 && RunWorkers > 1 {
 		opts.Parallel = RunWorkers
 	}
+	opts.Incremental = opts.Incremental || RunIncremental
 	if opts.Stats == nil && RunStats != nil {
-		opts.Stats = RunStats.Phase(c.Name + "/" + opts.Engine.String())
+		opts.Stats = RunStats.Phase(c.Circuit.Name + "/" + opts.Engine.String())
 	}
 	if opts.Simplify == simplify.Auto {
 		opts.Simplify = resolveSimplify()
 	}
+	row := Row{Circuit: c.Circuit.Name, Engine: opts.Engine, Extra: c.Extra}
 	t := stats.StartTimer()
-	r, err := preimage.Compute(c, target, opts)
+	if c.Reach {
+		r, err := preimage.Reach(c.Circuit, c.Target, c.Steps, opts)
+		if err != nil {
+			panic(err) // experiment circuits are well-formed by construction
+		}
+		row.Time, row.Count, row.Steps = t.Elapsed(), r.AllCount, r.Steps
+		row.Aborted, row.Reason = r.Aborted, r.AbortReason
+		return row
+	}
+	r, err := preimage.Compute(c.Circuit, c.Target, opts)
 	if err != nil {
-		panic(err) // experiment circuits are well-formed by construction
+		panic(err)
 	}
-	row := Row{
-		Circuit:   c.Name,
-		Engine:    opts.Engine,
-		Time:      t.Elapsed(),
-		Count:     r.Count,
-		Cubes:     r.Stats.Cubes,
-		Solutions: r.Stats.Solutions,
-		Decisions: r.Stats.Decisions,
-		Conflicts: r.Stats.Conflicts,
-		BDDNodes:  r.BDDNodes,
-		Aborted:   r.Aborted,
-		Reason:    r.AbortReason,
-
-		PeakClauses:  r.Stats.BlockingClauses + r.Stats.PeakLearnts,
-		PeakLearntKB: float64(r.Stats.PeakLearntBytes) / 1024,
-		Blocking:     r.Stats.BlockingClauses,
-
-		SimplifyVars: r.Stats.Simplify.VarsEliminated,
-	}
+	row.Time, row.Count = t.Elapsed(), r.Count
+	row.Aborted, row.Reason = r.Aborted, r.AbortReason
+	row.Cubes, row.Solutions = r.Stats.Cubes, r.Stats.Solutions
+	row.Decisions, row.Conflicts = r.Stats.Decisions, r.Stats.Conflicts
+	row.BDDNodes = r.BDDNodes
+	row.PeakClauses = r.Stats.BlockingClauses + r.Stats.PeakLearnts
+	row.PeakLearntKB = float64(r.Stats.PeakLearntBytes) / 1024
+	row.Blocking = r.Stats.BlockingClauses
+	row.SimplifyVars = r.Stats.Simplify.VarsEliminated
 	if opts.Engine == preimage.EngineBDD {
 		row.Cubes = uint64(r.States.Len())
 	}
@@ -233,109 +262,165 @@ func run(c *circuit.Circuit, target *cube.Cover, opts preimage.Options) Row {
 	return row
 }
 
-// Table1 compares the four SAT enumeration engines on single-step
-// preimage over the benchmark suite: time, decisions, conflicts, cubes.
-func Table1() (*stats.Table, []Row) {
-	tb := stats.NewTable("Table 1 — single-step preimage: SAT all-solutions engines",
-		"circuit", "engine", "states", "cubes", "decisions", "conflicts", "time")
-	var rows []Row
-	for _, nc := range gen.Suite() {
-		target := targetFor(nc.Circuit)
-		for _, eng := range []preimage.Engine{
-			preimage.EngineBlocking, preimage.EngineLifting, preimage.EngineDisjoint,
-			preimage.EngineSuccessDriven,
-		} {
-			// The paper's engine comparison searches (state, input)
-			// for every engine.
-			row := run(nc.Circuit, target, preimage.Options{Engine: eng, WithInputs: true})
-			rows = append(rows, row)
-			tb.AddRow(row.Circuit, row.Engine.String(), truncMark(row.Count.String(), row),
-				row.Cubes, row.Decisions, row.Conflicts, row.Time)
+// Table is one table or figure of the evaluation, defined once: its
+// cells in row order, and how a measured cell renders.
+type Table struct {
+	Name    string // the cmd/experiments -only key: table1..table7, fig1..fig4
+	Cells   []Cell
+	title   string
+	columns []string
+	// row renders a measured cell; nil adds no row (Fig. 4 renders each
+	// pair of cells as one row).
+	row func(Cell, Row) []any
+}
+
+// Run measures every cell in order and renders the table.
+func (t Table) Run() (*stats.Table, []Row) {
+	tb := stats.NewTable(t.title, t.columns...)
+	rows := make([]Row, len(t.Cells))
+	for i, c := range t.Cells {
+		rows[i] = c.Run()
+		if cols := t.row(c, rows[i]); cols != nil {
+			tb.AddRow(cols...)
 		}
 	}
 	return tb, rows
 }
 
-// Table2 compares the success-driven SAT engine against the BDD
-// relational-product engine: time and memory proxy (engine BDD nodes).
-func Table2() (*stats.Table, []Row) {
-	tb := stats.NewTable("Table 2 — SAT (success-driven) vs BDD preimage engine",
-		"circuit", "engine", "states", "bdd-nodes", "time")
-	var rows []Row
+// ReachSteps is Table 3's step cap in the evaluation.
+const ReachSteps = 6
+
+// Tables is the evaluation in the order cmd/experiments prints it, at
+// the sweep values it reports: Table 3 capped at steps, Fig. 1 freeing
+// 2..12 bits of a 16-bit counter, Fig. 2 over 40..320 gates, and Fig. 4
+// over XOR fractions 0.01..0.6.
+func Tables(steps int) []Table {
+	return []Table{
+		table1(), table2(), table3(steps),
+		fig1([]int{2, 4, 6, 8, 10, 12}, 16),
+		fig2([]int{40, 80, 160, 320}),
+		fig3(),
+		fig4([]float64{0.01, 0.1, 0.25, 0.4, 0.6}),
+		table4(), table5(), table6(), table7(),
+	}
+}
+
+// named turns a suite into workloads: cells with a circuit at its
+// targetFor target and no variant yet.
+func named(suite []gen.NamedCircuit) []Cell {
+	ws := make([]Cell, len(suite))
+	for i, nc := range suite {
+		ws[i] = Cell{Workload: nc.Name, Circuit: nc.Circuit, Target: targetFor(nc.Circuit)}
+	}
+	return ws
+}
+
+// variant is one setting a table compares: its name and options.
+type variant struct {
+	name string
+	opts preimage.Options
+}
+
+// engines is one variant per engine, named after it, on top of base.
+func engines(base preimage.Options, engs ...preimage.Engine) []variant {
+	vs := make([]variant, len(engs))
+	for i, eng := range engs {
+		vs[i] = variant{eng.String(), base}
+		vs[i].opts.Engine = eng
+	}
+	return vs
+}
+
+// cross is a table's cells: every workload under every variant, in
+// workload order.
+func cross(ws []Cell, vs []variant) []Cell {
+	cells := make([]Cell, 0, len(ws)*len(vs))
+	for _, w := range ws {
+		for _, v := range vs {
+			w.Variant, w.Opts = v.name, v.opts
+			cells = append(cells, w)
+		}
+	}
+	return cells
+}
+
+// The four SAT enumeration engines Tables 1 and 7 compare.
+var satEngines = []preimage.Engine{
+	preimage.EngineBlocking, preimage.EngineLifting, preimage.EngineDisjoint,
+	preimage.EngineSuccessDriven,
+}
+
+// table1 compares the four SAT enumeration engines on single-step
+// preimage over the benchmark suite: time, decisions, conflicts, cubes.
+// The paper's engine comparison searches (state, input) for every engine.
+func table1() Table {
+	return Table{
+		Name:    "table1",
+		Cells:   cross(named(gen.Suite()), engines(preimage.Options{WithInputs: true}, satEngines...)),
+		title:   "Table 1 — single-step preimage: SAT all-solutions engines",
+		columns: []string{"circuit", "engine", "states", "cubes", "decisions", "conflicts", "time"},
+		row: func(_ Cell, r Row) []any {
+			return []any{r.Circuit, r.Engine.String(), truncMark(r.Count.String(), r),
+				r.Cubes, r.Decisions, r.Conflicts, r.Time}
+		},
+	}
+}
+
+// table2 compares the success-driven SAT engine against the BDD
+// relational-product engine: time and memory proxy (engine BDD nodes),
+// adding the BDD-hostile multiplier cores to the suite.
+func table2() Table {
 	suite := append(gen.Suite(),
 		gen.NamedCircuit{Name: "mult6", Circuit: gen.MultCore(6)},
 		gen.NamedCircuit{Name: "mult8", Circuit: gen.MultCore(8)},
 	)
-	for _, nc := range suite {
-		target := targetFor(nc.Circuit)
-		for _, eng := range []preimage.Engine{preimage.EngineSuccessDriven, preimage.EngineBDD} {
-			row := run(nc.Circuit, target, preimage.Options{Engine: eng})
-			rows = append(rows, row)
-			tb.AddRow(row.Circuit, row.Engine.String(), row.Count.String(),
-				row.BDDNodes, row.Time)
-		}
+	return Table{
+		Name: "table2",
+		Cells: cross(named(suite),
+			engines(preimage.Options{}, preimage.EngineSuccessDriven, preimage.EngineBDD)),
+		title:   "Table 2 — SAT (success-driven) vs BDD preimage engine",
+		columns: []string{"circuit", "engine", "states", "bdd-nodes", "time"},
+		row: func(_ Cell, r Row) []any {
+			return []any{r.Circuit, r.Engine.String(), r.Count.String(), r.BDDNodes, r.Time}
+		},
 	}
-	return tb, rows
 }
 
-// Table3 measures multi-step backward reachability to fixpoint (capped at
-// maxSteps) for the success-driven, blocking, and BDD engines.
-func Table3(maxSteps int) (*stats.Table, []Row) {
-	tb := stats.NewTable("Table 3 — backward reachability (fixpoint or step cap)",
-		"circuit", "engine", "steps", "states", "time")
-	var rows []Row
+// table3 measures multi-step backward reachability to fixpoint (capped
+// at maxSteps) for the success-driven, blocking, and BDD engines.
+func table3(maxSteps int) Table {
 	suite := []gen.NamedCircuit{
 		{Name: "counter8", Circuit: gen.Counter(8, true, false)},
 		{Name: "johnson8", Circuit: gen.Johnson(8)},
 		{Name: "traffic", Circuit: gen.TrafficLight()},
 		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
 	}
-	for _, nc := range suite {
-		target := targetFor(nc.Circuit)
-		for _, eng := range []preimage.Engine{
-			preimage.EngineSuccessDriven, preimage.EngineBlocking, preimage.EngineBDD,
-		} {
-			opts := preimage.Options{Engine: eng, Budget: RunBudget, Incremental: RunIncremental,
-				Simplify: resolveSimplify()}
-			if RunWorkers > 1 {
-				opts.Parallel = RunWorkers
-			}
-			if RunStats != nil {
-				opts.Stats = RunStats.Phase(nc.Circuit.Name + "/" + eng.String())
-			}
-			t := stats.StartTimer()
-			r, err := preimage.Reach(nc.Circuit, target, maxSteps, opts)
-			if err != nil {
-				panic(err)
-			}
-			row := Row{
-				Circuit: nc.Circuit.Name,
-				Engine:  eng,
-				Time:    t.Elapsed(),
-				Count:   r.AllCount,
-				Steps:   r.Steps,
-				Aborted: r.Aborted,
-				Reason:  r.AbortReason,
-			}
-			rows = append(rows, row)
-			tb.AddRow(row.Circuit, row.Engine.String(), row.Steps,
-				truncMark(row.Count.String(), row), row.Time)
-		}
+	cells := cross(named(suite), engines(preimage.Options{},
+		preimage.EngineSuccessDriven, preimage.EngineBlocking, preimage.EngineBDD))
+	for i := range cells {
+		cells[i].Reach, cells[i].Steps = true, maxSteps
 	}
-	return tb, rows
+	return Table{
+		Name:    "table3",
+		Cells:   cells,
+		title:   "Table 3 — backward reachability (fixpoint or step cap)",
+		columns: []string{"circuit", "engine", "steps", "states", "time"},
+		row: func(_ Cell, r Row) []any {
+			return []any{r.Circuit, r.Engine.String(), r.Steps, truncMark(r.Count.String(), r), r.Time}
+		},
+	}
 }
 
-// Fig1 sweeps the size of the target set on a fixed-width counter and
+// fig1 sweeps the size of the target set on a fixed-width counter and
 // reports runtime versus the number of enumerated solutions: the target
 // cube frees k low bits, so the preimage (and with it the number of
 // models the blocking engine must enumerate one by one) doubles with
 // each step, while the success-driven solver represents it as a few BDD
-// nodes. This is the separation plot at the heart of the paper.
-func Fig1(freeBits []int, width int) (*stats.Table, []Row) {
-	tb := stats.NewTable("Figure 1 — runtime vs number of solutions (target-size sweep)",
-		"free-bits", "engine", "solutions", "cubes", "time")
-	var rows []Row
+// nodes. This is the separation plot at the heart of the paper; its
+// solutions are counted over (state, input), as in the paper's plot.
+func fig1(freeBits []int, width int) Table {
 	c := gen.Counter(width, true, false)
+	var ws []Cell
 	for _, k := range freeBits {
 		if k >= width {
 			panic("experiments: Fig1 free bits must be below the counter width")
@@ -350,152 +435,175 @@ func Fig1(freeBits []int, width int) (*stats.Table, []Row) {
 				pat[i] = '0'
 			}
 		}
-		target := trans.TargetFromPatterns(width, string(pat))
-		for _, eng := range []preimage.Engine{preimage.EngineBlocking, preimage.EngineSuccessDriven} {
-			// Solutions over (state, input), as in the paper's plot.
-			row := run(c, target, preimage.Options{Engine: eng, WithInputs: true})
-			row.Extra = float64(k)
-			rows = append(rows, row)
-			tb.AddRow(k, eng.String(), truncMark(row.Count.String(), row), row.Cubes, row.Time)
-		}
+		ws = append(ws, Cell{Workload: fmt.Sprintf("free%d", k), Circuit: c,
+			Target: trans.TargetFromPatterns(width, string(pat)), Extra: float64(k)})
 	}
-	return tb, rows
+	return Table{
+		Name: "fig1",
+		Cells: cross(ws, engines(preimage.Options{WithInputs: true},
+			preimage.EngineBlocking, preimage.EngineSuccessDriven)),
+		title:   "Figure 1 — runtime vs number of solutions (target-size sweep)",
+		columns: []string{"free-bits", "engine", "solutions", "cubes", "time"},
+		row: func(_ Cell, r Row) []any {
+			return []any{int(r.Extra), r.Engine.String(), truncMark(r.Count.String(), r), r.Cubes, r.Time}
+		},
+	}
 }
 
-// Fig2 is the success-driven learning ablation: cache hit rate and
+// fig2 is the success-driven learning ablation: cache hit rate and
 // runtime with memoization on versus off, sweeping circuit size.
-func Fig2(sizes []int) (*stats.Table, []Row) {
-	tb := stats.NewTable("Figure 2 — success-driven learning ablation (memo on/off)",
-		"gates", "memo", "hit-rate", "decisions", "time")
-	var rows []Row
+func fig2(sizes []int) Table {
+	var ws []Cell
 	for _, g := range sizes {
 		c := gen.SLike(gen.SLikeParams{Seed: 5, Inputs: 8, Latches: 8, Gates: g})
-		target := targetFor(c)
-		for _, memo := range []bool{false, true} {
-			opts := preimage.Options{Engine: preimage.EngineSuccessDriven}
-			opts.Core.EnableMemo = memo
-			opts.Core.EnableLearning = true
-			row := run(c, target, opts)
-			row.Extra = float64(g)
-			rows = append(rows, row)
-			memoStr := "off"
-			if memo {
-				memoStr = "on"
-			}
-			tb.AddRow(g, memoStr, row.CacheHit, row.Decisions, row.Time)
-		}
+		ws = append(ws, Cell{Workload: fmt.Sprintf("g%d", g), Circuit: c, Target: targetFor(c), Extra: float64(g)})
 	}
-	return tb, rows
+	vs := []variant{
+		{"memo-off", preimage.Options{Engine: preimage.EngineSuccessDriven,
+			Core: core.Options{EnableLearning: true}}},
+		{"memo-on", preimage.Options{Engine: preimage.EngineSuccessDriven,
+			Core: core.Options{EnableMemo: true, EnableLearning: true}}},
+	}
+	return Table{
+		Name:    "fig2",
+		Cells:   cross(ws, vs),
+		title:   "Figure 2 — success-driven learning ablation (memo on/off)",
+		columns: []string{"gates", "memo", "hit-rate", "decisions", "time"},
+		row: func(c Cell, r Row) []any {
+			return []any{int(r.Extra), strings.TrimPrefix(c.Variant, "memo-"), r.CacheHit, r.Decisions, r.Time}
+		},
+	}
 }
 
-// Fig4 sweeps the XOR fraction of the random family and reports, for the
+// fig3 measures cube enlargement: average free variables per solution
+// cube and average blocking-clause length, blocking vs lifting.
+func fig3() Table {
+	return Table{
+		Name: "fig3",
+		Cells: cross(named(gen.Suite()),
+			engines(preimage.Options{}, preimage.EngineBlocking, preimage.EngineLifting)),
+		title:   "Figure 3 — cube enlargement (blocking vs lifting)",
+		columns: []string{"circuit", "engine", "cubes", "avg-free", "avg-blocking-len"},
+		row: func(_ Cell, r Row) []any {
+			return []any{r.Circuit, r.Engine.String(), r.Cubes, r.AvgFree, r.AvgBlock}
+		},
+	}
+}
+
+// fig4 sweeps the XOR fraction of the random family and reports, for the
 // success-driven engine, the memo hit rate and runtime, and for the BDD
 // engine the node count: XOR-rich logic erodes both the BDD's compactness
 // and (more slowly) the residual-hash hit rate, locating where each
 // engine's structure-exploitation breaks down.
-func Fig4(fractions []float64) (*stats.Table, []Row) {
-	tb := stats.NewTable("Figure 4 — XOR-richness sweep (memo hit rate / BDD nodes)",
-		"xor-frac", "sd-hit-rate", "sd-time", "bdd-nodes", "bdd-time")
-	var rows []Row
+func fig4(fractions []float64) Table {
+	var ws []Cell
 	for _, xf := range fractions {
 		c := gen.SLike(gen.SLikeParams{Seed: 9, Inputs: 8, Latches: 8, Gates: 150, XorFraction: xf})
-		target := targetFor(c)
-		sd := run(c, target, preimage.Options{Engine: preimage.EngineSuccessDriven})
-		bd := run(c, target, preimage.Options{Engine: preimage.EngineBDD})
-		sd.Extra, bd.Extra = xf, xf
-		rows = append(rows, sd, bd)
-		tb.AddRow(xf, sd.CacheHit, sd.Time, bd.BDDNodes, bd.Time)
+		ws = append(ws, Cell{Workload: fmt.Sprintf("xf%.2f", xf), Circuit: c, Target: targetFor(c), Extra: xf})
 	}
-	return tb, rows
+	// Each sweep point's success-driven cell precedes its BDD cell; the
+	// pair renders as one row.
+	var sd Row
+	return Table{
+		Name: "fig4",
+		Cells: cross(ws,
+			engines(preimage.Options{}, preimage.EngineSuccessDriven, preimage.EngineBDD)),
+		title:   "Figure 4 — XOR-richness sweep (memo hit rate / BDD nodes)",
+		columns: []string{"xor-frac", "sd-hit-rate", "sd-time", "bdd-nodes", "bdd-time"},
+		row: func(_ Cell, r Row) []any {
+			if r.Engine == preimage.EngineSuccessDriven {
+				sd = r
+				return nil
+			}
+			return []any{r.Extra, sd.CacheHit, sd.Time, r.BDDNodes, r.Time}
+		},
+	}
 }
 
-// Fig3 measures cube enlargement: average free variables per solution
-// cube and average blocking-clause length, blocking vs lifting.
-func Fig3() (*stats.Table, []Row) {
-	tb := stats.NewTable("Figure 3 — cube enlargement (blocking vs lifting)",
-		"circuit", "engine", "cubes", "avg-free", "avg-blocking-len")
-	var rows []Row
-	for _, nc := range gen.Suite() {
-		target := targetFor(nc.Circuit)
-		for _, eng := range []preimage.Engine{preimage.EngineBlocking, preimage.EngineLifting} {
-			row := run(nc.Circuit, target, preimage.Options{Engine: eng})
-			rows = append(rows, row)
-			tb.AddRow(row.Circuit, row.Engine.String(), row.Cubes, row.AvgFree, row.AvgBlock)
-		}
+// table4 is the decision-order ablation for the success-driven solver:
+// state-first (default) vs input-first vs interleaved.
+func table4() Table {
+	suite := []gen.NamedCircuit{
+		{Name: "counter10", Circuit: gen.Counter(10, true, false)},
+		{Name: "gray6", Circuit: gen.GrayCounter(6)},
+		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
+		{Name: "slike2", Circuit: gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})},
 	}
-	return tb, rows
+	orders := []variant{
+		{"state-first", preimage.Options{Engine: preimage.EngineSuccessDriven}},
+		{"input-first", preimage.Options{Engine: preimage.EngineSuccessDriven, InputFirstOrder: true}},
+		{"interleave", preimage.Options{Engine: preimage.EngineSuccessDriven, Interleave: true}},
+	}
+	return Table{
+		Name:    "table4",
+		Cells:   cross(named(suite), orders),
+		title:   "Table 4 — decision-order ablation (success-driven)",
+		columns: []string{"circuit", "order", "states", "decisions", "time"},
+		row: func(c Cell, r Row) []any {
+			return []any{r.Circuit, c.Variant, r.Count.String(), r.Decisions, r.Time}
+		},
+	}
 }
 
-// Table5 is the BDD-engine variable-ordering ablation: interleaved
+// table5 is the BDD-engine variable-ordering ablation: interleaved
 // (s_k, s'_k) pairs versus all-s-then-all-s' (segregated). The node
 // counts show why interleaving is the standard choice for transition
 // relations.
-func Table5() (*stats.Table, []Row) {
-	tb := stats.NewTable("Table 5 — BDD variable-order ablation (interleaved vs segregated)",
-		"circuit", "order", "states", "bdd-nodes", "time")
-	var rows []Row
+func table5() Table {
 	suite := []gen.NamedCircuit{
 		{Name: "counter12", Circuit: gen.Counter(12, true, false)},
 		{Name: "gray6", Circuit: gen.GrayCounter(6)},
 		{Name: "slike2", Circuit: gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})},
 		{Name: "mult6", Circuit: gen.MultCore(6)},
 	}
-	for _, nc := range suite {
-		target := targetFor(nc.Circuit)
-		for _, seg := range []bool{false, true} {
-			opts := preimage.Options{Engine: preimage.EngineBDD, BDDSegregatedOrder: seg}
-			row := run(nc.Circuit, target, opts)
-			rows = append(rows, row)
-			name := "interleaved"
-			if seg {
-				name = "segregated"
-			}
-			tb.AddRow(nc.Circuit.Name, name, row.Count.String(), row.BDDNodes, row.Time)
-		}
+	orders := []variant{
+		{"interleaved", preimage.Options{Engine: preimage.EngineBDD}},
+		{"segregated", preimage.Options{Engine: preimage.EngineBDD, BDDSegregatedOrder: true}},
 	}
-	return tb, rows
+	return Table{
+		Name:    "table5",
+		Cells:   cross(named(suite), orders),
+		title:   "Table 5 — BDD variable-order ablation (interleaved vs segregated)",
+		columns: []string{"circuit", "order", "states", "bdd-nodes", "time"},
+		row: func(c Cell, r Row) []any {
+			return []any{r.Circuit, c.Variant, r.Count.String(), r.BDDNodes, r.Time}
+		},
+	}
 }
 
-// Table6 is the CNF-reduction ablation: no reduction against the bounded
+// table6 is the CNF-reduction ablation: no reduction against the bounded
 // projection-safe simplifier (internal/simplify), for the success-driven
 // and lifting engines. The states column is identical across the two
 // rows of each pair by construction — the simplifier preserves the
 // projection — while decisions, eliminated variables, and time show what
 // the reduction buys.
-func Table6() (*stats.Table, []Row) {
-	tb := stats.NewTable("Table 6 — CNF-reduction ablation (none / simplify)",
-		"circuit", "engine", "reduction", "states", "decisions", "vars-elim", "time")
-	var rows []Row
+func table6() Table {
 	suite := []gen.NamedCircuit{
 		{Name: "counter12", Circuit: gen.Counter(12, true, false)},
 		{Name: "gray6", Circuit: gen.GrayCounter(6)},
 		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
 		{Name: "slike2", Circuit: gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})},
 	}
-	reductions := []struct {
-		name string
-		opts preimage.Options
-	}{
-		{"none", preimage.Options{Simplify: simplify.Off}},
-		{"simplify", preimage.Options{Simplify: simplify.On}},
+	var vs []variant
+	for _, eng := range []preimage.Engine{preimage.EngineSuccessDriven, preimage.EngineLifting} {
+		vs = append(vs,
+			variant{eng.String() + "/none", preimage.Options{Engine: eng, Simplify: simplify.Off}},
+			variant{eng.String() + "/simplify", preimage.Options{Engine: eng, Simplify: simplify.On}})
 	}
-	for _, nc := range suite {
-		target := targetFor(nc.Circuit)
-		for _, eng := range []preimage.Engine{preimage.EngineSuccessDriven, preimage.EngineLifting} {
-			for _, red := range reductions {
-				opts := red.opts
-				opts.Engine = eng
-				row := run(nc.Circuit, target, opts)
-				rows = append(rows, row)
-				tb.AddRow(nc.Circuit.Name, eng.String(), red.name, row.Count.String(),
-					row.Decisions, row.SimplifyVars, row.Time)
-			}
-		}
+	return Table{
+		Name:    "table6",
+		Cells:   cross(named(suite), vs),
+		title:   "Table 6 — CNF-reduction ablation (none / simplify)",
+		columns: []string{"circuit", "engine", "reduction", "states", "decisions", "vars-elim", "time"},
+		row: func(c Cell, r Row) []any {
+			reduction := c.Variant[strings.LastIndexByte(c.Variant, '/')+1:]
+			return []any{r.Circuit, r.Engine.String(), reduction, r.Count.String(),
+				r.Decisions, r.SimplifyVars, r.Time}
+		},
 	}
-	return tb, rows
 }
 
-// Table7 is the clause-database growth shootout: for each SAT engine,
+// table7 is the clause-database growth shootout: for each SAT engine,
 // peak added clauses (blocking clauses plus the learnt-clause high-water
 // mark) and the learnt arena's byte watermark alongside time.
 // Blocking/lifting grow one clause per cube — the blowup the disjoint
@@ -504,53 +612,16 @@ func Table6() (*stats.Table, []Row) {
 // structurally zero and its peak is conflict-driven only. The KiB column
 // is the tier-proof measure: learnt counts stopped being comparable
 // across engines once the DB became tiered.
-func Table7() (*stats.Table, []Row) {
-	tb := stats.NewTable("Table 7 — clause-database growth: peak added clauses per engine",
-		"circuit", "engine", "states", "cubes", "peak-clauses", "learnt-kb", "blocking", "time")
-	var rows []Row
-	for _, nc := range gen.Suite() {
-		target := targetFor(nc.Circuit)
-		for _, eng := range []preimage.Engine{
-			preimage.EngineBlocking, preimage.EngineLifting, preimage.EngineDisjoint,
-			preimage.EngineSuccessDriven,
-		} {
-			row := run(nc.Circuit, target, preimage.Options{Engine: eng})
-			rows = append(rows, row)
-			tb.AddRow(row.Circuit, row.Engine.String(), truncMark(row.Count.String(), row),
-				row.Cubes, row.PeakClauses, fmt.Sprintf("%.1f", row.PeakLearntKB),
-				row.Blocking, row.Time)
-		}
+func table7() Table {
+	return Table{
+		Name:  "table7",
+		Cells: cross(named(gen.Suite()), engines(preimage.Options{}, satEngines...)),
+		title: "Table 7 — clause-database growth: peak added clauses per engine",
+		columns: []string{"circuit", "engine", "states", "cubes", "peak-clauses", "learnt-kb",
+			"blocking", "time"},
+		row: func(_ Cell, r Row) []any {
+			return []any{r.Circuit, r.Engine.String(), truncMark(r.Count.String(), r), r.Cubes,
+				r.PeakClauses, fmt.Sprintf("%.1f", r.PeakLearntKB), r.Blocking, r.Time}
+		},
 	}
-	return tb, rows
-}
-
-// Table4 is the decision-order ablation for the success-driven solver:
-// state-first (default) vs input-first vs interleaved.
-func Table4() (*stats.Table, []Row) {
-	tb := stats.NewTable("Table 4 — decision-order ablation (success-driven)",
-		"circuit", "order", "states", "decisions", "time")
-	var rows []Row
-	suite := []gen.NamedCircuit{
-		{Name: "counter10", Circuit: gen.Counter(10, true, false)},
-		{Name: "gray6", Circuit: gen.GrayCounter(6)},
-		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
-		{Name: "slike2", Circuit: gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 8, Latches: 8, Gates: 120})},
-	}
-	orders := []struct {
-		name string
-		opts preimage.Options
-	}{
-		{"state-first", preimage.Options{Engine: preimage.EngineSuccessDriven}},
-		{"input-first", preimage.Options{Engine: preimage.EngineSuccessDriven, InputFirstOrder: true}},
-		{"interleave", preimage.Options{Engine: preimage.EngineSuccessDriven, Interleave: true}},
-	}
-	for _, nc := range suite {
-		target := targetFor(nc.Circuit)
-		for _, o := range orders {
-			row := run(nc.Circuit, target, o.opts)
-			rows = append(rows, row)
-			tb.AddRow(nc.Circuit.Name, o.name, row.Count.String(), row.Decisions, row.Time)
-		}
-	}
-	return tb, rows
 }

@@ -16,9 +16,9 @@ var (
 	t1Rows []Row
 )
 
-func table1(t *testing.T) (*stats.Table, []Row) {
+func runTable1(t *testing.T) (*stats.Table, []Row) {
 	t.Helper()
-	t1Once.Do(func() { t1Tb, t1Rows = Table1() })
+	t1Once.Do(func() { t1Tb, t1Rows = table1().Run() })
 	return t1Tb, t1Rows
 }
 
@@ -32,7 +32,7 @@ func groupByCircuit(rows []Row) map[string][]Row {
 }
 
 func TestTable1EnginesAgree(t *testing.T) {
-	tb, rows := table1(t)
+	tb, rows := runTable1(t)
 	if tb.NumRows() != len(rows) || len(rows) == 0 {
 		t.Fatal("row bookkeeping")
 	}
@@ -65,7 +65,7 @@ func TestTable1EnginesAgree(t *testing.T) {
 }
 
 func TestTable1LiftingUsesFewerOrEqualCubes(t *testing.T) {
-	_, rows := table1(t)
+	_, rows := runTable1(t)
 	byCir := groupByCircuit(rows)
 	for name, rs := range byCir {
 		var blocking, lifting *Row
@@ -88,7 +88,7 @@ func TestTable1LiftingUsesFewerOrEqualCubes(t *testing.T) {
 }
 
 func TestTable2EnginesAgree(t *testing.T) {
-	_, rows := Table2()
+	_, rows := table2().Run()
 	for name, rs := range groupByCircuit(rows) {
 		for _, r := range rs[1:] {
 			if r.Count.Cmp(rs[0].Count) != 0 {
@@ -99,7 +99,7 @@ func TestTable2EnginesAgree(t *testing.T) {
 }
 
 func TestTable3EnginesAgree(t *testing.T) {
-	_, rows := Table3(4)
+	_, rows := table3(4).Run()
 	for name, rs := range groupByCircuit(rows) {
 		for _, r := range rs[1:] {
 			if r.Count.Cmp(rs[0].Count) != 0 {
@@ -114,7 +114,7 @@ func TestTable3EnginesAgree(t *testing.T) {
 }
 
 func TestFig1Shapes(t *testing.T) {
-	_, rows := Fig1([]int{2, 4, 6}, 10)
+	_, rows := fig1([]int{2, 4, 6}, 10).Run()
 	if len(rows) != 6 {
 		t.Fatalf("want 6 rows, got %d", len(rows))
 	}
@@ -144,7 +144,7 @@ func TestFig1Shapes(t *testing.T) {
 }
 
 func TestFig2MemoMatchesAndHits(t *testing.T) {
-	_, rows := Fig2([]int{40, 80})
+	_, rows := fig2([]int{40, 80}).Run()
 	for i := 0; i < len(rows); i += 2 {
 		off, on := rows[i], rows[i+1]
 		if off.Count.Cmp(on.Count) != 0 {
@@ -160,7 +160,7 @@ func TestFig2MemoMatchesAndHits(t *testing.T) {
 }
 
 func TestFig3LiftingFreesVariables(t *testing.T) {
-	_, rows := Fig3()
+	_, rows := fig3().Run()
 	totalFreedLift, totalFreedBlock := 0.0, 0.0
 	for _, r := range rows {
 		switch r.Engine {
@@ -177,7 +177,7 @@ func TestFig3LiftingFreesVariables(t *testing.T) {
 }
 
 func TestTable4OrdersAgree(t *testing.T) {
-	_, rows := Table4()
+	_, rows := table4().Run()
 	for name, rs := range groupByCircuit(rows) {
 		for _, r := range rs[1:] {
 			if r.Count.Cmp(rs[0].Count) != 0 {
@@ -188,7 +188,7 @@ func TestTable4OrdersAgree(t *testing.T) {
 }
 
 func TestTable5OrdersAgree(t *testing.T) {
-	_, rows := Table5()
+	_, rows := table5().Run()
 	for name, rs := range groupByCircuit(rows) {
 		if len(rs) != 2 {
 			t.Fatalf("%s: want 2 rows", name)
@@ -200,7 +200,7 @@ func TestTable5OrdersAgree(t *testing.T) {
 }
 
 func TestFig4EnginesAgree(t *testing.T) {
-	_, rows := Fig4([]float64{0.05, 0.35})
+	_, rows := fig4([]float64{0.05, 0.35}).Run()
 	for i := 0; i < len(rows); i += 2 {
 		if rows[i].Count.Cmp(rows[i+1].Count) != 0 {
 			t.Fatalf("xf=%v: engines disagree", rows[i].Extra)
@@ -209,7 +209,7 @@ func TestFig4EnginesAgree(t *testing.T) {
 }
 
 func TestTable6EliminationAgrees(t *testing.T) {
-	_, rows := Table6()
+	_, rows := table6().Run()
 	// Rows are grouped by (circuit, engine), each group led by its "none"
 	// row; every reduction must reproduce that row's state count.
 	type key struct {

@@ -81,7 +81,7 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 	// can also pass during preprocessing, hence the second poll.
 	reason := opts.Budget.Start().Now()
 	if reason == budget.None {
-		if opts.Simplify.Enabled(true) {
+		if opts.Simplify.Enabled() {
 			sstats = simplify.RunFrozen(r.f, r.proj.Vars()).Stats
 		}
 		reason = opts.Budget.Start().Now()

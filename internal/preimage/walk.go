@@ -92,7 +92,7 @@ func incrOptions(opts Options) incr.Options {
 		Workers:  workers,
 		Core:     coreOptions(opts),
 		Budget:   opts.Budget,
-		Simplify: opts.Simplify.Enabled(true),
+		Simplify: opts.Simplify.Enabled(),
 		Stats:    opts.Stats,
 		Runtime:  opts.Runtime,
 	}

@@ -99,7 +99,7 @@ func TestStreamCutPoints(t *testing.T) {
 	before := goruntime.NumGoroutine()
 	serve := func() (*Server, *httptest.Server, *stats.Registry) {
 		reg := stats.NewRegistry("cut")
-		srv := New(Config{Stats: reg})
+		srv := New(Config{MaxWorkers: 2, Stats: reg}) // the default cap is GOMAXPROCS
 		return srv, httptest.NewServer(srv.Handler()), reg
 	}
 	complete := func(tag string, cubes, total int, summary *event) {

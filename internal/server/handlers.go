@@ -208,7 +208,7 @@ func (s *Server) handleEnumerate(w http.ResponseWriter, r *http.Request) {
 		// is honored here, with the projection frozen, as the iterators
 		// do: the cover is an ISOP of the canonical BDD of the projected
 		// set, which the pass preserves, so the stream is unchanged.
-		if smode.Enabled(true) {
+		if smode.Enabled() {
 			f = f.Clone()
 			simplify.RunFrozen(f, proj)
 		}

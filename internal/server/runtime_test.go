@@ -224,8 +224,10 @@ func TestPprofGatedByConfig(t *testing.T) {
 // disjoint engine; single-worker and success streams must match exactly.
 func TestPooledServerEquivalentStreams(t *testing.T) {
 	regPooled := stats.NewRegistry("pooled")
-	pooled := New(Config{MaxConcurrent: 4, Stats: regPooled})
-	fresh := New(Config{MaxConcurrent: 4, PoolBytes: -1})
+	// The default worker cap is GOMAXPROCS: pin it to the largest count
+	// requested below, so the workers=4 streams run four workers on any host.
+	pooled := New(Config{MaxConcurrent: 4, MaxWorkers: 4, Stats: regPooled})
+	fresh := New(Config{MaxConcurrent: 4, MaxWorkers: 4, PoolBytes: -1})
 	tsPooled := httptest.NewServer(pooled.Handler())
 	defer tsPooled.Close()
 	defer pooled.Close()

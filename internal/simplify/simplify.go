@@ -36,27 +36,17 @@ import (
 // structs whose zero value must mean "use the context's default".
 type Mode int
 
-// Modes. Auto resolves per call site: on for enumeration, one-shot or
-// incremental (a session simplifies its base CNF once, before its first
-// step), off where the clause database must stay as given
-// (proof-logging solvers).
+// Modes. Auto means on at every entry point: one-shot enumeration and
+// incremental sessions alike (a session simplifies its base CNF once,
+// before its first step).
 const (
 	Auto Mode = iota
 	On
 	Off
 )
 
-// Enabled resolves the mode against the call site's default for Auto.
-func (m Mode) Enabled(def bool) bool {
-	switch m {
-	case On:
-		return true
-	case Off:
-		return false
-	default:
-		return def
-	}
-}
+// Enabled reports whether the pass runs: On and Auto run it, Off skips it.
+func (m Mode) Enabled() bool { return m != Off }
 
 func (m Mode) String() string {
 	switch m {

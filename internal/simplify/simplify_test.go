@@ -302,11 +302,8 @@ func TestDeterminism(t *testing.T) {
 
 // TestModeEnabled pins the tri-state resolution.
 func TestModeEnabled(t *testing.T) {
-	if !Auto.Enabled(true) || Auto.Enabled(false) {
-		t.Fatal("Auto must follow the default")
-	}
-	if !On.Enabled(false) || Off.Enabled(true) {
-		t.Fatal("On/Off must override the default")
+	if !Auto.Enabled() || !On.Enabled() || Off.Enabled() {
+		t.Fatal("Auto and On must enable the pass, Off must skip it")
 	}
 	if Auto.String() != "auto" || On.String() != "on" || Off.String() != "off" {
 		t.Fatal("Mode.String mismatch")

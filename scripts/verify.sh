@@ -49,7 +49,7 @@ GOMAXPROCS=1 go test -count=1 -run 'TestPooledServerEquivalentStreams|TestEnumer
 GOMAXPROCS=4 go test -count=1 -race -run 'TestPooledServerEquivalentStreams|TestEnumerateSuccessSimplify|TestStream|TestEnumerateStreamsIncrementallyAndDisconnectAborts|TestShutdownDrainsStreamWithTruncatedSummary|TestPreimageStreams|TestPreimageComputeError' ./internal/server/
 GOMAXPROCS=1 go test -count=1 -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
 GOMAXPROCS=4 go test -count=1 -race -run 'Parallel|TestDisjointCountMatchesBDD|TestDisjointBuildsNoBDD' ./internal/allsat/
-go test -run '^$' -bench 'Table|ParallelEnumerate|ReachIncremental|Simplify' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'Table|Fig|ParallelEnumerate|ReachIncremental|Simplify' -benchtime=1x -benchmem .
 go test -run '^$' -bench '^BenchmarkRun$' -benchtime=1x -benchmem ./internal/simplify/
 go test -run '^$' -bench '^BenchmarkParseBench$' -benchtime=1x -benchmem ./internal/circuit/
 go test -run '^$' -bench '^BenchmarkNewInstance$' -benchtime=1x -benchmem ./internal/trans/
