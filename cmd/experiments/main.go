@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"unicode"
 
 	"allsatpre/internal/experiments"
 	"allsatpre/internal/genspec"
@@ -47,17 +48,13 @@ func main() {
 	reg := bf.StatsRegistry("experiments")
 	experiments.RunStats = reg
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, tok := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(tok)] = true
-		}
+	names := strings.FieldsFunc(*only, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+	tables, err := experiments.Select(experiments.Tables(*steps), names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: -only:", err)
+		os.Exit(2)
 	}
-
-	for _, t := range experiments.Tables(*steps) {
-		if len(want) > 0 && !want[t.Name] {
-			continue
-		}
+	for _, t := range tables {
 		tb, _ := t.Run()
 		if *csv {
 			fmt.Printf("# %s\n", tb.Title)

@@ -14,6 +14,7 @@ package experiments
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 	"time"
 
@@ -303,6 +304,27 @@ func Tables(steps int) []Table {
 		fig4([]float64{0.01, 0.1, 0.25, 0.4, 0.6}),
 		table4(), table5(), table6(), table7(),
 	}
+}
+
+// Select returns the tables named in names, in the order of tables; no
+// names selects them all. A name no table has is an error that lists
+// the names there are.
+func Select(tables []Table, names []string) ([]Table, error) {
+	if len(names) == 0 {
+		return tables, nil
+	}
+	known := make([]string, len(tables))
+	for i, t := range tables {
+		known[i] = t.Name
+	}
+	for _, n := range names {
+		if !slices.Contains(known, n) {
+			return nil, fmt.Errorf("unknown table %q (want one of %s)", n, strings.Join(known, ", "))
+		}
+	}
+	return slices.DeleteFunc(slices.Clone(tables), func(t Table) bool {
+		return !slices.Contains(names, t.Name)
+	}), nil
 }
 
 // named turns a suite into workloads: cells with a circuit at its

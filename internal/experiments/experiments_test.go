@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -249,5 +250,28 @@ func TestTargetForDeterministicAndFixed(t *testing.T) {
 	}
 	if cb := c1.Cubes()[0]; cb.FreeVars() == len(cb) {
 		t.Fatal("targetFor should fix at least one position")
+	}
+}
+
+// TestSelect picks tables by name in registry order, selects all of them
+// for no names, and rejects an unknown name with the known ones listed.
+func TestSelect(t *testing.T) {
+	tables := Tables(ReachSteps)
+	names := func(ts []Table) string {
+		var out []string
+		for _, t := range ts {
+			out = append(out, t.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	if got, err := Select(tables, nil); err != nil || names(got) != names(tables) {
+		t.Fatalf("no names: got %s (%v), want every table", names(got), err)
+	}
+	if got, err := Select(tables, []string{"fig2", "table1"}); err != nil || names(got) != "table1,fig2" {
+		t.Fatalf("fig2,table1: got %s (%v), want table1,fig2", names(got), err)
+	}
+	_, err := Select(tables, []string{"table1", "tabel1"})
+	if err == nil || !strings.Contains(err.Error(), `"tabel1"`) || !strings.Contains(err.Error(), "table7") {
+		t.Fatalf("tabel1: error %v, want one naming tabel1 and listing the tables", err)
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"allsatpre/internal/bdd"
-	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
 	"allsatpre/internal/cube"
-	"allsatpre/internal/lit"
 	"allsatpre/internal/trans"
 )
 
@@ -67,79 +65,22 @@ func image(c *circuit.Circuit, init *cube.Cover, opts Options, share *bdd.Manage
 // (s, x) is quantified out of the transition product. A tripped budget
 // yields the aborted empty-cover result, like the preimage direction.
 func imageBDD(c *circuit.Circuit, init *cube.Cover, opts Options) (*Result, error) {
-	if init.Space().Size() != len(c.Latches) {
-		return nil, fmt.Errorf("preimage: init has %d positions, circuit has %d latches",
-			init.Space().Size(), len(c.Latches))
-	}
-	order, err := c.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	bv := bddVars{nL: len(c.Latches), nI: len(c.Inputs)}
-	m := bdd.NewOrdered(bv.order())
-	installLimits(m, opts.Budget)
-	res, reason, err := imageBDDBody(c, init, m, bv, order)
-	if err != nil {
-		return nil, err
-	}
-	if reason != budget.None {
-		return abortedBDDResult(c, m, reason), nil
-	}
-	return res, nil
-}
-
-func imageBDDBody(c *circuit.Circuit, init *cube.Cover,
-	m *bdd.Manager, bv bddVars, order []int) (_ *Result, reason budget.Reason, err error) {
-	defer bdd.CatchAbort(&reason)
-
-	val, err := gateBDDs(m, c, bv, order)
-	if err != nil {
-		return nil, budget.None, err
-	}
-
-	curSpace := func() *cube.Space {
-		vars := make([]lit.Var, bv.nL)
-		for k := range vars {
-			vars[k] = bv.state(k)
+	return runBDD(c, init, "init", opts, func(m *bdd.Manager, bv bddVars, val []bdd.Ref) (bdd.Ref, *cube.Space) {
+		curSpace := bv.space(bv.state)
+		r := bdd.False
+		for _, cb := range init.Cubes() {
+			r = m.Or(r, m.FromCube(curSpace, cb))
 		}
-		return cube.NewSpace(vars)
-	}()
-	r := bdd.False
-	for _, cb := range init.Cubes() {
-		r = m.Or(r, m.FromCube(curSpace, cb))
-	}
-	// Conjoin all transition partitions, then quantify (s, x). Unlike the
-	// preimage direction there is no per-partition early quantification:
-	// every δ_k shares the s and x variables.
-	for k, gi := range c.Latches {
-		delta := val[c.Gates[gi].Fanins[0]]
-		r = m.And(r, m.Xnor(m.Var(bv.next(k)), delta))
-	}
-	var quant []lit.Var
-	for k := 0; k < bv.nL; k++ {
-		quant = append(quant, bv.state(k))
-	}
-	for j := 0; j < bv.nI; j++ {
-		quant = append(quant, bv.input(j))
-	}
-	r = m.ExistsVars(r, quant)
-
-	nextSpace := func() *cube.Space {
-		vars := make([]lit.Var, bv.nL)
-		for k := range vars {
-			vars[k] = bv.next(k)
+		// Conjoin all transition partitions, then quantify (s, x). Unlike
+		// the preimage direction there is no per-partition early
+		// quantification: every δ_k shares the s and x variables.
+		for k, gi := range c.Latches {
+			delta := val[c.Gates[gi].Fanins[0]]
+			r = m.And(r, m.Xnor(m.Var(bv.next(k)), delta))
 		}
-		return cube.NewSpace(vars)
-	}()
-	stateSpace := StateSpace(c)
-	states := canonicalize(stateSpace, m.ISOP(r, nextSpace))
-	return &Result{
-		States:     states,
-		StateSpace: stateSpace,
-		Count:      m.SatCountIn(r, nextSpace.Vars()),
-		BDDNodes:   m.NumNodes(),
-		Engine:     EngineBDD,
-	}, budget.None, nil
+		quant := append(varList(bv.nL, bv.state), varList(bv.nI, bv.input)...)
+		return m.ExistsVars(r, quant), bv.space(bv.next)
+	})
 }
 
 // gateBDDs builds the per-gate BDDs over (state, input) variables; shared

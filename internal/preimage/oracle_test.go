@@ -16,10 +16,10 @@ package preimage
 // is a true predecessor or witness), counted (Count is the size of
 // States, aborted or not), and complete unless aborted, in which case it
 // names the cap that was set. On top of the truth it pins the
-// bit-identity contract: the success-driven cover is the same at every
-// worker count and simplify mode; each cell's cover is the same on all
-// three runtimes; a WithInputs run of a cube engine equals the
-// enumerate-then-project reference cube for cube; and blocking and
+// bit-identity contract: the success-driven and BDD covers are the same
+// at every worker count and simplify mode; each cell's cover is the
+// same on all three runtimes; a WithInputs run of a cube engine equals
+// the enumerate-then-project reference cube for cube; and blocking and
 // disjoint covers over the latches are pairwise disjoint.
 //
 // The tests at the end of the file split the determinism suite's matrix
@@ -298,19 +298,25 @@ func (env *oracleEnv) requireReuse(tb testing.TB) {
 
 // oracle checks every engine on one circuit and target.
 type oracle struct {
-	tb      testing.TB
-	c       *circuit.Circuit
-	target  *cube.Cover
-	truth   *truth
-	env     *oracleEnv
-	memo    map[string]denotation // by truth set and cover text
-	success map[bool]string       // the reference success-driven keys, by WithInputs
+	tb       testing.TB
+	c        *circuit.Circuit
+	target   *cube.Cover
+	truth    *truth
+	env      *oracleEnv
+	memo     map[string]denotation  // by truth set and cover text
+	identity map[identityKey]string // the reference keys identityKeys pins
+}
+
+// identityKey names a reference cover of identityKeys.
+type identityKey struct {
+	eng    Engine
+	inputs bool
 }
 
 func newOracle(tb testing.TB, c *circuit.Circuit, target *cube.Cover, env *oracleEnv) *oracle {
 	tb.Helper()
 	return &oracle{tb: tb, c: c, target: target, truth: simulate(tb, c, target),
-		env: env, memo: map[string]denotation{}, success: map[bool]string{}}
+		env: env, memo: map[string]denotation{}, identity: map[identityKey]string{}}
 }
 
 // checkOracle sweeps the whole matrix on one circuit and target.
@@ -539,25 +545,28 @@ func (o *oracle) cell(name string, c cell) {
 		opts.Runtime, opts.Budget = fresh, c.cp.b
 		o.sameRun(tag+"/reference", first, enumerateReference(o.tb, o.c, o.target, opts))
 	}
-	if c.eng == EngineSuccessDriven && c.cp.b.IsZero() {
-		if keys, want := strings.Join(first.States.SortedKeys(), " "), o.successKeys(name, c.inputs); keys != want {
-			o.tb.Fatalf("%s: success-driven cover\n%s\ndiffers from p1/simplify=on's\n%s", tag, keys, want)
+	if (c.eng == EngineSuccessDriven || c.eng == EngineBDD) && c.cp.b.IsZero() {
+		if keys, want := strings.Join(first.States.SortedKeys(), " "), o.identityKeys(name, c.eng, c.inputs); keys != want {
+			o.tb.Fatalf("%s: %v cover\n%s\ndiffers from p1/simplify=on's\n%s", tag, c.eng, keys, want)
 		}
 	}
 }
 
-// successKeys returns the sorted keys of the unbudgeted success-driven
-// cover at Parallel 1 with Simplify on, which every other worker count
-// and simplify mode must reproduce.
-func (o *oracle) successKeys(name string, inputs bool) string {
+// identityKeys returns the sorted keys of engine eng's unbudgeted cover
+// at Parallel 1 with Simplify on, which every other worker count and
+// simplify mode must reproduce: the success-driven engine merges its
+// workers' sets into one BDD before extracting the cover, and the BDD
+// engine runs one relational product whatever the worker count.
+func (o *oracle) identityKeys(name string, eng Engine, inputs bool) string {
 	o.tb.Helper()
-	if keys, ok := o.success[inputs]; ok {
+	key := identityKey{eng, inputs}
+	if keys, ok := o.identity[key]; ok {
 		return keys
 	}
-	tag := fmt.Sprintf("%s/%v/inputs=%v/reference", name, EngineSuccessDriven, inputs)
-	opts := Options{Engine: EngineSuccessDriven, WithInputs: inputs, Parallel: 1, Simplify: simplify.On}
+	tag := fmt.Sprintf("%s/%v/inputs=%v/reference", name, eng, inputs)
+	opts := Options{Engine: eng, WithInputs: inputs, Parallel: 1, Simplify: simplify.On}
 	keys := strings.Join(o.compute(tag, opts, oracleCaps[0]).States.SortedKeys(), " ")
-	o.success[inputs] = keys
+	o.identity[key] = keys
 	return keys
 }
 
@@ -857,8 +866,8 @@ func TestStreamedProjectionEquivalence(t *testing.T) {
 }
 
 // TestDeterministicCoverBDDEngine sweeps the BDD engine's unbudgeted
-// cells: the monolithic and the parallel builds both equal the
-// simulated preimage.
+// cells: at every worker count the cover equals the simulated preimage
+// and has the same sorted keys as at Parallel 1.
 func TestDeterministicCoverBDDEngine(t *testing.T) {
 	t.Parallel()
 	sweepOracle(t, determinismSuite(), slice{keep: func(c cell) bool {

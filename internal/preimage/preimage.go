@@ -138,12 +138,13 @@ type Options struct {
 	// The success-driven engine partitions the projection space into
 	// guiding-path subcubes run as scheduler jobs by internal/pool,
 	// whose merged BDD — and therefore ISOP cover — is bit-identical to
-	// the sequential run; the blocking/lifting engines
+	// the sequential run; the blocking, lifting and disjoint engines
 	// fan guiding-path subcubes over per-subcube solvers
-	// (allsat.Options.Workers); the BDD engine computes disjoint
-	// slices of the present-state space concurrently. All
-	// engines return the same solution set as the sequential run for
-	// every worker count.
+	// (allsat.Options.Workers). The BDD engine ignores it: its one
+	// relational product runs on one manager, so its cover, count and
+	// node count are the same at every worker count. All engines return
+	// the same solution set as the sequential run for every worker
+	// count.
 	Parallel int
 	// Incremental selects the layer source of the frontier walk behind
 	// the iterated entry points (Reach, ForwardReach, KStepPreimage and
@@ -164,9 +165,10 @@ type Options struct {
 	// decision/conflict/cube caps, BDD node cap) on the whole computation,
 	// shared by every engine it drives. A relative Timeout is resolved to
 	// an absolute deadline once, at the outermost entry point, so nested
-	// calls (Reach steps, parallel slices) spend from one allowance. When
-	// the budget trips, results come back with Aborted set and a sound
-	// partial answer — never an error, never silently truncated.
+	// calls (Reach steps, parallel subcube jobs) spend from one
+	// allowance. When the budget trips, results come back with Aborted
+	// set and a sound partial answer — never an error, never silently
+	// truncated.
 	Budget budget.Budget
 	// Stats, when non-nil, receives hierarchical counters for the run:
 	// engine totals at the root, per-step sub-registries for the
@@ -176,11 +178,10 @@ type Options struct {
 	// Runtime, when non-nil, executes the computation on the shared
 	// pooled runtime: solvers and BDD managers come warm from its
 	// free-list instead of being rebuilt per request, and — when it also
-	// carries a scheduler — the parallel engines (and the parallel BDD
-	// engine's slices) run their jobs on the server-wide executor pool
-	// under the runtime's tenant label. Results are bit-identical either
-	// way; nil means fresh construction and a private scheduler for each
-	// parallel call. Incremental sessions run their multi-worker steps'
+	// carries a scheduler — the parallel SAT engines run their jobs on
+	// the server-wide executor pool under the runtime's tenant label.
+	// Results are bit-identical either way; nil means fresh construction
+	// and a private scheduler for each parallel call. Incremental sessions run their multi-worker steps'
 	// jobs on its scheduler too, but keep their own solvers and managers,
 	// which persist across steps by design.
 	Runtime *rt.Runtime
@@ -270,10 +271,8 @@ func compute(c *circuit.Circuit, target *cube.Cover, opts Options, share *bdd.Ma
 	set := bdd.False
 	var err error
 	switch {
-	case opts.Engine == EngineBDD && opts.Parallel > 1 && len(c.Latches) > 0:
-		res, err = computeBDDParallel(c, target, opts)
 	case opts.Engine == EngineBDD:
-		res, err = computeBDD(c, target, opts, nil)
+		res, err = computeBDD(c, target, opts)
 	default:
 		var inst *trans.Instance
 		if inst, err = trans.NewInstance(c, target); err != nil {
@@ -396,76 +395,6 @@ func RecordStats(reg *stats.Registry, r *Result, elapsed time.Duration) {
 		reg.Counter("aborts").Inc()
 		reg.Counter("abort-" + r.AbortReason.String()).Inc()
 	}
-}
-
-// computeBDDParallel splits the present-state space into disjoint slices
-// on the leading latches and runs computeBDD per slice as runtime.Group
-// jobs on opts.Runtime (a private scheduler with opts.Parallel executors
-// without one), each slice on its own (single-threaded) manager,
-// restricted to its slice's present-state cube. The slices share the group context: the first slice to fail
-// or abort cancels the rest, so an error does not leave sibling slices
-// burning CPU to completion, and the result reports the first abort
-// reason. The SAT engines do not come through here — they parallelize
-// inside their enumerators (internal/pool, allsat.Options.Workers).
-func computeBDDParallel(c *circuit.Circuit, target *cube.Cover, opts Options) (*Result, error) {
-	bits := 1
-	for 1<<bits < opts.Parallel && bits < len(c.Latches) && bits < 4 {
-		bits++
-	}
-	n := 1 << bits
-	stateSpace := StateSpace(c)
-	results := make([]*Result, n)
-	errs := make([]error, n)
-
-	g := rt.NewGroup(opts.Runtime, opts.Budget.Ctx, opts.Parallel)
-	jobs := make([]func(), n)
-	for slice := range jobs {
-		jobs[slice] = func() {
-			sub := opts
-			sub.Parallel = 0
-			sub.Stats = nil // the caller records the merged totals once
-			sub.Budget.Ctx = g.Ctx()
-			restrict := stateSpace.FullCube()
-			for b := 0; b < bits; b++ {
-				restrict[b] = lit.TernOf(slice&(1<<b) != 0)
-			}
-			results[slice], errs[slice] = computeBDD(c, target, sub, restrict)
-			switch {
-			case errs[slice] != nil:
-				g.Abort(budget.Cancelled) // stop the siblings; the error is returned below
-			case results[slice].Aborted:
-				g.Abort(results[slice].AbortReason)
-			}
-		}
-	}
-	g.Go(jobs...)
-	reason := g.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Slices are disjoint: union covers, add counts, sum stats.
-	out := &Result{
-		States:     cube.NewCover(stateSpace),
-		StateSpace: stateSpace,
-		Count:      new(big.Int),
-		Engine:     opts.Engine,
-	}
-	for _, r := range results {
-		for _, cb := range r.States.Cubes() {
-			out.States.Add(cb)
-		}
-		out.Count.Add(out.Count, r.Count)
-		accumulate(&out.Stats, r.Stats)
-		if r.BDDNodes > out.BDDNodes {
-			out.BDDNodes = r.BDDNodes
-		}
-	}
-	out.Aborted = reason != budget.None
-	out.AbortReason = reason
-	out.States.Reduce()
-	return out, nil
 }
 
 // projectionOrder builds the decision/projection variable order for the

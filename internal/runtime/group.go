@@ -10,13 +10,13 @@ import (
 )
 
 // Group runs one call's fan-out — the subcube jobs of a parallel
-// enumeration, the slices of a parallel BDD preimage, the depth loops of
-// a parallel BMC sweep — as jobs on a Scheduler, and owns the state the
-// jobs share: a context derived from the caller's, the first abort
-// reason, and the wait for every job to finish. It is the one place the
-// first-abort-cancels-siblings rule lives: Abort records the first
-// non-None reason and cancels the group context, which every job threads
-// into its budget, so the siblings stop at their next poll.
+// enumeration, the depth loops of a parallel BMC sweep — as jobs on a
+// Scheduler, and owns the state the jobs share: a context derived from
+// the caller's, the first abort reason, and the wait for every job to
+// finish. It is the one place the first-abort-cancels-siblings rule
+// lives: Abort records the first non-None reason and cancels the group
+// context, which every job threads into its budget, so the siblings stop
+// at their next poll.
 //
 // With a Runtime that carries a scheduler, the jobs join its queues
 // under the runtime's tenant and fair-share the executors with every

@@ -111,7 +111,7 @@ for engine in success blocking lifting disjoint; do
 done
 go run ./cmd/preimage -stats -kstep 2 -engine blocking counter:4 XXX1 | grep -q '^  decisions  *[1-9]'
 
-# State-only projection smoke: every SAT engine finds the 48 preimage
+# State-only projection smoke: every engine finds the 48 preimage
 # states of slike:3,60,6,4 under 1XXXXX. The blocking engine searches
 # over the latches alone, and only over the three that a clause of the
 # simplified formula still mentions: it reaches the 48 states in 6
@@ -119,7 +119,7 @@ go run ./cmd/preimage -stats -kstep 2 -engine blocking counter:4 XXX1 | grep -q 
 # sequentially and with two workers splitting the live latches. A search
 # over every latch needs 48 solutions, one per state; one over
 # (state, input) pairs needs 384.
-for engine in success blocking lifting disjoint; do
+for engine in success blocking lifting disjoint bdd; do
     go run ./cmd/preimage -engine $engine slike:3,60,6,4 1XXXXX | grep -q '^preimage states: 48$'
 done
 for workers in 1 2; do
@@ -127,6 +127,13 @@ for workers in 1 2; do
     echo "$OUT" | grep -q '^preimage states: 48$'
     echo "$OUT" | grep -q 'solutions: 6$'
 done
+# The BDD engine runs one relational product whatever the worker count:
+# its cubes, count and node count do not depend on -workers.
+BDD_DIR=$(mktemp -d)
+go run ./cmd/preimage -workers 1 -engine bdd slike:3,60,6,4 1XXXXX > "$BDD_DIR/w1"
+go run ./cmd/preimage -workers 2 -engine bdd slike:3,60,6,4 1XXXXX > "$BDD_DIR/w2"
+diff "$BDD_DIR/w1" "$BDD_DIR/w2"
+rm -rf "$BDD_DIR"
 
 # Reach smoke: backward reachability on the success engine searches each
 # layer over the latches alone, fresh and on one incremental session;
