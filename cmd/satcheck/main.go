@@ -22,12 +22,13 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"allsatpre/internal/budget"
 	"allsatpre/internal/cnf"
 	"allsatpre/internal/genspec"
 	"allsatpre/internal/lit"
+	rt "allsatpre/internal/runtime"
 	"allsatpre/internal/sat"
 	"allsatpre/internal/simplify"
 )
@@ -149,17 +150,23 @@ func solve(formula *cnf.Formula, workers int, wantProof bool) (sat.Status, *byte
 		return st, buf, fromSolver(st, s, formula)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
+	// One runtime.Group job per member on a private scheduler. The first
+	// definitive verdict aborts the group, whose context every member
+	// threads into its budget, so the rest stop at their next poll and
+	// report Unknown; a member still queued then does not start. On a
+	// host with fewer cores than members, the members queue, member 0
+	// first.
 	type result struct {
 		status sat.Status
 		buf    *bytes.Buffer
 		ans    answer
 	}
-	results := make(chan result, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	g := rt.NewGroup(nil, context.Background(), workers)
+	results := make([]result, workers)
+	var won atomic.Int32
+	won.Store(-1)
+	jobs := make([]func(), workers)
+	for i := range jobs {
 		opts := sat.DefaultOptions()
 		// Diversify the portfolio: member 0 keeps the default strategy so a
 		// portfolio run is never slower to a verdict than the single solver
@@ -169,10 +176,11 @@ func solve(formula *cnf.Formula, workers int, wantProof bool) (sat.Status, *byte
 			opts.Seed += int64(i) * 0x9e3779b9
 			opts.RandomFreq = 0.01 * float64(i)
 		}
-		opts.Budget = budget.Budget{Ctx: ctx}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		opts.Budget = budget.Budget{Ctx: g.Ctx()}
+		jobs[i] = func() {
+			if g.Aborted() {
+				return
+			}
 			buf := &bytes.Buffer{}
 			s := sat.FromFormula(formula, opts)
 			if wantProof {
@@ -180,26 +188,18 @@ func solve(formula *cnf.Formula, workers int, wantProof bool) (sat.Status, *byte
 			}
 			st := s.Solve()
 			s.FlushProof()
-			results <- result{st, buf, fromSolver(st, s, formula)}
-		}()
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	// The first definitive verdict wins and cancels the rest; cancelled
-	// members report Unknown and are ignored unless nobody answered.
-	var fallback result
-	for r := range results {
-		if r.status == sat.Sat || r.status == sat.Unsat {
-			cancel()
-			go func() {
-				for range results {
-				}
-			}()
-			return r.status, r.buf, r.ans
+			results[i] = result{st, buf, fromSolver(st, s, formula)}
+			if st == sat.Sat || st == sat.Unsat {
+				won.CompareAndSwap(-1, int32(i))
+				g.Abort(budget.Cancelled)
+			}
 		}
-		fallback = r
 	}
-	return fallback.status, fallback.buf, fallback.ans
+	g.Go(jobs...)
+	g.Wait()
+	// With no verdict no member was skipped, and each reports Unknown.
+	r := results[max(won.Load(), 0)]
+	return r.status, r.buf, r.ans
 }
 
 func fromSolver(st sat.Status, s *sat.Solver, formula *cnf.Formula) answer {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -274,4 +276,57 @@ func TestSelect(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"tabel1"`) || !strings.Contains(err.Error(), "table7") {
 		t.Fatalf("tabel1: error %v, want one naming tabel1 and listing the tables", err)
 	}
+}
+
+// TestTablesMatchCapture runs every table at one worker, as
+// `experiments -workers 1` does, and compares it with
+// experiments_output.txt, the capture EXPERIMENTS.md quotes, in every
+// column but the times. A change that moves a non-time column must
+// regenerate the capture and say why.
+func TestTablesMatchCapture(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every table")
+	}
+	data, err := os.ReadFile("../../experiments_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(w int) { RunWorkers = w }(RunWorkers)
+	RunWorkers = 1
+	var out strings.Builder
+	for _, tb := range Tables(ReachSteps) {
+		rendered, _ := tb.Run()
+		rendered.Render(&out)
+		out.WriteString("\n")
+	}
+	got, want := maskTimes(out.String()), maskTimes(string(data))
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, the capture has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("line %d: %q, the capture has %q", i+1, got[i], want[i])
+		}
+	}
+}
+
+// durationCell matches a rendered time cell (stats.Table's duration
+// format).
+var durationCell = regexp.MustCompile(`^[0-9]+(\.[0-9]+)?(µs|ms|s)$`)
+
+// maskTimes splits rendered tables into lines of whitespace-separated
+// cells, with every time cell and every rule line masked: a time cell's
+// width also sets its column's padding and rule.
+func maskTimes(s string) []string {
+	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
+	for i, l := range lines {
+		cells := strings.Fields(l)
+		for j, c := range cells {
+			if durationCell.MatchString(c) || strings.Trim(c, "-") == "" {
+				cells[j] = "_"
+			}
+		}
+		lines[i] = strings.Join(cells, " ")
+	}
+	return lines
 }

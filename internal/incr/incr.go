@@ -102,7 +102,7 @@ type Session struct {
 	backward bool
 	closed   bool
 
-	projSpace *cube.Space // StateSpace (backward) / dedup NextVars (forward), CNF var ids
+	projSpace *cube.Space // StateSpace (backward) / NextVars (forward), CNF var ids
 
 	cur        *trans.Group // open step's gated group, nil before first Step
 	maxCubes   uint64       // Budget.MaxCubes, applied per step
@@ -122,12 +122,15 @@ func NewBackward(c *circuit.Circuit, opts Options) (*Session, error) {
 // instance's state space, the latches in declaration order, as in a
 // fresh walk layer, so covers and counts are directly comparable. A
 // forward session's Step(cover) enumerates the image of the cover over
-// the deduplicated next-state variable space (several latches may share
-// one D signal); expansion back to per-latch positions is the caller's
-// job (preimage.ForwardReach).
+// the next-state variables, one per latch in declaration order
+// (trans.NewForwardBaseInstance), so its sets are state sets too.
 func Open(c *circuit.Circuit, forward bool, opts Options) (*Session, error) {
 	t0 := time.Now()
-	inst, err := trans.NewBaseInstance(c)
+	base := trans.NewBaseInstance
+	if forward {
+		base = trans.NewForwardBaseInstance
+	}
+	inst, err := base(c)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +144,7 @@ func Open(c *circuit.Circuit, forward bool, opts Options) (*Session, error) {
 		reg:        opts.Stats,
 	}
 	if forward {
-		s.projSpace = cube.NewSpace(trans.DedupVars(inst.NextVars))
+		s.projSpace = cube.NewSpace(inst.NextVars)
 	}
 	s.ps = newPoolSession(inst, s.projSpace, opts)
 	return s, nil
@@ -196,10 +199,6 @@ func (s *Session) Close() {
 	s.cur = nil
 	s.ps.Close()
 }
-
-// Backward reports whether Step computes preimages rather than images
-// (see Open).
-func (s *Session) Backward() bool { return s.backward }
 
 // Closed reports whether Close has been called.
 func (s *Session) Closed() bool { return s.closed }

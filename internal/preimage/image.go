@@ -27,13 +27,11 @@ func Image(c *circuit.Circuit, init *cube.Cover, opts Options) (*Result, error) 
 }
 
 // image is Image for the frontier walk's fresh layer source; share is
-// as in compute. The SAT engines project onto the next-state variables
-// in latch order, deduplicated (latches may share a next-state gate).
-// They are internal gate variables of the Tseitin CNF, which the
-// enumerators handle like any other projection set. With share, a
-// success-driven run whose latches each own a next-state variable
-// returns the set only, as compute does; shared next-state gates need
-// the state projector's split and keep the cover path.
+// as in compute. The SAT engines project onto the next-state variables,
+// one per latch in latch order (trans.NewForwardBaseInstance). They are
+// internal gate variables of the Tseitin CNF, which the enumerators
+// handle like any other projection set. With share, a success-driven
+// run returns the set only, as compute does.
 func image(c *circuit.Circuit, init *cube.Cover, opts Options, share *bdd.Manager) (*Result, bdd.Ref, error) {
 	opts.Budget = opts.Budget.Materialize()
 	start := time.Now()
@@ -49,7 +47,7 @@ func image(c *circuit.Circuit, init *cube.Cover, opts Options, share *bdd.Manage
 		if inst, err = trans.NewImageInstance(c, init); err != nil {
 			return nil, set, err
 		}
-		projSpace := cube.NewSpace(trans.DedupVars(inst.NextVars))
+		projSpace := cube.NewSpace(inst.NextVars)
 		run := satRun{f: inst.F, proj: projSpace, pos: latchPositions(inst.NextVars, projSpace)}
 		res, set, err = run.solve(StateSpace(c), opts, share)
 	}

@@ -164,11 +164,15 @@ func TestIncrementalKStepMatchesFresh(t *testing.T) {
 }
 
 func TestIncrementalForwardReachMatchesFresh(t *testing.T) {
-	for _, nc := range []gen.NamedCircuit{
+	circuits := []gen.NamedCircuit{
 		{Name: "counter4", Circuit: gen.Counter(4, true, false)},
 		{Name: "johnson4", Circuit: gen.Johnson(4)},
 		{Name: "slike1", Circuit: gen.SLike(gen.SLikeParams{Seed: 1, Inputs: 6, Latches: 6, Gates: 60})},
-	} {
+	}
+	for _, sc := range sharedGateSuite() {
+		circuits = append(circuits, sc.NamedCircuit)
+	}
+	for _, nc := range circuits {
 		nL := len(nc.Circuit.Latches)
 		pat := make([]byte, nL)
 		for i := range pat {

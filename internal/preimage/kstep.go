@@ -114,7 +114,7 @@ func kstepWalk(c *circuit.Circuit, target *cube.Cover, k int, opts Options) (*Re
 	return &Result{
 		States:      states,
 		StateSpace:  w.canon,
-		Count:       w.countSet(w.visited),
+		Count:       w.man.SatCount(w.visited),
 		Stats:       w.stats,
 		BDDNodes:    w.bddNodes,
 		Engine:      opts.Engine,

@@ -188,9 +188,8 @@ type Options struct {
 	// StateSink, when non-nil, receives each state cube of a run whose
 	// state cover is final as it arrives, the moment the search finds
 	// it: a blocking or disjoint run over the latches alone (no
-	// WithInputs) with Parallel <= 1 and no latches sharing a projection
-	// position. Result.States then lists exactly the cubes sunk, in the
-	// same order. Other runs (the lifting, success-driven and BDD
+	// WithInputs) with Parallel <= 1. Result.States then lists exactly
+	// the cubes sunk, in the same order. Other runs (the lifting, success-driven and BDD
 	// engines, multi-worker runs) and the frontier walks never call it.
 	// It runs on the caller's goroutine and must not modify the cube; to
 	// stop the search, cancel the budget's context.

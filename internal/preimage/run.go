@@ -21,12 +21,13 @@ import (
 // projectionOrder's variables (the latches alone for the blocking,
 // lifting and disjoint engines without WithInputs, (state, input)
 // otherwise), Image onto the next-state variables, the unrolled
-// KStepPreimage onto the frame-0 state vector.
+// KStepPreimage onto the frame-0 state vector: one variable per latch in
+// every case.
 type satRun struct {
 	f    *cnf.Formula
 	proj *cube.Space
-	// pos is the projection position of each latch. Latches whose
-	// next-state functions share a gate (Image) repeat a position.
+	// pos is the projection position of each latch; no two latches
+	// share one.
 	pos []int
 	// pairs, when non-nil, is Compute's instance: with
 	// Options.WithInputs the run also reports Result.Pairs over its
@@ -55,7 +56,7 @@ func latchPositions(vars []lit.Var, proj *cube.Space) []int {
 // sum of its cube sizes, in engine order, any other after Reduce. When
 // share is non-nil it also returns the state set in share, a manager
 // ordered over the canonical state space. A success-driven run over the
-// latches alone, one per latch, hands its merged BDD straight to share
+// latches alone hands its merged BDD straight to share
 // and builds no cover: its Result then carries no States and no Count
 // (see compute). A run whose state cover is final as it grows hands
 // each state cube to Options.StateSink as well. The caller records the
@@ -91,7 +92,7 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		out.AbortReason, count = reason, new(big.Int)
 	case !streams:
 		pr := runSuccessDriven(r.f, r.proj, opts)
-		setOnly = share != nil && r.stateOnly() && !p.splits()
+		setOnly = share != nil && r.stateOnly()
 		if setOnly && opts.Budget.MaxCubes == 0 {
 			out.Stats, out.AbortReason = pr.Stats, pr.Reason
 		} else {
@@ -114,7 +115,7 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 			stateSet = pr.Manager.ExistsVars(pr.Set, r.nonStateVars())
 			count = pr.Manager.SatCountIn(stateSet, r.stateVars())
 		}
-		if share != nil && !p.splits() {
+		if share != nil {
 			// Projection and latch order agree, so the renamed import
 			// stays on the fast structural path.
 			sub := make(map[lit.Var]lit.Var, len(r.pos))
@@ -144,7 +145,7 @@ func (r satRun) solve(stateSpace *cube.Space, opts Options, share *bdd.Manager) 
 		// their sizes counts them, and Reduce would find nothing to
 		// remove.
 		disjoint = eng != allsat.Lifting && r.stateOnly()
-		if disjoint && !parallel && !withPairs && !p.splits() && share == nil {
+		if disjoint && !parallel && !withPairs && share == nil {
 			// Neither Reduce nor a subcube sort follows: each state
 			// cube is final as the projector appends it.
 			p.sink = opts.StateSink
@@ -230,15 +231,11 @@ func (r satRun) liveSpace() (*cube.Space, func(cube.Cube) cube.Cube) {
 	}
 }
 
-// stateVars returns the distinct projection variables latches sit on.
+// stateVars returns the projection variables latches sit on.
 func (r satRun) stateVars() []lit.Var {
-	seen := make(map[int]bool, len(r.pos))
-	var vars []lit.Var
-	for _, pos := range r.pos {
-		if !seen[pos] {
-			seen[pos] = true
-			vars = append(vars, r.proj.Vars()[pos])
-		}
+	vars := make([]lit.Var, len(r.pos))
+	for i, pos := range r.pos {
+		vars[i] = r.proj.Vars()[pos]
 	}
 	return vars
 }
@@ -285,49 +282,18 @@ func pairCover(inst *trans.Instance, proj *cube.Space, raw []cube.Cube) *cube.Co
 // back to back and the skip drops them before Reduce sees them; Reduce
 // drops whatever duplicates remain, so the reduced cover is the same
 // either way.
-//
-// Latches that share a next-state gate share a projection position. If
-// that position is free in a cube, the latch bits are "free but equal",
-// which a state cube cannot express, so the cube is split on the
-// position's two values first. Shared positions are split in latch
-// order, so the produced cube order is deterministic.
 type stateProjector struct {
 	pos    []int // projection-space position of each latch
-	shared []int // positions repeated in pos, in first-latch order
 	states *cube.Cover
 	last   cube.Cube
 	sink   func(cube.Cube) // Options.StateSink, where the cover is final as it grows
 }
 
 func newStateProjector(pos []int, stateSpace *cube.Space) *stateProjector {
-	p := &stateProjector{pos: pos, states: cube.NewCover(stateSpace)}
-	uses := map[int]int{}
-	for _, q := range pos {
-		uses[q]++
-	}
-	for _, q := range pos {
-		if uses[q] > 1 {
-			p.shared = append(p.shared, q)
-			uses[q] = 0 // listed once
-		}
-	}
-	return p
+	return &stateProjector{pos: pos, states: cube.NewCover(stateSpace)}
 }
 
-// splits reports whether some latches share a projection position.
-func (p *stateProjector) splits() bool { return len(p.shared) > 0 }
-
 func (p *stateProjector) add(cb cube.Cube) {
-	for _, q := range p.shared {
-		if cb[q] == lit.Unknown {
-			for _, val := range []lit.Tern{lit.False, lit.True} {
-				split := cb.Clone()
-				split[q] = val
-				p.add(split)
-			}
-			return
-		}
-	}
 	if p.last != nil && p.repeats(cb) {
 		return
 	}

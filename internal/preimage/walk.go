@@ -11,7 +11,6 @@ import (
 	"allsatpre/internal/circuit"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/incr"
-	"allsatpre/internal/lit"
 	"allsatpre/internal/stats"
 )
 
@@ -45,9 +44,8 @@ type Walk struct {
 
 	src   layerSource
 	man   *bdd.Manager
-	space *cube.Space // space frontier covers are extracted over
+	space *cube.Space // space frontier covers are extracted over, man's order
 	canon *cube.Space // canonical state space of results
-	count []lit.Var   // variables state counts range over; nil: all of man's
 	// phases, when non-nil, receives a stepNN sub-registry per layer.
 	phases *stats.Registry
 
@@ -122,26 +120,19 @@ func newWalk(c *circuit.Circuit, start *cube.Cover, forward bool, opts Options) 
 	if forward {
 		src.step = image
 	}
-	return startWalk(src, man, canon, canon, nil, start), nil
+	return startWalk(src, man, canon, canon, start), nil
 }
 
 // NewSessionWalk starts a walk from start over an open incremental
-// session in either direction. A backward walk keeps its visited set in
-// the session's manager; a forward walk expands each image onto the
-// latch order into a manager of its own. The session stays the
-// caller's to close.
+// session in either direction. The walk keeps its sets in the session's
+// manager, whose order is the session's projection, one variable per
+// latch in latch order. The session stays the caller's to close.
 func NewSessionWalk(c *circuit.Circuit, sess *incr.Session, start *cube.Cover) *Walk {
-	canon := StateSpace(c)
-	src := &sessionSource{sess: sess}
-	if sess.Backward() {
-		return startWalk(src, sess.Manager(), sess.StateSpace(), canon, sess.StateVars(), start)
-	}
-	src.man, src.canon = bdd.NewOrdered(canon.Vars()), canon
-	return startWalk(src, src.man, canon, canon, nil, start)
+	return startWalk(&sessionSource{sess: sess}, sess.Manager(), sess.ProjSpace(), StateSpace(c), start)
 }
 
-func startWalk(src layerSource, man *bdd.Manager, space, canon *cube.Space, count []lit.Var, start *cube.Cover) *Walk {
-	w := &Walk{src: src, man: man, space: space, canon: canon, count: count}
+func startWalk(src layerSource, man *bdd.Manager, space, canon *cube.Space, start *cube.Cover) *Walk {
+	w := &Walk{src: src, man: man, space: space, canon: canon}
 	w.visited = man.FromCover(canonicalize(space, start))
 	w.layers = []bdd.Ref{w.visited}
 	w.frontiers = []*cube.Cover{canonicalize(canon, start)}
@@ -212,16 +203,9 @@ func (w *Walk) Frontier(k int) *cube.Cover {
 // first use.
 func (w *Walk) Count(k int) *big.Int {
 	if w.counts[k] == nil {
-		w.counts[k] = w.countSet(w.layers[k])
+		w.counts[k] = w.man.SatCount(w.layers[k])
 	}
 	return w.counts[k]
-}
-
-func (w *Walk) countSet(set bdd.Ref) *big.Int {
-	if w.count == nil {
-		return w.man.SatCount(set)
-	}
-	return w.man.SatCountIn(set, w.count)
 }
 
 // canonical re-expresses a walk cover over the canonical state space.
@@ -264,7 +248,7 @@ func (w *Walk) result() *ReachResult {
 		res.FrontierCounts[k] = w.Count(k)
 	}
 	res.All = w.canonical(w.man.ISOP(w.visited, w.space))
-	res.AllCount = w.countSet(w.visited)
+	res.AllCount = w.man.SatCount(w.visited)
 	return res
 }
 
@@ -291,14 +275,9 @@ func (s *freshSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer, e
 
 func (s *freshSource) close() {}
 
-// sessionSource computes each layer on one persistent incr session. A
-// forward session's images range over the deduplicated next-state
-// variables; they go through the run's state projector onto the latch
-// order and are imported into man, the walk's canonical-space manager.
+// sessionSource computes each layer on one persistent incr session.
 type sessionSource struct {
-	sess  *incr.Session
-	man   *bdd.Manager // forward only
-	canon *cube.Space  // forward only
+	sess *incr.Session
 }
 
 func (s *sessionSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer, error) {
@@ -316,18 +295,7 @@ func (s *sessionSource) layer(frontier *cube.Cover, reg *stats.Registry) (layer,
 			AbortReason: st.Reason,
 		}, time.Since(start))
 	}
-	l := layer{st.Set, st.Stats, st.Stats.BDDNodes, st.Aborted, st.Reason}
-	if s.sess.Backward() {
-		return l, nil
-	}
-	proj := s.sess.ProjSpace()
-	p := newStateProjector(latchPositions(s.sess.Instance().NextVars, proj), s.canon)
-	for _, cb := range s.sess.Manager().ISOP(st.Set, proj).Cubes() {
-		p.add(cb)
-	}
-	p.states.Reduce()
-	l.set = s.man.FromCover(p.states)
-	return l, nil
+	return layer{st.Set, st.Stats, st.Stats.BDDNodes, st.Aborted, st.Reason}, nil
 }
 
 func (s *sessionSource) close() { s.sess.Close() }

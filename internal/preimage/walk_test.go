@@ -1,15 +1,20 @@
 package preimage
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"allsatpre/internal/bdd"
 	"allsatpre/internal/budget"
 	"allsatpre/internal/circuit"
+	"allsatpre/internal/cnf"
 	"allsatpre/internal/cube"
 	"allsatpre/internal/gen"
+	"allsatpre/internal/lit"
+	"allsatpre/internal/sat"
 	"allsatpre/internal/stats"
 	"allsatpre/internal/trans"
 )
@@ -127,6 +132,20 @@ func TestWalkAbortContract(t *testing.T) {
 	}
 }
 
+// sharedGateSuite holds SLike circuits in which latches share a
+// next-state gate (two such latches in the first, one in the second), so
+// a forward instance gives a latch a variable of its own
+// (trans.NewForwardBaseInstance). Each target's backward walk takes two
+// layers to a fixpoint of 14 and 144 states.
+func sharedGateSuite() []suiteCircuit {
+	return []suiteCircuit{
+		{gen.NamedCircuit{Name: "slike2-shared2", Circuit: gen.SLike(gen.SLikeParams{Seed: 2, Inputs: 4, Latches: 6, Gates: 60})},
+			trans.TargetFromPatterns(6, "XXX100")},
+		{gen.NamedCircuit{Name: "slike4-shared1", Circuit: gen.SLike(gen.SLikeParams{Seed: 4, Inputs: 6, Latches: 8, Gates: 120})},
+			trans.TargetFromPatterns(8, "X0XX00X0")},
+	}
+}
+
 // recordingSource remembers the frontier each layer was solved from and
 // the layer's state set, before the walk diffs it against visited.
 type recordingSource struct {
@@ -149,8 +168,32 @@ func (r *recordingSource) layer(frontier *cube.Cover, reg *stats.Registry) (laye
 // layer's count and frontier cover, the fixpoint and the verdict must
 // be the BDD walk's. Each fresh layer hands its merged BDD to the walk
 // without a cover, so its state set must also equal the cover Compute
-// (or Image) returns for the same frontier.
+// (or Image) returns for the same frontier. On the shared-gate suite,
+// whose latches share next-state gates, every engine's forward walk,
+// fresh and on a session, must be the BDD walk too.
 func TestWalkSuccessMatchesBDD(t *testing.T) {
+	for _, nc := range sharedGateSuite() {
+		c := nc.Circuit
+		zero := trans.TargetFromPatterns(len(c.Latches), strings.Repeat("0", len(c.Latches)))
+		ref, err := walkResult(c, zero, true, 0, Options{Engine: EngineBDD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range allEngines {
+			for _, incremental := range []bool{false, true} {
+				opts := Options{Engine: eng, Incremental: incremental}
+				if incremental && !useIncremental(opts) {
+					continue
+				}
+				got, err := walkResult(c, zero, true, 0, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareReach(t, fmt.Sprintf("%s/forward/%v/incremental=%v", nc.Name, eng, incremental), got, ref)
+			}
+		}
+	}
+
 	for _, nc := range determinismSuite() {
 		c := nc.Circuit
 		zero := trans.TargetFromPatterns(len(c.Latches), strings.Repeat("0", len(c.Latches)))
@@ -211,6 +254,104 @@ func TestWalkSuccessMatchesBDD(t *testing.T) {
 				validateTrace(t, c, zero, nc.Target, got.Trace)
 			} else if got.Invariant.String() != want.Invariant.String() {
 				t.Fatalf("%s: invariant\n%v\nBDD engine\n%v", label, got.Invariant, want.Invariant)
+			}
+		}
+	}
+}
+
+// TestFixpointCertificate checks a complete walk's visited set with one
+// SAT call and a checked DRUP proof. Backward, the set V of states that
+// reach the start set is closed under predecessors, so
+// T ∧ V(s′) ∧ ¬V(s) is UNSAT; forward, the set R reached from the start
+// set is closed under successors, so T ∧ R(s) ∧ ¬R(s′) is UNSAT. ¬V is
+// one clause per cube of the walk's cover. Dropping the clause of a
+// cube that holds a state no other cube covers, outside the start set,
+// must make the formula SAT: that state is one step from the set, so a
+// walk that missed it cannot pass.
+func TestFixpointCertificate(t *testing.T) {
+	for _, nc := range sharedGateSuite() {
+		c := nc.Circuit
+		nL := len(c.Latches)
+		// One next-state variable per latch, so ¬V(s′) has one literal
+		// per fixed position.
+		inst, err := trans.NewForwardBaseInstance(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, forward := range []bool{false, true} {
+			start, in, out := nc.Target, inst.NextVars, inst.StateVars
+			if forward {
+				start = trans.TargetFromPatterns(nL, strings.Repeat("0", nL))
+				in, out = out, in
+			}
+			for _, incremental := range []bool{false, true} {
+				label := fmt.Sprintf("%s/forward=%v/incremental=%v", nc.Name, forward, incremental)
+				res, err := walkResult(c, start, forward, 0, Options{Incremental: incremental})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Fixpoint {
+					t.Fatalf("%s: the walk reached no fixpoint", label)
+				}
+				// certify solves T ∧ V(in) ∧ ¬V(out), ¬V over cubes only.
+				certify := func(cubes []cube.Cube) (*cnf.Formula, *sat.Solver, sat.Status, *bytes.Buffer) {
+					f := inst.F.Clone()
+					trans.EncodeCover(res.All, in, false, f.NewVar, f.AddClause)
+					for _, cb := range cubes {
+						var block cnf.Clause
+						for i, v := range cb {
+							if v != lit.Unknown {
+								block = append(block, lit.New(out[i], v == lit.True))
+							}
+						}
+						f.AddClause(block)
+					}
+					s := sat.FromFormula(f, sat.DefaultOptions())
+					proof := &bytes.Buffer{}
+					s.SetProofWriter(proof)
+					status := s.Solve()
+					s.FlushProof()
+					return f, s, status, proof
+				}
+				cubes := res.All.Cubes()
+				f, _, status, proof := certify(cubes)
+				if status != sat.Unsat {
+					t.Fatalf("%s: the fixpoint certificate is %v, want UNSAT", label, status)
+				}
+				if err := sat.CheckDRUP(f, proof); err != nil {
+					t.Fatalf("%s: the fixpoint proof does not check: %v", label, err)
+				}
+
+				m := bdd.NewOrdered(res.StateSpace.Vars())
+				startSet, drop := m.FromCover(canonicalize(res.StateSpace, start)), -1
+				for i, cb := range cubes {
+					rest := cube.NewCover(res.StateSpace)
+					for j, other := range cubes {
+						if j != i {
+							rest.Add(other)
+						}
+					}
+					own := m.Diff(m.FromCube(res.StateSpace, cb), m.Or(m.FromCover(rest), startSet))
+					if own != bdd.False {
+						drop = i
+						break
+					}
+				}
+				if drop < 0 {
+					t.Fatalf("%s: no cube holds a state of its own outside the start set", label)
+				}
+				dropped := cubes[drop]
+				_, s, status, _ := certify(slices.Delete(slices.Clone(cubes), drop, drop+1))
+				if status != sat.Sat {
+					t.Fatalf("%s: with cube %s dropped the certificate is %v, want SAT", label, dropped, status)
+				}
+				model, st := s.Model(), make([]bool, nL)
+				for i, v := range out {
+					st[i] = model[v]
+				}
+				if !dropped.ContainsMinterm(st) {
+					t.Fatalf("%s: the model's state is outside the dropped cube %s", label, dropped)
+				}
 			}
 		}
 	}

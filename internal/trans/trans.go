@@ -33,27 +33,14 @@ type Instance struct {
 	// Enc is the underlying circuit encoding.
 	Enc *tseitin.Encoding
 	// StateVars, InputVars and NextVars are the projection variable
-	// groups, in latch/input declaration order.
+	// groups, in latch/input declaration order. NextVars are the
+	// next-state gates, which latches may share, except in a forward
+	// instance (NewForwardBaseInstance), where every latch has its own.
 	StateVars, InputVars, NextVars []lit.Var
 	// StateSpace is the cube space over StateVars with latch names.
 	StateSpace *cube.Space
 	// FullSpace is the cube space over StateVars followed by InputVars.
 	FullSpace *cube.Space
-}
-
-// DedupVars drops repeated variables, keeping first occurrences: latches
-// may share one next-state gate, and a cube space must not list its
-// variable twice, so image projections range over DedupVars(NextVars).
-func DedupVars(vars []lit.Var) []lit.Var {
-	seen := make(map[lit.Var]bool, len(vars))
-	out := make([]lit.Var, 0, len(vars))
-	for _, v := range vars {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // NewBaseInstance builds an instance carrying the Tseitin CNF of the
@@ -107,16 +94,44 @@ func NewInstance(c *circuit.Circuit, target *cube.Cover) (*Instance, error) {
 	return inst, nil
 }
 
+// NewForwardBaseInstance is NewBaseInstance for the forward direction,
+// whose runs project onto NextVars: it gives every latch its own
+// next-state variable. Latches may share a next-state gate; a latch
+// whose gate an earlier latch already uses gets a fresh variable v, tied
+// to the gate g by (¬v ∨ g) and (v ∨ ¬g). So a projection onto NextVars
+// has exactly one position per latch, in latch order, and a cube over it
+// is a state cube.
+func NewForwardBaseInstance(c *circuit.Circuit) (*Instance, error) {
+	inst, err := NewBaseInstance(c)
+	if err != nil {
+		return nil, err
+	}
+	next := make([]lit.Var, len(inst.NextVars))
+	used := make(map[lit.Var]bool, len(next))
+	for i, g := range inst.NextVars {
+		next[i] = g
+		if used[g] {
+			next[i] = inst.F.NewVar()
+			inst.F.AddClause(cnf.Clause{lit.Neg(next[i]), lit.Pos(g)})
+			inst.F.AddClause(cnf.Clause{lit.Pos(next[i]), lit.Neg(g)})
+		}
+		used[g] = true
+	}
+	inst.NextVars = next
+	return inst, nil
+}
+
 // NewImageInstance builds the forward-image problem for the circuit and
 // an initial-state cover: the CNF is satisfiable exactly by consistent
 // valuations whose present state lies in init, and the image is the
-// projection of its models onto NextVars.
+// projection of its models onto NextVars (one variable per latch, see
+// NewForwardBaseInstance).
 func NewImageInstance(c *circuit.Circuit, init *cube.Cover) (*Instance, error) {
 	if init.Space().Size() != len(c.Latches) {
 		return nil, fmt.Errorf("trans: init space has %d positions, circuit has %d latches",
 			init.Space().Size(), len(c.Latches))
 	}
-	inst, err := NewBaseInstance(c)
+	inst, err := NewForwardBaseInstance(c)
 	if err != nil {
 		return nil, err
 	}
